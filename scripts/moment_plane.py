@@ -13,6 +13,7 @@ from pathlib import Path
 from randmeas import (
     DensityMatrix,
     RngStream,
+    bisep_line_3_r4,
     correlation_tensor,
     design_points,
     moment_design,
@@ -25,10 +26,6 @@ from randmeas.ensembles import (
 )
 
 FULL = (1, 2, 3)
-
-
-def bisep_line(r2):
-    return (972.0 * r2**2 + 90.0 * r2 - 5.0) / 425.0
 
 
 def main():
@@ -54,7 +51,7 @@ def main():
                 rho = draw()
                 r2 = moment_exact_t2(correlation_tensor(rho, FULL)).value
                 r4 = moment_design(rho, FULL, 4, design).value
-                fh.write(f"{label},{r2:.17g},{r4:.17g},{bisep_line(r2):.17g}\n")
+                fh.write(f"{label},{r2:.17g},{r4:.17g},{bisep_line_3_r4(r2):.17g}\n")
     print(f"wrote {3 * args.per_ensemble} states -> {path}")
 
 

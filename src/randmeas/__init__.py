@@ -22,6 +22,7 @@ from .criteria import (
     StructureReport,
     Verdict,
     bisep_line_3,
+    bisep_line_3_r4,
     entanglement_by_length,
     gme_test_4,
     m_quantifier,

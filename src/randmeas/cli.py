@@ -44,7 +44,7 @@ from .moments import (
     simulate_shots,
 )
 from .sampling import RngStream, design_points, design_to_csv, validate_design
-from .states import StateSpec, make_state, purity_direct
+from .states import STATES, StateSpec, make_state, purity_direct
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
@@ -68,65 +68,58 @@ class CrossCheckError(Exception):
 # State-spec mini-grammar: kind[:param[,param]]
 # ---------------------------------------------------------------------------
 
-_GRAMMAR = {
-    # kind -> (param names, parser, defaults)
-    "product_zero": (("n",), int, None),
-    "bell": ((), None, None),
-    "ghz": (("n",), int, None),
-    "w": (("n",), int, None),
-    "cluster_linear": (("n",), int, (4,)),
-    "werner": (("p",), float, None),
-    "trisep4": ((), None, None),
-    "bisep4": (("phi",), float, (0.2,)),
-}
-
-_ALIASES = {"product2": ("product_zero", (2,)), "bell_psi_minus": ("bell", ())}
-
-
 def parse_state(text: str) -> StateSpec:
     """Parse ``kind[:param[,param]]`` into a StateSpec."""
-    text = text.strip()
-    head, _, tail = text.partition(":")
-    params: tuple = ()
-    if head in _ALIASES:
+    head, _, tail = text.strip().partition(":")
+    row = STATES.get(head)
+    if row is None:
+        raise CliError(f"unknown state kind {head!r}; valid kinds: " + ", ".join(sorted(STATES)))
+    if row.alias_of is not None:
         if tail:
             raise CliError(f"alias {head!r} takes no parameters")
-        head, params = _ALIASES[head]
-    elif head not in _GRAMMAR:
-        raise CliError(
-            f"unknown state kind {head!r}; valid kinds: "
-            + ", ".join(sorted(list(_GRAMMAR) + list(_ALIASES)))
-        )
-    if not params:
-        names, caster, defaults = _GRAMMAR[head]
-        if tail:
-            raw = tail.split(",")
-            if len(raw) != len(names):
-                raise CliError(
-                    f"state kind {head!r} takes {len(names)} parameter(s) "
-                    f"({', '.join(names)}), got {len(raw)}"
-                )
-            try:
-                params = tuple(caster(r) for r in raw)
-            except ValueError as exc:
-                raise CliError(f"bad parameter for {head!r}: {exc}") from exc
-        elif defaults is not None:
-            params = defaults
-        elif names:
+        return StateSpec(*row.alias_of)
+    names = row.params
+    if tail:
+        raw = tail.split(",")
+        if len(raw) != len(names):
             raise CliError(
-                f"state kind {head!r} requires parameter(s): {', '.join(names)}"
+                f"state kind {head!r} takes {len(names)} parameter(s) "
+                f"({', '.join(names)}), got {len(raw)}"
             )
-    return StateSpec(head, params)
+        try:
+            params = tuple(row.cast(r) for r in raw)
+        except ValueError as exc:
+            raise CliError(f"bad parameter for {head!r}: {exc}") from exc
+        return StateSpec(head, params)
+    if row.defaults is not None:
+        return StateSpec(head, row.defaults)
+    if names:
+        raise CliError(f"state kind {head!r} requires parameter(s): {', '.join(names)}")
+    return StateSpec(head)
 
 
 def render_state(spec: StateSpec) -> str:
     """Canonical string form of a StateSpec (round-trips through parse)."""
     if not spec.params:
         return spec.kind
-    rendered = ",".join(
-        str(p) if isinstance(p, int) else repr(float(p)) for p in spec.params
+    floats = STATES[spec.kind].cast is float
+    return f"{spec.kind}:" + ",".join(repr(float(p)) if floats else str(p) for p in spec.params)
+
+
+def _state_help() -> str:
+    kinds, aliases = [], []
+    for name, row in STATES.items():
+        if row.alias_of is not None:
+            aliases.append(name)
+        elif row.params:
+            spelled = ",".join(row.params)
+            kinds.append(f"{name}[:{spelled}]" if row.defaults else f"{name}:{spelled}")
+        else:
+            kinds.append(name)
+    return (
+        f"state spec 'kind[:param[,param]]'; kinds: {', '.join(kinds)}; "
+        f"aliases: {', '.join(aliases)}"
     )
-    return f"{spec.kind}:{rendered}"
 
 
 def parse_subset(text: str, n: int) -> list:
@@ -214,21 +207,13 @@ def _metadata(config: RunConfig, **extra) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_DENSITY_KINDS = {
-    ("product_zero", (2,)): ("product2", None),
-    ("bell", ()): ("bell", None),
-}
-
-
 def _reference_density(spec: StateSpec, subset, n: int):
     if subset != tuple(range(1, n + 1)):
         return None
-    if spec.kind == "werner":
-        return analytic_pdf("werner", p=spec.params[0])
-    key = (spec.kind, spec.params)
-    if key in _DENSITY_KINDS:
-        kind, p = _DENSITY_KINDS[key]
-        return analytic_pdf(kind, p=p)
+    # A kind's row matches any parameters; an alias row only its own spec.
+    for name, row in STATES.items():
+        if row.density and (row.alias_of or (name, spec.params)) == (spec.kind, spec.params):
+            return analytic_pdf(row.density, **dict(zip(row.params, spec.params)))
     return None
 
 
@@ -287,24 +272,27 @@ def cmd_sample(config: RunConfig) -> int:
 def _cross_check(rho, subset, estimate, design_cache) -> dict:
     """Compare an estimate against an independent exact oracle.
 
-    Monte-Carlo values must agree within 4 standard errors (plus a tiny
-    absolute floor); design values at t = 2 must match the tensor
-    contraction to 1e-12.
+    Design values (t = 2 only) must match the tensor contraction to
+    1e-12; Monte-Carlo values must agree with a design sum within 4
+    standard errors (plus a tiny absolute floor).
     """
     t = estimate.order
-    if t > 5:
-        return {"checked": False, "reason": f"no exact oracle for t={t}"}
-    degree = 3 if t <= 3 else 5
-    if degree not in design_cache:
-        design_cache[degree] = design_points(degree)
-    exact = moment_design(rho, subset, t, design_cache[degree]).value
     if estimate.method == "design":
+        exact = moment_exact_t2(correlation_tensor(rho, subset)).value
         tolerance = 1e-12
+    elif t > 5:
+        return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     else:
+        degree = 3 if t <= 3 else 5
+        if degree not in design_cache:
+            design_cache[degree] = design_points(degree)
+        exact = moment_design(rho, subset, t, design_cache[degree]).value
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
     ok = deviation <= tolerance
     result = {
+        "subset": list(subset),
+        "t": t,
         "checked": True,
         "exact_value": exact,
         "deviation": deviation,
@@ -329,8 +317,6 @@ def cmd_moments(config: RunConfig) -> int:
     if config.design and config.shots:
         raise CliError("choose either --design or --shots, not both")
     if config.design:
-        if config.design not in (3, 5):
-            raise CliError(f"supported design orders are 3 and 5, got {config.design}")
         design = design_points(config.design)
         for t in config.orders:
             if design.degree < t:
@@ -357,45 +343,19 @@ def cmd_moments(config: RunConfig) -> int:
                 estimates.append(est)
         elif config.design:
             for t in config.orders:
-                est = moment_design(rho, subset, t, design_points(config.design))
+                est = moment_design(rho, subset, t, design)
                 estimates.append(est)
                 if do_checks and t == 2:
-                    exact = moment_exact_t2(correlation_tensor(rho, subset)).value
-                    deviation = abs(est.value - exact)
-                    if deviation > 1e-12:
-                        raise CrossCheckError(
-                            f"design vs tensor cross-check failed for {subset}: "
-                            f"deviation {deviation:.3e}"
-                        )
-                    checks.append(
-                        {
-                            "subset": list(subset),
-                            "t": t,
-                            "checked": True,
-                            "exact_value": exact,
-                            "deviation": deviation,
-                            "tolerance": 1e-12,
-                            "passed": True,
-                        }
-                    )
+                    checks.append(_cross_check(rho, subset, est, design_cache))
         else:
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
             samples = sample_distribution(rho, subset, config.samples, stream)
+            bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
             for t in config.orders:
-                if config.bootstrap:
-                    est = moment_mc(
-                        samples,
-                        t,
-                        bootstrap=True,
-                        rng=RngStream(config.seed, STREAM_BOOTSTRAP + subset_index),
-                    )
-                else:
-                    est = moment_mc(samples, t)
+                est = moment_mc(samples, t, bootstrap=config.bootstrap, rng=bootstrap_rng)
                 estimates.append(est)
                 if do_checks:
-                    check = _cross_check(rho, subset, est, design_cache)
-                    check.update({"subset": list(subset), "t": t})
-                    checks.append(check)
+                    checks.append(_cross_check(rho, subset, est, design_cache))
 
     out = _out_dir(config)
     payload = _metadata(
@@ -468,8 +428,6 @@ def cmd_criteria(config: RunConfig) -> int:
 
 
 def cmd_design(config: RunConfig) -> int:
-    if config.design not in (3, 5):
-        raise CliError(f"supported design orders are 3 and 5, got {config.design}")
     design = design_points(config.design)
     report = validate_design(design, config.design)
     out = _out_dir(config)
@@ -500,15 +458,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"randmeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    state_help = (
-        "state spec 'kind[:param[,param]]'; kinds: product_zero:n, bell, ghz:n, "
-        "w:n, cluster_linear[:4], werner:p, trisep4, bisep4[:phi]; "
-        "aliases: product2, bell_psi_minus"
-    )
-
     def common(p, with_state=True):
         if with_state:
-            p.add_argument("--state", required=True, help=state_help)
+            p.add_argument("--state", required=True, help=_state_help())
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
         p.add_argument("--output", default="randmeas-output", help="output directory")
         p.add_argument("--format", choices=("json", "csv"), default="json")

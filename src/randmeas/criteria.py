@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import sqrt
+from math import isfinite, sqrt
 
 from .moments import MomentEstimate, all_subsets, exact_moment_map
 from .states import DensityMatrix, partial_trace, purity_direct
@@ -65,7 +65,10 @@ def _decide(margin: float, std_error: float | None, z: float, atol: float) -> bo
 def _entry_stats(entry):
     if isinstance(entry, MomentEstimate):
         return float(entry.value), entry.std_error, entry.method
-    return float(entry), None, "value"
+    value = float(entry)
+    if not isfinite(value):
+        raise ValueError(f"criterion input {entry!r} is not finite")
+    return value, None, "value"
 
 
 def _normalize_moments(moments) -> dict:
@@ -220,6 +223,11 @@ def structure_report_from_state(
     return structure_report(moments, purities, z=z, atol=atol)
 
 
+def bisep_line_3_r4(r2: float) -> float:
+    """The three-qubit biseparability line r4 = (972 r2^2 + 90 r2 - 5)/425."""
+    return (972.0 * r2**2 + 90.0 * r2 - 5.0) / 425.0
+
+
 def bisep_line_3(
     r2,
     r4,
@@ -228,15 +236,15 @@ def bisep_line_3(
 ) -> Verdict:
     """Three-qubit biseparability line in the (r2, r4) plane.
 
-    Biseparable states satisfy r4 >= (972 r2^2 + 90 r2 - 5)/425; a fourth
-    moment below that line certifies genuine tripartite entanglement.
+    Biseparable states satisfy r4 >= bisep_line_3_r4(r2); a fourth moment
+    below that line certifies genuine tripartite entanglement.
     """
     r2_val, r2_err, r2_method = _entry_stats(r2)
     r4_val, r4_err, r4_method = _entry_stats(r4)
     for name, val in (("r2", r2_val), ("r4", r4_val)):
         if not -1e-9 <= val <= 1.0 + 1e-9:
             raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
-    rhs = (972.0 * r2_val**2 + 90.0 * r2_val - 5.0) / 425.0
+    rhs = bisep_line_3_r4(r2_val)
     statistic = rhs - r4_val
     variance = 0.0
     if r2_err is not None:

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .sampling import _generator, haar_unitaries
-from .states import DensityMatrix, w_state
+from .states import DensityMatrix, _conjugate_locally, w_state
 
 
 def random_pure_vector(dim: int, rng) -> np.ndarray:
@@ -85,9 +85,5 @@ def random_w_class_mixture(n_qubits: int, rng, max_components: int = 4) -> Densi
     dim = 2**n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     for weight in weights:
-        locals_ = haar_unitaries(gen, n_qubits)
-        full = locals_[0]
-        for u in locals_[1:]:
-            full = np.kron(full, u)
-        mat += weight * (full @ base @ full.conj().T)
+        mat += weight * _conjugate_locally(base, haar_unitaries(gen, n_qubits))
     return DensityMatrix(n_qubits, mat)

@@ -21,7 +21,7 @@ from .correlations import (
     normalize_subset,
     pauli_coefficients,
 )
-from .sampling import SphericalDesign, _generator, half_design, uniform_directions
+from .sampling import SphericalDesign, _antipodal_half, _generator, uniform_directions
 from .states import DensityMatrix
 
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
@@ -55,6 +55,10 @@ class MomentEstimate:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method in _EXACT_METHODS and self.std_error is not None:
             raise ValueError(f"{self.method} estimates must carry std_error=None")
+        if not np.isfinite(self.value) or not np.isfinite(self.std_error or 0.0):
+            raise ValueError(
+                f"moment value {self.value!r} and std_error {self.std_error!r} must be finite"
+            )
         if self.order % 2 == 0 and self.method != "finite_shot":
             # Even moments of a [-1, 1]-valued variable live in [0, 1].
             # Unbiased finite-shot estimates may leave that range.
@@ -116,39 +120,38 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
-def _design_grid_values(rho: DensityMatrix, subset, points: np.ndarray) -> np.ndarray:
-    """Correlations for every direction tuple of the point set, raveled in
-    lexicographic tuple order."""
+def _design_moment(rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray) -> MomentEstimate:
+    """Mean of E^t over every direction tuple of ``points`` (an (N, 3)
+    array exact for polynomials of degree <= ``degree``).  Tuples are
+    summed in lexicographic order with pairwise summation for
+    reproducibility."""
+    t = _check_order(t)
+    if degree < t:
+        raise ValueError(
+            f"design order insufficient for requested moment: degree {degree} < t={t}"
+        )
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    length = points.shape[0]
-    if length**k > MAX_DESIGN_TUPLES:
+    if len(points) ** k > MAX_DESIGN_TUPLES:
         raise ValueError(
-            f"design sum over {length}^{k} tuples exceeds MAX_DESIGN_TUPLES"
+            f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES"
         )
     grid = correlation_tensor(rho, parties).components
     for _ in range(k):
         # consume the leading site axis, appending its point axis at the end
         grid = np.tensordot(grid, points, axes=(0, 1))
-    return grid.ravel()
+    values = grid.ravel()
+    moment = float(np.sum(values**t) / values.size)
+    return MomentEstimate(parties, t, moment, None, "design")
 
 
 def moment_design(rho: DensityMatrix, subset, t: int, design: SphericalDesign) -> MomentEstimate:
     """Exact order-t moment by summation over design direction tuples.
 
     E^t is a degree-t polynomial in each site's direction, so a design of
-    degree >= t reproduces the sphere integral exactly.  Tuples are summed
-    in lexicographic order with pairwise summation for reproducibility.
+    degree >= t reproduces the sphere integral exactly.
     """
-    t = _check_order(t)
-    if design.degree < t:
-        raise ValueError(
-            f"design order insufficient for requested moment: degree {design.degree} < t={t}"
-        )
-    values = _design_grid_values(rho, subset, design.as_array())
-    moment = float(np.sum(values**t) / values.size)
-    parties = normalize_subset(subset, rho.n_qubits)
-    return MomentEstimate(parties, t, moment, None, "design")
+    return _design_moment(rho, subset, t, design.degree, design.points)
 
 
 def moment_design_half(
@@ -158,18 +161,9 @@ def moment_design_half(
 
     Valid for even t only: even powers of E are parity-invariant per site.
     """
-    t = _check_order(t)
-    if t % 2:
+    if _check_order(t) % 2:
         raise ValueError(f"half-design summation requires even t, got t={t}")
-    if design.degree < t:
-        raise ValueError(
-            f"design order insufficient for requested moment: degree {design.degree} < t={t}"
-        )
-    points = np.array([p.as_array() for p in half_design(design)])
-    values = _design_grid_values(rho, subset, points)
-    moment = float(np.sum(values**t) / values.size)
-    parties = normalize_subset(subset, rho.n_qubits)
-    return MomentEstimate(parties, t, moment, None, "design")
+    return _design_moment(rho, subset, t, design.degree, _antipodal_half(design.points))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +192,8 @@ class ShotTable:
             )
         if outcomes.size and not np.all(np.abs(outcomes) == 1):
             raise ValueError("outcomes must be +-1")
+        if not np.all(np.isfinite(settings)):
+            raise ValueError("settings have non-finite (NaN or inf) entries")
         settings.setflags(write=False)
         outcomes.setflags(write=False)
         object.__setattr__(self, "settings", settings)
@@ -377,6 +373,8 @@ def purity_from_moments(moments, atol: float = 1e-6) -> float:
             raise ValueError(f"missing subset {subset} in moments map")
         entry = normalized[subset]
         value = moment_value(entry)
+        if not np.isfinite(value):
+            raise ValueError(f"moment for subset {subset} is not finite ({value!r})")
         if value < 0.0:
             raise ValueError(f"moment for subset {subset} is negative ({value!r})")
         if isinstance(entry, MomentEstimate) and entry.std_error is not None:

@@ -91,13 +91,25 @@ def uniform_directions(rng, count: int) -> np.ndarray:
 
 def uniform_direction(rng) -> "Direction":
     """Draw one uniform direction."""
-    x, y, z = uniform_directions(rng, 1)[0]
-    return Direction(float(x), float(y), float(z))
+    return Direction.from_array(uniform_directions(rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
 # Directions and spherical designs
 # ---------------------------------------------------------------------------
+
+def as_direction_array(d) -> np.ndarray:
+    """Coerce a Direction or 3-sequence to a unit ndarray."""
+    if isinstance(d, Direction):
+        return d.as_array()
+    v = np.asarray(d, dtype=float).ravel()
+    if v.shape != (3,):
+        raise ValueError(f"expected a direction with 3 components, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"direction norm {norm!r} deviates from 1 beyond 1e-12")
+    return v
+
 
 @dataclass(frozen=True)
 class Direction:
@@ -108,16 +120,11 @@ class Direction:
     z: float
 
     def __post_init__(self):
-        norm = np.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction norm {norm!r} deviates from 1 beyond 1e-12")
+        as_direction_array((self.x, self.y, self.z))
 
     @classmethod
     def from_array(cls, vec) -> "Direction":
-        v = np.asarray(vec, dtype=float).ravel()
-        if v.shape != (3,):
-            raise ValueError(f"expected 3 components, got shape {v.shape}")
-        return cls(float(v[0]), float(v[1]), float(v[2]))
+        return cls(*(float(c) for c in as_direction_array(vec)))
 
     @classmethod
     def from_spherical(cls, theta: float, phi: float) -> "Direction":
@@ -136,29 +143,25 @@ E_Y = Direction(0.0, 1.0, 0.0)
 E_Z = Direction(0.0, 0.0, 1.0)
 
 
-def as_direction_array(d) -> np.ndarray:
-    """Coerce a Direction or 3-sequence to a unit ndarray."""
-    if isinstance(d, Direction):
-        return d.as_array()
-    v = np.asarray(d, dtype=float).ravel()
-    if v.shape != (3,):
-        raise ValueError(f"expected a direction with 3 components, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction norm {norm!r} deviates from 1 beyond 1e-12")
-    return v
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalDesign:
     """A finite direction set whose average matches uniform sphere
-    integrals for all polynomials of degree <= ``degree``."""
+    integrals for all polynomials of degree <= ``degree``.
+
+    ``points`` is stored as a read-only (N, 3) array of unit vectors; an
+    array or a sequence of Directions is accepted.
+    """
 
     degree: int
-    points: tuple
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array([as_direction_array(p) for p in self.points]).reshape(-1, 3)
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     def as_array(self) -> np.ndarray:
-        return np.array([p.as_array() for p in self.points])
+        return self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -175,24 +178,17 @@ def design_points(t: int) -> SphericalDesign:
     equally, this one is fixed for byte-reproducible output.
     """
     if t == 3:
-        pts = []
-        for axis in range(3):
-            for sign in (1.0, -1.0):
-                vec = [0.0, 0.0, 0.0]
-                vec[axis] = sign
-                pts.append(Direction(*vec))
-        return SphericalDesign(3, tuple(pts))
+        # +x, -x, +y, -y, +z, -z; zeros stay +0.0, unlike rows of -eye(3)
+        pts = np.zeros((6, 3))
+        pts[np.arange(6), np.arange(6) // 2] = np.tile([1.0, -1.0], 3)
+        return SphericalDesign(3, pts)
     if t == 5:
         g = (1.0 + np.sqrt(5.0)) / 2.0
         scale = 1.0 / np.sqrt(1.0 + g * g)
-        pts = []
-        for shift in range(3):
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    base = [0.0, s1 * scale, s2 * g * scale]
-                    vec = [base[(k - shift) % 3] for k in range(3)]
-                    pts.append(Direction(*vec))
-        return SphericalDesign(5, tuple(pts))
+        s1, s2 = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+        base = np.stack([np.zeros(4), s1 * scale, s2 * g * scale], axis=1)
+        # cyclic coordinate shifts: row k of shift s holds base[(k - s) % 3]
+        return SphericalDesign(5, np.concatenate([np.roll(base, s, axis=1) for s in range(3)]))
     raise ValueError(
         f"unsupported design degree {t}; supported degrees: "
         + ", ".join(str(d) for d in _SUPPORTED_DESIGN_DEGREES)
@@ -256,12 +252,12 @@ class DesignValidation:
 def validate_design(design: SphericalDesign, t: int) -> DesignValidation:
     """Compare design averages of all monomials of degree <= t against the
     closed-form sphere integrals.  Failure is reported, not raised."""
-    pts = design.as_array()
+    pts = design.points
     entries = []
     max_dev = 0.0
     for degree in range(t + 1):
-        for exponents in _monomial_exponents(degree):
-            a, b, c = exponents
+        for axes in combinations_with_replacement(range(3), degree):
+            a, b, c = (axes.count(axis) for axis in range(3))
             values = pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c
             avg = float(np.sum(values) / len(pts))
             exact = sphere_monomial_integral(a, b, c)
@@ -272,52 +268,31 @@ def validate_design(design: SphericalDesign, t: int) -> DesignValidation:
     return DesignValidation(t, len(pts), tuple(entries), passed, max_dev)
 
 
-def _monomial_exponents(degree: int):
-    seen = set()
-    for combo in combinations_with_replacement(range(3), degree):
-        exps = [0, 0, 0]
-        for axis in combo:
-            exps[axis] += 1
-        key = tuple(exps)
-        if key not in seen:
-            seen.add(key)
-            yield key
+def _antipodal_half(points: np.ndarray) -> np.ndarray:
+    """The rows whose first nonzero component is positive, in their order.
+
+    Raises unless the other rows are exactly their negatives.
+    """
+    first = points[np.arange(len(points)), np.argmax(points != 0.0, axis=1)]
+    kept, flipped = points[first > 0.0], -points[first < 0.0]
+    # Sorted rows line up pairwise only if the set is antipodally symmetric.
+    if kept.shape != flipped.shape or np.any(
+        np.abs(kept[np.lexsort(kept.T)] - flipped[np.lexsort(flipped.T)]) >= 1e-12
+    ):
+        raise ValueError("point set is not antipodally symmetric")
+    return kept
 
 
 def half_design(design: SphericalDesign) -> tuple:
     """One representative per antipodal pair (the one whose first nonzero
     component is positive).  Averages of even-degree polynomials are
     unchanged; odd ones are no longer reproduced."""
-    pts = design.as_array()
-    n = len(pts)
-    used = np.zeros(n, dtype=bool)
-    kept = []
-    for i in range(n):
-        if used[i]:
-            continue
-        partner = None
-        for j in range(i + 1, n):
-            if not used[j] and np.max(np.abs(pts[i] + pts[j])) < 1e-12:
-                partner = j
-                break
-        if partner is None:
-            raise ValueError(
-                f"point set is not antipodally symmetric: no partner for point {i}"
-            )
-        used[i] = used[partner] = True
-        rep = pts[i]
-        for component in rep:
-            if component != 0.0:
-                if component < 0.0:
-                    rep = pts[partner]
-                break
-        kept.append(Direction.from_array(rep))
-    return tuple(kept)
+    return tuple(Direction.from_array(p) for p in _antipodal_half(design.points))
 
 
 def design_to_csv(design: SphericalDesign, path) -> None:
     """Write the design points as x,y,z rows with 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("x,y,z\n")
-        for p in design.points:
-            fh.write(f"{p.x:.17g},{p.y:.17g},{p.z:.17g}\n")
+        for x, y, z in design.points:
+            fh.write(f"{x:.17g},{y:.17g},{z:.17g}\n")

@@ -7,6 +7,7 @@ matrices; nothing here is sparse.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -54,6 +55,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match 2^{n} x 2^{n}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has non-finite (NaN or inf) entries")
         herm_dev = np.max(np.abs(mat - mat.conj().T))
         if herm_dev > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -165,17 +168,43 @@ def bisep4(phi: float = 0.2) -> DensityMatrix:
     return DensityMatrix.from_vector(np.kron(_phi_plus_vec(), second))
 
 
-#: Parameter names of every named state kind.
-STATE_KINDS = {
-    "product_zero": ("n",),
-    "bell": (),
-    "ghz": ("n",),
-    "w": ("n",),
-    "cluster_linear": ("n",),
-    "werner": ("p",),
-    "trisep4": (),
-    "bisep4": ("phi",),
-    "custom": ("matrix",),
+def _cluster_linear_n(n: int) -> DensityMatrix:
+    if n != 4:
+        raise ValueError(f"parameter n must equal 4 for cluster_linear, got {n}")
+    return cluster_linear()
+
+
+@dataclass(frozen=True)
+class NamedState:
+    """One row of :data:`STATES`.
+
+    ``build`` takes the parameters named by ``params``; ``cast`` parses
+    their text form and ``defaults`` stands in when a spec gives none.  An
+    alias row carries only the ``(kind, params)`` it stands for.
+    ``density`` names the closed-form correlation density of the full
+    party set (an ``analytic_pdf`` kind taking the row's parameters).
+    """
+
+    build: Callable[..., DensityMatrix] | None = None
+    params: tuple = ()
+    cast: type = int
+    defaults: tuple | None = None
+    alias_of: tuple | None = None
+    density: str | None = None
+
+
+#: Every named state kind and alias; adding a kind means adding a row.
+STATES = {
+    "product_zero": NamedState(product_zero, ("n",), int),
+    "bell": NamedState(bell_psi_minus, density="bell"),
+    "ghz": NamedState(ghz, ("n",), int),
+    "w": NamedState(w_state, ("n",), int),
+    "cluster_linear": NamedState(_cluster_linear_n, ("n",), int, (4,)),
+    "werner": NamedState(werner, ("p",), float, density="werner"),
+    "trisep4": NamedState(trisep4),
+    "bisep4": NamedState(bisep4, ("phi",), float, (0.2,)),
+    "product2": NamedState(alias_of=("product_zero", (2,)), density="product2"),
+    "bell_psi_minus": NamedState(alias_of=("bell", ())),
 }
 
 
@@ -191,51 +220,34 @@ class StateSpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in STATE_KINDS:
+        row = STATES.get(self.kind)
+        if self.kind != "custom" and (row is None or row.alias_of is not None):
             raise ValueError(
                 f"unknown state kind {self.kind!r}; valid kinds: "
-                + ", ".join(sorted(k for k in STATE_KINDS))
+                + ", ".join(sorted(["custom"] + [k for k, r in STATES.items() if r.alias_of is None]))
             )
         object.__setattr__(self, "params", tuple(self.params))
 
 
 def make_state(spec: StateSpec) -> DensityMatrix:
     """Construct the density matrix described by ``spec``."""
-    kind, params = spec.kind, spec.params
-    if kind == "custom":
+    if spec.kind == "custom":
         if spec.matrix is None:
             raise ValueError("custom StateSpec requires a matrix")
         mat = np.asarray(spec.matrix)
         n = int(round(np.log2(mat.shape[0])))
         return DensityMatrix(n, mat)
-    if kind == "bell":
-        _expect_params(kind, params, 0)
-        return bell_psi_minus()
-    if kind == "trisep4":
-        _expect_params(kind, params, 0)
-        return trisep4()
-    if kind == "product_zero":
-        _expect_params(kind, params, 1)
-        return product_zero(_as_int("n", params[0]))
-    if kind == "ghz":
-        _expect_params(kind, params, 1)
-        return ghz(_as_int("n", params[0]))
-    if kind == "w":
-        _expect_params(kind, params, 1)
-        return w_state(_as_int("n", params[0]))
-    if kind == "cluster_linear":
-        _expect_params(kind, params, 1)
-        n = _as_int("n", params[0])
-        if n != 4:
-            raise ValueError(f"parameter n must equal 4 for cluster_linear, got {n}")
-        return cluster_linear()
-    if kind == "werner":
-        _expect_params(kind, params, 1)
-        return werner(float(params[0]))
-    if kind == "bisep4":
-        _expect_params(kind, params, 1)
-        return bisep4(float(params[0]))
-    raise ValueError(f"unknown state kind {kind!r}")  # pragma: no cover
+    row = STATES[spec.kind]
+    if len(spec.params) != len(row.params):
+        raise ValueError(
+            f"state kind {spec.kind!r} takes {len(row.params)} parameter(s), "
+            f"got {len(spec.params)}"
+        )
+    args = [
+        _as_int(name, v) if row.cast is int else float(v)
+        for name, v in zip(row.params, spec.params)
+    ]
+    return row.build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +301,13 @@ def apply_local_unitaries(rho: DensityMatrix, unitaries) -> DensityMatrix:
         dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
         if dev > UNITARITY_ATOL:
             raise ValueError(f"unitary {j} deviates from unitarity by {dev:.3e}")
-    full = reduce(np.kron, us)
-    return DensityMatrix(rho.n_qubits, full @ rho.matrix @ full.conj().T)
+    return DensityMatrix(rho.n_qubits, _conjugate_locally(rho.matrix, us))
+
+
+def _conjugate_locally(matrix: np.ndarray, unitaries) -> np.ndarray:
+    """(U_1 (x) ... (x) U_n) matrix (U_1 (x) ... (x) U_n)^dagger, unchecked."""
+    full = reduce(np.kron, unitaries)
+    return full @ matrix @ full.conj().T
 
 
 def _check_qubit_count(name: str, n, minimum: int) -> None:
@@ -302,15 +319,8 @@ def _check_qubit_count(name: str, n, minimum: int) -> None:
         )
 
 
-def _expect_params(kind: str, params: tuple, count: int) -> None:
-    if len(params) != count:
-        raise ValueError(
-            f"state kind {kind!r} takes {count} parameter(s), got {len(params)}"
-        )
-
-
 def _as_int(name: str, value) -> int:
     as_float = float(value)
-    if as_float != int(as_float):
+    if not np.isfinite(as_float) or as_float != int(as_float):
         raise ValueError(f"parameter {name} must be an integer, got {value!r}")
     return int(as_float)

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from randmeas.cli import CliError, main, parse_state, parse_subset, render_state
+from randmeas.sampling import design_points
 
 
 def run_cli(args):
@@ -52,6 +53,11 @@ state_strategy = st.one_of(
 
 
 @given(state_strategy)
+@example("cluster_linear")
+@example("cluster_linear:4")
+@example("bisep4")
+@example("product2")
+@example("bell_psi_minus")
 def test_state_grammar_round_trips(text):
     canonical = render_state(parse_state(text))
     assert render_state(parse_state(canonical)) == canonical
@@ -185,6 +191,27 @@ def test_moments_finite_shots(tmp_path):
     assert abs(est["value"] - 1.0 / 3.0) < 4 * est["std_error"]
 
 
+def test_moments_design_is_built_once_per_request(tmp_path, monkeypatch):
+    import randmeas.cli
+
+    calls = []
+
+    def counting_design_points(t):
+        calls.append(t)
+        return design_points(t)
+
+    monkeypatch.setattr(randmeas.cli, "design_points", counting_design_points)
+    out = tmp_path / "once"
+    rc = run_cli(
+        ["moments", "--state", "ghz:3", "--subset", "all", "--orders", "2", "--design", 3, "--output", out]
+    )
+    assert rc == 0
+    assert calls == [3]
+    checks = read_json(out / "moments.json")["cross_checks"]
+    assert len(checks) == 7
+    assert all(c["passed"] and c["tolerance"] == 1e-12 for c in checks)
+
+
 def test_moments_csv_format(tmp_path):
     out = tmp_path / "csv"
     rc = run_cli(
@@ -249,7 +276,10 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
 def test_design_outputs(tmp_path):
     out3 = tmp_path / "d3"
     assert run_cli(["design", "--order", 3, "--output", out3]) == 0
-    assert np.loadtxt(out3 / "design.csv", delimiter=",", skiprows=1).shape == (6, 3)
+    # exact text: zero components print as 0, never -0
+    assert (out3 / "design.csv").read_text() == (
+        "x,y,z\n1,0,0\n-1,0,0\n0,1,0\n0,-1,0\n0,0,1\n0,0,-1\n"
+    )
     assert read_json(out3 / "design_validation.json")["validation"]["passed"]
 
     out5 = tmp_path / "d5"

@@ -5,6 +5,7 @@ from randmeas.criteria import (
     DETECTION_ATOL,
     M_BOUND_COEFF,
     bisep_line_3,
+    bisep_line_3_r4,
     entanglement_by_length,
     gme_test_4,
     m_quantifier,
@@ -143,6 +144,7 @@ def test_bisep_line_detects_ghz3():
     assert r4.value == pytest.approx(64.0 / 1125.0, abs=1e-12)
     verdict = bisep_line_3(r2, r4)
     assert verdict.detected and verdict.margin > 0.01
+    assert verdict.statistic == bisep_line_3_r4(r2.value) - r4.value
 
 
 def test_bisep_line_validates_range():
@@ -186,6 +188,9 @@ def test_entanglement_by_length_verdicts():
     assert "not necessarily genuine" in entanglement_by_length(2.0).note
     with pytest.raises(ValueError, match="non-negative"):
         entanglement_by_length(-0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            entanglement_by_length(bad)
 
 
 def test_statistical_inputs_require_z_sigma_margin():

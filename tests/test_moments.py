@@ -258,6 +258,11 @@ def test_shot_table_validation_and_csv(tmp_path):
     assert rows.shape == (6, 4)
     with pytest.raises(ValueError, match="\\+-1"):
         ShotTable(settings, np.zeros((3, 2, 2)))
+    for bad in (np.nan, np.inf):
+        broken = settings.copy()
+        broken[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ShotTable(broken, table.outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +292,9 @@ def test_purity_from_moments_rejects_missing_subset():
 def test_purity_from_moments_rejects_negative():
     with pytest.raises(ValueError, match="negative"):
         purity_from_moments({(1,): -0.1, (2,): 0.0, (1, 2): 0.1})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            purity_from_moments({(1,): bad})
 
 
 def test_all_subsets_counts():
@@ -299,5 +307,8 @@ def test_moment_estimate_validation():
         MomentEstimate((1, 2), 2, 0.5, 0.01, "exact_tensor")
     with pytest.raises(ValueError, match="outside"):
         MomentEstimate((1, 2), 2, 1.5, None, "design")
+    for value, std_error in ((np.nan, 0.1), (np.inf, 0.1), (0.5, np.nan), (0.5, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            MomentEstimate((1, 2), 2, value, std_error, "finite_shot")
     est = MomentEstimate((1, 2), 2, -0.2, 0.05, "finite_shot", samples=10, shots=2)
     assert est.to_dict()["t"] == 2 and est.to_dict()["K"] == 2

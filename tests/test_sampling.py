@@ -23,6 +23,34 @@ from randmeas.sampling import (
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _half_design_by_partner_search(design):
+    """The pairwise partner search that half_design used to run, kept as
+    an oracle for its sign rule."""
+    pts = design.as_array()
+    n = len(pts)
+    used = np.zeros(n, dtype=bool)
+    kept = []
+    for i in range(n):
+        if used[i]:
+            continue
+        partner = None
+        for j in range(i + 1, n):
+            if not used[j] and np.max(np.abs(pts[i] + pts[j])) < 1e-12:
+                partner = j
+                break
+        if partner is None:
+            raise ValueError(f"point set is not antipodally symmetric: no partner for point {i}")
+        used[i] = used[partner] = True
+        rep = pts[i]
+        for component in rep:
+            if component != 0.0:
+                if component < 0.0:
+                    rep = pts[partner]
+                break
+        kept.append(rep)
+    return np.array(kept)
+
+
 def _z_components(unitaries):
     # z component of the Bloch vector of U sigma_z U^dagger
     rotated = np.einsum("nab,bc,ndc->nad", unitaries, SIGMA_Z, unitaries.conj())
@@ -165,10 +193,28 @@ def test_half_design_icosahedron_and_even_average():
     assert abs(full_avg - half_avg) < 1e-14
 
 
+@pytest.mark.parametrize("degree", [3, 5])
+def test_half_design_sign_rule_matches_partner_search(degree):
+    design = design_points(degree)
+    half = np.array([p.as_array() for p in half_design(design)])
+    np.testing.assert_array_equal(half, _half_design_by_partner_search(design))
+
+
 def test_half_design_rejects_non_antipodal():
     lopsided = SphericalDesign(1, (E_X, E_Y, E_Z))
-    with pytest.raises(ValueError, match="antipodal"):
-        half_design(lopsided)
+    for halve in (half_design, _half_design_by_partner_search):
+        with pytest.raises(ValueError, match="antipodal"):
+            halve(lopsided)
+
+
+def test_spherical_design_points_are_a_checked_read_only_array():
+    design = SphericalDesign(1, (E_X, -E_X))
+    assert design.points.shape == (2, 3)
+    np.testing.assert_array_equal(design.as_array(), [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        design.points[0, 0] = 0.5
+    with pytest.raises(ValueError, match="norm"):
+        SphericalDesign(1, np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
 
 def test_design_csv_round_trip(tmp_path):

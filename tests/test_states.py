@@ -92,6 +92,13 @@ def test_make_state_rejects_bad_parameters():
         make_state(StateSpec("werner", (-0.1,)))
     with pytest.raises(ValueError, match="kind"):
         StateSpec("squeezed")
+    with pytest.raises(ValueError, match="kind"):
+        StateSpec("product2")  # aliases are spellings, not kinds
+    with pytest.raises(ValueError, match="takes 1 parameter"):
+        make_state(StateSpec("ghz", ()))
+    for bad in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer"):
+            make_state(StateSpec("ghz", (bad,)))
 
 
 def test_density_matrix_validation():
@@ -103,6 +110,11 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError, match="MAX_QUBITS"):
         DensityMatrix(9, np.eye(2**9) / 2**9)
+    one_nan = np.eye(2) / 2
+    one_nan[0, 1] = np.nan
+    for bad in (np.full((2, 2), np.nan), one_nan, np.diag([np.inf, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, bad)
 
 
 def test_tensor_basics():
