@@ -316,6 +316,8 @@ def cmd_moments(config: RunConfig) -> int:
         raise CliError("at least one moment order is required")
     if config.design and config.shots:
         raise CliError("choose either --design or --shots, not both")
+    if not config.design and config.samples < 1:
+        raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     if config.design:
         design = design_points(config.design)
         for t in config.orders:

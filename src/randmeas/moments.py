@@ -21,7 +21,13 @@ from .correlations import (
     normalize_subset,
     pauli_coefficients,
 )
-from .sampling import SphericalDesign, _antipodal_half, _generator, uniform_directions
+from .sampling import (
+    SphericalDesign,
+    _antipodal_half,
+    _check_unit_norm,
+    _generator,
+    uniform_directions,
+)
 from .states import DensityMatrix
 
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
@@ -29,6 +35,10 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Largest number of design tuples a single exact sum may expand to.
 MAX_DESIGN_TUPLES = 20_000_000
+
+#: Bytes of per-block temporaries in ``simulate_shots``; its memory beyond
+#: the draws and the outcome table does not grow with the number of settings.
+_SHOT_BLOCK_BYTES = 4 << 20
 
 EVEN_MOMENT_ATOL = 1e-9
 
@@ -190,7 +200,12 @@ class ShotTable:
             raise ValueError(
                 f"outcomes shape {outcomes.shape} inconsistent with settings {settings.shape}"
             )
-        if outcomes.size and not np.all(np.abs(outcomes) == 1):
+        # reductions only: no temporaries the size of the table
+        if outcomes.size and (
+            outcomes.min() < -1
+            or outcomes.max() > 1
+            or np.count_nonzero(outcomes) < outcomes.size
+        ):
             raise ValueError("outcomes must be +-1")
         if not np.all(np.isfinite(settings)):
             raise ValueError("settings have non-finite (NaN or inf) entries")
@@ -233,9 +248,11 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
 
     Sampling the joint distribution (rather than the product variable)
     keeps marginal-subset statistics extractable from the same table.
+    All M*K uniforms are drawn first; settings are then processed in
+    blocks whose temporaries stay within ``_SHOT_BLOCK_BYTES``.
     """
-    if k < 1:
-        raise ValueError(f"shots must satisfy K >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
     settings = np.asarray(settings, dtype=float)
     if settings.ndim == 2:
         settings = settings[None, :, :]
@@ -245,39 +262,69 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
         )
     m = settings.shape[0]
-    coeffs = pauli_coefficients(rho)
+    if m < 1:
+        raise ValueError(f"settings must satisfy M >= 1, got M={m}")
+    _check_unit_norm(settings)
+    coeffs = pauli_coefficients(rho).reshape(1, 1, 4, -1)
 
-    # Outcome distribution: p(s) = 2^-n sum_a c_a prod_j v_j[a_j] where
-    # v_j = (1, s_j u_j) per party; evaluated for all sign tuples at once.
-    paddings = np.empty((m, n, 2, 4))
+    gen = _generator(rng)
+    draws = gen.random((m, k))
+    outcomes = np.empty((m, k, n), dtype=np.int8)
+    rows = _shot_block_rows(n, k)
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        cumulative = _born_cumulative(coeffs, settings[block])
+        block_draws = draws[block]
+        # The drawn sign tuple's index is the count of cumulative entries
+        # <= draw; a binary search finds it one bit per step, and bit j is
+        # party j's outcome.
+        index = np.zeros(block_draws.shape, dtype=np.intp)
+        for j in range(n):
+            width = 1 << (n - 1 - j)
+            bit = block_draws >= np.take_along_axis(cumulative, index + (width - 1), axis=1)
+            index += bit * width
+            outcomes[block, :, j] = 1 - 2 * bit
+    return ShotTable(settings, outcomes)
+
+
+def _shot_block_rows(n: int, k: int) -> int:
+    """Settings per block of ``simulate_shots`` under ``_SHOT_BLOCK_BYTES``.
+
+    One setting holds at once the two widest Born intermediates (2 + 1
+    times 4^(n-1) floats), its probability and cumulative rows, and the
+    search's index, probe and bit arrays over K draws.
+    """
+    row_bytes = 8 * (3 * 4 ** (n - 1) + 3 * 2**n + 4 * k)
+    return max(1, _SHOT_BLOCK_BYTES // row_bytes)
+
+
+def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """Cumulative Born distribution over the 2^n sign tuples of each
+    (n, 3) setting, shape (b, 2^n), party 1 the most significant sign.
+
+    ``coeffs`` are the Pauli coefficients shaped (1, 1, 4, 4^(n-1)).
+    p(s) = 2^-n sum_a c_a prod_j v_j[a_j] with v_j = (1, s_j u_j) per
+    party, contracted one site at a time.
+    """
+    b, n, _ = settings.shape
+    paddings = np.empty((b, n, 2, 4))
     paddings[:, :, :, 0] = 1.0
     paddings[:, :, 0, 1:] = settings
     paddings[:, :, 1, 1:] = -settings
-    letters = "abcdefgh"[:n]
-    signs = "ABCDEFGH"[:n]
-    subscripts = (
-        letters
-        + ","
-        + ",".join(f"m{S}{a}" for S, a in zip(signs, letters))
-        + f"->m{signs}"
-    )
-    operands = [coeffs] + [paddings[:, j] for j in range(n)]
-    probs = np.einsum(subscripts, *operands, optimize=True).reshape(m, 2**n) / 2**n
+    probs = coeffs
+    for j in range(n):
+        # (b, 2^j, 4, 4^(n-1-j)) -> (b, 2^j, 2, 4^(n-1-j)), signs of 1..j+1 leading
+        probs = paddings[:, None, j] @ probs
+        if j < n - 1:
+            probs = probs.reshape(b, 2 ** (j + 1), 4, -1)
+    probs = probs.reshape(b, 2**n) / 2**n
     if float(probs.min()) < -1e-9:
         raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
-
-    gen = _generator(rng)
     cumulative = np.cumsum(probs, axis=1)
     cumulative[:, -1] = 1.0
-    draws = gen.random((m, k))
-    indices = (draws[:, :, None] >= cumulative[:, None, :]).sum(axis=2)
-    outcomes = np.empty((m, k, n), dtype=np.int8)
-    for j in range(n):
-        bits = (indices >> (n - 1 - j)) & 1
-        outcomes[:, :, j] = 1 - 2 * bits
-    return ShotTable(settings, outcomes)
+    return cumulative
 
 
 def estimate_moment_from_shots(shots: ShotTable, t: int, parties=None) -> MomentEstimate:

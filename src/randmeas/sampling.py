@@ -105,10 +105,19 @@ def as_direction_array(d) -> np.ndarray:
     v = np.asarray(d, dtype=float).ravel()
     if v.shape != (3,):
         raise ValueError(f"expected a direction with 3 components, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction norm {norm!r} deviates from 1 beyond 1e-12")
+    _check_unit_norm(v)
     return v
+
+
+def _check_unit_norm(vectors: np.ndarray) -> None:
+    """Raise unless every 3-vector along the last axis is finite with
+    norm 1 within 1e-12."""
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("directions have non-finite (NaN or inf) entries")
+    norms = np.linalg.norm(vectors, axis=-1).ravel()
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    if off.size:
+        raise ValueError(f"direction norm {float(norms[off[0]])!r} deviates from 1 beyond 1e-12")
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,11 @@ class SphericalDesign:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array([as_direction_array(p) for p in self.points]).reshape(-1, 3)
+        rows = [p.as_array() if isinstance(p, Direction) else p for p in self.points]
+        pts = np.array(rows, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"design points must have shape (N, 3), got {pts.shape}")
+        _check_unit_norm(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

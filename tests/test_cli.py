@@ -89,6 +89,16 @@ def test_sample_rejects_zero_samples(tmp_path, capsys):
     assert "M >= 1" in capsys.readouterr().err
 
 
+def test_moments_rejects_zero_samples(tmp_path, capsys):
+    for extra in (["--shots", 5], []):
+        rc = run_cli(
+            ["moments", "--state", "ghz:3", "--samples", 0, *extra, "--output", tmp_path / "o"]
+        )
+        assert rc == 1
+        assert "samples must satisfy M >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_bell_histogram_is_flat(tmp_path):
     out = tmp_path / "bell"
     rc = run_cli(

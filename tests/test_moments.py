@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from randmeas.correlations import correlation, correlation_tensor, sample_distribution
+from randmeas import moments
+from randmeas.correlations import (
+    correlation,
+    correlation_tensor,
+    pauli_coefficients,
+    sample_distribution,
+)
+from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
     MomentEstimate,
     ShotTable,
@@ -16,7 +25,7 @@ from randmeas.moments import (
     random_settings,
     simulate_shots,
 )
-from randmeas.sampling import E_Z, RngStream, design_points
+from randmeas.sampling import E_Z, RngStream, _generator, design_points
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
@@ -263,6 +272,139 @@ def test_shot_table_validation_and_csv(tmp_path):
         broken[1, 0, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ShotTable(broken, table.outcomes)
+
+
+def test_simulate_shots_rejects_bad_input():
+    rho = bell_psi_minus()
+    settings = random_settings(2, 3, RngStream(58))
+    with pytest.raises(ValueError, match="M >= 1"):
+        simulate_shots(rho, np.empty((0, 2, 3)), 5, RngStream(59))
+    for k in (0, 2.0, 1.5, "3"):
+        with pytest.raises(ValueError, match="integer K >= 1"):
+            simulate_shots(rho, settings, k, RngStream(59))
+    for bad in (np.nan, np.inf):
+        broken = settings.copy()
+        broken[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_shots(rho, broken, 5, RngStream(59))
+    stretched = settings.copy()
+    stretched[1, 0] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+        simulate_shots(rho, stretched, 5, RngStream(59))
+
+
+def _simulate_shots_oracle(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
+    """Reference implementation of ``simulate_shots``: one n-operand
+    einsum for the Born probabilities and a broadcast compare against
+    every cumulative entry for the draws."""
+    if k < 1:
+        raise ValueError(f"shots must satisfy K >= 1, got {k}")
+    settings = np.asarray(settings, dtype=float)
+    if settings.ndim == 2:
+        settings = settings[None, :, :]
+    n = rho.n_qubits
+    if settings.ndim != 3 or settings.shape[1:] != (n, 3):
+        raise ValueError(
+            f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
+        )
+    m = settings.shape[0]
+    coeffs = pauli_coefficients(rho)
+
+    # Outcome distribution: p(s) = 2^-n sum_a c_a prod_j v_j[a_j] where
+    # v_j = (1, s_j u_j) per party; evaluated for all sign tuples at once.
+    paddings = np.empty((m, n, 2, 4))
+    paddings[:, :, :, 0] = 1.0
+    paddings[:, :, 0, 1:] = settings
+    paddings[:, :, 1, 1:] = -settings
+    letters = "abcdefgh"[:n]
+    signs = "ABCDEFGH"[:n]
+    subscripts = (
+        letters
+        + ","
+        + ",".join(f"m{S}{a}" for S, a in zip(signs, letters))
+        + f"->m{signs}"
+    )
+    operands = [coeffs] + [paddings[:, j] for j in range(n)]
+    probs = np.einsum(subscripts, *operands, optimize=True).reshape(m, 2**n) / 2**n
+    if float(probs.min()) < -1e-9:
+        raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    gen = _generator(rng)
+    cumulative = np.cumsum(probs, axis=1)
+    cumulative[:, -1] = 1.0
+    draws = gen.random((m, k))
+    indices = (draws[:, :, None] >= cumulative[:, None, :]).sum(axis=2)
+    outcomes = np.empty((m, k, n), dtype=np.int8)
+    for j in range(n):
+        bits = (indices >> (n - 1 - j)) & 1
+        outcomes[:, :, j] = 1 - 2 * bits
+    return ShotTable(settings, outcomes)
+
+
+def _oracle_outcomes(rho, settings, k, stream):
+    # Runs of 4 settings keep the einsum on a fast contraction order (at
+    # n = 8 one of 17 settings takes seconds); consecutive draws from one
+    # generator equal those of a single (M, K) call.
+    gen = stream.generator()
+    runs = [
+        _simulate_shots_oracle(rho, settings[i : i + 4], k, gen).outcomes
+        for i in range(0, len(settings), 4)
+    ]
+    return np.concatenate(runs)
+
+
+def _oracle_states(n):
+    mixed = random_density_matrix(n, RngStream(70, n))
+    return [mixed, product_zero(1)] if n == 1 else [mixed, ghz(n), w_state(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simulate_shots_matches_oracle(n, monkeypatch):
+    # Blocks of 3 settings: M = 10 crosses three block boundaries and
+    # ends on a partial block.
+    monkeypatch.setattr(moments, "_shot_block_rows", lambda *_: 3)
+    settings = random_settings(n, 10, RngStream(71, n))
+    for rho in _oracle_states(n):
+        for k in (1, 2, 7, 50):
+            fast = simulate_shots(rho, settings, k, RngStream(72, k)).outcomes
+            assert np.array_equal(fast, _oracle_outcomes(rho, settings, k, RngStream(72, k)))
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 50), (7, 20), (8, 7), (8, 50)])
+def test_simulate_shots_matches_oracle_over_budget_blocks(n, k):
+    rows = moments._shot_block_rows(n, k)
+    m = 2 * rows + rows // 2
+    settings = random_settings(n, m, RngStream(73, n))
+    for rho in _oracle_states(n):
+        fast = simulate_shots(rho, settings, k, RngStream(74, k)).outcomes
+        assert np.array_equal(fast, _oracle_outcomes(rho, settings, k, RngStream(74, k)))
+
+
+def test_simulate_shots_at_eight_qubits():
+    rho = ghz(8)
+    settings = random_settings(8, 2000, RngStream(75))
+    table = simulate_shots(rho, settings, 50, RngStream(76))
+    est = estimate_moment_from_shots(table, 2)
+    exact = moment_exact_t2(correlation_tensor(rho, tuple(range(1, 9)))).value
+    assert abs(est.value - exact) < 5 * est.std_error
+
+
+def test_simulate_shots_memory_is_capped_by_the_block_budget():
+    n, k = 8, 50
+    rho = ghz(n)
+    peaks = {}
+    for m in (200, 2000):
+        settings = random_settings(n, m, RngStream(77))
+        tracemalloc.start()
+        try:
+            simulate_shots(rho, settings, k, RngStream(78))
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Only the draws (8 bytes) and the outcome table (n bytes) grow with M.
+    assert peaks[2000] - peaks[200] <= (2000 - 200) * k * (8 + n) + 64 * 1024
 
 
 # ---------------------------------------------------------------------------

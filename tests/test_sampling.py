@@ -134,6 +134,9 @@ def test_uniform_direction_marginals_are_uniform():
 def test_direction_validates_norm():
     with pytest.raises(ValueError, match="norm"):
         Direction(1.0, 1.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Direction(bad, 0.0, 0.0)
     d = Direction.from_spherical(0.3, 1.1)
     assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
     assert (-E_Z).z == -1.0
