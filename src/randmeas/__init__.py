@@ -44,13 +44,12 @@ from .moments import (
     simulate_shots,
 )
 from .sampling import (
-    Direction,
     RngStream,
     SphericalDesign,
     design_points,
-    haar_unitary_2,
+    haar_unitaries,
     half_design,
-    uniform_direction,
+    uniform_directions,
     validate_design,
 )
 from .states import (

@@ -269,7 +269,7 @@ def cmd_sample(config: RunConfig) -> int:
     return 0
 
 
-def _cross_check(rho, subset, estimate, design_cache) -> dict:
+def _cross_check(rho, subset, estimate) -> dict:
     """Compare an estimate against an independent exact oracle.
 
     Design values (t = 2 only) must match the tensor contraction to
@@ -283,10 +283,7 @@ def _cross_check(rho, subset, estimate, design_cache) -> dict:
     elif t > 5:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     else:
-        degree = 3 if t <= 3 else 5
-        if degree not in design_cache:
-            design_cache[degree] = design_points(degree)
-        exact = moment_design(rho, subset, t, design_cache[degree]).value
+        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5)).value
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
     ok = deviation <= tolerance
@@ -328,7 +325,6 @@ def cmd_moments(config: RunConfig) -> int:
 
     estimates = []
     checks = []
-    design_cache: dict = {}
     do_checks = rho.n_qubits <= 4 and config.shots == 0
     for subset_index, subset in enumerate(subsets):
         if config.shots:
@@ -348,7 +344,7 @@ def cmd_moments(config: RunConfig) -> int:
                 est = moment_design(rho, subset, t, design)
                 estimates.append(est)
                 if do_checks and t == 2:
-                    checks.append(_cross_check(rho, subset, est, design_cache))
+                    checks.append(_cross_check(rho, subset, est))
         else:
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
             samples = sample_distribution(rho, subset, config.samples, stream)
@@ -357,7 +353,7 @@ def cmd_moments(config: RunConfig) -> int:
                 est = moment_mc(samples, t, bootstrap=config.bootstrap, rng=bootstrap_rng)
                 estimates.append(est)
                 if do_checks:
-                    checks.append(_cross_check(rho, subset, est, design_cache))
+                    checks.append(_cross_check(rho, subset, est))
 
     out = _out_dir(config)
     payload = _metadata(

@@ -9,7 +9,6 @@ with the closed-form two-qubit reference densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -25,7 +24,16 @@ _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
 _SITE_TRANSFER = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4).copy()
 
-_CONTRACTION_CHUNK = 1 << 17
+#: Bytes of per-block temporaries in every loop over settings rows
+#: (``correlation_values``, ``simulate_shots``, the bootstrap of
+#: ``moment_mc``): memory beyond their inputs and outputs does not grow
+#: with the number of rows.
+_BLOCK_BYTES = 4 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when each row holds ``row_bytes`` of temporaries."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
@@ -68,7 +76,8 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
+        # a view, so that freezing it leaves the caller's array writable
+        comps = np.asarray(self.components, dtype=float).view()
         if comps.shape != (3,) * len(self.subset):
             raise ValueError(
                 f"components shape {comps.shape} does not match subset {self.subset}"
@@ -87,24 +96,16 @@ class CorrelationTensor:
 def correlation(rho: DensityMatrix, dirs) -> float:
     """E = tr(rho O) with sigma_u on every party keyed in ``dirs`` and
     identity elsewhere.  ``dirs`` maps 1-based party index to a direction.
+    The keyed parties' correlation tensor is contracted with the directions.
     """
-    n = rho.n_qubits
     if not dirs:
         raise ValueError("dirs must specify at least one party")
     keyed = {int(p): as_direction_array(d) for p, d in dirs.items()}
-    normalize_subset(keyed.keys(), n)
-    factors = []
-    for party in range(1, n + 1):
-        if party in keyed:
-            ux, uy, uz = keyed[party]
-            factors.append(ux * SIGMA_X + uy * SIGMA_Y + uz * SIGMA_Z)
-        else:
-            factors.append(IDENTITY_2)
-    operator = reduce(np.kron, factors)
-    value = np.trace(rho.matrix @ operator)
-    if abs(value.imag) > IMAG_RESIDUE_ATOL:
-        raise ValueError(f"correlation has imaginary residue {abs(value.imag):.3e}")
-    return _clamp_correlations(value.real)
+    parties = normalize_subset(keyed.keys(), rho.n_qubits)
+    directions = np.stack([keyed[p] for p in parties])[None]
+    return _clamp_correlations(
+        correlation_values(correlation_tensor(rho, parties).components, directions)[0]
+    )
 
 
 def _clamp_correlations(values):
@@ -142,11 +143,16 @@ def correlation_length(rho: DensityMatrix, subset) -> float:
 
 
 def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Contract a (3,)*k tensor with per-sample directions (M, k, 3) -> (M,)."""
+    """Contract a (3,)*k tensor with per-sample directions (M, k, 3) -> (M,).
+
+    A row's temporaries are its partial contractions, 3^(k-1) floats for
+    the first site and fewer than half that for the rest.
+    """
     k = components.ndim
     out = np.empty(directions.shape[0])
-    for start in range(0, directions.shape[0], _CONTRACTION_CHUNK):
-        block = directions[start : start + _CONTRACTION_CHUNK]
+    rows = _block_rows(4 * 3**k)
+    for start in range(0, directions.shape[0], rows):
+        block = directions[start : start + rows]
         vals = np.tensordot(block[:, 0, :], components, axes=(1, 0))
         for j in range(1, k):
             vals = np.einsum("mi...,mi->m...", vals, block[:, j, :])
@@ -164,7 +170,7 @@ class SampleSet:
     seed: RngStream | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float).view()
         if vals.shape != (self.settings_count,):
             raise ValueError(
                 f"expected {self.settings_count} values, got shape {vals.shape}"
@@ -218,8 +224,9 @@ def histogram_table(values, bins: int = 81, lo: float = -1.0, hi: float = 1.0) -
 class CorrelationDensity:
     """Reference density of the correlation value E on [-1, 1].
 
-    ``mixed_white`` is a point mass at 0 carried as a flag: its ``pdf`` is
-    undefined and raises.
+    ``product2`` is the -(1/2) ln|E| law; every other kind with a pdf is
+    flat on [-p, p].  ``mixed_white`` is a point mass at 0 carried as a
+    flag: its ``pdf`` is undefined and raises.
     """
 
     kind: str
@@ -232,46 +239,38 @@ class CorrelationDensity:
             raise ValueError("point-mass density has no pdf; check is_delta")
         e = np.asarray(e, dtype=float)
         inside = (e >= self.support[0]) & (e <= self.support[1])
-        if self.kind == "bell":
-            out = np.where(inside, 0.5, 0.0)
-        elif self.kind == "werner":
-            out = np.where(inside, 1.0 / (2.0 * self.p), 0.0)
-        elif self.kind == "product2":
+        if self.kind == "product2":
             with np.errstate(divide="ignore"):
                 out = np.where(inside, -0.5 * np.log(np.abs(e)), 0.0)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown density kind {self.kind!r}")
+        else:
+            out = np.where(inside, 1.0 / (2.0 * self.p), 0.0)
         return out if out.ndim else float(out)
 
     def cdf(self, e):
         e = np.asarray(e, dtype=float)
         if self.is_delta:
             out = np.where(e >= 0.0, 1.0, 0.0)
-        elif self.kind == "bell":
-            out = np.clip((e + 1.0) / 2.0, 0.0, 1.0)
-        elif self.kind == "werner":
-            out = np.clip((e + self.p) / (2.0 * self.p), 0.0, 1.0)
         elif self.kind == "product2":
             ae = np.clip(np.abs(e), 0.0, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tail = np.where(ae > 0.0, ae - ae * np.log(ae), 0.0)
             out = 0.5 + 0.5 * np.sign(e) * tail
-        else:  # pragma: no cover
-            raise ValueError(f"unknown density kind {self.kind!r}")
+        else:
+            out = np.clip((e + self.p) / (2.0 * self.p), 0.0, 1.0)
         return out if out.ndim else float(out)
 
 
 def analytic_pdf(kind: str, p: float | None = None) -> CorrelationDensity:
     """Closed-form correlation density for the named two-qubit scenarios.
 
-    kinds: ``product2`` (-(1/2) ln|E|), ``bell`` (flat 1/2), ``werner``
-    (flat on [-p, p]; p = 0 degenerates to ``mixed_white``), and
-    ``mixed_white`` (point mass at 0).
+    kinds: ``product2`` (-(1/2) ln|E|), ``bell`` (flat 1/2, the Werner
+    law at p = 1), ``werner`` (flat on [-p, p]; p = 0 degenerates to
+    ``mixed_white``), and ``mixed_white`` (point mass at 0).
     """
     if kind == "product2":
         return CorrelationDensity("product2", (-1.0, 1.0))
     if kind == "bell":
-        return CorrelationDensity("bell", (-1.0, 1.0))
+        return CorrelationDensity("bell", (-1.0, 1.0), p=1.0)
     if kind == "mixed_white":
         return CorrelationDensity("mixed_white", (0.0, 0.0), is_delta=True)
     if kind == "werner":

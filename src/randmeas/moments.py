@@ -17,15 +17,16 @@ import numpy as np
 
 from .correlations import (
     SampleSet,
+    _block_rows,
     correlation_tensor,
     normalize_subset,
     pauli_coefficients,
 )
 from .sampling import (
     SphericalDesign,
-    _antipodal_half,
     _check_unit_norm,
     _generator,
+    half_design,
     uniform_directions,
 )
 from .states import DensityMatrix
@@ -35,10 +36,6 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Largest number of design tuples a single exact sum may expand to.
 MAX_DESIGN_TUPLES = 20_000_000
-
-#: Bytes of per-block temporaries in ``simulate_shots``; its memory beyond
-#: the draws and the outcome table does not grow with the number of settings.
-_SHOT_BLOCK_BYTES = 4 << 20
 
 EVEN_MOMENT_ATOL = 1e-9
 
@@ -101,7 +98,10 @@ def moment_mc(
     """Monte-Carlo moment: sample mean of E^t with a plug-in standard error.
 
     With ``bootstrap=True`` the standard error is instead the spread of
-    ``bootstrap_resamples`` resampled means (requires ``rng``).
+    ``bootstrap_resamples`` resampled means (requires ``rng``).  Resamples
+    are drawn in blocks of rows, each row holding its M indices and M
+    resampled powers; consecutive draws from one generator equal those of
+    a single (resamples, M) call.
     """
     t = _check_order(t)
     m = samples.settings_count
@@ -113,8 +113,12 @@ def moment_mc(
         if rng is None:
             raise ValueError("bootstrap standard errors require an rng")
         gen = _generator(rng)
-        idx = gen.integers(0, m, size=(bootstrap_resamples, m))
-        std_error = float(powers[idx].mean(axis=1).std(ddof=1))
+        means = np.empty(bootstrap_resamples)
+        rows = _block_rows(16 * m)
+        for start in range(0, bootstrap_resamples, rows):
+            idx = gen.integers(0, m, size=(min(rows, bootstrap_resamples - start), m))
+            means[start : start + len(idx)] = powers[idx].mean(axis=1)
+        std_error = float(means.std(ddof=1))
     else:
         std_error = float(powers.std(ddof=1) / np.sqrt(m))
     seed = None
@@ -173,7 +177,7 @@ def moment_design_half(
     """
     if _check_order(t) % 2:
         raise ValueError(f"half-design summation requires even t, got t={t}")
-    return _design_moment(rho, subset, t, design.degree, _antipodal_half(design.points))
+    return _design_moment(rho, subset, t, design.degree, half_design(design))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,9 @@ class ShotTable:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        settings = np.asarray(self.settings, dtype=float)
-        outcomes = np.asarray(self.outcomes, dtype=np.int8)
+        # views, so that freezing them leaves the caller's arrays writable
+        settings = np.asarray(self.settings, dtype=float).view()
+        outcomes = np.asarray(self.outcomes, dtype=np.int8).view()
         if settings.ndim != 3 or settings.shape[2] != 3:
             raise ValueError(f"settings must have shape (M, n, 3), got {settings.shape}")
         if outcomes.ndim != 3 or outcomes.shape[0] != settings.shape[0] or outcomes.shape[2] != settings.shape[1]:
@@ -249,7 +254,10 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     Sampling the joint distribution (rather than the product variable)
     keeps marginal-subset statistics extractable from the same table.
     All M*K uniforms are drawn first; settings are then processed in
-    blocks whose temporaries stay within ``_SHOT_BLOCK_BYTES``.
+    blocks of rows.  One setting holds at once the two widest Born
+    intermediates (2 + 1 times 4^(n-1) floats), its probability and
+    cumulative rows, and the search's index, probe and bit arrays over K
+    draws.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
@@ -270,7 +278,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     gen = _generator(rng)
     draws = gen.random((m, k))
     outcomes = np.empty((m, k, n), dtype=np.int8)
-    rows = _shot_block_rows(n, k)
+    rows = _block_rows(8 * (3 * 4 ** (n - 1) + 3 * 2**n + 4 * k))
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         cumulative = _born_cumulative(coeffs, settings[block])
@@ -285,17 +293,6 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             index += bit * width
             outcomes[block, :, j] = 1 - 2 * bit
     return ShotTable(settings, outcomes)
-
-
-def _shot_block_rows(n: int, k: int) -> int:
-    """Settings per block of ``simulate_shots`` under ``_SHOT_BLOCK_BYTES``.
-
-    One setting holds at once the two widest Born intermediates (2 + 1
-    times 4^(n-1) floats), its probability and cumulative rows, and the
-    search's index, probe and bit arrays over K draws.
-    """
-    row_bytes = 8 * (3 * 4 ** (n - 1) + 3 * 2**n + 4 * k)
-    return max(1, _SHOT_BLOCK_BYTES // row_bytes)
 
 
 def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:

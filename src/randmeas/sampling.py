@@ -71,11 +71,6 @@ def haar_unitaries(rng, count: int) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def haar_unitary_2(rng) -> np.ndarray:
-    """Draw one Haar-distributed 2x2 unitary."""
-    return haar_unitaries(rng, 1)[0]
-
-
 def uniform_directions(rng, count: int) -> np.ndarray:
     """Draw ``count`` uniform points on the unit sphere, shape (count, 3).
 
@@ -89,19 +84,12 @@ def uniform_directions(rng, count: int) -> np.ndarray:
     return np.stack([radial * np.cos(azimuth), radial * np.sin(azimuth), z], axis=1)
 
 
-def uniform_direction(rng) -> "Direction":
-    """Draw one uniform direction."""
-    return Direction.from_array(uniform_directions(rng, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Directions and spherical designs
 # ---------------------------------------------------------------------------
 
 def as_direction_array(d) -> np.ndarray:
-    """Coerce a Direction or 3-sequence to a unit ndarray."""
-    if isinstance(d, Direction):
-        return d.as_array()
+    """Coerce a 3-sequence to a unit ndarray."""
     v = np.asarray(d, dtype=float).ravel()
     if v.shape != (3,):
         raise ValueError(f"expected a direction with 3 components, got shape {v.shape}")
@@ -120,53 +108,19 @@ def _check_unit_norm(vectors: np.ndarray) -> None:
         raise ValueError(f"direction norm {float(norms[off[0]])!r} deviates from 1 beyond 1e-12")
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on the Bloch sphere (norm 1 within 1e-12)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        as_direction_array((self.x, self.y, self.z))
-
-    @classmethod
-    def from_array(cls, vec) -> "Direction":
-        return cls(*(float(c) for c in as_direction_array(vec)))
-
-    @classmethod
-    def from_spherical(cls, theta: float, phi: float) -> "Direction":
-        s = np.sin(theta)
-        return cls(float(s * np.cos(phi)), float(s * np.sin(phi)), float(np.cos(theta)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
-
-
-E_X = Direction(1.0, 0.0, 0.0)
-E_Y = Direction(0.0, 1.0, 0.0)
-E_Z = Direction(0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class SphericalDesign:
     """A finite direction set whose average matches uniform sphere
     integrals for all polynomials of degree <= ``degree``.
 
-    ``points`` is stored as a read-only (N, 3) array of unit vectors; an
-    array or a sequence of Directions is accepted.
+    ``points`` is stored as a read-only (N, 3) array of unit vectors.
     """
 
     degree: int
     points: np.ndarray
 
     def __post_init__(self):
-        rows = [p.as_array() if isinstance(p, Direction) else p for p in self.points]
-        pts = np.array(rows, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"design points must have shape (N, 3), got {pts.shape}")
         _check_unit_norm(pts)
@@ -281,11 +235,13 @@ def validate_design(design: SphericalDesign, t: int) -> DesignValidation:
     return DesignValidation(t, len(pts), tuple(entries), passed, max_dev)
 
 
-def _antipodal_half(points: np.ndarray) -> np.ndarray:
-    """The rows whose first nonzero component is positive, in their order.
-
-    Raises unless the other rows are exactly their negatives.
-    """
+def half_design(design: SphericalDesign) -> np.ndarray:
+    """One representative per antipodal pair, shape (N/2, 3): the points
+    whose first nonzero component is positive, in their order.  Averages
+    of even-degree polynomials are unchanged; odd ones are no longer
+    reproduced.  Raises unless the other points are exactly their
+    negatives."""
+    points = design.points
     first = points[np.arange(len(points)), np.argmax(points != 0.0, axis=1)]
     kept, flipped = points[first > 0.0], -points[first < 0.0]
     # Sorted rows line up pairwise only if the set is antipodally symmetric.
@@ -294,13 +250,6 @@ def _antipodal_half(points: np.ndarray) -> np.ndarray:
     ):
         raise ValueError("point set is not antipodally symmetric")
     return kept
-
-
-def half_design(design: SphericalDesign) -> tuple:
-    """One representative per antipodal pair (the one whose first nonzero
-    component is positive).  Averages of even-degree polynomials are
-    unchanged; odd ones are no longer reproduced."""
-    return tuple(Direction.from_array(p) for p in _antipodal_half(design.points))
 
 
 def design_to_csv(design: SphericalDesign, path) -> None:

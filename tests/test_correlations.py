@@ -1,8 +1,12 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
+from randmeas import correlations
 from randmeas.correlations import (
     CorrelationTensor,
     analytic_pdf,
@@ -14,10 +18,14 @@ from randmeas.correlations import (
     pauli_coefficients,
     sample_distribution,
 )
-from randmeas.ensembles import random_local_unitaries
+from randmeas.ensembles import random_density_matrix, random_local_unitaries
 from randmeas.moments import moment_mc
-from randmeas.sampling import E_Z, RngStream, uniform_directions
+from randmeas.sampling import RngStream, uniform_directions
 from randmeas.states import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     apply_local_unitaries,
     bell_psi_minus,
@@ -27,6 +35,24 @@ from randmeas.states import (
     w_state,
     werner,
 )
+
+E_Z = np.array([0.0, 0.0, 1.0])
+
+
+def _correlation_by_kronecker(rho, dirs):
+    """The dense-operator body that ``correlation`` used to run, kept as
+    an oracle: tr(rho O) with O the Kronecker product of sigma_u on every
+    keyed party and the identity elsewhere."""
+    factors = []
+    for party in range(1, rho.n_qubits + 1):
+        if party in dirs:
+            ux, uy, uz = dirs[party]
+            factors.append(ux * SIGMA_X + uy * SIGMA_Y + uz * SIGMA_Z)
+        else:
+            factors.append(IDENTITY_2)
+    value = np.trace(rho.matrix @ reduce(np.kron, factors))
+    assert abs(value.imag) < 1e-10
+    return value.real
 
 
 def test_correlation_of_zz_eigenstate():
@@ -131,8 +157,45 @@ def test_contraction_matches_direct_correlation():
     dirs = uniform_directions(RngStream(22), 60).reshape(20, 3, 3)
     contracted = correlation_values(tensor.components, dirs)
     for sample, value in zip(dirs, contracted):
-        direct = correlation(rho, {1: sample[0], 2: sample[1], 3: sample[2]})
+        direct = _correlation_by_kronecker(rho, {1: sample[0], 2: sample[1], 3: sample[2]})
         assert abs(direct - value) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_correlation_matches_kronecker_oracle(n):
+    rng = np.random.default_rng(n)
+    states = [random_density_matrix(n, RngStream(23, n)), ghz(n) if n > 1 else product_zero(1)]
+    for rho in states:
+        for _ in range(12):
+            size = int(rng.integers(1, n + 1))
+            parties = rng.choice(np.arange(1, n + 1), size=size, replace=False)
+            dirs = dict(zip(parties.tolist(), uniform_directions(rng, size)))
+            assert abs(correlation(rho, dirs) - _correlation_by_kronecker(rho, dirs)) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_correlation_values_blocks_match_one_block(k, monkeypatch):
+    components = correlation_tensor(random_density_matrix(k, RngStream(24, k)), range(1, k + 1)).components
+    dirs = uniform_directions(RngStream(25, k), 20 * k).reshape(20, k, 3)
+    monkeypatch.setattr(correlations, "_block_rows", lambda _: len(dirs))
+    one_block = correlation_values(components, dirs)
+    # Blocks of 3 rows: 20 rows cross six block boundaries and end on a
+    # partial block.
+    monkeypatch.setattr(correlations, "_block_rows", lambda _: 3)
+    assert np.array_equal(correlation_values(components, dirs), one_block)
+
+
+def test_sample_distribution_memory_is_capped_by_the_block_budget():
+    rho = ghz(8)
+    tracemalloc.start()
+    try:
+        sample_distribution(rho, range(1, 9), 10**5, RngStream(26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The directions (19.2 MB) and the direction draw's temporaries stay;
+    # a single (M, 3^7) contraction block would take 1.75 GB.
+    assert peak < 64 * 2**20
 
 
 def test_pauli_coefficients_identity_entry_is_trace():
@@ -182,6 +245,14 @@ def test_histogram_table_centers_a_bin_at_zero():
 
 def test_bell_density_is_one_half():
     assert analytic_pdf("bell").pdf(0.7) == 0.5
+
+
+def test_bell_density_is_the_werner_law_at_one():
+    bell, flat = analytic_pdf("bell"), analytic_pdf("werner", p=1.0)
+    assert bell.kind == "bell" and bell.p == 1.0
+    e = np.linspace(-1.25, 1.25, 51)
+    np.testing.assert_array_equal(bell.pdf(e), flat.pdf(e))
+    np.testing.assert_array_equal(bell.cdf(e), np.clip((e + 1.0) / 2.0, 0.0, 1.0))
 
 
 def test_product2_density_vanishes_at_one():

@@ -5,6 +5,9 @@ import pytest
 
 from randmeas import moments
 from randmeas.correlations import (
+    CorrelationTensor,
+    SampleSet,
+    _block_rows,
     correlation,
     correlation_tensor,
     pauli_coefficients,
@@ -25,7 +28,7 @@ from randmeas.moments import (
     random_settings,
     simulate_shots,
 )
-from randmeas.sampling import E_Z, RngStream, _generator, design_points
+from randmeas.sampling import RngStream, _generator, design_points
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
@@ -38,6 +41,20 @@ from randmeas.states import (
 
 D3 = design_points(3)
 D5 = design_points(5)
+E_Z = np.array([0.0, 0.0, 1.0])
+
+
+def _record_block_rows(monkeypatch, module):
+    """Let ``module`` size its blocks by the shared byte budget, recording
+    every rows-per-block answer."""
+    answers = []
+
+    def recorded(row_bytes):
+        answers.append(_block_rows(row_bytes))
+        return answers[-1]
+
+    monkeypatch.setattr(module, "_block_rows", recorded)
+    return answers
 
 
 def test_moment_mc_bell_second_moment():
@@ -75,6 +92,30 @@ def test_moment_mc_bootstrap_error_is_close_to_plugin():
     boot = moment_mc(samples, 2, bootstrap=True, rng=RngStream(35))
     assert boot.value == plain.value
     assert abs(boot.std_error - plain.std_error) < 0.3 * plain.std_error
+
+
+def _bootstrap_std_error_oracle(samples, t, resamples, rng):
+    """The one-call bootstrap that ``moment_mc`` used to run: all
+    resamples' indices drawn as one (resamples, M) array."""
+    powers = samples.values**t
+    m = samples.settings_count
+    idx = _generator(rng).integers(0, m, size=(resamples, m))
+    return float(powers[idx].mean(axis=1).std(ddof=1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 20_000])
+@pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
+def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
+    if forced_rows:
+        monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
+    else:
+        rows = _record_block_rows(monkeypatch, moments)
+    samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38, m))
+    for t in (2, 4):
+        boot = moment_mc(samples, t, bootstrap=True, bootstrap_resamples=200, rng=RngStream(39, t))
+        assert boot.std_error == _bootstrap_std_error_oracle(samples, t, 200, RngStream(39, t))
+    if m == 20_000 and not forced_rows:
+        assert 1 < rows[0] < 200  # several blocks under the real budget
 
 
 def test_moment_exact_t2_values():
@@ -162,7 +203,7 @@ def test_vanishing_second_moment_implies_vanishing_fourth():
 # ---------------------------------------------------------------------------
 
 def test_simulate_shots_deterministic_outcomes():
-    settings = np.array([[E_Z.as_array(), E_Z.as_array()]])
+    settings = np.array([[E_Z, E_Z]])
     table = simulate_shots(product_zero(2), settings, 25, RngStream(38))
     assert np.all(table.outcomes == 1)
 
@@ -195,13 +236,13 @@ def test_simulate_shots_empirical_correlation_converges():
 
 
 def test_estimator_deterministic_case_is_exact():
-    settings = np.array([[E_Z.as_array(), E_Z.as_array()]])
+    settings = np.array([[E_Z, E_Z]])
     table = simulate_shots(product_zero(2), settings, 7, RngStream(44))
     assert estimate_moment_from_shots(table, 2).value == 1.0
 
 
 def test_estimator_single_setting_fourth_order():
-    settings = np.array([[E_Z.as_array(), E_Z.as_array()]])
+    settings = np.array([[E_Z, E_Z]])
     table = simulate_shots(product_zero(2), settings, 5, RngStream(45))
     est = estimate_moment_from_shots(table, 4)
     assert est.value == 1.0 and est.std_error is None
@@ -272,6 +313,25 @@ def test_shot_table_validation_and_csv(tmp_path):
         broken[1, 0, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ShotTable(broken, table.outcomes)
+
+
+def test_frozen_arrays_leave_the_callers_arrays_writable():
+    settings = random_settings(2, 3, RngStream(79))
+    table = simulate_shots(bell_psi_minus(), settings, 2, RngStream(80))
+    outcomes = np.array(table.outcomes)
+    values = np.array([0.5, -0.25])
+    components = np.array([0.0, 0.0, 1.0])
+    frozen = {
+        "settings": (settings, table.settings),
+        "outcomes": (outcomes, ShotTable(settings, outcomes).outcomes),
+        "values": (values, SampleSet((1,), values, 2).values),
+        "components": (components, CorrelationTensor((1,), components).components),
+    }
+    for name, (given, stored) in frozen.items():
+        assert given.flags.writeable, name
+        assert np.shares_memory(given, stored), name
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[0]
 
 
 def test_simulate_shots_rejects_bad_input():
@@ -364,7 +424,7 @@ def _oracle_states(n):
 def test_simulate_shots_matches_oracle(n, monkeypatch):
     # Blocks of 3 settings: M = 10 crosses three block boundaries and
     # ends on a partial block.
-    monkeypatch.setattr(moments, "_shot_block_rows", lambda *_: 3)
+    monkeypatch.setattr(moments, "_block_rows", lambda _: 3)
     settings = random_settings(n, 10, RngStream(71, n))
     for rho in _oracle_states(n):
         for k in (1, 2, 7, 50):
@@ -373,8 +433,10 @@ def test_simulate_shots_matches_oracle(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 50), (7, 20), (8, 7), (8, 50)])
-def test_simulate_shots_matches_oracle_over_budget_blocks(n, k):
-    rows = moments._shot_block_rows(n, k)
+def test_simulate_shots_matches_oracle_over_budget_blocks(n, k, monkeypatch):
+    answers = _record_block_rows(monkeypatch, moments)
+    simulate_shots(product_zero(n), random_settings(n, 1, RngStream(73)), k, RngStream(74))
+    rows = answers[0]
     m = 2 * rows + rows // 2
     settings = random_settings(n, m, RngStream(73, n))
     for rho in _oracle_states(n):

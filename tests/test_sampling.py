@@ -3,18 +3,13 @@ import pytest
 from scipy import stats
 
 from randmeas.sampling import (
-    Direction,
-    E_X,
-    E_Y,
-    E_Z,
     RngStream,
+    as_direction_array,
     design_points,
     design_to_csv,
     haar_unitaries,
-    haar_unitary_2,
     half_design,
     sphere_monomial_integral,
-    uniform_direction,
     uniform_directions,
     validate_design,
     SphericalDesign,
@@ -101,15 +96,15 @@ def test_haar_mean_overlap_is_one_half():
 
 def test_haar_left_invariance():
     us = haar_unitaries(RngStream(4), 100_000)
-    v = haar_unitary_2(RngStream(99))
+    v = haar_unitaries(RngStream(99), 1)[0]
     vu = np.einsum("ab,nbc->nac", v, us)
     pvalue = stats.ks_2samp(_z_components(us), _z_components(vu)).pvalue
     assert pvalue > 1e-3
 
 
 def test_uniform_direction_properties():
-    single = uniform_direction(RngStream(6))
-    assert isinstance(single, Direction)
+    single = uniform_directions(RngStream(6), 1)
+    assert single.shape == (1, 3)
     dirs = uniform_directions(RngStream(7), 1_000_000)
     norms = np.linalg.norm(dirs, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -133,13 +128,13 @@ def test_uniform_direction_marginals_are_uniform():
 
 def test_direction_validates_norm():
     with pytest.raises(ValueError, match="norm"):
-        Direction(1.0, 1.0, 0.0)
+        as_direction_array((1.0, 1.0, 0.0))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            Direction(bad, 0.0, 0.0)
-    d = Direction.from_spherical(0.3, 1.1)
-    assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
-    assert (-E_Z).z == -1.0
+            as_direction_array((bad, 0.0, 0.0))
+    with pytest.raises(ValueError, match="3 components"):
+        as_direction_array((1.0, 0.0))
+    np.testing.assert_array_equal(as_direction_array([[0.0, -1.0, 0.0]]), [0.0, -1.0, 0.0])
 
 
 def test_design_points_octahedron():
@@ -182,36 +177,35 @@ def test_octahedron_monomial_values():
 
 def test_half_design_octahedron_keeps_positive_axes():
     half = half_design(design_points(3))
-    arrays = sorted(tuple(p.as_array()) for p in half)
-    assert len(half) == 3
+    arrays = sorted(tuple(p) for p in half)
+    assert half.shape == (3, 3)
     assert np.allclose(arrays, [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
 
 
 def test_half_design_icosahedron_and_even_average():
     design = design_points(5)
     half = half_design(design)
-    assert len(half) == 6
+    assert half.shape == (6, 3)
     full_avg = np.mean(design.as_array()[:, 2] ** 2)
-    half_avg = np.mean([p.z**2 for p in half])
+    half_avg = np.mean(half[:, 2] ** 2)
     assert abs(full_avg - half_avg) < 1e-14
 
 
 @pytest.mark.parametrize("degree", [3, 5])
 def test_half_design_sign_rule_matches_partner_search(degree):
     design = design_points(degree)
-    half = np.array([p.as_array() for p in half_design(design)])
-    np.testing.assert_array_equal(half, _half_design_by_partner_search(design))
+    np.testing.assert_array_equal(half_design(design), _half_design_by_partner_search(design))
 
 
 def test_half_design_rejects_non_antipodal():
-    lopsided = SphericalDesign(1, (E_X, E_Y, E_Z))
+    lopsided = SphericalDesign(1, np.eye(3))
     for halve in (half_design, _half_design_by_partner_search):
         with pytest.raises(ValueError, match="antipodal"):
             halve(lopsided)
 
 
 def test_spherical_design_points_are_a_checked_read_only_array():
-    design = SphericalDesign(1, (E_X, -E_X))
+    design = SphericalDesign(1, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     assert design.points.shape == (2, 3)
     np.testing.assert_array_equal(design.as_array(), [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
