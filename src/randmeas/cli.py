@@ -24,6 +24,7 @@ from .correlations import (
     correlation_length,
     correlation_tensor,
     histogram_table,
+    pauli_coefficients,
     sample_distribution,
 )
 from .criteria import (
@@ -39,7 +40,7 @@ from .moments import (
     exact_moment_map,
     moment_design,
     moment_exact_t2,
-    moment_mc,
+    moments_mc,
     random_settings,
     simulate_shots,
 )
@@ -269,7 +270,7 @@ def cmd_sample(config: RunConfig) -> int:
     return 0
 
 
-def _cross_check(rho, subset, estimate) -> dict:
+def _cross_check(rho, subset, estimate, coefficients) -> dict:
     """Compare an estimate against an independent exact oracle.
 
     Design values (t = 2 only) must match the tensor contraction to
@@ -278,12 +279,12 @@ def _cross_check(rho, subset, estimate) -> dict:
     """
     t = estimate.order
     if estimate.method == "design":
-        exact = moment_exact_t2(correlation_tensor(rho, subset)).value
+        exact = moment_exact_t2(correlation_tensor(rho, subset, coefficients)).value
         tolerance = 1e-12
     elif t > 5:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     else:
-        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5)).value
+        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5), coefficients).value
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
     ok = deviation <= tolerance
@@ -323,6 +324,8 @@ def cmd_moments(config: RunConfig) -> int:
                     f"design order insufficient: degree {design.degree} < t={t}"
                 )
 
+    # one Pauli pass serves every subset, order and check of the request
+    coefficients = pauli_coefficients(rho)
     estimates = []
     checks = []
     do_checks = rho.n_qubits <= 4 and config.shots == 0
@@ -333,27 +336,25 @@ def cmd_moments(config: RunConfig) -> int:
                 config.samples,
                 RngStream(config.seed, STREAM_SETTINGS + subset_index),
             )
-            table = simulate_shots(
-                rho, settings, config.shots, RngStream(config.seed, STREAM_SHOTS + subset_index)
-            )
+            shot_rng = RngStream(config.seed, STREAM_SHOTS + subset_index)
+            table = simulate_shots(rho, settings, config.shots, shot_rng, coefficients)
             for t in config.orders:
                 est = estimate_moment_from_shots(table, t, parties=subset)
                 estimates.append(est)
         elif config.design:
             for t in config.orders:
-                est = moment_design(rho, subset, t, design)
+                est = moment_design(rho, subset, t, design, coefficients)
                 estimates.append(est)
                 if do_checks and t == 2:
-                    checks.append(_cross_check(rho, subset, est))
+                    checks.append(_cross_check(rho, subset, est, coefficients))
         else:
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
-            samples = sample_distribution(rho, subset, config.samples, stream)
+            samples = sample_distribution(rho, subset, config.samples, stream, coefficients)
             bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
-            for t in config.orders:
-                est = moment_mc(samples, t, bootstrap=config.bootstrap, rng=bootstrap_rng)
+            for est in moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng):
                 estimates.append(est)
                 if do_checks:
-                    checks.append(_cross_check(rho, subset, est))
+                    checks.append(_cross_check(rho, subset, est, coefficients))
 
     out = _out_dir(config)
     payload = _metadata(
@@ -385,34 +386,33 @@ def cmd_criteria(config: RunConfig) -> int:
     n = rho.n_qubits
     if config.test is None and not config.structure:
         raise CliError("choose a criterion with --test or request --structure")
+    coefficients = pauli_coefficients(rho)
+    full = tuple(range(1, n + 1))
     verdicts = []
     structure = None
     if config.test == "gme4":
         if n != 4:
             raise CliError(f"gme4 applies to 4-qubit states, got n={n}")
-        verdicts.append(gme_test_4(exact_moment_map(rho), purity_direct(rho)))
+        verdicts.append(gme_test_4(exact_moment_map(rho, coefficients), purity_direct(rho)))
     elif config.test == "wclass":
         if n < 3:
             raise CliError(f"wclass applies to n >= 3 qubits, got n={n}")
-        full = tuple(range(1, n + 1))
-        r2 = moment_exact_t2(correlation_tensor(rho, full))
+        r2 = moment_exact_t2(correlation_tensor(rho, full, coefficients))
         verdicts.append(w_class_witness(r2, n))
     elif config.test == "bisep3":
         if n != 3:
             raise CliError(f"bisep3 applies to 3-qubit states, got n={n}")
-        full = (1, 2, 3)
-        r2 = moment_exact_t2(correlation_tensor(rho, full))
-        r4 = moment_design(rho, full, 4, design_points(5))
+        r2 = moment_exact_t2(correlation_tensor(rho, full, coefficients))
+        r4 = moment_design(rho, full, 4, design_points(5), coefficients)
         verdicts.append(bisep_line_3(r2, r4))
     elif config.test == "length":
-        full = tuple(range(1, n + 1))
-        verdicts.append(entanglement_by_length(correlation_length(rho, full), n))
+        verdicts.append(entanglement_by_length(correlation_length(rho, full, coefficients), n))
     elif config.test is not None:
         raise CliError(
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
     if config.structure:
-        structure = structure_report_from_state(rho)
+        structure = structure_report_from_state(rho, coefficients=coefficients)
 
     out = _out_dir(config)
     payload = _metadata(

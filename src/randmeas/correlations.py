@@ -9,6 +9,7 @@ with the closed-form two-qubit reference densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -137,9 +138,9 @@ def correlation_tensors(rho: DensityMatrix, subsets) -> dict:
     }
 
 
-def correlation_length(rho: DensityMatrix, subset) -> float:
+def correlation_length(rho: DensityMatrix, subset, coefficients=None) -> float:
     """Sum of squared correlation-tensor components over ``subset``."""
-    return correlation_tensor(rho, subset).sum_squares()
+    return correlation_tensor(rho, subset, coefficients).sum_squares()
 
 
 def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -182,20 +183,25 @@ class SampleSet:
         object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
 
     def to_csv(self, path) -> None:
+        # One %-format per chunk; a row holds an int and a float object,
+        # three pointers, its format and its text twice: about 160 bytes.
+        rows = _block_rows(160)
         with open(path, "w") as fh:
             fh.write("sample_index,E\n")
-            for i, e in enumerate(self.values):
-                fh.write(f"{i},{e:.17g}\n")
+            for start in range(0, self.settings_count, rows):
+                chunk = self.values[start : start + rows].tolist()
+                pairs = chain.from_iterable(zip(range(start, start + len(chunk)), chunk))
+                fh.write("%d,%.17g\n" * len(chunk) % tuple(pairs))
 
 
-def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
+def sample_distribution(rho: DensityMatrix, subset, m: int, rng, coefficients=None) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``.  Deterministic given the stream."""
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    tensor = correlation_tensor(rho, parties)
+    tensor = correlation_tensor(rho, parties, coefficients)
     directions = uniform_directions(rng, m * k).reshape(m, k, 3)
     values = correlation_values(tensor.components, directions)
     values = _clamp_correlations(values)

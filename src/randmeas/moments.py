@@ -103,28 +103,44 @@ def moment_mc(
     resampled powers; consecutive draws from one generator equal those of
     a single (resamples, M) call.
     """
-    t = _check_order(t)
+    return moments_mc(samples, (t,), bootstrap, bootstrap_resamples, rng)[0]
+
+
+def moments_mc(
+    samples: SampleSet,
+    orders,
+    bootstrap: bool = False,
+    bootstrap_resamples: int = 1000,
+    rng=None,
+) -> list:
+    """``moment_mc`` for every order in ``orders``, bootstrapping them all
+    from one draw of index rows: each estimate equals its own
+    ``moment_mc`` call with the same ``rng``."""
+    orders = [_check_order(t) for t in orders]
     m = samples.settings_count
     if m < 2:
         raise ValueError(f"need M >= 2 samples for a standard error, got M={m}")
-    powers = samples.values**t
-    value = float(powers.mean())
+    powers = [samples.values**t for t in orders]
     if bootstrap:
         if rng is None:
             raise ValueError("bootstrap standard errors require an rng")
         gen = _generator(rng)
-        means = np.empty(bootstrap_resamples)
+        means = np.empty((len(orders), bootstrap_resamples))
         rows = _block_rows(16 * m)
         for start in range(0, bootstrap_resamples, rows):
             idx = gen.integers(0, m, size=(min(rows, bootstrap_resamples - start), m))
-            means[start : start + len(idx)] = powers[idx].mean(axis=1)
-        std_error = float(means.std(ddof=1))
+            for row, power in zip(means, powers):
+                row[start : start + len(idx)] = power[idx].mean(axis=1)
+        std_errors = [float(row.std(ddof=1)) for row in means]
     else:
-        std_error = float(powers.std(ddof=1) / np.sqrt(m))
+        std_errors = [float(power.std(ddof=1) / np.sqrt(m)) for power in powers]
     seed = None
     if samples.seed is not None:
         seed = (samples.seed.seed, samples.seed.stream_id)
-    return MomentEstimate(samples.subset, t, value, std_error, "monte_carlo", m, None, seed)
+    return [
+        MomentEstimate(samples.subset, t, float(power.mean()), std_error, "monte_carlo", m, None, seed)
+        for t, power, std_error in zip(orders, powers, std_errors)
+    ]
 
 
 def moment_exact_t2(tensor) -> MomentEstimate:
@@ -134,7 +150,9 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
-def _design_moment(rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray) -> MomentEstimate:
+def _design_moment(
+    rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray, coefficients=None
+) -> MomentEstimate:
     """Mean of E^t over every direction tuple of ``points`` (an (N, 3)
     array exact for polynomials of degree <= ``degree``).  Tuples are
     summed in lexicographic order with pairwise summation for
@@ -150,7 +168,7 @@ def _design_moment(rho: DensityMatrix, subset, t: int, degree: int, points: np.n
         raise ValueError(
             f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES"
         )
-    grid = correlation_tensor(rho, parties).components
+    grid = correlation_tensor(rho, parties, coefficients).components
     for _ in range(k):
         # consume the leading site axis, appending its point axis at the end
         grid = np.tensordot(grid, points, axes=(0, 1))
@@ -159,13 +177,16 @@ def _design_moment(rho: DensityMatrix, subset, t: int, degree: int, points: np.n
     return MomentEstimate(parties, t, moment, None, "design")
 
 
-def moment_design(rho: DensityMatrix, subset, t: int, design: SphericalDesign) -> MomentEstimate:
+def moment_design(
+    rho: DensityMatrix, subset, t: int, design: SphericalDesign, coefficients=None
+) -> MomentEstimate:
     """Exact order-t moment by summation over design direction tuples.
 
     E^t is a degree-t polynomial in each site's direction, so a design of
-    degree >= t reproduces the sphere integral exactly.
+    degree >= t reproduces the sphere integral exactly.  Pass precomputed
+    ``pauli_coefficients`` output to share one pass across sums.
     """
-    return _design_moment(rho, subset, t, design.degree, design.points)
+    return _design_moment(rho, subset, t, design.degree, design.points, coefficients)
 
 
 def moment_design_half(
@@ -247,7 +268,7 @@ def random_settings(n: int, m: int, rng) -> np.ndarray:
     return uniform_directions(rng, m * n).reshape(m, n, 3)
 
 
-def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
+def simulate_shots(rho: DensityMatrix, settings, k: int, rng, coefficients=None) -> ShotTable:
     """Draw K joint projective outcomes per setting from the exact Born
     probabilities of all 2^n sign combinations.
 
@@ -273,7 +294,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     if m < 1:
         raise ValueError(f"settings must satisfy M >= 1, got M={m}")
     _check_unit_norm(settings)
-    coeffs = pauli_coefficients(rho).reshape(1, 1, 4, -1)
+    coeffs = (pauli_coefficients(rho) if coefficients is None else coefficients).reshape(1, 1, 4, -1)
 
     gen = _generator(rng)
     draws = gen.random((m, k))
@@ -380,12 +401,12 @@ def all_subsets(n: int, min_size: int = 1) -> list:
     ]
 
 
-def exact_moment_map(rho: DensityMatrix) -> dict:
+def exact_moment_map(rho: DensityMatrix, coefficients=None) -> dict:
     """Exact second moments for every non-empty party subset."""
-    coeffs = pauli_coefficients(rho)
+    coefficients = pauli_coefficients(rho) if coefficients is None else coefficients
     out = {}
     for subset in all_subsets(rho.n_qubits):
-        tensor = correlation_tensor(rho, subset, coeffs)
+        tensor = correlation_tensor(rho, subset, coefficients)
         out[subset] = moment_exact_t2(tensor)
     return out
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from randmeas.cli import CliError, main, parse_state, parse_subset, render_state
+from randmeas.correlations import pauli_coefficients
 from randmeas.sampling import design_points
 
 
@@ -220,6 +222,41 @@ def test_moments_design_is_built_once_per_request(tmp_path, monkeypatch):
     checks = read_json(out / "moments.json")["cross_checks"]
     assert len(checks) == 7
     assert all(c["passed"] and c["tolerance"] == 1e-12 for c in checks)
+
+
+def _count_pauli_passes(monkeypatch):
+    """Count ``pauli_coefficients`` calls from every module that imports it."""
+    calls = []
+
+    def counting(rho):
+        calls.append(rho.n_qubits)
+        return pauli_coefficients(rho)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("randmeas") and getattr(module, "pauli_coefficients", None) is pauli_coefficients:
+            monkeypatch.setattr(module, "pauli_coefficients", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, checks",
+    [
+        ("moments --state w:6 --subset all --orders 2,4 --design 5", 0),
+        ("moments --state ghz:4 --subset all --orders 2,4 --design 5", 15),
+        ("moments --state ghz:4 --subset all --orders 2,4 --samples 2000 --seed 3", 30),
+        ("moments --state ghz:4 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3", 0),
+        ("criteria --state ghz:3 --test bisep3", None),
+        ("criteria --state ghz:4 --test gme4 --structure", None),
+    ],
+    ids=["design_w6", "design_checks_ghz4", "monte_carlo_ghz4", "shots_ghz4", "bisep3", "structure"],
+)
+def test_one_pauli_pass_per_request(args, checks, tmp_path, monkeypatch):
+    calls = _count_pauli_passes(monkeypatch)
+    out = tmp_path / "o"
+    assert run_cli([*args.split(), "--output", out]) == 0
+    assert len(calls) == 1
+    if checks is not None:
+        assert len(read_json(out / "moments.json")["cross_checks"]) == checks
 
 
 def test_moments_csv_format(tmp_path):

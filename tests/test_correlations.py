@@ -231,6 +231,36 @@ def test_sample_set_csv_export(tmp_path):
     np.testing.assert_array_equal(data[:, 1], samples.values)
 
 
+def _sample_csv_by_rows(samples, path):
+    """The row-by-row write that ``SampleSet.to_csv`` replaced."""
+    with open(path, "w") as fh:
+        fh.write("sample_index,E\n")
+        for i, e in enumerate(samples.values):
+            fh.write(f"{i},{e:.17g}\n")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 40_000])
+@pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
+def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatch):
+    budget_rows = []
+    if forced_rows:
+        monkeypatch.setattr(correlations, "_block_rows", lambda _: forced_rows)
+    else:
+        real = correlations._block_rows
+        monkeypatch.setattr(
+            correlations, "_block_rows", lambda row_bytes: budget_rows.append(real(row_bytes)) or budget_rows[-1]
+        )
+    values = np.random.default_rng(m).uniform(-1.0, 1.0, m)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 0.1, 1.0 / 3.0, -2.0 / 3.0]
+    values[: min(m, len(special))] = special[:m]
+    samples = correlations.SampleSet((1, 2), values, m)
+    samples.to_csv(tmp_path / "chunks.csv")
+    _sample_csv_by_rows(samples, tmp_path / "rows.csv")
+    assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    if m == 40_000 and not forced_rows:
+        assert budget_rows[0] < m  # several chunks under the real budget
+
+
 def test_histogram_table_centers_a_bin_at_zero():
     table = histogram_table(np.zeros(100))
     assert table.shape == (81, 4)

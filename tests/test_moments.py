@@ -24,6 +24,7 @@ from randmeas.moments import (
     moment_design_half,
     moment_exact_t2,
     moment_mc,
+    moments_mc,
     purity_from_moments,
     random_settings,
     simulate_shots,
@@ -118,6 +119,23 @@ def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
         assert 1 < rows[0] < 200  # several blocks under the real budget
 
 
+@pytest.mark.parametrize("m", [2, 3, 20_000])
+@pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
+def test_shared_row_bootstrap_matches_per_order_calls(m, forced_rows, monkeypatch):
+    if forced_rows:
+        monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
+    else:
+        rows = _record_block_rows(monkeypatch, moments)
+    samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(40, m))
+    for bootstrap in (True, False):
+        shared = moments_mc(samples, (2, 4), bootstrap, 200, RngStream(41, m))
+        for t, estimate in zip((2, 4), shared):
+            alone = moment_mc(samples, t, bootstrap, 200, RngStream(41, m))
+            assert estimate.to_dict() == alone.to_dict()
+    if m == 20_000 and not forced_rows:
+        assert 1 < rows[0] < 200  # several shared blocks under the real budget
+
+
 def test_moment_exact_t2_values():
     assert moment_exact_t2(
         correlation_tensor(bell_psi_minus(), (1, 2))
@@ -139,6 +157,18 @@ def test_moment_design_matches_exact_tensor():
         exact = moment_exact_t2(correlation_tensor(state, subset)).value
         via_design = moment_design(state, subset, 2, D3).value
         assert abs(via_design - exact) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_moment_design_with_precomputed_coefficients_is_bit_equal(n):
+    rho = random_density_matrix(n, RngStream(42, n))
+    coefficients = pauli_coefficients(rho)
+    for subset in all_subsets(n):
+        for t, design in ((2, D3), (3, D3), (4, D5)):
+            if len(design.points) ** len(subset) > 12**4:
+                continue  # 12^5 and more tuples: the 3-design sums cover them
+            shared = moment_design(rho, subset, t, design, coefficients).value
+            assert np.array_equal(shared, moment_design(rho, subset, t, design).value)
 
 
 def test_moment_design_fourth_moment_against_monte_carlo():
