@@ -24,7 +24,6 @@ from .correlations import (
     correlation_length,
     correlation_tensor,
     histogram_table,
-    pauli_coefficients,
     sample_distribution,
 )
 from .criteria import (
@@ -35,6 +34,7 @@ from .criteria import (
     w_class_witness,
 )
 from .moments import (
+    _check_design_tuples,
     all_subsets,
     estimate_moment_from_shots,
     exact_moment_map,
@@ -270,7 +270,7 @@ def cmd_sample(config: RunConfig) -> int:
     return 0
 
 
-def _cross_check(rho, subset, estimate, coefficients) -> dict:
+def _cross_check(rho, subset, estimate) -> dict:
     """Compare an estimate against an independent exact oracle.
 
     Design values (t = 2 only) must match the tensor contraction to
@@ -279,12 +279,12 @@ def _cross_check(rho, subset, estimate, coefficients) -> dict:
     """
     t = estimate.order
     if estimate.method == "design":
-        exact = moment_exact_t2(correlation_tensor(rho, subset, coefficients)).value
+        exact = moment_exact_t2(correlation_tensor(rho, subset)).value
         tolerance = 1e-12
     elif t > 5:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     else:
-        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5), coefficients).value
+        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5)).value
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
     ok = deviation <= tolerance
@@ -314,6 +314,8 @@ def cmd_moments(config: RunConfig) -> int:
         raise CliError("at least one moment order is required")
     if config.design and config.shots:
         raise CliError("choose either --design or --shots, not both")
+    if config.bootstrap and (config.design or config.shots):
+        raise CliError("--bootstrap applies to Monte Carlo moments, not to --design or --shots")
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     if config.design:
@@ -323,9 +325,8 @@ def cmd_moments(config: RunConfig) -> int:
                 raise CliError(
                     f"design order insufficient: degree {design.degree} < t={t}"
                 )
+        _check_design_tuples(len(design.points), max(map(len, subsets)))
 
-    # one Pauli pass serves every subset, order and check of the request
-    coefficients = pauli_coefficients(rho)
     estimates = []
     checks = []
     do_checks = rho.n_qubits <= 4 and config.shots == 0
@@ -337,24 +338,24 @@ def cmd_moments(config: RunConfig) -> int:
                 RngStream(config.seed, STREAM_SETTINGS + subset_index),
             )
             shot_rng = RngStream(config.seed, STREAM_SHOTS + subset_index)
-            table = simulate_shots(rho, settings, config.shots, shot_rng, coefficients)
+            table = simulate_shots(rho, settings, config.shots, shot_rng)
             for t in config.orders:
                 est = estimate_moment_from_shots(table, t, parties=subset)
                 estimates.append(est)
         elif config.design:
             for t in config.orders:
-                est = moment_design(rho, subset, t, design, coefficients)
+                est = moment_design(rho, subset, t, design)
                 estimates.append(est)
                 if do_checks and t == 2:
-                    checks.append(_cross_check(rho, subset, est, coefficients))
+                    checks.append(_cross_check(rho, subset, est))
         else:
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
-            samples = sample_distribution(rho, subset, config.samples, stream, coefficients)
+            samples = sample_distribution(rho, subset, config.samples, stream)
             bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
             for est in moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng):
                 estimates.append(est)
                 if do_checks:
-                    checks.append(_cross_check(rho, subset, est, coefficients))
+                    checks.append(_cross_check(rho, subset, est))
 
     out = _out_dir(config)
     payload = _metadata(
@@ -386,33 +387,32 @@ def cmd_criteria(config: RunConfig) -> int:
     n = rho.n_qubits
     if config.test is None and not config.structure:
         raise CliError("choose a criterion with --test or request --structure")
-    coefficients = pauli_coefficients(rho)
     full = tuple(range(1, n + 1))
     verdicts = []
     structure = None
     if config.test == "gme4":
         if n != 4:
             raise CliError(f"gme4 applies to 4-qubit states, got n={n}")
-        verdicts.append(gme_test_4(exact_moment_map(rho, coefficients), purity_direct(rho)))
+        verdicts.append(gme_test_4(exact_moment_map(rho), purity_direct(rho)))
     elif config.test == "wclass":
         if n < 3:
             raise CliError(f"wclass applies to n >= 3 qubits, got n={n}")
-        r2 = moment_exact_t2(correlation_tensor(rho, full, coefficients))
+        r2 = moment_exact_t2(correlation_tensor(rho, full))
         verdicts.append(w_class_witness(r2, n))
     elif config.test == "bisep3":
         if n != 3:
             raise CliError(f"bisep3 applies to 3-qubit states, got n={n}")
-        r2 = moment_exact_t2(correlation_tensor(rho, full, coefficients))
-        r4 = moment_design(rho, full, 4, design_points(5), coefficients)
+        r2 = moment_exact_t2(correlation_tensor(rho, full))
+        r4 = moment_design(rho, full, 4, design_points(5))
         verdicts.append(bisep_line_3(r2, r4))
     elif config.test == "length":
-        verdicts.append(entanglement_by_length(correlation_length(rho, full, coefficients), n))
+        verdicts.append(entanglement_by_length(correlation_length(rho, full), n))
     elif config.test is not None:
         raise CliError(
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
     if config.structure:
-        structure = structure_report_from_state(rho, coefficients=coefficients)
+        structure = structure_report_from_state(rho)
 
     out = _out_dir(config)
     payload = _metadata(

@@ -117,30 +117,21 @@ def _clamp_correlations(values):
 
 
 def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> CorrelationTensor:
-    """Correlation tensor of ``subset``, computed by identity padding on
-    the unmeasured parties.  Pass precomputed ``pauli_coefficients`` output
-    to amortize work across subsets."""
+    """Correlation tensor of ``subset``: ``rho.pauli`` padded by identity on
+    the unmeasured parties.  ``coefficients`` replaces ``rho.pauli`` only for
+    callers holding their own tensor, such as the benchmark's oracles."""
     parties = normalize_subset(subset, rho.n_qubits)
     if coefficients is None:
-        coefficients = pauli_coefficients(rho)
+        coefficients = rho.pauli
     index = tuple(
         slice(1, 4) if party in parties else 0 for party in range(1, rho.n_qubits + 1)
     )
     return CorrelationTensor(parties, coefficients[index].copy())
 
 
-def correlation_tensors(rho: DensityMatrix, subsets) -> dict:
-    """Correlation tensors for many subsets from one coefficient pass."""
-    coefficients = pauli_coefficients(rho)
-    return {
-        normalize_subset(s, rho.n_qubits): correlation_tensor(rho, s, coefficients)
-        for s in subsets
-    }
-
-
-def correlation_length(rho: DensityMatrix, subset, coefficients=None) -> float:
+def correlation_length(rho: DensityMatrix, subset) -> float:
     """Sum of squared correlation-tensor components over ``subset``."""
-    return correlation_tensor(rho, subset, coefficients).sum_squares()
+    return correlation_tensor(rho, subset).sum_squares()
 
 
 def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -194,14 +185,14 @@ class SampleSet:
                 fh.write("%d,%.17g\n" * len(chunk) % tuple(pairs))
 
 
-def sample_distribution(rho: DensityMatrix, subset, m: int, rng, coefficients=None) -> SampleSet:
+def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``.  Deterministic given the stream."""
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    tensor = correlation_tensor(rho, parties, coefficients)
+    tensor = correlation_tensor(rho, parties)
     directions = uniform_directions(rng, m * k).reshape(m, k, 3)
     values = correlation_values(tensor.components, directions)
     values = _clamp_correlations(values)

@@ -212,10 +212,10 @@ def structure_report(
 
 
 def structure_report_from_state(
-    rho: DensityMatrix, z: float = DEFAULT_Z, atol: float = DETECTION_ATOL, coefficients=None
+    rho: DensityMatrix, z: float = DEFAULT_Z, atol: float = DETECTION_ATOL
 ) -> StructureReport:
     """Structure report from exact moments and marginal purities of a state."""
-    moments = exact_moment_map(rho, coefficients)
+    moments = exact_moment_map(rho)
     purities = {
         subset: purity_direct(partial_trace(rho, subset))
         for subset in all_subsets(rho.n_qubits, min_size=2)

@@ -20,7 +20,6 @@ from .correlations import (
     _block_rows,
     correlation_tensor,
     normalize_subset,
-    pauli_coefficients,
 )
 from .sampling import (
     SphericalDesign,
@@ -150,8 +149,13 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
+def _check_design_tuples(points: int, k: int) -> None:
+    if points**k > MAX_DESIGN_TUPLES:
+        raise ValueError(f"design sum over {points}^{k} tuples exceeds MAX_DESIGN_TUPLES")
+
+
 def _design_moment(
-    rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray, coefficients=None
+    rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray
 ) -> MomentEstimate:
     """Mean of E^t over every direction tuple of ``points`` (an (N, 3)
     array exact for polynomials of degree <= ``degree``).  Tuples are
@@ -164,11 +168,8 @@ def _design_moment(
         )
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    if len(points) ** k > MAX_DESIGN_TUPLES:
-        raise ValueError(
-            f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES"
-        )
-    grid = correlation_tensor(rho, parties, coefficients).components
+    _check_design_tuples(len(points), k)
+    grid = correlation_tensor(rho, parties).components
     for _ in range(k):
         # consume the leading site axis, appending its point axis at the end
         grid = np.tensordot(grid, points, axes=(0, 1))
@@ -178,15 +179,14 @@ def _design_moment(
 
 
 def moment_design(
-    rho: DensityMatrix, subset, t: int, design: SphericalDesign, coefficients=None
+    rho: DensityMatrix, subset, t: int, design: SphericalDesign
 ) -> MomentEstimate:
     """Exact order-t moment by summation over design direction tuples.
 
     E^t is a degree-t polynomial in each site's direction, so a design of
-    degree >= t reproduces the sphere integral exactly.  Pass precomputed
-    ``pauli_coefficients`` output to share one pass across sums.
+    degree >= t reproduces the sphere integral exactly.
     """
-    return _design_moment(rho, subset, t, design.degree, design.points, coefficients)
+    return _design_moment(rho, subset, t, design.degree, design.points)
 
 
 def moment_design_half(
@@ -268,7 +268,7 @@ def random_settings(n: int, m: int, rng) -> np.ndarray:
     return uniform_directions(rng, m * n).reshape(m, n, 3)
 
 
-def simulate_shots(rho: DensityMatrix, settings, k: int, rng, coefficients=None) -> ShotTable:
+def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     """Draw K joint projective outcomes per setting from the exact Born
     probabilities of all 2^n sign combinations.
 
@@ -294,7 +294,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng, coefficients=None)
     if m < 1:
         raise ValueError(f"settings must satisfy M >= 1, got M={m}")
     _check_unit_norm(settings)
-    coeffs = (pauli_coefficients(rho) if coefficients is None else coefficients).reshape(1, 1, 4, -1)
+    coeffs = rho.pauli.reshape(1, 1, 4, -1)
 
     gen = _generator(rng)
     draws = gen.random((m, k))
@@ -401,12 +401,11 @@ def all_subsets(n: int, min_size: int = 1) -> list:
     ]
 
 
-def exact_moment_map(rho: DensityMatrix, coefficients=None) -> dict:
+def exact_moment_map(rho: DensityMatrix) -> dict:
     """Exact second moments for every non-empty party subset."""
-    coefficients = pauli_coefficients(rho) if coefficients is None else coefficients
     out = {}
     for subset in all_subsets(rho.n_qubits):
-        tensor = correlation_tensor(rho, subset, coefficients)
+        tensor = correlation_tensor(rho, subset)
         out[subset] = moment_exact_t2(tensor)
     return out
 

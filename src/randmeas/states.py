@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -75,6 +75,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def pauli(self) -> np.ndarray:
+        """Read-only ``pauli_coefficients`` of this state, computed on first use."""
+        from .correlations import pauli_coefficients  # correlations imports states
+
+        coeffs = pauli_coefficients(self)
+        coeffs.setflags(write=False)
+        return coeffs
 
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityMatrix":

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
+import randmeas.moments
 from randmeas.cli import CliError, main, parse_state, parse_subset, render_state
-from randmeas.correlations import pauli_coefficients
-from randmeas.sampling import design_points
+from randmeas.correlations import correlation_length, pauli_coefficients, sample_distribution
+from randmeas.criteria import structure_report_from_state
+from randmeas.moments import exact_moment_map, moment_design, random_settings, simulate_shots
+from randmeas.sampling import RngStream, design_points
+from randmeas.states import ghz
 
 
 def run_cli(args):
@@ -178,6 +182,27 @@ def test_moments_insufficient_design_order(tmp_path, capsys):
     assert "design order insufficient" in capsys.readouterr().err
 
 
+def test_moments_refuses_design_cap_before_any_sum(tmp_path, capsys, monkeypatch):
+    sums = []
+    monkeypatch.setattr(randmeas.moments, "_design_moment", lambda *args: sums.append(args))
+    rc = run_cli(
+        ["moments", "--state", "w:8", "--subset", "all", "--orders", "2,4", "--design", 5, "--output", tmp_path / "o"]
+    )
+    assert rc == 1
+    assert "error: design sum over 12^8 tuples exceeds MAX_DESIGN_TUPLES" in capsys.readouterr().err
+    assert sums == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("route", [["--shots", 5], ["--design", 3]], ids=["shots", "design"])
+def test_moments_refuses_bootstrap_outside_monte_carlo(route, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run_cli(["moments", "--state", "ghz:3", "--samples", 100, "--bootstrap", *route, "--output", out])
+    assert rc == 1
+    assert "--bootstrap applies to Monte Carlo moments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moments_monte_carlo_cross_check_passes(tmp_path):
     out = tmp_path / "mc"
     rc = run_cli(
@@ -257,6 +282,19 @@ def test_one_pauli_pass_per_request(args, checks, tmp_path, monkeypatch):
     assert len(calls) == 1
     if checks is not None:
         assert len(read_json(out / "moments.json")["cross_checks"]) == checks
+
+
+def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):
+    calls = _count_pauli_passes(monkeypatch)
+    rho = ghz(4)
+    full = (1, 2, 3, 4)
+    exact_moment_map(rho)
+    structure_report_from_state(rho)
+    moment_design(rho, full, 4, design_points(5))
+    sample_distribution(rho, full, 100, RngStream(0))
+    simulate_shots(rho, random_settings(4, 10, RngStream(1)), 5, RngStream(2))
+    correlation_length(rho, full)
+    assert calls == [4]
 
 
 def test_moments_csv_format(tmp_path):

@@ -159,16 +159,27 @@ def test_moment_design_matches_exact_tensor():
         assert abs(via_design - exact) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_pauli_is_one_read_only_pass(n):
+    rho = random_density_matrix(n, RngStream(42, n))
+    coefficients = rho.pauli
+    assert np.array_equal(coefficients, pauli_coefficients(rho))
+    assert rho.pauli is coefficients
+    with pytest.raises(ValueError, match="read-only"):
+        coefficients[(0,) * n] = 0.0
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_moment_design_with_precomputed_coefficients_is_bit_equal(n):
+    # every sum reads the tensor cached on ``rho``; each fresh copy makes its own pass
     rho = random_density_matrix(n, RngStream(42, n))
-    coefficients = pauli_coefficients(rho)
     for subset in all_subsets(n):
         for t, design in ((2, D3), (3, D3), (4, D5)):
             if len(design.points) ** len(subset) > 12**4:
                 continue  # 12^5 and more tuples: the 3-design sums cover them
-            shared = moment_design(rho, subset, t, design, coefficients).value
-            assert np.array_equal(shared, moment_design(rho, subset, t, design).value)
+            shared = moment_design(rho, subset, t, design).value
+            fresh = DensityMatrix(n, rho.matrix)
+            assert np.array_equal(shared, moment_design(fresh, subset, t, design).value)
 
 
 def test_moment_design_fourth_moment_against_monte_carlo():
