@@ -35,6 +35,8 @@ from .criteria import (
 )
 from .moments import (
     _check_design_tuples,
+    _check_order,
+    _check_shots_cover_order,
     all_subsets,
     estimate_moment_from_shots,
     exact_moment_map,
@@ -49,8 +51,8 @@ from .states import STATES, StateSpec, make_state, purity_direct
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
-#: Stream-id blocks per purpose so random consumers never collide,
-#: even when one run iterates over many subsets.
+#: Stream-id blocks per purpose so random consumers never collide: samples and
+#: bootstrap rows add the subset index; one shot table serves every subset.
 STREAM_SAMPLES = 0
 STREAM_SETTINGS = 1_000_000
 STREAM_SHOTS = 2_000_000
@@ -316,6 +318,9 @@ def cmd_moments(config: RunConfig) -> int:
         raise CliError("choose either --design or --shots, not both")
     if config.bootstrap and (config.design or config.shots):
         raise CliError("--bootstrap applies to Monte Carlo moments, not to --design or --shots")
+    highest = max(_check_order(t) for t in config.orders)
+    if config.shots:
+        _check_shots_cover_order(config.shots, highest)
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     if config.design:
@@ -329,26 +334,20 @@ def cmd_moments(config: RunConfig) -> int:
 
     estimates = []
     checks = []
-    do_checks = rho.n_qubits <= 4 and config.shots == 0
-    for subset_index, subset in enumerate(subsets):
-        if config.shots:
-            settings = random_settings(
-                rho.n_qubits,
-                config.samples,
-                RngStream(config.seed, STREAM_SETTINGS + subset_index),
-            )
-            shot_rng = RngStream(config.seed, STREAM_SHOTS + subset_index)
-            table = simulate_shots(rho, settings, config.shots, shot_rng)
-            for t in config.orders:
-                est = estimate_moment_from_shots(table, t, parties=subset)
-                estimates.append(est)
-        elif config.design:
+    do_checks = rho.n_qubits <= 4
+    if config.shots:
+        settings = random_settings(rho.n_qubits, config.samples, RngStream(config.seed, STREAM_SETTINGS))
+        table = simulate_shots(rho, settings, config.shots, RngStream(config.seed, STREAM_SHOTS))
+        estimates = [estimate_moment_from_shots(table, t, parties=s) for s in subsets for t in config.orders]
+    elif config.design:
+        for subset in subsets:
             for t in config.orders:
                 est = moment_design(rho, subset, t, design)
                 estimates.append(est)
                 if do_checks and t == 2:
                     checks.append(_cross_check(rho, subset, est))
-        else:
+    else:
+        for subset_index, subset in enumerate(subsets):
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
             samples = sample_distribution(rho, subset, config.samples, stream)
             bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
@@ -493,6 +492,11 @@ def _config_from_args(args) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     if seed < 0:
         raise CliError(f"seed must be non-negative, got {seed}")
+    text = str(getattr(args, "orders", "2"))
+    try:
+        orders = tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise CliError(f"bad --orders {text!r}: expected a comma list of integers") from exc
     config = RunConfig(
         command=args.command,
         state=getattr(args, "state", None),
@@ -500,9 +504,7 @@ def _config_from_args(args) -> RunConfig:
         samples=getattr(args, "samples", 10000),
         shots=getattr(args, "shots", 0),
         design=getattr(args, "design", 0) or getattr(args, "order", 0),
-        orders=tuple(
-            int(t) for t in str(getattr(args, "orders", "2")).split(",") if t.strip()
-        ),
+        orders=orders,
         seed=seed,
         output=args.output,
         format=args.format,

@@ -47,8 +47,8 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     tens = rho.matrix.reshape((2,) * (2 * n))
     perm = [axis for j in range(n) for axis in (j, n + j)]
     tens = np.transpose(tens, perm).reshape((4,) * n)
-    for axis in range(n):
-        tens = np.moveaxis(np.tensordot(_SITE_TRANSFER, tens, axes=(1, axis)), 0, axis)
+    for _ in range(n):  # consume the leading site axis, append its Pauli axis
+        tens = np.tensordot(tens, _SITE_TRANSFER, axes=(0, 1))
     residue = float(np.max(np.abs(tens.imag)))
     if residue > IMAG_RESIDUE_ATOL:
         raise ValueError(f"Pauli coefficients have imaginary residue {residue:.3e}")

@@ -86,6 +86,8 @@ def m_quantifier(moments, full_subset) -> float:
 
 
 def _m_quantifier_stats(moments, full_subset):
+    """Value, variance and provenance of the m quantifier.  The variance treats subset
+    estimates as independent; moments read off one shot table are correlated."""
     normalized = _normalize_moments(moments)
     full = tuple(sorted(int(p) for p in full_subset))
     if full not in normalized:
@@ -187,6 +189,8 @@ def structure_report(
     normalized = _normalize_moments(moments)
     full = max(normalized, key=len)
     n = len(full)
+    if n < 2:
+        raise ValueError(f"a structure report needs at least 2 parties, got {n}")
     purities = _normalize_moments(purities)
     marginals = {}
     full_verdict = None

@@ -149,6 +149,11 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
+def _check_shots_cover_order(k: int, t: int) -> None:
+    if k < t:
+        raise ValueError(f"need at least t shots per setting for unbiased order-{t} estimation, got K={k}")
+
+
 def _check_design_tuples(points: int, k: int) -> None:
     if points**k > MAX_DESIGN_TUPLES:
         raise ValueError(f"design sum over {points}^{k} tuples exceeds MAX_DESIGN_TUPLES")
@@ -353,14 +358,13 @@ def estimate_moment_from_shots(shots: ShotTable, t: int, parties=None) -> Moment
     outcome products.  With x_i = +-1 this reduces to e_t(x) / C(K, t)
     with e_t the elementary symmetric polynomial, a function of the count
     of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
-    The returned value is the mean over settings.
+    The returned value is the mean over settings.  Estimates for several
+    subsets of one table share its settings and shots, so they are
+    correlated: each ``std_error`` holds for its own estimate only.
     """
     t = _check_order(t)
     k_shots = shots.shots_per_setting
-    if k_shots < t:
-        raise ValueError(
-            f"need at least t shots per setting for unbiased order-{t} estimation, got K={k_shots}"
-        )
+    _check_shots_cover_order(k_shots, t)
     n = shots.n_parties
     if parties is None:
         columns = list(range(n))

@@ -7,10 +7,16 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 import randmeas.moments
-from randmeas.cli import CliError, main, parse_state, parse_subset, render_state
+from randmeas.cli import STREAM_SETTINGS, STREAM_SHOTS, CliError, main, parse_state, parse_subset, render_state
 from randmeas.correlations import correlation_length, pauli_coefficients, sample_distribution
 from randmeas.criteria import structure_report_from_state
-from randmeas.moments import exact_moment_map, moment_design, random_settings, simulate_shots
+from randmeas.moments import (
+    estimate_moment_from_shots,
+    exact_moment_map,
+    moment_design,
+    random_settings,
+    simulate_shots,
+)
 from randmeas.sampling import RngStream, design_points
 from randmeas.states import ghz
 
@@ -228,6 +234,59 @@ def test_moments_finite_shots(tmp_path):
     assert abs(est["value"] - 1.0 / 3.0) < 4 * est["std_error"]
 
 
+def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
+    import randmeas.cli
+
+    calls = {"random_settings": 0, "simulate_shots": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(randmeas.cli, "random_settings", counting("random_settings", random_settings))
+    monkeypatch.setattr(randmeas.cli, "simulate_shots", counting("simulate_shots", simulate_shots))
+    out = tmp_path / "o"
+    args = "moments --state ghz:4 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3"
+    assert run_cli([*args.split(), "--output", out]) == 0
+    assert calls == {"random_settings": 1, "simulate_shots": 1}
+
+    settings = random_settings(4, 50, RngStream(3, STREAM_SETTINGS))
+    table = simulate_shots(ghz(4), settings, 20, RngStream(3, STREAM_SHOTS))
+    entries = read_json(out / "moments.json")["moments"]
+    assert len(entries) == 30
+    for entry in entries:
+        expected = estimate_moment_from_shots(table, entry["t"], parties=entry["subset"])
+        assert (entry["value"], entry["std_error"]) == (expected.value, expected.std_error)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--state ghz:8 --orders 2,x --samples 200000", "bad --orders '2,x'"),
+        ("--state ghz:8 --orders 0 --samples 200000", "moment order t must be a positive integer, got 0"),
+        (
+            "--state ghz:8 --subset 1,2 --orders 2,4 --samples 200000 --shots 2",
+            "need at least t shots per setting for unbiased order-4 estimation, got K=2",
+        ),
+    ],
+    ids=["unparsable", "zero", "fewer_shots_than_t"],
+)
+def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, monkeypatch):
+    import randmeas.cli
+
+    work = []
+    monkeypatch.setattr(randmeas.cli, "simulate_shots", lambda *a: work.append("simulate_shots"))
+    monkeypatch.setattr(randmeas.cli, "sample_distribution", lambda *a: work.append("sample_distribution"))
+    out = tmp_path / "o"
+    assert run_cli(["moments", *args.split(), "--output", out]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert work == []
+    assert not out.exists()
+
+
 def test_moments_design_is_built_once_per_request(tmp_path, monkeypatch):
     import randmeas.cli
 
@@ -350,6 +409,13 @@ def test_criteria_mismatched_n(tmp_path, capsys):
     rc = run_cli(["criteria", "--state", "ghz:3", "--test", "gme4", "--output", tmp_path / "o"])
     assert rc == 1
     assert "4-qubit" in capsys.readouterr().err
+
+
+def test_criteria_structure_refuses_a_single_party(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["criteria", "--state", "product_zero:1", "--structure", "--output", out]) == 1
+    assert "error: a structure report needs at least 2 parties, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_criteria_requires_test_or_structure(tmp_path, capsys):

@@ -198,6 +198,35 @@ def test_sample_distribution_memory_is_capped_by_the_block_budget():
     assert peak < 64 * 2**20
 
 
+def _pauli_coefficients_moveaxis(rho):
+    """The body that ``pauli_coefficients`` used to run, kept as an
+    oracle: each site's transfer contracted in place, with a
+    ``moveaxis`` copy per site."""
+    n = rho.n_qubits
+    tens = rho.matrix.reshape((2,) * (2 * n))
+    perm = [axis for j in range(n) for axis in (j, n + j)]
+    tens = np.transpose(tens, perm).reshape((4,) * n)
+    for axis in range(n):
+        tens = np.moveaxis(np.tensordot(correlations._SITE_TRANSFER, tens, axes=(1, axis)), 0, axis)
+    return np.ascontiguousarray(tens.real)
+
+
+def _random_rank_state(n, rank, seed):
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((2**n, rank)) + 1j * gen.standard_normal((2**n, rank))
+    mat = g @ g.conj().T
+    return DensityMatrix(n, mat / np.trace(mat).real)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_coefficients_match_moveaxis_oracle_bit_for_bit(n):
+    states = [_random_rank_state(n, rank, seed=10 * n + rank) for rank in sorted({1, 3, 2**n})]
+    if n >= 2:
+        states += [ghz(n), w_state(n)]
+    for rho in states:
+        assert np.array_equal(pauli_coefficients(rho), _pauli_coefficients_moveaxis(rho))
+
+
 def test_pauli_coefficients_identity_entry_is_trace():
     coeffs = pauli_coefficients(werner(0.3))
     assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-12)

@@ -123,6 +123,11 @@ def test_structure_report_product_state():
     assert not report.full.detected
 
 
+def test_structure_report_needs_two_parties():
+    with pytest.raises(ValueError, match="at least 2 parties, got 1"):
+        structure_report_from_state(product_zero(1))
+
+
 def test_structure_report_covers_all_subsets():
     report = structure_report_from_state(ghz(4))
     assert len(report.marginals) == 10  # size-2 and size-3 subsets of 4 parties

@@ -67,7 +67,19 @@ GOLDEN = {
     "shots_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 500 --shots 5 --seed 9",
         {
-            "moments.json": "0981a356eafe49e378140321cf9aa8a001f1f9c098be7559088d557756d26706",
+            "moments.json": "4e19894ddd6629883b9babfeb3760cae32d716ab84dd7d3b819a9969f4716c95",
+        },
+    ),
+    "shots_ghz4_subset": (
+        "moments --state ghz:4 --subset 2,3 --orders 2,4 --samples 500 --shots 5 --seed 9",
+        {
+            "moments.json": "9b8b3e9fb43dcbfa3d7104c36a5757878d0e8b6c045678889d32e62b9d51a881",
+        },
+    ),
+    "shots_ghz4_full": (
+        "moments --state ghz:4 --subset full --orders 2,4 --samples 500 --shots 5 --seed 9",
+        {
+            "moments.json": "17f9310428f3ed420fa48f043afe2ae3adf455911fcf7d15f257082702e22c8d",
         },
     ),
     "bisep3_w3": (
