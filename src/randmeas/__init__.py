@@ -16,6 +16,7 @@ from .correlations import (
     correlation,
     correlation_length,
     correlation_tensor,
+    marginal_purity,
     sample_distribution,
 )
 from .criteria import (

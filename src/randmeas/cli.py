@@ -24,6 +24,7 @@ from .correlations import (
     correlation_length,
     correlation_tensor,
     histogram_table,
+    marginal_purity,
     sample_distribution,
 )
 from .criteria import (
@@ -47,7 +48,7 @@ from .moments import (
     simulate_shots,
 )
 from .sampling import RngStream, design_points, design_to_csv, validate_design
-from .states import STATES, StateSpec, make_state, purity_direct
+from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
@@ -312,6 +313,8 @@ def cmd_moments(config: RunConfig) -> int:
     spec = parse_state(config.state)
     rho = make_state(spec)
     subsets = parse_subset(config.subset, rho.n_qubits)
+    if config.shots < 0:
+        raise CliError(f"--shots must be >= 0 (0 = exact expectations), got {config.shots}")
     if not config.orders:
         raise CliError("at least one moment order is required")
     if config.design and config.shots:
@@ -392,7 +395,7 @@ def cmd_criteria(config: RunConfig) -> int:
     if config.test == "gme4":
         if n != 4:
             raise CliError(f"gme4 applies to 4-qubit states, got n={n}")
-        verdicts.append(gme_test_4(exact_moment_map(rho), purity_direct(rho)))
+        verdicts.append(gme_test_4(exact_moment_map(rho), marginal_purity(rho, full)))
     elif config.test == "wclass":
         if n < 3:
             raise CliError(f"wclass applies to n >= 3 qubits, got n={n}")

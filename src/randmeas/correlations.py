@@ -1,7 +1,8 @@
 """Correlations of local spin measurements.
 
 Single correlation values E = <sigma_u1 (x) ... (x) sigma_uk>, correlation
-tensors over Pauli basis axes, the squared-sum correlation length, and
+tensors over Pauli basis axes, the squared-sum correlation length and
+marginal purities (all read off one slab of ``rho.pauli`` per subset), and
 sampling of correlation distributions over random directions, together
 with the closed-form two-qubit reference densities.
 """
@@ -116,6 +117,15 @@ def _clamp_correlations(values):
     return np.clip(values, -1.0, 1.0) if np.ndim(values) else float(np.clip(values, -1.0, 1.0))
 
 
+def _slab(coefficients: np.ndarray, parties: tuple, axes: slice) -> np.ndarray:
+    """View of a Pauli tensor with ``axes`` on ``parties`` and the identity
+    (axis 0) on every other party: ``slice(1, 4)`` gives the correlation
+    tensor of ``parties``, ``slice(None)`` the Pauli tensor of their marginal."""
+    return coefficients[
+        tuple(axes if party in parties else 0 for party in range(1, coefficients.ndim + 1))
+    ]
+
+
 def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> CorrelationTensor:
     """Correlation tensor of ``subset``: ``rho.pauli`` padded by identity on
     the unmeasured parties.  ``coefficients`` replaces ``rho.pauli`` only for
@@ -123,15 +133,20 @@ def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> Correla
     parties = normalize_subset(subset, rho.n_qubits)
     if coefficients is None:
         coefficients = rho.pauli
-    index = tuple(
-        slice(1, 4) if party in parties else 0 for party in range(1, rho.n_qubits + 1)
-    )
-    return CorrelationTensor(parties, coefficients[index].copy())
+    return CorrelationTensor(parties, _slab(coefficients, parties, slice(1, 4)).copy())
 
 
 def correlation_length(rho: DensityMatrix, subset) -> float:
     """Sum of squared correlation-tensor components over ``subset``."""
-    return correlation_tensor(rho, subset).sum_squares()
+    parties = normalize_subset(subset, rho.n_qubits)
+    return float(np.sum(_slab(rho.pauli, parties, slice(1, 4)) ** 2))
+
+
+def marginal_purity(rho: DensityMatrix, subset) -> float:
+    """tr(rho_A^2) of the marginal on ``subset``: 2^-k times the sum of its
+    squared Pauli coefficients, with no partial trace."""
+    parties = normalize_subset(subset, rho.n_qubits)
+    return float(np.sum(_slab(rho.pauli, parties, slice(None)) ** 2) / 2.0 ** len(parties))
 
 
 def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import isfinite, sqrt
+from math import sqrt
 
-from .moments import MomentEstimate, all_subsets, exact_moment_map
-from .states import DensityMatrix, partial_trace, purity_direct
+from .correlations import marginal_purity
+from .moments import _entry_stats, _normalize_moments, all_subsets, exact_moment_map
+from .states import DensityMatrix
 
 #: Coefficients c_k of the biseparable bound M_k <= c_k (1 - tr rho^2).
 #: The four-qubit constant 8/81 is the proven one; the two- and
@@ -62,55 +63,36 @@ def _decide(margin: float, std_error: float | None, z: float, atol: float) -> bo
     return margin > atol
 
 
-def _entry_stats(entry):
-    if isinstance(entry, MomentEstimate):
-        return float(entry.value), entry.std_error, entry.method
-    value = float(entry)
-    if not isfinite(value):
-        raise ValueError(f"criterion input {entry!r} is not finite")
-    return value, None, "value"
-
-
-def _normalize_moments(moments) -> dict:
-    return {tuple(sorted(int(p) for p in key)): val for key, val in moments.items()}
-
-
 def m_quantifier(moments, full_subset) -> float:
     """m_S minus half the sum of m_A * m_{S\\A} over proper non-empty A.
 
     For a pure state that is a product across some bipartition, the pair
     of terms from that bipartition exactly cancels the full moment.
     """
-    value, _, _ = _m_quantifier_stats(moments, full_subset)
+    full = tuple(sorted(int(p) for p in full_subset))
+    value, _, _ = _m_quantifier_stats(_normalize_moments(moments), full)
     return value
 
 
-def _m_quantifier_stats(moments, full_subset):
-    """Value, variance and provenance of the m quantifier.  The variance treats subset
-    estimates as independent; moments read off one shot table are correlated."""
-    normalized = _normalize_moments(moments)
-    full = tuple(sorted(int(p) for p in full_subset))
-    if full not in normalized:
-        raise ValueError(f"missing subset {full} in moments map")
-    m_full, err_full, method_full = _entry_stats(normalized[full])
-    value = m_full
+def _m_quantifier_stats(normalized, full):
+    """Value, variance and provenance of the m quantifier of the sorted tuple ``full``,
+    reading only its subsets.  The variance treats subset estimates as
+    independent; moments read off one shot table are correlated."""
+    proper = [sub for size in range(1, len(full)) for sub in combinations(full, size)]
+    for sub in (full, *proper):
+        if sub not in normalized:
+            raise ValueError(f"missing subset {sub} in moments map")
+    value, err_full, method_full = _entry_stats(normalized[full])
     variance = 0.0 if err_full is None else err_full**2
     methods = {method_full}
-    parts = set(full)
-    for size in range(1, len(full)):
-        for sub in combinations(full, size):
-            comp = tuple(sorted(parts - set(sub)))
-            if sub not in normalized:
-                raise ValueError(f"missing subset {sub} in moments map")
-            if comp not in normalized:
-                raise ValueError(f"missing subset {comp} in moments map")
-            m_a, err_a, method_a = _entry_stats(normalized[sub])
-            m_b, _, _ = _entry_stats(normalized[comp])
-            value -= 0.5 * m_a * m_b
-            methods.add(method_a)
-            if err_a is not None:
-                # d/dm_A of the double-counted sum is -m_{S \ A}
-                variance += (m_b * err_a) ** 2
+    for sub in proper:
+        m_a, err_a, method_a = _entry_stats(normalized[sub])
+        m_b, _, _ = _entry_stats(normalized[tuple(p for p in full if p not in sub)])
+        value -= 0.5 * m_a * m_b
+        methods.add(method_a)
+        if err_a is not None:
+            # d/dm_A of the double-counted sum is -m_{S \ A}
+            variance += (m_b * err_a) ** 2
     return value, variance, tuple(sorted(methods))
 
 
@@ -130,13 +112,13 @@ def gme_test_4(
     )
 
 
-def _marginal_bound_verdict(moments, subset, purity, z, atol, criterion):
+def _marginal_bound_verdict(normalized, subset, purity, z, atol, criterion):
     k = len(subset)
     if k not in M_BOUND_COEFF:
         raise ValueError(f"no bound coefficient configured for {k} parties")
     if not 0.0 < purity <= 1.0 + 1e-9:
         raise ValueError(f"purity must lie in (0, 1], got {purity!r}")
-    value, variance, methods = _m_quantifier_stats(moments, subset)
+    value, variance, methods = _m_quantifier_stats(normalized, subset)
     threshold = M_BOUND_COEFF[k] * max(0.0, 1.0 - purity)
     margin = value - threshold
     std_error = sqrt(variance) if variance > 0.0 else None
@@ -187,44 +169,32 @@ def structure_report(
     ``moments`` must hold second moments of every non-empty subset.
     """
     normalized = _normalize_moments(moments)
-    full = max(normalized, key=len)
-    n = len(full)
+    n = max(key[-1] for key in normalized)
     if n < 2:
         raise ValueError(f"a structure report needs at least 2 parties, got {n}")
     purities = _normalize_moments(purities)
-    marginals = {}
-    full_verdict = None
+    verdicts = {}
     for subset in all_subsets(n, min_size=2):
         if subset not in purities:
             raise ValueError(f"missing purity for subset {subset}")
-        sub_moments = {
-            s: normalized[s] for s in normalized if set(s) <= set(subset)
-        }
-        verdict = _marginal_bound_verdict(
-            sub_moments,
-            subset,
-            float(purities[subset]),
-            z=z,
-            atol=atol,
+        verdicts[subset] = _marginal_bound_verdict(
+            normalized, subset, float(purities[subset]), z=z, atol=atol,
             criterion=f"marginal_bound_k{len(subset)}",
         )
-        if subset == full:
-            full_verdict = verdict
-        else:
-            marginals[subset] = verdict
-    return StructureReport(full, full_verdict, marginals)
+    full = tuple(range(1, n + 1))
+    return StructureReport(full, verdicts.pop(full), verdicts)
 
 
 def structure_report_from_state(
     rho: DensityMatrix, z: float = DEFAULT_Z, atol: float = DETECTION_ATOL
 ) -> StructureReport:
-    """Structure report from exact moments and marginal purities of a state."""
-    moments = exact_moment_map(rho)
+    """Structure report from exact moments and marginal purities of a state,
+    both read off ``rho.pauli``."""
     purities = {
-        subset: purity_direct(partial_trace(rho, subset))
+        subset: marginal_purity(rho, subset)
         for subset in all_subsets(rho.n_qubits, min_size=2)
     }
-    return structure_report(moments, purities, z=z, atol=atol)
+    return structure_report(exact_moment_map(rho), purities, z=z, atol=atol)
 
 
 def bisep_line_3_r4(r2: float) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .correlations import (
     SampleSet,
     _block_rows,
+    correlation_length,
     correlation_tensor,
     normalize_subset,
 )
@@ -85,6 +86,30 @@ class MomentEstimate:
             "M": self.samples,
             "K": self.shots,
         }
+
+
+def _entry_stats(entry):
+    """(value, std_error, method) of a MomentEstimate or a plain finite number."""
+    if isinstance(entry, MomentEstimate):
+        return float(entry.value), entry.std_error, entry.method
+    value = float(entry)
+    if not np.isfinite(value):
+        raise ValueError(f"moment {entry!r} is not finite")
+    return value, None, "value"
+
+
+def _normalize_moments(moments) -> dict:
+    """A map keyed by party subsets (moments or purities), re-keyed by sorted
+    party tuples.  Every key must be a non-empty set of parties >= 1."""
+    normalized = {}
+    for key, entry in moments.items():
+        parties = tuple(sorted({int(p) for p in key}))
+        if not parties or parties[0] < 1:
+            raise ValueError(f"subset key {key!r} is not a non-empty set of parties >= 1")
+        normalized[parties] = entry
+    if not normalized:
+        raise ValueError("party-subset map is empty")
+    return normalized
 
 
 def moment_mc(
@@ -406,17 +431,11 @@ def all_subsets(n: int, min_size: int = 1) -> list:
 
 
 def exact_moment_map(rho: DensityMatrix) -> dict:
-    """Exact second moments for every non-empty party subset."""
-    out = {}
-    for subset in all_subsets(rho.n_qubits):
-        tensor = correlation_tensor(rho, subset)
-        out[subset] = moment_exact_t2(tensor)
-    return out
-
-
-def moment_value(entry) -> float:
-    """Numeric moment from a MomentEstimate or a plain number."""
-    return float(entry.value) if isinstance(entry, MomentEstimate) else float(entry)
+    """Exact second moments 3^-k correlation_length for every non-empty party subset."""
+    return {
+        s: MomentEstimate(s, 2, correlation_length(rho, s) / 3.0 ** len(s), None, "exact_tensor")
+        for s in all_subsets(rho.n_qubits)
+    }
 
 
 def purity_from_moments(moments, atol: float = 1e-6) -> float:
@@ -426,27 +445,17 @@ def purity_from_moments(moments, atol: float = 1e-6) -> float:
     set contributes 1 by normalization.  Values may be MomentEstimates or
     plain numbers and must be non-negative.
     """
-    normalized = {}
-    n = 0
-    for subset, entry in moments.items():
-        key = tuple(sorted(int(p) for p in subset))
-        normalized[key] = entry
-        n = max(n, max(key))
-    if n == 0:
-        raise ValueError("moments map is empty")
+    normalized = _normalize_moments(moments)
+    n = max(key[-1] for key in normalized)
     exact_only = True
     total = 1.0
     for subset in all_subsets(n):
         if subset not in normalized:
             raise ValueError(f"missing subset {subset} in moments map")
-        entry = normalized[subset]
-        value = moment_value(entry)
-        if not np.isfinite(value):
-            raise ValueError(f"moment for subset {subset} is not finite ({value!r})")
+        value, std_error, _ = _entry_stats(normalized[subset])
         if value < 0.0:
             raise ValueError(f"moment for subset {subset} is negative ({value!r})")
-        if isinstance(entry, MomentEstimate) and entry.std_error is not None:
-            exact_only = False
+        exact_only = exact_only and std_error is None
         total += 3.0 ** len(subset) * value
     purity = total / 2.0**n
     if purity <= 0.0:

@@ -18,7 +18,7 @@ from randmeas.moments import (
     simulate_shots,
 )
 from randmeas.sampling import RngStream, design_points
-from randmeas.states import ghz
+from randmeas.states import DensityMatrix, ghz, partial_trace
 
 
 def run_cli(args):
@@ -287,6 +287,13 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_moments_refuses_negative_shots_first(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["moments", "--state", "ghz:3", "--orders", "2,4", "--shots", -3, "--output", out]) == 1
+    assert "error: --shots must be >= 0 (0 = exact expectations), got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moments_design_is_built_once_per_request(tmp_path, monkeypatch):
     import randmeas.cli
 
@@ -354,6 +361,24 @@ def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):
     simulate_shots(rho, random_settings(4, 10, RngStream(1)), 5, RngStream(2))
     correlation_length(rho, full)
     assert calls == [4]
+
+
+def test_structure_request_validates_one_state_and_takes_no_partial_trace(tmp_path):
+    # marginal purities are read off rho.pauli, not off marginal DensityMatrix objects
+    watched = {DensityMatrix.__post_init__.__code__: "validations", partial_trace.__code__: "partial_traces"}
+    counts = dict.fromkeys(watched.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        rc = run_cli(["criteria", "--state", "ghz:4", "--test", "gme4", "--structure", "--output", tmp_path / "o"])
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    assert counts == {"validations": 1, "partial_traces": 0}
 
 
 def test_moments_csv_format(tmp_path):

@@ -15,11 +15,12 @@ from randmeas.correlations import (
     correlation_tensor,
     correlation_values,
     histogram_table,
+    marginal_purity,
     pauli_coefficients,
     sample_distribution,
 )
 from randmeas.ensembles import random_density_matrix, random_local_unitaries
-from randmeas.moments import moment_mc
+from randmeas.moments import all_subsets, moment_mc
 from randmeas.sampling import RngStream, uniform_directions
 from randmeas.states import (
     IDENTITY_2,
@@ -32,6 +33,7 @@ from randmeas.states import (
     ghz,
     partial_trace,
     product_zero,
+    purity_direct,
     w_state,
     werner,
 )
@@ -120,6 +122,17 @@ def test_correlation_length_values():
     assert abs(correlation_length(bell_psi_minus(), (1, 2)) - 3.0) < 1e-12
     white = DensityMatrix(2, np.eye(4) / 4)
     assert correlation_length(white, (1, 2)) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_marginal_purity_matches_partial_trace_oracle(n):
+    states = [random_density_matrix(n, RngStream(7, n))]
+    if n >= 2:
+        states += [ghz(n), w_state(n)]
+    for rho in states:
+        for subset in all_subsets(n):
+            oracle = purity_direct(partial_trace(rho, subset))
+            assert abs(marginal_purity(rho, subset) - oracle) <= 1e-13
 
 
 def test_tensor_component_matches_correlation_along_z():

@@ -67,6 +67,8 @@ def test_m_quantifier_factorizes_for_pure_bipartition_products():
 def test_m_quantifier_requires_all_subsets():
     with pytest.raises(ValueError, match="missing subset"):
         m_quantifier({(1, 2): 0.1, (1,): 0.0}, (1, 2))
+    with pytest.raises(ValueError, match=r"subset key \(0,\) is not a non-empty set"):
+        m_quantifier({(0,): 0.1, (1,): 0.1, (0, 1): 0.2}, (0, 1))
 
 
 def test_gme4_detects_ghz4():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from randmeas.correlations import (
     SampleSet,
     _block_rows,
     correlation,
+    correlation_length,
     correlation_tensor,
     pauli_coefficients,
     sample_distribution,
@@ -146,6 +148,26 @@ def test_moment_exact_t2_values():
     assert moment_exact_t2(
         correlation_tensor(ghz(4), (1, 2, 3, 4))
     ).value == pytest.approx(1.0 / 9.0, abs=1e-12)
+
+
+def _exact_moment_map_oracle(rho):
+    """The per-subset route ``exact_moment_map`` replaced: one validated
+    CorrelationTensor copy per subset, summed by ``moment_exact_t2``."""
+    return {s: moment_exact_t2(correlation_tensor(rho, s)) for s in all_subsets(rho.n_qubits)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_moment_map_is_bit_equal_to_per_subset_tensors(n):
+    states = [random_density_matrix(n, RngStream(7, n))]
+    if n >= 2:
+        states += [ghz(n), w_state(n)]
+    for rho in states:
+        got, oracle = exact_moment_map(rho), _exact_moment_map_oracle(rho)
+        assert list(got) == list(oracle)
+        for subset, expected in oracle.items():
+            assert got[subset].value == expected.value
+            assert (got[subset].method, got[subset].std_error) == ("exact_tensor", None)
+            assert correlation_length(rho, subset) == correlation_tensor(rho, subset).sum_squares()
 
 
 def test_moment_design_matches_exact_tensor():
@@ -540,6 +562,14 @@ def test_purity_from_moments_rejects_negative():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             purity_from_moments({(1,): bad})
+    # keys are non-empty sets of parties >= 1; the error names the bad key
+    for bad_key, moments_map in (
+        ("(0,)", {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (0,): 0.5}),
+        ("(0,)", {(0,): 0.1}),
+        ("()", {(): 1.0}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"subset key {bad_key} is not a non-empty set")):
+            purity_from_moments(moments_map)
 
 
 def test_all_subsets_counts():

@@ -1,0 +1,27 @@
+"""The runtime depends on numpy only: importing the package and its CLI
+loads none of the packages that only the tests and benches use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TEST_ONLY = ("scipy", "hypothesis", "pytest")
+
+
+def test_runtime_imports_load_no_test_only_package():
+    code = (
+        "import sys, randmeas, randmeas.cli\n"
+        "print(randmeas.__file__)\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {TEST_ONLY!r}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    source, loaded = result.stdout.splitlines()
+    assert Path(source).is_relative_to(SRC)
+    assert loaded == "[]"
