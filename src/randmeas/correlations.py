@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .sampling import RngStream, as_direction_array, uniform_directions
+from .sampling import RngStream, _block_rows, as_direction_array, uniform_directions
 from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
@@ -25,18 +25,6 @@ _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # Site transfer matrix: S[a, 2 r + c] = P_a[c, r], so contracting every
 # (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
 _SITE_TRANSFER = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4).copy()
-
-#: Bytes of per-block temporaries in every loop over settings rows
-#: (``correlation_values``, ``simulate_shots``, the bootstrap of
-#: ``moment_mc``): memory beyond their inputs and outputs does not grow
-#: with the number of rows.
-_BLOCK_BYTES = 4 << 20
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows per block when each row holds ``row_bytes`` of temporaries."""
-    return max(1, _BLOCK_BYTES // row_bytes)
-
 
 def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """Expectation values tr(rho P) for every Pauli string P.
@@ -152,19 +140,52 @@ def marginal_purity(rho: DensityMatrix, subset) -> float:
 def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Contract a (3,)*k tensor with per-sample directions (M, k, 3) -> (M,).
 
-    A row's temporaries are its partial contractions, 3^(k-1) floats for
-    the first site and fewer than half that for the rest.
+    The k sites split into the leading a = ceil(k/2) and the trailing
+    b = k - a.  Per row block, one matrix product contracts the tensor,
+    reshaped to 3^a x 3^b, with the per-row outer products of the leading
+    directions (3^a entries a row); a row-wise dot with the per-row outer
+    products of the trailing directions (3^b entries) finishes each value.
+    A lone site's product is a view of its direction rows, so at k <= 2
+    both calls see the operands of a site-by-site contraction and give
+    its bits.
+
+    A row's temporaries are the two outer products, each with the partial
+    product it grew from and one copied site (under 2 * 3^a and 2 * 3^b
+    floats), and the matrix product's result with its row-major copy
+    (2 * 3^b floats).
     """
     k = components.ndim
+    a = (k + 1) // 2
+    matrix = components.reshape(3**a, 3 ** (k - a))
     out = np.empty(directions.shape[0])
-    rows = _block_rows(4 * 3**k)
+    rows = _block_rows(8 * (2 * 3**a + 4 * 3 ** (k - a)))
     for start in range(0, directions.shape[0], rows):
         block = directions[start : start + rows]
-        vals = np.tensordot(block[:, 0, :], components, axes=(1, 0))
-        for j in range(1, k):
-            vals = np.einsum("mi...,mi->m...", vals, block[:, j, :])
-        out[start : start + block.shape[0]] = vals
+        # The tensor multiplies from the left, so rows run along the
+        # product's columns (along its rows, the BLAS kernel picked for the
+        # block's row count can change a row's bits); the row-major copy
+        # hands the dot the layout of a site-by-site contraction.
+        vals = np.tensordot(matrix, _outer_product(block[:, :a]), axes=(0, 0)).T.copy()
+        np.einsum(
+            "mi,mi->m", vals, _outer_product(block[:, a:]).T, out=out[start : start + len(block)]
+        )
     return out
+
+
+def _outer_product(block: np.ndarray) -> np.ndarray:
+    """Per-row outer product of the directions in a (rows, j, 3) block,
+    site-major with shape (3^j, rows): entry (i1 ... ij, m) is the product
+    of component i1 of the first direction of row m through component ij
+    of its last.  One site gives a view of its rows, none gives ones."""
+    rows = block.shape[0]
+    if block.shape[1] == 0:
+        return np.ones((1, rows))
+    prod = block[:, 0, :].T
+    for j in range(1, block.shape[1]):
+        # Site-major copies keep numpy's inner loop on the rows axis.
+        site = block[:, j, :].T.copy()
+        prod = (np.ascontiguousarray(prod)[:, None, :] * site).reshape(-1, rows)
+    return prod
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,13 +17,13 @@ import numpy as np
 
 from .correlations import (
     SampleSet,
-    _block_rows,
     correlation_length,
     correlation_tensor,
     normalize_subset,
 )
 from .sampling import (
     SphericalDesign,
+    _block_rows,
     _check_unit_norm,
     _generator,
     half_design,
@@ -443,7 +443,9 @@ def purity_from_moments(moments, atol: float = 1e-6) -> float:
 
     ``moments`` must contain every non-empty subset of {1..n}; the empty
     set contributes 1 by normalization.  Values may be MomentEstimates or
-    plain numbers and must be non-negative.
+    plain numbers and must be non-negative, except finite-shot estimates:
+    being unbiased, those of subsets whose moment is near 0 fall below 0
+    about half the time.
     """
     normalized = _normalize_moments(moments)
     n = max(key[-1] for key in normalized)
@@ -452,8 +454,8 @@ def purity_from_moments(moments, atol: float = 1e-6) -> float:
     for subset in all_subsets(n):
         if subset not in normalized:
             raise ValueError(f"missing subset {subset} in moments map")
-        value, std_error, _ = _entry_stats(normalized[subset])
-        if value < 0.0:
+        value, std_error, method = _entry_stats(normalized[subset])
+        if value < 0.0 and method != "finite_shot":
             raise ValueError(f"moment for subset {subset} is negative ({value!r})")
         exact_only = exact_only and std_error is None
         total += 3.0 ** len(subset) * value

@@ -17,6 +17,17 @@ _UINT64_MAX = 2**64 - 1
 
 DESIGN_VALIDATION_ATOL = 1e-12
 
+#: Bytes of per-block temporaries in every loop over rows of directions or
+#: settings (``uniform_directions``, ``correlation_values``,
+#: ``simulate_shots``, the bootstrap of ``moment_mc``): memory beyond their
+#: inputs and outputs does not grow with the number of rows.
+_BLOCK_BYTES = 4 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when each row holds ``row_bytes`` of temporaries."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -76,12 +87,23 @@ def uniform_directions(rng, count: int) -> np.ndarray:
 
     z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which
     is the pushforward of the Haar measure through U sigma_z U^dagger.
+    Both are drawn whole; the x and y columns are written in row blocks,
+    so the temporaries beyond z, the azimuth and the output stay within
+    the block budget.
     """
     gen = _generator(rng)
     z = gen.uniform(-1.0, 1.0, size=count)
     azimuth = gen.uniform(0.0, 2.0 * np.pi, size=count)
-    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([radial * np.cos(azimuth), radial * np.sin(azimuth), z], axis=1)
+    out = np.empty((count, 3))
+    out[:, 2] = z
+    # A row's temporaries: z^2, its radial factor and a cosine or sine.
+    rows = _block_rows(8 * 3)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        radial = np.sqrt(np.maximum(0.0, 1.0 - z[block] * z[block]))
+        np.multiply(radial, np.cos(azimuth[block]), out=out[block, 0])
+        np.multiply(radial, np.sin(azimuth[block]), out=out[block, 1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from randmeas.correlations import (
 )
 from randmeas.ensembles import random_density_matrix, random_local_unitaries
 from randmeas.moments import all_subsets, moment_mc
-from randmeas.sampling import RngStream, uniform_directions
+from randmeas.sampling import _BLOCK_BYTES, RngStream, uniform_directions
 from randmeas.states import (
     IDENTITY_2,
     SIGMA_X,
@@ -198,6 +198,39 @@ def test_correlation_values_blocks_match_one_block(k, monkeypatch):
     assert np.array_equal(correlation_values(components, dirs), one_block)
 
 
+def _correlation_values_sequential(components, directions):
+    """The body that ``correlation_values`` used to run, kept as an oracle:
+    per row block, a K = 3 ``tensordot`` with the first site and one
+    ``einsum`` per further site."""
+    k = components.ndim
+    out = np.empty(directions.shape[0])
+    rows = correlations._block_rows(4 * 3**k)
+    for start in range(0, directions.shape[0], rows):
+        block = directions[start : start + rows]
+        vals = np.tensordot(block[:, 0, :], components, axes=(1, 0))
+        for j in range(1, k):
+            vals = np.einsum("mi...,mi->m...", vals, block[:, j, :])
+        out[start : start + block.shape[0]] = vals
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_correlation_values_match_sequential_oracle(k):
+    states = [random_density_matrix(k, RngStream(27, k))]
+    if k >= 2:
+        states += [ghz(k), w_state(k)]
+    for rho in states:
+        components = correlation_tensor(rho, range(1, k + 1)).components
+        for m in (1, 2, 3_001):
+            dirs = uniform_directions(RngStream(28, m), m * k).reshape(m, k, 3)
+            values = correlation_values(components, dirs)
+            oracle = _correlation_values_sequential(components, dirs)
+            if k <= 2:
+                assert np.array_equal(values, oracle)
+            else:
+                assert np.max(np.abs(values - oracle)) <= 1e-15
+
+
 def test_sample_distribution_memory_is_capped_by_the_block_budget():
     rho = ghz(8)
     tracemalloc.start()
@@ -206,9 +239,25 @@ def test_sample_distribution_memory_is_capped_by_the_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The directions (19.2 MB) and the direction draw's temporaries stay;
-    # a single (M, 3^7) contraction block would take 1.75 GB.
-    assert peak < 64 * 2**20
+    # The directions (19.2 MB), the direction draw's z and azimuth (6.4 MB
+    # each) and one block of its temporaries stay; a single (M, 3^7)
+    # contraction block would take 1.75 GB.
+    assert peak < 48 * 2**20
+
+
+def test_correlation_values_memory_is_capped_by_the_block_budget():
+    components = correlation_tensor(random_density_matrix(8, RngStream(31)), range(1, 9)).components
+    peaks = {}
+    for m in (2 * 10**4, 2 * 10**5):
+        dirs = uniform_directions(RngStream(32, m), m * 8).reshape(m, 8, 3)
+        tracemalloc.start()
+        try:
+            correlation_values(components, dirs)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Only the output (8 bytes a row) grows with M.
+    assert peaks[2 * 10**5] - peaks[2 * 10**4] <= 8 * (2 * 10**5 - 2 * 10**4) + _BLOCK_BYTES
 
 
 def _pauli_coefficients_moveaxis(rho):

@@ -44,6 +44,22 @@ GOLDEN = {
             "samples.csv": "578767a50dc38852078ea66f9a49ca94f8e943374d276490048ff672d6a1f3d7",
         },
     ),
+    "sample_ghz4": (
+        "sample --state ghz:4 --samples 2000 --seed 5",
+        {
+            "histogram.csv": "9dd91886420fc2edb61de8139871075d1bb31ff0791f255a0bf75ed297a0d7ba",
+            "sample.json": "8c582fbfe0d56d043ec34013b1880c58fe5da3b819fe60a49817ebf8bdf93095",
+            "samples.csv": "c6752b9ac2852afaa6b50b0a521c7d5e04b5fe813e4aab339b6265aebcfe1e7c",
+        },
+    ),
+    "sample_w8": (
+        "sample --state w:8 --samples 3000 --seed 2",
+        {
+            "histogram.csv": "bac88259b818e8a9b4a4056a7e923dce3ee4d28f7343869666838dbeb7a715a2",
+            "sample.json": "20306c9caa6b89f0e52ab2edd4d4a04deeea50d05d78cf17197c79e2eba07ce2",
+            "samples.csv": "e8b749dccca380237fadae4fb54dd34c920cc7399dbead728982567239e6cfaf",
+        },
+    ),
     "design_sums_w4": (
         "moments --state w:4 --subset all --orders 2,4 --design 5 --format csv",
         {
@@ -56,6 +72,13 @@ GOLDEN = {
         {
             "moments.csv": "676b84cbb05b0b99c16eb6bdba70e6e4b1457b8231d02d9d28024555af8f223e",
             "moments.json": "210055d51f488da3b8660aa6b75475452dca68c4a54d8aaec003d3f08573a833",
+        },
+    ),
+    "monte_carlo_w5": (
+        "moments --state w:5 --orders 2,4 --samples 3000 --seed 1 --format csv",
+        {
+            "moments.csv": "cfc1d7ee2c08b848272eae26f1801470bb20daae3c780da3f8f228a2b7263b3b",
+            "moments.json": "8c186a330967321de5ca65c655f39070d57d7c68962cfe441cb1919b13853ae9",
         },
     ),
     "bootstrap_w4": (

@@ -572,6 +572,22 @@ def test_purity_from_moments_rejects_negative():
             purity_from_moments(moments_map)
 
 
+def test_purity_from_moments_accepts_negative_finite_shot_moments():
+    table = simulate_shots(ghz(3), random_settings(3, 200, RngStream(1)), 5, RngStream(2))
+    estimates = {subset: estimate_moment_from_shots(table, 2, subset) for subset in all_subsets(3)}
+    assert estimates[(1,)].value == pytest.approx(-0.014, abs=1e-12)
+    purity = purity_from_moments(estimates)
+    expected = 1.0 + sum(3.0 ** len(s) * e.value for s, e in estimates.items())
+    assert purity == pytest.approx(expected / 8.0, abs=1e-15)
+    # exact and plain-number moments below 0 are still refused
+    exact = exact_moment_map(ghz(3))
+    exact[(1,)] = MomentEstimate((1,), 2, -1e-10, None, "exact_tensor")
+    with pytest.raises(ValueError, match="negative"):
+        purity_from_moments(exact)
+    with pytest.raises(ValueError, match="negative"):
+        purity_from_moments({s: e.value for s, e in estimates.items()})
+
+
 def test_all_subsets_counts():
     assert len(all_subsets(4)) == 15
     assert len(all_subsets(4, min_size=2)) == 11

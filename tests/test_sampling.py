@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from randmeas import sampling
 from randmeas.sampling import (
+    _BLOCK_BYTES,
     RngStream,
     as_direction_array,
     design_points,
@@ -113,6 +117,41 @@ def test_uniform_direction_properties():
     z2 = z**2
     se = z2.std(ddof=1) / np.sqrt(z2.size)
     assert abs(z2.mean() - 1.0 / 3.0) < 3 * se
+
+
+def _uniform_directions_stacked(rng, count):
+    """The body that ``uniform_directions`` used to run, kept as a
+    bit-equality oracle: every product over the whole draw, then stacked."""
+    gen = sampling._generator(rng)
+    z = gen.uniform(-1.0, 1.0, size=count)
+    azimuth = gen.uniform(0.0, 2.0 * np.pi, size=count)
+    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([radial * np.cos(azimuth), radial * np.sin(azimuth), z], axis=1)
+
+
+@pytest.mark.parametrize(
+    "count, forced_rows",
+    [(1, None), (7, None), (7, 3), (3_001, 3)]
+    + [(count, rows) for count in (800_000, 800_003) for rows in (None, 1000, 32768)],
+)
+def test_uniform_directions_match_stacked_oracle(count, forced_rows, monkeypatch):
+    if forced_rows:
+        monkeypatch.setattr(sampling, "_block_rows", lambda _: forced_rows)
+    dirs = uniform_directions(RngStream(29, count), count)
+    assert np.array_equal(dirs, _uniform_directions_stacked(RngStream(29, count), count))
+
+
+def test_uniform_directions_memory_is_capped_by_the_block_budget():
+    count = 800_000
+    tracemalloc.start()
+    try:
+        uniform_directions(RngStream(30), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # z, the azimuth and the (count, 3) output hold 5 floats a row; the
+    # x and y products stay within one block, plus interpreter slack.
+    assert peak <= 5 * 8 * count + _BLOCK_BYTES + 64 * 1024
 
 
 def test_uniform_direction_marginals_are_uniform():
