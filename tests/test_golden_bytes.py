@@ -129,6 +129,42 @@ GOLDEN = {
             "criteria.json": "195596df0562faabeec48ca694a5f603af78751ee2a5864b3e9a7d87c4b23b00",
         },
     ),
+    "sample_product2_density": (
+        "sample --state product2 --samples 500 --seed 1",
+        {
+            "density.csv": "cdabe17b1b9722c072c86965c4650f6375a716618716470a7fc8e5b70c9d210b",
+            "histogram.csv": "b2bae90695acf2d15cd9a8ad96ba1bb63eb96aad56de23b8deb710abfbbd22fa",
+            "sample.json": "ab38cd506e200ff852f793e2c08c6c86fb8923aa079100a106bd47f27b664219",
+            "samples.csv": "afce94cdc988b9a9ee2083d445e3705f23868dec8246cae0c84f2e4f19c85717",
+        },
+    ),
+    "sample_werner_density": (
+        "sample --state werner:0.3 --samples 500 --seed 1",
+        {
+            "density.csv": "5a41dfae1888f1a8cb3b29f13c54ba18174ddac6151af4da1f46f755df3d0b7f",
+            "histogram.csv": "786c1d9b807383959479e49b2c56dfd0fb0e69a808b47c01e73746edc97fa28c",
+            "sample.json": "a239251f033224aad765fb685ba972242587779cfcc8cd7a2b42640da1439c20",
+            "samples.csv": "68036da1e02fca3854644e1af31c81d37615ee9bb9e7aa90f50d632cb9017680",
+        },
+    ),
+    "structure_trisep4": (
+        "criteria --state trisep4 --structure",
+        {
+            "criteria.json": "a8be4ac26e1d108fd5f5f35759a111c9d35b09d853a4917dab4bc82b02fc9122",
+        },
+    ),
+    "bisep3_product_zero3": (
+        "criteria --state product_zero:3 --test bisep3",
+        {
+            "criteria.json": "242decfafbdd045ef417ec8e22a233debbb8f86c1824adb22f6f7a36c0c8d9f7",
+        },
+    ),
+    "wclass_ghz8": (
+        "criteria --state ghz:8 --test wclass",
+        {
+            "criteria.json": "77b5b514f8cec59bc98532c54b62fd577a963d9451e9a63e81b51b411f6d18db",
+        },
+    ),
     "structure_bisep4": (
         "criteria --state bisep4:0.2 --test gme4 --structure",
         {

@@ -1,0 +1,18 @@
+"""The README's Python examples must run against the current API."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md block {index}", "exec"), {})
