@@ -38,9 +38,7 @@ from .moments import (
     estimate_moment_from_shots,
     exact_moment_map,
     moment_design,
-    moment_design_half,
     moment_exact_t2,
-    moment_mc,
     purity_from_moments,
     simulate_shots,
 )

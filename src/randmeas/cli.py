@@ -47,7 +47,7 @@ from .moments import (
     random_settings,
     simulate_shots,
 )
-from .sampling import RngStream, design_points, design_to_csv, validate_design
+from .sampling import RngStream, design_points, validate_design
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
@@ -248,13 +248,9 @@ def cmd_sample(config: RunConfig) -> int:
             density_info = {"kind": density.kind, "point_mass_at": 0.0}
         else:
             edges = np.linspace(-1.0, 1.0, 82)
-            cdf_vals = density.cdf(edges)
-            rows = []
-            for i in range(81):
-                width = edges[i + 1] - edges[i]
-                mean_density = (cdf_vals[i + 1] - cdf_vals[i]) / width
-                center = 0.5 * (edges[i] + edges[i + 1])
-                rows.append((float(edges[i]), float(edges[i + 1]), float(center), float(mean_density)))
+            left, right = edges[:-1], edges[1:]
+            mean_density = np.diff(density.cdf(edges)) / (right - left)
+            rows = np.column_stack([left, right, 0.5 * (left + right), mean_density]).tolist()
             _write_table(out / "density.csv", "bin_left,bin_right,bin_center,mean_density", rows)
             files.append("density.csv")
             density_info = {"kind": density.kind, "support": list(density.support)}
@@ -431,7 +427,7 @@ def cmd_design(config: RunConfig) -> int:
     design = design_points(config.design)
     report = validate_design(design, config.design)
     out = _out_dir(config)
-    design_to_csv(design, out / "design.csv")
+    _write_table(out / "design.csv", "x,y,z", design.points.tolist())
     _write_json(
         out / "design_validation.json",
         _metadata(config, validation=report.to_dict()),

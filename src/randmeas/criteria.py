@@ -1,10 +1,10 @@
 """Entanglement verdicts computed from correlation moments.
 
-Each criterion returns a Verdict whose margin is oriented so that a
-positive value always means "property detected / class excluded".
-Exact inputs are decided against a small numerical floor; statistical
-inputs additionally require the margin to clear z propagated standard
-errors (z = 3 by default).
+Each criterion returns a Verdict whose margin, statistic minus
+threshold, is oriented so that a positive value always means "property
+detected / class excluded".  Exact inputs are decided against a small
+numerical floor; statistical inputs must have the margin clear z = 3
+propagated standard errors.  Both constants are fixed.
 """
 
 from __future__ import annotations
@@ -57,10 +57,15 @@ class Verdict:
         }
 
 
-def _decide(margin: float, std_error: float | None, z: float, atol: float) -> bool:
+def _verdict(criterion, statistic, threshold, std_error, provenance, note="") -> Verdict:
+    """The one decision rule: the margin must clear DEFAULT_Z standard
+    errors, or DETECTION_ATOL when there is no positive error."""
+    margin = statistic - threshold
     if std_error is not None and std_error > 0.0:
-        return margin > z * std_error
-    return margin > atol
+        detected = margin > DEFAULT_Z * std_error
+    else:
+        detected = margin > DETECTION_ATOL
+    return Verdict(criterion, statistic, threshold, margin, detected, std_error, provenance, note)
 
 
 def m_quantifier(moments, full_subset) -> float:
@@ -96,23 +101,16 @@ def _m_quantifier_stats(normalized, full):
     return value, variance, tuple(sorted(methods))
 
 
-def gme_test_4(
-    moments,
-    purity: float,
-    z: float = DEFAULT_Z,
-    atol: float = DETECTION_ATOL,
-) -> Verdict:
+def gme_test_4(moments, purity: float) -> Verdict:
     """Genuine four-partite entanglement test: M_4 > (8/81)(1 - purity)."""
     normalized = _normalize_moments(moments)
     full = max(normalized, key=len)
     if len(full) != 4:
         raise ValueError(f"this bound applies to four qubits only, got {len(full)} parties")
-    return _marginal_bound_verdict(
-        normalized, full, purity, z=z, atol=atol, criterion="gme_moments_n4"
-    )
+    return _marginal_bound_verdict(normalized, full, purity, "gme_moments_n4")
 
 
-def _marginal_bound_verdict(normalized, subset, purity, z, atol, criterion):
+def _marginal_bound_verdict(normalized, subset, purity, criterion):
     k = len(subset)
     if k not in M_BOUND_COEFF:
         raise ValueError(f"no bound coefficient configured for {k} parties")
@@ -120,17 +118,8 @@ def _marginal_bound_verdict(normalized, subset, purity, z, atol, criterion):
         raise ValueError(f"purity must lie in (0, 1], got {purity!r}")
     value, variance, methods = _m_quantifier_stats(normalized, subset)
     threshold = M_BOUND_COEFF[k] * max(0.0, 1.0 - purity)
-    margin = value - threshold
     std_error = sqrt(variance) if variance > 0.0 else None
-    return Verdict(
-        criterion=criterion,
-        statistic=value,
-        threshold=threshold,
-        margin=margin,
-        detected=_decide(margin, std_error, z, atol),
-        std_error=std_error,
-        inputs_provenance=methods,
-    )
+    return _verdict(criterion, value, threshold, std_error, methods)
 
 
 @dataclass(frozen=True)
@@ -157,12 +146,7 @@ class StructureReport:
         }
 
 
-def structure_report(
-    moments,
-    purities,
-    z: float = DEFAULT_Z,
-    atol: float = DETECTION_ATOL,
-) -> StructureReport:
+def structure_report(moments, purities) -> StructureReport:
     """Apply the marginal bound to every subset of size >= 2.
 
     ``purities`` maps each such subset to the purity of its marginal;
@@ -178,23 +162,20 @@ def structure_report(
         if subset not in purities:
             raise ValueError(f"missing purity for subset {subset}")
         verdicts[subset] = _marginal_bound_verdict(
-            normalized, subset, float(purities[subset]), z=z, atol=atol,
-            criterion=f"marginal_bound_k{len(subset)}",
+            normalized, subset, float(purities[subset]), f"marginal_bound_k{len(subset)}"
         )
     full = tuple(range(1, n + 1))
     return StructureReport(full, verdicts.pop(full), verdicts)
 
 
-def structure_report_from_state(
-    rho: DensityMatrix, z: float = DEFAULT_Z, atol: float = DETECTION_ATOL
-) -> StructureReport:
+def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
     """Structure report from exact moments and marginal purities of a state,
     both read off ``rho.pauli``."""
     purities = {
         subset: marginal_purity(rho, subset)
         for subset in all_subsets(rho.n_qubits, min_size=2)
     }
-    return structure_report(exact_moment_map(rho), purities, z=z, atol=atol)
+    return structure_report(exact_moment_map(rho), purities)
 
 
 def bisep_line_3_r4(r2: float) -> float:
@@ -202,12 +183,7 @@ def bisep_line_3_r4(r2: float) -> float:
     return (972.0 * r2**2 + 90.0 * r2 - 5.0) / 425.0
 
 
-def bisep_line_3(
-    r2,
-    r4,
-    z: float = DEFAULT_Z,
-    atol: float = DETECTION_ATOL,
-) -> Verdict:
+def bisep_line_3(r2, r4) -> Verdict:
     """Three-qubit biseparability line in the (r2, r4) plane.
 
     Biseparable states satisfy r4 >= bisep_line_3_r4(r2); a fourth moment
@@ -229,15 +205,8 @@ def bisep_line_3(
     note = f"line value at r2: {rhs!r}"
     if rhs >= 1.0:
         note += "; line above the attainable range r4 <= 1, criterion vacuous here"
-    return Verdict(
-        criterion="three_qubit_biseparability_line",
-        statistic=statistic,
-        threshold=0.0,
-        margin=statistic,
-        detected=_decide(statistic, std_error, z, atol),
-        std_error=std_error,
-        inputs_provenance=(r2_method, r4_method),
-        note=note,
+    return _verdict(
+        "three_qubit_biseparability_line", statistic, 0.0, std_error, (r2_method, r4_method), note
     )
 
 
@@ -248,52 +217,25 @@ def w_class_chi(n: int) -> float:
     return (5.0 - 4.0 / n) / 3.0**n
 
 
-def w_class_witness(
-    r2,
-    n: int,
-    z: float = DEFAULT_Z,
-    atol: float = DETECTION_ATOL,
-) -> Verdict:
+def w_class_witness(r2, n: int) -> Verdict:
     """Exclusion from the mixed W class: r2 above chi(n) rules it out."""
     chi = w_class_chi(n)
     r2_val, r2_err, r2_method = _entry_stats(r2)
     if not -1e-9 <= r2_val <= 1.0 + 1e-9:
         raise ValueError(f"r2 must lie in [0, 1], got {r2_val!r}")
-    margin = r2_val - chi
-    return Verdict(
-        criterion="w_class_exclusion",
-        statistic=r2_val,
-        threshold=chi,
-        margin=margin,
-        detected=_decide(margin, r2_err, z, atol),
-        std_error=r2_err,
-        inputs_provenance=(r2_method,),
-        note=f"n={n}; excluded from the convex hull of the W class when detected",
+    return _verdict(
+        "w_class_exclusion", r2_val, chi, r2_err, (r2_method,),
+        f"n={n}; excluded from the convex hull of the W class when detected",
     )
 
 
-def entanglement_by_length(
-    length,
-    n: int | None = None,
-    z: float = DEFAULT_Z,
-    atol: float = DETECTION_ATOL,
-) -> Verdict:
+def entanglement_by_length(length, n: int | None = None) -> Verdict:
     """Correlation length above the product-state value 1 signals
     entanglement (not necessarily genuine multipartite)."""
     value, err, method = _entry_stats(length)
     if value < 0.0:
         raise ValueError(f"correlation length must be non-negative, got {value!r}")
-    margin = value - 1.0
     note = "entanglement (not necessarily genuine multipartite)"
     if n is not None:
         note += f"; n={n}"
-    return Verdict(
-        criterion="correlation_length_threshold",
-        statistic=value,
-        threshold=1.0,
-        margin=margin,
-        detected=_decide(margin, err, z, atol),
-        std_error=err,
-        inputs_provenance=(method,),
-        note=note,
-    )
+    return _verdict("correlation_length_threshold", value, 1.0, err, (method,), note)

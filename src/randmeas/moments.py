@@ -15,18 +15,12 @@ from math import comb
 
 import numpy as np
 
-from .correlations import (
-    SampleSet,
-    correlation_length,
-    correlation_tensor,
-    normalize_subset,
-)
+from .correlations import SampleSet, _slab, correlation_length, normalize_subset
 from .sampling import (
     SphericalDesign,
     _block_rows,
     _check_unit_norm,
     _generator,
-    half_design,
     uniform_directions,
 )
 from .states import DensityMatrix
@@ -112,24 +106,6 @@ def _normalize_moments(moments) -> dict:
     return normalized
 
 
-def moment_mc(
-    samples: SampleSet,
-    t: int,
-    bootstrap: bool = False,
-    bootstrap_resamples: int = 1000,
-    rng=None,
-) -> MomentEstimate:
-    """Monte-Carlo moment: sample mean of E^t with a plug-in standard error.
-
-    With ``bootstrap=True`` the standard error is instead the spread of
-    ``bootstrap_resamples`` resampled means (requires ``rng``).  Resamples
-    are drawn in blocks of rows, each row holding its M indices and M
-    resampled powers; consecutive draws from one generator equal those of
-    a single (resamples, M) call.
-    """
-    return moments_mc(samples, (t,), bootstrap, bootstrap_resamples, rng)[0]
-
-
 def moments_mc(
     samples: SampleSet,
     orders,
@@ -137,9 +113,17 @@ def moments_mc(
     bootstrap_resamples: int = 1000,
     rng=None,
 ) -> list:
-    """``moment_mc`` for every order in ``orders``, bootstrapping them all
-    from one draw of index rows: each estimate equals its own
-    ``moment_mc`` call with the same ``rng``."""
+    """Monte-Carlo moments, one per order in ``orders``: sample means of
+    E^t with plug-in standard errors.
+
+    With ``bootstrap=True`` each standard error is instead the spread of
+    ``bootstrap_resamples`` resampled means (requires ``rng``).  Every
+    order reads one draw of index rows, so each estimate equals that of
+    its own single-order call with the same ``rng``.  Resamples are drawn
+    in blocks of rows, each row holding its M indices and M resampled
+    powers; consecutive draws from one generator equal those of a single
+    (resamples, M) call.
+    """
     orders = [_check_order(t) for t in orders]
     m = samples.settings_count
     if m < 2:
@@ -190,7 +174,8 @@ def _design_moment(
     """Mean of E^t over every direction tuple of ``points`` (an (N, 3)
     array exact for polynomials of degree <= ``degree``).  Tuples are
     summed in lexicographic order with pairwise summation for
-    reproducibility."""
+    reproducibility.  ``half_design(design)`` as ``points`` sums one
+    direction per antipodal pair, which is exact for even t only."""
     t = _check_order(t)
     if degree < t:
         raise ValueError(
@@ -199,7 +184,7 @@ def _design_moment(
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
     _check_design_tuples(len(points), k)
-    grid = correlation_tensor(rho, parties).components
+    grid = _slab(rho.pauli, parties, slice(1, 4))
     for _ in range(k):
         # consume the leading site axis, appending its point axis at the end
         grid = np.tensordot(grid, points, axes=(0, 1))
@@ -217,18 +202,6 @@ def moment_design(
     degree >= t reproduces the sphere integral exactly.
     """
     return _design_moment(rho, subset, t, design.degree, design.points)
-
-
-def moment_design_half(
-    rho: DensityMatrix, subset, t: int, design: SphericalDesign
-) -> MomentEstimate:
-    """Design moment using one direction per antipodal pair.
-
-    Valid for even t only: even powers of E are parity-invariant per site.
-    """
-    if _check_order(t) % 2:
-        raise ValueError(f"half-design summation requires even t, got t={t}")
-    return _design_moment(rho, subset, t, design.degree, half_design(design))
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +254,6 @@ class ShotTable:
     @property
     def shots_per_setting(self) -> int:
         return self.outcomes.shape[1]
-
-    def to_csv(self, path) -> None:
-        k = self.n_parties
-        header = "setting_index,shot_index," + ",".join(f"s{j+1}" for j in range(k))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for m in range(self.n_settings):
-                for shot in range(self.shots_per_setting):
-                    signs = ",".join(str(int(s)) for s in self.outcomes[m, shot])
-                    fh.write(f"{m},{shot},{signs}\n")
 
 
 def random_settings(n: int, m: int, rng) -> np.ndarray:

@@ -19,7 +19,7 @@ DESIGN_VALIDATION_ATOL = 1e-12
 
 #: Bytes of per-block temporaries in every loop over rows of directions or
 #: settings (``uniform_directions``, ``correlation_values``,
-#: ``simulate_shots``, the bootstrap of ``moment_mc``): memory beyond their
+#: ``simulate_shots``, the bootstrap of ``moments_mc``): memory beyond their
 #: inputs and outputs does not grow with the number of rows.
 _BLOCK_BYTES = 4 << 20
 
@@ -272,11 +272,3 @@ def half_design(design: SphericalDesign) -> np.ndarray:
     ):
         raise ValueError("point set is not antipodally symmetric")
     return kept
-
-
-def design_to_csv(design: SphericalDesign, path) -> None:
-    """Write the design points as x,y,z rows with 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("x,y,z\n")
-        for x, y, z in design.points:
-            fh.write(f"{x:.17g},{y:.17g},{z:.17g}\n")

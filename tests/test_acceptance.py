@@ -35,7 +35,7 @@ from randmeas.moments import (
     exact_moment_map,
     moment_design,
     moment_exact_t2,
-    moment_mc,
+    moments_mc,
     purity_from_moments,
     random_settings,
     simulate_shots,
@@ -102,7 +102,7 @@ def test_criterion_2_moment_oracle_triangle():
             assert abs(exact - via_design) < 1e-12, (name, subset)
             stream += 1
             samples = sample_distribution(rho, subset, m, RngStream(107, stream))
-            mc = moment_mc(samples, 2)
+            (mc,) = moments_mc(samples, (2,))
             tolerance = max(4.0 * mc.std_error, 1e-12)
             assert abs(mc.value - exact) < tolerance, (name, subset)
 

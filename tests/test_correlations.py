@@ -20,7 +20,7 @@ from randmeas.correlations import (
     sample_distribution,
 )
 from randmeas.ensembles import random_density_matrix, random_local_unitaries
-from randmeas.moments import all_subsets, moment_mc
+from randmeas.moments import all_subsets, moments_mc
 from randmeas.sampling import _BLOCK_BYTES, RngStream, uniform_directions
 from randmeas.states import (
     IDENTITY_2,
@@ -308,8 +308,8 @@ def test_sample_distribution_is_deterministic_and_validated():
 def test_sampled_second_moment_is_lu_invariant():
     rho = ghz(3)
     rotated = apply_local_unitaries(rho, random_local_unitaries(3, RngStream(9)))
-    m1 = moment_mc(sample_distribution(rho, (1, 2, 3), 20_000, RngStream(10)), 2)
-    m2 = moment_mc(sample_distribution(rotated, (1, 2, 3), 20_000, RngStream(11)), 2)
+    (m1,) = moments_mc(sample_distribution(rho, (1, 2, 3), 20_000, RngStream(10)), (2,))
+    (m2,) = moments_mc(sample_distribution(rotated, (1, 2, 3), 20_000, RngStream(11)), (2,))
     combined = np.hypot(m1.std_error, m2.std_error)
     assert abs(m1.value - m2.value) < 4 * combined
 

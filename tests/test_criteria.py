@@ -20,6 +20,7 @@ from randmeas.ensembles import (
 )
 from randmeas.moments import (
     MomentEstimate,
+    all_subsets,
     exact_moment_map,
     moment_design,
     moment_exact_t2,
@@ -201,7 +202,7 @@ def test_entanglement_by_length_verdicts():
 
 
 def test_statistical_inputs_require_z_sigma_margin():
-    # margin of two standard errors: not detected at z=3, detected at z=1
+    # margin of two standard errors: not detected at z = 3
     noisy = MomentEstimate((1, 2), 2, 0.35, 0.05, "monte_carlo", samples=100)
     low = w_class_witness(noisy, 4)  # margin ~ 0.30 >> 3 sigma: detected
     assert low.detected
@@ -209,7 +210,58 @@ def test_statistical_inputs_require_z_sigma_margin():
         (1, 2, 3, 4), 2, w_class_chi(4) + 0.02, 0.01, "monte_carlo", samples=100
     )
     assert not w_class_witness(borderline, 4).detected
-    assert w_class_witness(borderline, 4, z=1.0).detected
+
+
+def _estimate(subset, t, value, std_error):
+    return MomentEstimate(subset, t, value, std_error, "monte_carlo", samples=100)
+
+
+def _gme4_at(sigmas):
+    """Margin ``sigmas`` propagated errors: the full-set error plus the
+    single-party one, weighted by the moment of the other three parties."""
+    m1, e1, m234, e_full, purity = 0.1, 0.02, 0.2, 0.01, 0.5
+    std_error = np.hypot(e_full, m234 * e1)
+    threshold = M_BOUND_COEFF[4] * (1.0 - purity)
+    moments = {subset: 0.0 for subset in all_subsets(4)}
+    moments[(1,)] = _estimate((1,), 2, m1, e1)
+    moments[(2, 3, 4)] = m234
+    # the pairs (1 | 234) and (234 | 1) each subtract m1 * m234 / 2
+    full = threshold + m1 * m234 + sigmas * std_error
+    moments[(1, 2, 3, 4)] = _estimate((1, 2, 3, 4), 2, full, e_full)
+    return gme_test_4(moments, purity), std_error
+
+
+def _bisep3_at(sigmas):
+    r2, e2, e4 = 0.2, 0.005, 0.01
+    std_error = np.hypot((1944.0 * r2 + 90.0) / 425.0 * e2, e4)
+    r4 = bisep_line_3_r4(r2) - sigmas * std_error
+    return bisep_line_3(_estimate((1, 2, 3), 2, r2, e2), _estimate((1, 2, 3), 4, r4, e4)), std_error
+
+
+def _wclass_at(sigmas):
+    r2 = _estimate((1, 2, 3, 4), 2, w_class_chi(4) + sigmas * 0.01, 0.01)
+    return w_class_witness(r2, 4), 0.01
+
+
+def _length_at(sigmas):
+    # finite-shot estimates are the ones whose even-order values may leave [0, 1]
+    length = MomentEstimate((1, 2, 3), 2, 1.0 + sigmas * 0.01, 0.01, "finite_shot", 100, 4)
+    return entanglement_by_length(length, 3), 0.01
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_gme4_at, _bisep3_at, _wclass_at, _length_at],
+    ids=["gme4", "bisep3", "wclass", "length"],
+)
+def test_every_criterion_decides_at_three_propagated_errors(build):
+    """Each builder returns the verdict for inputs whose margin is
+    ``sigmas`` propagated standard errors, and that error worked out by hand."""
+    for sigmas, detected in ((2.9, False), (3.1, True)):
+        verdict, std_error = build(sigmas)
+        assert verdict.std_error == pytest.approx(std_error, rel=1e-12)
+        assert verdict.margin == pytest.approx(sigmas * std_error, rel=1e-9)
+        assert verdict.detected is detected
 
 
 def test_exact_margin_floor_suppresses_float_noise():

@@ -18,20 +18,19 @@ from randmeas.correlations import (
 from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
     MomentEstimate,
+    _design_moment,
     ShotTable,
     all_subsets,
     estimate_moment_from_shots,
     exact_moment_map,
     moment_design,
-    moment_design_half,
     moment_exact_t2,
-    moment_mc,
     moments_mc,
     purity_from_moments,
     random_settings,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, _generator, design_points
+from randmeas.sampling import RngStream, _generator, design_points, half_design
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
@@ -62,43 +61,43 @@ def _record_block_rows(monkeypatch, module):
 
 def test_moment_mc_bell_second_moment():
     samples = sample_distribution(bell_psi_minus(), (1, 2), 50_000, RngStream(30))
-    est = moment_mc(samples, 2)
+    (est,) = moments_mc(samples, (2,))
     assert abs(est.value - 1.0 / 3.0) < 4 * est.std_error
     assert est.method == "monte_carlo" and est.samples == 50_000
 
 
 def test_moment_mc_product_second_moment():
     samples = sample_distribution(product_zero(2), (1, 2), 50_000, RngStream(31))
-    est = moment_mc(samples, 2)
+    (est,) = moments_mc(samples, (2,))
     assert abs(est.value - 1.0 / 9.0) < 4 * est.std_error
 
 
 def test_moment_mc_point_mass_has_zero_error():
     white = werner(0.0)
     samples = sample_distribution(white, (1, 2), 1000, RngStream(32))
-    est = moment_mc(samples, 4)
+    (est,) = moments_mc(samples, (4,))
     assert est.value == 0.0 and est.std_error == 0.0
 
 
 def test_moment_mc_validation():
     samples = sample_distribution(bell_psi_minus(), (1, 2), 1, RngStream(33))
     with pytest.raises(ValueError, match="M >= 2"):
-        moment_mc(samples, 2)
+        moments_mc(samples, (2,))
     good = sample_distribution(bell_psi_minus(), (1, 2), 10, RngStream(33))
     with pytest.raises(ValueError, match="positive integer"):
-        moment_mc(good, 0)
+        moments_mc(good, (0,))
 
 
 def test_moment_mc_bootstrap_error_is_close_to_plugin():
     samples = sample_distribution(bell_psi_minus(), (1, 2), 20_000, RngStream(34))
-    plain = moment_mc(samples, 2)
-    boot = moment_mc(samples, 2, bootstrap=True, rng=RngStream(35))
+    (plain,) = moments_mc(samples, (2,))
+    (boot,) = moments_mc(samples, (2,), bootstrap=True, rng=RngStream(35))
     assert boot.value == plain.value
     assert abs(boot.std_error - plain.std_error) < 0.3 * plain.std_error
 
 
 def _bootstrap_std_error_oracle(samples, t, resamples, rng):
-    """The one-call bootstrap that ``moment_mc`` used to run: all
+    """The one-call bootstrap that ``moments_mc`` used to run: all
     resamples' indices drawn as one (resamples, M) array."""
     powers = samples.values**t
     m = samples.settings_count
@@ -115,7 +114,7 @@ def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
         rows = _record_block_rows(monkeypatch, moments)
     samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38, m))
     for t in (2, 4):
-        boot = moment_mc(samples, t, bootstrap=True, bootstrap_resamples=200, rng=RngStream(39, t))
+        (boot,) = moments_mc(samples, (t,), True, 200, RngStream(39, t))
         assert boot.std_error == _bootstrap_std_error_oracle(samples, t, 200, RngStream(39, t))
     if m == 20_000 and not forced_rows:
         assert 1 < rows[0] < 200  # several blocks under the real budget
@@ -132,7 +131,7 @@ def test_shared_row_bootstrap_matches_per_order_calls(m, forced_rows, monkeypatc
     for bootstrap in (True, False):
         shared = moments_mc(samples, (2, 4), bootstrap, 200, RngStream(41, m))
         for t, estimate in zip((2, 4), shared):
-            alone = moment_mc(samples, t, bootstrap, 200, RngStream(41, m))
+            (alone,) = moments_mc(samples, (t,), bootstrap, 200, RngStream(41, m))
             assert estimate.to_dict() == alone.to_dict()
     if m == 20_000 and not forced_rows:
         assert 1 < rows[0] < 200  # several shared blocks under the real budget
@@ -208,7 +207,7 @@ def test_moment_design_fourth_moment_against_monte_carlo():
     rho = ghz(3)
     exact = moment_design(rho, (1, 2, 3), 4, D5)
     samples = sample_distribution(rho, (1, 2, 3), 1_000_000, RngStream(36))
-    mc = moment_mc(samples, 4)
+    (mc,) = moments_mc(samples, (4,))
     assert abs(exact.value - mc.value) < 4 * mc.std_error
     # frozen analytic value for the three-qubit GHZ fourth moment
     assert exact.value == pytest.approx(64.0 / 1125.0, abs=1e-12)
@@ -220,20 +219,14 @@ def test_moment_design_rejects_insufficient_degree():
 
 
 def test_half_design_moments_match_full():
-    assert moment_design_half(
-        bell_psi_minus(), (1, 2), 2, D3
-    ).value == pytest.approx(1.0 / 3.0, abs=1e-13)
-    full = moment_design(ghz(3), (1, 2, 3), 4, D5).value
-    half = moment_design_half(ghz(3), (1, 2, 3), 4, D5).value
-    assert abs(full - half) < 1e-13
-    assert moment_design_half(
-        product_zero(2), (1, 2), 2, D3
-    ).value == pytest.approx(1.0 / 9.0, abs=1e-13)
-
-
-def test_half_design_rejects_odd_order():
-    with pytest.raises(ValueError, match="even t"):
-        moment_design_half(ghz(3), (1, 2, 3), 3, D5)
+    for rho, subset, t, design, exact in [
+        (bell_psi_minus(), (1, 2), 2, D3, 1.0 / 3.0),
+        (ghz(3), (1, 2, 3), 4, D5, 64.0 / 1125.0),
+        (product_zero(2), (1, 2), 2, D3, 1.0 / 9.0),
+    ]:
+        half = _design_moment(rho, subset, t, design.degree, half_design(design)).value
+        assert abs(half - moment_design(rho, subset, t, design).value) < 1e-13
+        assert half == pytest.approx(exact, abs=1e-13)
 
 
 def test_overcomplete_design_consistency():
@@ -248,7 +241,7 @@ def test_oracle_triangle_small_scale():
         exact = moment_exact_t2(correlation_tensor(state, subset)).value
         via_design = moment_design(state, subset, 2, D3).value
         assert abs(exact - via_design) < 1e-12
-        mc = moment_mc(sample_distribution(state, subset, 50_000, RngStream(37)), 2)
+        (mc,) = moments_mc(sample_distribution(state, subset, 50_000, RngStream(37)), (2,))
         assert abs(mc.value - exact) < 4 * mc.std_error
 
 
@@ -362,13 +355,9 @@ def test_marginal_moment_from_joint_shots():
     assert abs(est.value - exact) < 4 * est.std_error
 
 
-def test_shot_table_validation_and_csv(tmp_path):
+def test_shot_table_validation():
     settings = random_settings(2, 3, RngStream(56))
     table = simulate_shots(bell_psi_minus(), settings, 2, RngStream(57))
-    path = tmp_path / "shots.csv"
-    table.to_csv(path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (6, 4)
     with pytest.raises(ValueError, match="\\+-1"):
         ShotTable(settings, np.zeros((3, 2, 2)))
     for bad in (np.nan, np.inf):

@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 from randmeas import sampling
+from randmeas.cli import main
 from randmeas.sampling import (
     _BLOCK_BYTES,
     RngStream,
     as_direction_array,
     design_points,
-    design_to_csv,
     haar_unitaries,
     half_design,
     sphere_monomial_integral,
@@ -254,8 +254,6 @@ def test_spherical_design_points_are_a_checked_read_only_array():
 
 
 def test_design_csv_round_trip(tmp_path):
-    design = design_points(5)
-    path = tmp_path / "design.csv"
-    design_to_csv(design, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(rows, design.as_array())
+    assert main(["design", "--order", "5", "--output", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "design.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows, design_points(5).points)
