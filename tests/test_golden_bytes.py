@@ -44,6 +44,14 @@ GOLDEN = {
             "samples.csv": "578767a50dc38852078ea66f9a49ca94f8e943374d276490048ff672d6a1f3d7",
         },
     ),
+    "sample_w4_single": (
+        "sample --state w:4 --subset 1 --samples 2000 --seed 3",
+        {
+            "histogram.csv": "b087cbe4b5134fa3ee908e9853a512d439ed5a10046d39fe06019cdff23f5985",
+            "sample.json": "764af467ead29c0f4129a54285763bb3e8b9abd607f9eee2d26ffa3b5718c1b0",
+            "samples.csv": "fa576daf99e18dae584c616525fc0d4def9d3b97d8797ca0b18d5ce3b59739f9",
+        },
+    ),
     "sample_ghz4": (
         "sample --state ghz:4 --samples 2000 --seed 5",
         {
@@ -67,6 +75,20 @@ GOLDEN = {
             "moments.json": "97f0732745d853c58a9da01221a9cb9bcbb666642fcd27599a5a0b2274fb2e78",
         },
     ),
+    "design_sums_w5_odd": (
+        "moments --state w:5 --subset all --orders 2,3,4,5 --design 5 --format csv",
+        {
+            "moments.csv": "e8fe92b22076cf7ec1725a21b9c89248cddb4f7bce45d59d1a3eecfe599f11a1",
+            "moments.json": "f3e6e2a6bd124db4619dd666b898384a03d0588d896267ca498280b02d05eeec",
+        },
+    ),
+    "monte_carlo_ghz3_odd": (
+        "moments --state ghz:3 --orders 1,3 --samples 2000 --seed 6 --format csv",
+        {
+            "moments.csv": "1ff9a36b4f5db4e479b0fd0184baa3e9c79adfee6245690e0b6ca27bee59f78e",
+            "moments.json": "7998fa1315dc9cbbe17164f6218a82b302f5fc4f7a7254842174e8cc038fa3bd",
+        },
+    ),
     "monte_carlo_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
@@ -85,6 +107,12 @@ GOLDEN = {
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
             "moments.json": "73aeb7ac8756335db1086474426b3186a431af430428cb076e6f679ace3b9cb1",
+        },
+    ),
+    "bootstrap_w4_all": (
+        "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
+        {
+            "moments.json": "9690f2f34ffaeceb323dd7c92837aec7d619f45df03676d38bcd35671b125e03",
         },
     ),
     "shots_ghz3": (
