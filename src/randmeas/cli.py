@@ -28,16 +28,17 @@ from .correlations import (
     sample_distribution,
 )
 from .criteria import (
+    _structure_report_of_state,
     bisep_line_3,
     entanglement_by_length,
     gme_test_4,
-    structure_report_from_state,
     w_class_witness,
 )
 from .moments import (
     _check_design_tuples,
     _check_order,
     _check_shots_cover_order,
+    _design_moment,
     all_subsets,
     estimate_moment_from_shots,
     exact_moment_map,
@@ -340,10 +341,9 @@ def cmd_moments(config: RunConfig) -> int:
         estimates = [estimate_moment_from_shots(table, t, parties=s) for s in subsets for t in config.orders]
     elif config.design:
         for subset in subsets:
-            for t in config.orders:
-                est = moment_design(rho, subset, t, design)
+            for est in _design_moment(rho, subset, config.orders, design.degree, design.points):
                 estimates.append(est)
-                if do_checks and t == 2:
+                if do_checks and est.order == 2:
                     checks.append(_cross_check(rho, subset, est))
     else:
         for subset_index, subset in enumerate(subsets):
@@ -388,10 +388,12 @@ def cmd_criteria(config: RunConfig) -> int:
     full = tuple(range(1, n + 1))
     verdicts = []
     structure = None
+    moments = None
     if config.test == "gme4":
         if n != 4:
             raise CliError(f"gme4 applies to 4-qubit states, got n={n}")
-        verdicts.append(gme_test_4(exact_moment_map(rho), marginal_purity(rho, full)))
+        moments = exact_moment_map(rho)
+        verdicts.append(gme_test_4(moments, marginal_purity(rho, full)))
     elif config.test == "wclass":
         if n < 3:
             raise CliError(f"wclass applies to n >= 3 qubits, got n={n}")
@@ -410,7 +412,8 @@ def cmd_criteria(config: RunConfig) -> int:
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
     if config.structure:
-        structure = structure_report_from_state(rho)
+        # one exact moment map per request: gme4's, if it built one
+        structure = _structure_report_of_state(rho, moments or exact_moment_map(rho))
 
     out = _out_dir(config)
     payload = _metadata(

@@ -144,10 +144,10 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     b = k - a.  Per row block, one matrix product contracts the tensor,
     reshaped to 3^a x 3^b, with the per-row outer products of the leading
     directions (3^a entries a row); a row-wise dot with the per-row outer
-    products of the trailing directions (3^b entries) finishes each value.
-    A lone site's product is a view of its direction rows, so at k <= 2
-    both calls see the operands of a site-by-site contraction and give
-    its bits.
+    products of the trailing directions (3^b entries) finishes each value;
+    at k = 1 the matrix product alone gives the values.  A lone site's
+    product is a view of its direction rows, so at k <= 2 the calls see
+    the operands of a site-by-site contraction and give its bits.
 
     A row's temporaries are the two outer products, each with the partial
     product it grew from and one copied site (under 2 * 3^a and 2 * 3^b
@@ -165,10 +165,13 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
         # product's columns (along its rows, the BLAS kernel picked for the
         # block's row count can change a row's bits); the row-major copy
         # hands the dot the layout of a site-by-site contraction.
-        vals = np.tensordot(matrix, _outer_product(block[:, :a]), axes=(0, 0)).T.copy()
-        np.einsum(
-            "mi,mi->m", vals, _outer_product(block[:, a:]).T, out=out[start : start + len(block)]
-        )
+        values = out[start : start + len(block)]
+        if k == 1:
+            # the product's one row is the values
+            np.dot(matrix.T, _outer_product(block), out=values[None])
+        else:
+            vals = np.tensordot(matrix, _outer_product(block[:, :a]), axes=(0, 0))
+            np.einsum("mi,mi->m", vals.T.copy(), _outer_product(block[:, a:]).T, out=values)
     return out
 
 
@@ -176,10 +179,8 @@ def _outer_product(block: np.ndarray) -> np.ndarray:
     """Per-row outer product of the directions in a (rows, j, 3) block,
     site-major with shape (3^j, rows): entry (i1 ... ij, m) is the product
     of component i1 of the first direction of row m through component ij
-    of its last.  One site gives a view of its rows, none gives ones."""
+    of its last.  One site gives a view of its rows."""
     rows = block.shape[0]
-    if block.shape[1] == 0:
-        return np.ones((1, rows))
     prod = block[:, 0, :].T
     for j in range(1, block.shape[1]):
         # Site-major copies keep numpy's inner loop on the rows axis.

@@ -171,11 +171,16 @@ def structure_report(moments, purities) -> StructureReport:
 def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
     """Structure report from exact moments and marginal purities of a state,
     both read off ``rho.pauli``."""
+    return _structure_report_of_state(rho, exact_moment_map(rho))
+
+
+def _structure_report_of_state(rho: DensityMatrix, moments: dict) -> StructureReport:
+    """Structure report of ``rho`` from its exact moment map ``moments``."""
     purities = {
         subset: marginal_purity(rho, subset)
         for subset in all_subsets(rho.n_qubits, min_size=2)
     }
-    return structure_report(exact_moment_map(rho), purities)
+    return structure_report(moments, purities)
 
 
 def bisep_line_3_r4(r2: float) -> float:

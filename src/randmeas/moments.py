@@ -5,6 +5,12 @@ directions: Monte Carlo over sampled correlations, exact contraction of
 the correlation tensor (t = 2), exact summation over spherical-design
 direction tuples, and unbiased estimation from finite measurement shots.
 Second moments over all party subsets combine into the purity.
+
+Every power E^t is the IEEE product chain ((E * E) * E) * ... of
+``_power``, so for a given numpy and BLAS build the moments have the
+same bits whatever CPU features numpy dispatches; numpy's ``**`` does
+not promise that for t >= 3.  Bits across numpy or BLAS builds are not
+promised.
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ def moments_mc(
     m = samples.settings_count
     if m < 2:
         raise ValueError(f"need M >= 2 samples for a standard error, got M={m}")
-    powers = [samples.values**t for t in orders]
+    powers = [_power(samples.values, t) for t in orders]
     if bootstrap:
         if rng is None:
             raise ValueError("bootstrap standard errors require an rng")
@@ -168,18 +174,31 @@ def _check_design_tuples(points: int, k: int) -> None:
         raise ValueError(f"design sum over {points}^{k} tuples exceeds MAX_DESIGN_TUPLES")
 
 
+def _power(values: np.ndarray, t: int) -> np.ndarray:
+    """values^t as the product chain ((v * v) * v) * ... of t - 1 IEEE
+    multiplications, each in place into one new array.  numpy's ``**``
+    sends t >= 3 to a SIMD pow kernel that is far slower and whose last
+    bits depend on the CPU features numpy dispatches; t = 2 equals
+    ``values**2``, which numpy computes as v * v."""
+    power = values.copy()
+    for _ in range(t - 1):
+        np.multiply(power, values, out=power)
+    return power
+
+
 def _design_moment(
-    rho: DensityMatrix, subset, t: int, degree: int, points: np.ndarray
-) -> MomentEstimate:
-    """Mean of E^t over every direction tuple of ``points`` (an (N, 3)
-    array exact for polynomials of degree <= ``degree``).  Tuples are
+    rho: DensityMatrix, subset, orders, degree: int, points: np.ndarray
+) -> list:
+    """Means of E^t over every direction tuple of ``points`` (an (N, 3)
+    array exact for polynomials of degree <= ``degree``), one estimate
+    per order in ``orders``, all read off one grid of E.  Tuples are
     summed in lexicographic order with pairwise summation for
     reproducibility.  ``half_design(design)`` as ``points`` sums one
     direction per antipodal pair, which is exact for even t only."""
-    t = _check_order(t)
-    if degree < t:
+    orders = [_check_order(t) for t in orders]
+    if degree < max(orders):
         raise ValueError(
-            f"design order insufficient for requested moment: degree {degree} < t={t}"
+            f"design order insufficient for requested moment: degree {degree} < t={max(orders)}"
         )
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
@@ -189,8 +208,10 @@ def _design_moment(
         # consume the leading site axis, appending its point axis at the end
         grid = np.tensordot(grid, points, axes=(0, 1))
     values = grid.ravel()
-    moment = float(np.sum(values**t) / values.size)
-    return MomentEstimate(parties, t, moment, None, "design")
+    return [
+        MomentEstimate(parties, t, float(np.sum(_power(values, t)) / values.size), None, "design")
+        for t in orders
+    ]
 
 
 def moment_design(
@@ -201,7 +222,8 @@ def moment_design(
     E^t is a degree-t polynomial in each site's direction, so a design of
     degree >= t reproduces the sphere integral exactly.
     """
-    return _design_moment(rho, subset, t, design.degree, design.points)
+    (estimate,) = _design_moment(rho, subset, (t,), design.degree, design.points)
+    return estimate
 
 
 # ---------------------------------------------------------------------------

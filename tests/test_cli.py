@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
+import randmeas.cli
+import randmeas.criteria
 import randmeas.moments
 from randmeas.cli import STREAM_SETTINGS, STREAM_SHOTS, CliError, main, parse_state, parse_subset, render_state
 from randmeas.correlations import correlation_length, pauli_coefficients, sample_distribution
@@ -18,7 +20,7 @@ from randmeas.moments import (
     simulate_shots,
 )
 from randmeas.sampling import RngStream, design_points
-from randmeas.states import DensityMatrix, ghz, partial_trace
+from randmeas.states import DensityMatrix, ghz, make_state, partial_trace
 
 
 def run_cli(args):
@@ -190,7 +192,8 @@ def test_moments_insufficient_design_order(tmp_path, capsys):
 
 def test_moments_refuses_design_cap_before_any_sum(tmp_path, capsys, monkeypatch):
     sums = []
-    monkeypatch.setattr(randmeas.moments, "_design_moment", lambda *args: sums.append(args))
+    for module in (randmeas.moments, randmeas.cli):
+        monkeypatch.setattr(module, "_design_moment", lambda *args: sums.append(args))
     rc = run_cli(
         ["moments", "--state", "w:8", "--subset", "all", "--orders", "2,4", "--design", 5, "--output", tmp_path / "o"]
     )
@@ -348,6 +351,41 @@ def test_one_pauli_pass_per_request(args, checks, tmp_path, monkeypatch):
     assert len(calls) == 1
     if checks is not None:
         assert len(read_json(out / "moments.json")["cross_checks"]) == checks
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Record the arguments of every call the ``modules`` make to ``name``."""
+    calls, real = [], getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_design_request_builds_one_grid_per_subset(tmp_path, monkeypatch):
+    sums = _count_calls(monkeypatch, "_design_moment", randmeas.cli)
+    out = tmp_path / "o"
+    args = ["moments", "--state", "w:4", "--subset", "all", "--orders", "2,3,4,5", "--design", 5, "--output", out]
+    assert run_cli(args) == 0
+    assert [call[1] for call in sums] == [tuple(s) for s in parse_subset("all", 4)]
+    assert [(m["subset"], m["t"]) for m in read_json(out / "moments.json")["moments"]] == [
+        (list(s), t) for s in parse_subset("all", 4) for t in (2, 3, 4, 5)
+    ]
+
+
+@pytest.mark.parametrize("test", [["--test", "gme4"], []], ids=["gme4", "structure_only"])
+def test_structure_request_builds_one_moment_map(test, tmp_path, monkeypatch):
+    maps = _count_calls(monkeypatch, "exact_moment_map", randmeas.cli, randmeas.criteria)
+    out = tmp_path / "o"
+    assert run_cli(["criteria", "--state", "bisep4:0.2", *test, "--structure", "--output", out]) == 0
+    assert len(maps) == 1
+    report = read_json(out / "criteria.json")["structure"]
+    expected = structure_report_from_state(make_state(parse_state("bisep4:0.2"))).to_dict()
+    assert report == json.loads(json.dumps(expected))
 
 
 def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):

@@ -231,6 +231,39 @@ def test_correlation_values_match_sequential_oracle(k):
                 assert np.max(np.abs(values - oracle)) <= 1e-15
 
 
+def _correlation_values_k1_ones(components, directions):
+    """The k = 1 body that ``correlation_values`` used to run, kept as an
+    oracle: the matrix product's transposed copy dotted row-wise with a
+    (rows, 1) block of ones."""
+    matrix = components.reshape(3, 1)
+    out = np.empty(directions.shape[0])
+    rows = correlations._block_rows(8 * (2 * 3 + 4))
+    for start in range(0, directions.shape[0], rows):
+        block = directions[start : start + rows]
+        vals = np.tensordot(matrix, block[:, 0, :].T, axes=(0, 0)).T.copy()
+        np.einsum("mi,mi->m", vals, np.ones((1, len(block))).T, out=out[start : start + len(block)])
+    return out
+
+
+def test_single_site_values_are_bit_equal_to_the_ones_block_oracle(monkeypatch):
+    tensors = [np.zeros(3), np.full(3, -0.0), np.array([0.5, -0.0, 0.0])]
+    for n in (1, 3, 5):
+        states = [random_density_matrix(n, RngStream(29, n))]
+        if n >= 2:
+            states += [ghz(n), w_state(n)]
+        tensors += [correlation_tensor(rho, (p,)).components for rho in states for p in (1, n)]
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.0, 0.0, -1.0], [-1.0, -0.0, -0.0]])
+    dirs = np.concatenate([axes, uniform_directions(RngStream(30), 3_001)])[:, None, :]
+    for forced_rows in (None, 1_000):
+        if forced_rows:
+            monkeypatch.setattr(correlations, "_block_rows", lambda _: forced_rows)
+        for components in tensors:
+            values = correlation_values(components, dirs)
+            oracle = _correlation_values_k1_ones(components, dirs)
+            assert np.array_equal(values.view(np.uint64), oracle.view(np.uint64))
+            assert not np.signbit(values[values == 0.0]).any()
+
+
 def test_sample_distribution_memory_is_capped_by_the_block_budget():
     rho = ghz(8)
     tracemalloc.start()

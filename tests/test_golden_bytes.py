@@ -71,15 +71,15 @@ GOLDEN = {
     "design_sums_w4": (
         "moments --state w:4 --subset all --orders 2,4 --design 5 --format csv",
         {
-            "moments.csv": "a1bf7abecd6937f1bf8a78e27a3ed79fae738efc3df83e92113035415c20b429",
-            "moments.json": "97f0732745d853c58a9da01221a9cb9bcbb666642fcd27599a5a0b2274fb2e78",
+            "moments.csv": "98dbb3590cca292f4d6db7e64e3b1efe8904d9b07105e6d61933d97f805eb3b0",
+            "moments.json": "7a51227b344e3d33ef519abdf57e1ff11dc0e7efebcee7f683299d10bd886aa9",
         },
     ),
     "design_sums_w5_odd": (
         "moments --state w:5 --subset all --orders 2,3,4,5 --design 5 --format csv",
         {
-            "moments.csv": "e8fe92b22076cf7ec1725a21b9c89248cddb4f7bce45d59d1a3eecfe599f11a1",
-            "moments.json": "f3e6e2a6bd124db4619dd666b898384a03d0588d896267ca498280b02d05eeec",
+            "moments.csv": "23d967485253f69da20d329ca8bb4d7cd5ff733aa480c6b923faa3ef79e88c75",
+            "moments.json": "b68ab415fa4816dab0a92dc224d66ec0f8096aec335ed6a3e725582060758e2a",
         },
     ),
     "monte_carlo_ghz3_odd": (
@@ -92,15 +92,15 @@ GOLDEN = {
     "monte_carlo_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
-            "moments.csv": "676b84cbb05b0b99c16eb6bdba70e6e4b1457b8231d02d9d28024555af8f223e",
-            "moments.json": "210055d51f488da3b8660aa6b75475452dca68c4a54d8aaec003d3f08573a833",
+            "moments.csv": "5faa52e23dcbda522c863ed08220ba68d3000e42d12bf7107ad45f8a0d25ef01",
+            "moments.json": "d1852bad6ebc711a556329c32ff2075290a7300e2a137170d6f15a6193dea860",
         },
     ),
     "monte_carlo_w5": (
         "moments --state w:5 --orders 2,4 --samples 3000 --seed 1 --format csv",
         {
-            "moments.csv": "cfc1d7ee2c08b848272eae26f1801470bb20daae3c780da3f8f228a2b7263b3b",
-            "moments.json": "8c186a330967321de5ca65c655f39070d57d7c68962cfe441cb1919b13853ae9",
+            "moments.csv": "5ea7f2274e822ec58de043b95c3689ddeb514d1bc53a396a2abb2970ab7b4823",
+            "moments.json": "fd7cb57c3bc9afa11545d6b1148baa34e3d5376f52d0e42cb6606e4f90e87860",
         },
     ),
     "bootstrap_w4": (
@@ -112,7 +112,7 @@ GOLDEN = {
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "9690f2f34ffaeceb323dd7c92837aec7d619f45df03676d38bcd35671b125e03",
+            "moments.json": "0ba03c1ff9806815716b3ef90fbd679c26bdd1a3ab9781ac29cdfc163b1e48d8",
         },
     ),
     "shots_ghz3": (

@@ -9,6 +9,7 @@ from randmeas.correlations import (
     CorrelationTensor,
     SampleSet,
     _block_rows,
+    _slab,
     correlation,
     correlation_length,
     correlation_tensor,
@@ -19,6 +20,7 @@ from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
     MomentEstimate,
     _design_moment,
+    _power,
     ShotTable,
     all_subsets,
     estimate_moment_from_shots,
@@ -99,7 +101,7 @@ def test_moment_mc_bootstrap_error_is_close_to_plugin():
 def _bootstrap_std_error_oracle(samples, t, resamples, rng):
     """The one-call bootstrap that ``moments_mc`` used to run: all
     resamples' indices drawn as one (resamples, M) array."""
-    powers = samples.values**t
+    powers = _power(samples.values, t)
     m = samples.settings_count
     idx = _generator(rng).integers(0, m, size=(resamples, m))
     return float(powers[idx].mean(axis=1).std(ddof=1))
@@ -213,6 +215,80 @@ def test_moment_design_fourth_moment_against_monte_carlo():
     assert exact.value == pytest.approx(64.0 / 1125.0, abs=1e-12)
 
 
+def _float_power_chain(value: float, t: int) -> float:
+    """((v * v) * v) * ... in Python floats, which numpy's CPU dispatch
+    does not reach."""
+    power = value
+    for _ in range(t - 1):
+        power *= value
+    return power
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_power_is_bit_equal_to_a_float_product_chain(t):
+    tiny = np.finfo(float).tiny
+    values = np.array(
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.7, 1e-30, -1e-60, 1e-300, tiny, -tiny, 5e-324, 0.999999]
+        + list(np.random.default_rng(t).uniform(-1.0, 1.0, 64))
+    )
+    got = _power(values, t)
+    expected = np.array([_float_power_chain(float(v), t) for v in values])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert got is not values and np.array_equal(values[:4], [0.0, -0.0, 1.0, -1.0])
+    if t == 2:
+        assert np.array_equal((values**2).view(np.uint64), got.view(np.uint64))
+
+
+def _design_values(rho, subset, points):
+    """E on every direction tuple of ``points``, in the grid's order."""
+    grid = _slab(rho.pauli, subset, slice(1, 4))
+    for _ in range(len(subset)):
+        grid = np.tensordot(grid, points, axes=(0, 1))
+    return grid.ravel()
+
+
+def _assert_near_pow_oracle(value, values, t):
+    """``value`` is the mean of values^t to 4 ulps of the mean of |values|^t,
+    the oracle being numpy's ``**`` (bit-equal at t <= 2)."""
+    powers = values**t
+    expected = float(np.sum(powers) / values.size)
+    if t <= 2:
+        assert value == expected
+    else:
+        scale = float(np.sum(np.abs(powers)) / values.size)
+        assert abs(value - expected) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_product_chain_moments_match_the_pow_oracle(n):
+    states = [ghz(n), w_state(n), random_density_matrix(n, RngStream(43, n))]
+    for index, rho in enumerate(states):
+        for design in (D3, D5):
+            if n == 5 and design is D5 and index < 2:
+                continue  # 12^5-tuple pow sums: the random state covers them
+            orders = [t for t in (2, 3, 4, 5) if t <= design.degree]
+            for subset in all_subsets(n):
+                values = _design_values(rho, subset, design.points)
+                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, design.points)):
+                    _assert_near_pow_oracle(est.value, values, t)
+        for subset in all_subsets(n):
+            samples = sample_distribution(rho, subset, 500, RngStream(44, n))
+            for est in moments_mc(samples, (2, 3, 4, 5)):
+                _assert_near_pow_oracle(est.value, samples.values, est.order)
+
+
+def test_multi_order_design_moment_is_bit_equal_to_single_orders():
+    rho = random_density_matrix(4, RngStream(45))
+    for subset in [(2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]:
+        for design, orders in ((D3, (3, 1, 2, 2)), (D5, (2, 3, 4, 5, 1))):
+            shared = _design_moment(rho, subset, orders, design.degree, design.points)
+            assert [e.order for e in shared] == list(orders)
+            for est, t in zip(shared, orders):
+                assert est.to_dict() == moment_design(rho, subset, t, design).to_dict()
+    with pytest.raises(ValueError, match="degree 3 < t=4"):
+        _design_moment(rho, (1, 2), (2, 4), D3.degree, D3.points)
+
+
 def test_moment_design_rejects_insufficient_degree():
     with pytest.raises(ValueError, match="design order insufficient"):
         moment_design(ghz(3), (1, 2, 3), 4, D3)
@@ -224,7 +300,8 @@ def test_half_design_moments_match_full():
         (ghz(3), (1, 2, 3), 4, D5, 64.0 / 1125.0),
         (product_zero(2), (1, 2), 2, D3, 1.0 / 9.0),
     ]:
-        half = _design_moment(rho, subset, t, design.degree, half_design(design)).value
+        (half,) = _design_moment(rho, subset, (t,), design.degree, half_design(design))
+        half = half.value
         assert abs(half - moment_design(rho, subset, t, design).value) < 1e-13
         assert half == pytest.approx(exact, abs=1e-13)
 
