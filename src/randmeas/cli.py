@@ -270,21 +270,20 @@ def cmd_sample(config: RunConfig) -> int:
     return 0
 
 
-def _cross_check(rho, subset, estimate) -> dict:
-    """Compare an estimate against an independent exact oracle.
+def _cross_check(subset, estimate, exact) -> dict:
+    """Compare an estimate against an independent exact oracle value
+    (``None`` when no oracle covers its order).
 
     Design values (t = 2 only) must match the tensor contraction to
     1e-12; Monte-Carlo values must agree with a design sum within 4
     standard errors (plus a tiny absolute floor).
     """
     t = estimate.order
-    if estimate.method == "design":
-        exact = moment_exact_t2(correlation_tensor(rho, subset)).value
-        tolerance = 1e-12
-    elif t > 5:
+    if exact is None:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
+    if estimate.method == "design":
+        tolerance = 1e-12
     else:
-        exact = moment_design(rho, subset, t, design_points(3 if t <= 3 else 5)).value
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
     ok = deviation <= tolerance
@@ -344,16 +343,25 @@ def cmd_moments(config: RunConfig) -> int:
             for est in _design_moment(rho, subset, config.orders, design.degree, design.points):
                 estimates.append(est)
                 if do_checks and est.order == 2:
-                    checks.append(_cross_check(rho, subset, est))
+                    checks.append(_cross_check(subset, est, moment_exact_t2(correlation_tensor(rho, subset)).value))
     else:
+        # Each order t <= 5 is checked against the smallest design exact for
+        # it: one multi-order design sum per subset and design.
+        due = {3: [t for t in config.orders if t <= 3], 5: [t for t in config.orders if 3 < t <= 5]}
+        designs = {degree: design_points(degree) for degree, ts in due.items() if ts and do_checks}
         for subset_index, subset in enumerate(subsets):
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
             samples = sample_distribution(rho, subset, config.samples, stream)
             bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
-            for est in moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng):
-                estimates.append(est)
-                if do_checks:
-                    checks.append(_cross_check(rho, subset, est))
+            subset_estimates = moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng)
+            estimates += subset_estimates
+            if do_checks:
+                exact = {
+                    e.order: e.value
+                    for degree, design in designs.items()
+                    for e in _design_moment(rho, subset, due[degree], degree, design.points)
+                }
+                checks += [_cross_check(subset, est, exact.get(est.order)) for est in subset_estimates]
 
     out = _out_dir(config)
     payload = _metadata(

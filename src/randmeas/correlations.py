@@ -10,7 +10,6 @@ with the closed-form two-qubit reference densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -211,15 +210,92 @@ class SampleSet:
         object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
 
     def to_csv(self, path) -> None:
-        # One %-format per chunk; a row holds an int and a float object,
-        # three pointers, its format and its text twice: about 160 bytes.
-        rows = _block_rows(160)
+        """Write ``sample_index,E`` rows, each byte for byte Python's
+        ``"%d,%.17g\n" % (index, value)``, whatever the block size."""
+        # A row's temporaries peak at about 400 bytes with 7-digit indices
+        # and grow by 12 a digit (tracemalloc): 512 bytes cover 16 digits.
+        rows = _block_rows(512)
         with open(path, "w") as fh:
             fh.write("sample_index,E\n")
             for start in range(0, self.settings_count, rows):
-                chunk = self.values[start : start + rows].tolist()
-                pairs = chain.from_iterable(zip(range(start, start + len(chunk)), chunk))
-                fh.write("%d,%.17g\n" * len(chunk) % tuple(pairs))
+                fh.write(_csv_block(self.values[start : start + rows], start).decode())
+
+
+# Tables of the %.17g kernel: the exact 10^p (p <= 22) and their Veltkamp
+# halves; for x = -5 ... 1 the double nearest 10^x, which is the least double
+# that rounds to 10^x or more at 17 digits (a test pins this); per exponent
+# -e the zeros after "0." (e <= 4) or "e-XX" (e >= 5); the four digits of
+# each i < 10^4.  0 bytes in a text are dropped.
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: x * _SPLIT splits x into 26- and 27-bit halves
+_POW10 = np.array([float(10**p) for p in range(23)])
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DECADES = np.array([float(f"1e{x}") for x in range(-5, 2)])
+_EXPONENT_TEXT = np.array([list((b"0" * (e - 1)).ljust(8, b"\0") if e <= 4 else (b"e-%02d" % e).rjust(8, b"\0"))
+                           for e in range(325)], dtype=np.uint8)
+_DIGIT_GROUPS = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
+
+
+def _decimal17(ax: np.ndarray) -> tuple:
+    """Digits n and exponent x such that n * 10^(x - 16) is each ``ax`` >= 0
+    rounded to 17 significant digits: 10^16 <= n < 10^17, or n = x = 0."""
+    tiny, zero = ax < 1e-5, ax == 0
+    safe = np.where(tiny, 1.0, ax)  # so x = 16 - p is -5 ... 0, 10^p exact
+    p = 22 - _DECADES.searchsorted(safe, side="right")
+    # The Dekker two-product hi + lo of safe and 10^p is exact, and hi is
+    # over 2^53, an even integer: rint(lo) rounds the sum half to even.
+    hi, split = safe * _POW10[p], _SPLIT * safe
+    a_hi = split - (split - safe)
+    a_lo, s_hi, s_lo = safe - a_hi, _POW10_HI[p], _POW10_LO[p]
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    n[zero], x = 0, 16 - p
+    for i in (tiny ^ zero).nonzero()[0]:  # rare: Python's digits, one at a time
+        text = "%.16e" % ax[i]
+        n[i], x[i] = int(text[0] + text[2:18]), int(text[19:])
+    return n, x
+
+
+def _put_digits(columns: np.ndarray, values: np.ndarray) -> None:
+    """The ASCII digits of ``values`` with leading zeros, into the rows of
+    ``columns``: one table lookup per four digits."""
+    for end in range(len(columns), 0, -4):
+        quotient = values // 10**4
+        group = _DIGIT_GROUPS.take(values - quotient * 10**4, axis=0)
+        columns[max(end - 4, 0) : end] = group.T[max(4 - end, 0) :]
+        values = quotient
+
+
+def _csv_block(values: np.ndarray, start: int) -> bytes:
+    """Rows ``start, ...`` of samples.csv: |E| <= 1 prints as 0.000ddd (as
+    d.ddd at x = 0) or, for x < -4, as d.ddde-XX.  Character matrix columns:
+    the index, ',', '-', the leading digit, '.', the zeros after "0.", 17
+    digits with trailing zeros dropped, "e-XX" and the newline."""
+    d = len(str(start + len(values) - 1))
+    n, x = _decimal17(np.abs(values))
+    chars = np.zeros((d + 30, len(values)), dtype=np.uint8)
+    index = np.arange(start, start + len(values))
+    _put_digits(chars[:d], index)
+    for j in range(d - len(str(start))):  # leading zeros of shorter indices
+        chars[j] *= index >= 10 ** (d - 1 - j)
+    chars[d], chars[d + 1] = ord(","), np.signbit(values) * ord("-")
+    slots = chars[d + 7 : d + 24]
+    _put_digits(slots, n)
+    fixed = (x < 0) & (x >= -4)
+    chars[d + 2] = np.where(fixed, ord("0"), slots[0])
+    slots[0] *= fixed  # the first digit stays in the slots only after "0."
+    trailing = True
+    for slot in slots[::-1]:
+        trailing = trailing & (slot == ord("0"))
+        if not trailing.any():
+            break
+        slot[trailing] = 0
+    chars[d + 3] = ((slots[0] | slots[1]) > 0) * ord(".")
+    by_exponent = _EXPONENT_TEXT.take(-x, axis=0).T
+    chars[d + 4 : d + 7], chars[d + 24 : d + 29] = by_exponent[:3], by_exponent[3:]
+    chars[d + 29] = ord("\n")
+    text = chars.T.ravel()
+    return text.compress(text > 0).tobytes()
 
 
 def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:

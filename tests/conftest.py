@@ -1,6 +1,6 @@
 import hypothesis
 
-hypothesis.settings.register_profile("ci", max_examples=25, deadline=None)
+hypothesis.settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)
 hypothesis.settings.load_profile("ci")
 
 # One human-readable line per acceptance criterion, printed at session end.

@@ -377,6 +377,25 @@ def test_design_request_builds_one_grid_per_subset(tmp_path, monkeypatch):
     ]
 
 
+def test_monte_carlo_cross_checks_build_one_grid_per_subset_and_degree(tmp_path, monkeypatch):
+    designs = _count_calls(monkeypatch, "design_points", randmeas.cli)
+    sums = _count_calls(monkeypatch, "_design_moment", randmeas.cli)
+    out = tmp_path / "o"
+    args = ["moments", "--state", "ghz:4", "--subset", "all", "--orders", "1,2,3,4", "--samples", 2000, "--seed", 1]
+    assert run_cli([*args, "--output", out]) == 0
+    assert sorted(designs) == [(3,), (5,)]
+    subsets = [tuple(s) for s in parse_subset("all", 4)]
+    assert [(call[1], call[2], call[3]) for call in sums] == [
+        (s, orders, degree) for s in subsets for orders, degree in (([1, 2, 3], 3), ([4], 5))
+    ]
+    rho = ghz(4)
+    checks = read_json(out / "moments.json")["cross_checks"]
+    assert [(c["subset"], c["t"]) for c in checks] == [(list(s), t) for s in subsets for t in (1, 2, 3, 4)]
+    for check in checks:
+        design = design_points(3 if check["t"] <= 3 else 5)
+        assert check["exact_value"] == moment_design(rho, check["subset"], check["t"], design).value
+
+
 @pytest.mark.parametrize("test", [["--test", "gme4"], []], ids=["gme4", "structure_only"])
 def test_structure_request_builds_one_moment_map(test, tmp_path, monkeypatch):
     maps = _count_calls(monkeypatch, "exact_moment_map", randmeas.cli, randmeas.criteria)

@@ -363,6 +363,23 @@ def _sample_csv_by_rows(samples, path):
             fh.write(f"{i},{e:.17g}\n")
 
 
+def _csv_edge_values():
+    """Values where %.17g is hardest to match: ``nextafter`` walks on both
+    sides of 10^-k, dyadic k / 2^18 (at |k| / 2^18 >= 0.1 every odd k is an
+    exact tie at 17 digits) and k / 2^40, and a three-digit exponent."""
+    walks = []
+    for k in range(8):
+        for toward in (0.0, 2.0):
+            value = 10.0**-k
+            for _ in range(40):
+                value = np.nextafter(value, toward)
+                walks.append(value)
+    dyadic18 = np.arange(-(2**18), 2**18 + 1, 97) / 2.0**18
+    dyadic40 = np.random.default_rng(40).integers(-(2**40), 2**40, 4_000) / 2.0**40
+    edges = np.concatenate([walks, [10.0**-k for k in range(8)], dyadic18, dyadic40, [1e-300, -1e-300]])
+    return edges[np.abs(edges) <= 1.0]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 40_000])
 @pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
 def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatch):
@@ -376,13 +393,47 @@ def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatc
         )
     values = np.random.default_rng(m).uniform(-1.0, 1.0, m)
     special = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 0.1, 1.0 / 3.0, -2.0 / 3.0]
+    if m == 40_000:
+        special += list(_csv_edge_values())
     values[: min(m, len(special))] = special[:m]
     samples = correlations.SampleSet((1, 2), values, m)
     samples.to_csv(tmp_path / "chunks.csv")
     _sample_csv_by_rows(samples, tmp_path / "rows.csv")
     assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-    if m == 40_000 and not forced_rows:
-        assert budget_rows[0] < m  # several chunks under the real budget
+    if m == 40_000:
+        rows = forced_rows or budget_rows[0]
+        assert rows < m  # several chunks
+        # one block holds rows 9,999 and 10,000, so its indices differ in width
+        assert any(len(str(s)) < len(str(s + rows - 1)) for s in range(0, m, rows))
+
+
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=64))
+def test_sample_csv_matches_row_loop_oracle_on_any_float(tmp_path_factory, values):
+    directory = tmp_path_factory.mktemp("csv")
+    samples = correlations.SampleSet((1,), values, len(values))
+    samples.to_csv(directory / "chunks.csv")
+    _sample_csv_by_rows(samples, directory / "rows.csv")
+    assert (directory / "chunks.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+
+
+def test_decade_starts_split_the_17_digit_roundings():
+    for x, start in zip(range(-5, 2), correlations._DECADES):
+        assert int(("%.16e" % start)[-3:]) == x
+        assert int(("%.16e" % np.nextafter(start, 0.0))[-3:]) == x - 1
+
+
+def test_sample_csv_memory_is_capped_by_the_block_budget(tmp_path):
+    m = 2 * 10**5
+    samples = correlations.SampleSet((1, 2), np.random.default_rng(33).uniform(-1.0, 1.0, m), m)
+    tracemalloc.start()
+    try:
+        samples.to_csv(tmp_path / "samples.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One block's temporaries at a time (3.2 MB); the text of the whole
+    # file (5.4 MB here) is never held.
+    assert peak <= _BLOCK_BYTES + 2**20
 
 
 def test_histogram_table_centers_a_bin_at_zero():

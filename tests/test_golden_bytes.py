@@ -175,6 +175,23 @@ GOLDEN = {
             "samples.csv": "68036da1e02fca3854644e1af31c81d37615ee9bb9e7aa90f50d632cb9017680",
         },
     ),
+    "sample_werner_zero": (
+        "sample --state werner:0 --samples 2000 --seed 1",
+        {
+            "histogram.csv": "fa0d0c58a26107606de68876fef859efd0a44673d0228ad3be847acedca99bfd",
+            "sample.json": "02839b207f6f400e20a8f58d943fed653f625dee1e70370a3778336a8887ce69",
+            "samples.csv": "a1d60c70a4b38c4cc2d5212f8d6d07ad9242e348fbca2e34e4f287ca9be1d9be",
+        },
+    ),
+    "sample_product2_exponents": (
+        "sample --state product2 --samples 20000 --seed 2",
+        {
+            "density.csv": "cdabe17b1b9722c072c86965c4650f6375a716618716470a7fc8e5b70c9d210b",
+            "histogram.csv": "5546f714252289085353b4b9d19c34f350995c748d740344be44df4ed91c33f8",
+            "sample.json": "2e0078eb58ece6f149d37359463ae930b4bc3969123ea1dd97a65aedbc8b2068",
+            "samples.csv": "78f050d364764268ee7689cb5cc0d69d95146a618fa9e596b90741a8a6fca4b1",
+        },
+    ),
     "structure_trisep4": (
         "criteria --state trisep4 --structure",
         {
