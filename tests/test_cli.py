@@ -523,16 +523,30 @@ def test_design_outputs(tmp_path):
     assert rc == 1
 
 
-def test_seed_env_var_default(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "args",
+    [
+        "sample --state bell --samples 500",
+        "moments --state bell --samples 500",
+        "criteria --state ghz:3 --test length",
+        "design --order 3",
+    ],
+    ids=["sample", "moments", "criteria", "design"],
+)
+def test_seed_env_var_default(args, tmp_path, monkeypatch):
+    # $RANDMEAS_SEED must act exactly like --seed: same files, same recorded seed
     monkeypatch.setenv("RANDMEAS_SEED", "123")
-    out_env = tmp_path / "env"
-    out_flag = tmp_path / "flag"
-    args = ["sample", "--state", "bell", "--samples", 500]
-    assert run_cli(args + ["--output", out_env]) == 0
-    assert run_cli(args + ["--seed", 123, "--output", out_flag]) == 0
-    a = np.loadtxt(out_env / "samples.csv", delimiter=",", skiprows=1)
-    b = np.loadtxt(out_flag / "samples.csv", delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(a, b)
+    runs = {"env": [], "flag": ["--seed", 123]}
+    for name, extra in runs.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run_cli([*args.split(), *extra, "--output", "o"]) == 0
+    files = sorted(p.name for p in (tmp_path / "env" / "o").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "flag" / "o").iterdir())
+    for name in files:
+        assert (tmp_path / "env" / "o" / name).read_bytes() == (tmp_path / "flag" / "o" / name).read_bytes()
+    meta = next(read_json(tmp_path / "env" / "o" / name) for name in files if name.endswith(".json"))
+    assert meta["config"]["seed"] == 123
 
 
 def test_metadata_embeds_config_and_version(tmp_path):
