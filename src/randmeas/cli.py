@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,11 @@ def parse_subset(text: str, n: int) -> list:
 
 @dataclass
 class RunConfig:
-    """Everything that determines a run's output, embedded in every JSON."""
+    """Everything that determines a run's output, embedded in every JSON.
+
+    The defaults are the CLI's.  Construction resolves ``seed=None`` to
+    ``$RANDMEAS_SEED`` or 0 and the ``orders`` comma list to a tuple.
+    """
 
     command: str
     state: str | None = None
@@ -154,58 +158,48 @@ class RunConfig:
     samples: int = 10000
     shots: int = 0
     design: int = 0
-    orders: tuple = (2,)
-    seed: int = 0
+    orders: str = "2"
+    seed: int | None = None
     output: str = "randmeas-output"
     format: str = "json"
     bootstrap: bool = False
     test: str | None = None
     structure: bool = False
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["orders"] = list(self.orders)
-        return data
+    def __post_init__(self):
+        if self.seed is None:
+            env = os.environ.get(SEED_ENV_VAR, "0")
+            try:
+                self.seed = int(env)
+            except ValueError as exc:
+                raise CliError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
+        if self.seed < 0:
+            raise CliError(f"seed must be non-negative, got {self.seed}")
+        text = str(self.orders)
+        try:
+            self.orders = tuple(int(t) for t in text.split(",") if t.strip())
+        except ValueError as exc:
+            raise CliError(f"bad --orders {text!r}: expected a comma list of integers") from exc
+        if self.state is not None:
+            self.state = render_state(parse_state(self.state))
 
 
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise CliError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
-
-
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.output)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_table(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
-
-
-def _metadata(config: RunConfig, **extra) -> dict:
-    payload = {"tool": "randmeas", "version": __version__, "config": config.to_dict()}
-    payload.update(extra)
-    return payload
+def _write_outputs(config: RunConfig, json_name: str, payload: dict, tables: dict) -> None:
+    """Write a run's files into ``config.output``: each of ``tables``, a
+    file name mapped to a CSV ``(header, rows)`` with floats at 17
+    significant digits or to a function writing that path, then
+    ``json_name`` with ``payload``, the tool, its version and the config."""
+    out = Path(config.output)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        if callable(table):
+            table(out / name)
+        else:
+            header, rows = table
+            lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+            (out / name).write_text("".join(f"{line}\n" for line in (header, *lines)))
+    metadata = {"tool": "randmeas", "version": __version__, "config": asdict(config)}
+    (out / json_name).write_text(json.dumps({**metadata, **payload}, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +227,8 @@ def cmd_sample(config: RunConfig) -> int:
     subset = subsets[0]
     stream = RngStream(config.seed, STREAM_SAMPLES)
     samples = sample_distribution(rho, subset, config.samples, stream)
-    out = _out_dir(config)
-    samples.to_csv(out / "samples.csv")
-    hist = histogram_table(samples.values)
-    _write_table(
-        out / "histogram.csv",
-        "bin_left,bin_right,count,density",
-        [(float(l), float(r), int(c), float(d)) for l, r, c, d in hist],
-    )
-    files = ["samples.csv", "histogram.csv"]
+    hist = [(float(l), float(r), int(c), float(d)) for l, r, c, d in histogram_table(samples.values)]
+    tables = {"samples.csv": samples.to_csv, "histogram.csv": ("bin_left,bin_right,count,density", hist)}
     density_info = None
     density = _reference_density(spec, subset, rho.n_qubits)
     if density is not None:
@@ -252,21 +239,17 @@ def cmd_sample(config: RunConfig) -> int:
             left, right = edges[:-1], edges[1:]
             mean_density = np.diff(density.cdf(edges)) / (right - left)
             rows = np.column_stack([left, right, 0.5 * (left + right), mean_density]).tolist()
-            _write_table(out / "density.csv", "bin_left,bin_right,bin_center,mean_density", rows)
-            files.append("density.csv")
+            tables["density.csv"] = ("bin_left,bin_right,bin_center,mean_density", rows)
             density_info = {"kind": density.kind, "support": list(density.support)}
-    _write_json(
-        out / "sample.json",
-        _metadata(
-            config,
-            n_qubits=rho.n_qubits,
-            subset=list(subset),
-            samples=config.samples,
-            seed=[config.seed, STREAM_SAMPLES],
-            reference_density=density_info,
-            files=sorted(files),
-        ),
-    )
+    payload = {
+        "n_qubits": rho.n_qubits,
+        "subset": list(subset),
+        "samples": config.samples,
+        "seed": [config.seed, STREAM_SAMPLES],
+        "reference_density": density_info,
+        "files": sorted(tables),
+    }
+    _write_outputs(config, "sample.json", payload, tables)
     return 0
 
 
@@ -286,23 +269,14 @@ def _cross_check(subset, estimate, exact) -> dict:
     else:
         tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
     deviation = abs(estimate.value - exact)
-    ok = deviation <= tolerance
-    result = {
-        "subset": list(subset),
-        "t": t,
-        "checked": True,
-        "exact_value": exact,
-        "deviation": deviation,
-        "tolerance": tolerance,
-        "passed": bool(ok),
-    }
-    if not ok:
+    if not deviation <= tolerance:
         raise CrossCheckError(
             f"oracle cross-check failed for subset {subset}, t={t}: "
             f"estimate {estimate.value!r} vs exact {exact!r} "
             f"(deviation {deviation:.3e} > tolerance {tolerance:.3e})"
         )
-    return result
+    return {"subset": list(subset), "t": t, "checked": True, "exact_value": exact, "deviation": deviation,
+            "tolerance": tolerance, "passed": True}
 
 
 def cmd_moments(config: RunConfig) -> int:
@@ -363,27 +337,15 @@ def cmd_moments(config: RunConfig) -> int:
                 }
                 checks += [_cross_check(subset, est, exact.get(est.order)) for est in subset_estimates]
 
-    out = _out_dir(config)
-    payload = _metadata(
-        config,
-        n_qubits=rho.n_qubits,
-        moments=[e.to_dict() for e in estimates],
-        cross_checks=checks,
-    )
-    _write_json(out / "moments.json", payload)
+    tables = {}
     if config.format == "csv":
         rows = []
         for e in estimates:
-            rows.append(
-                (
-                    ";".join(str(p) for p in e.subset),
-                    e.order,
-                    float(e.value),
-                    "" if e.std_error is None else float(e.std_error),
-                    e.method,
-                )
-            )
-        _write_table(out / "moments.csv", "subset,t,value,std_error,method", rows)
+            std_error = "" if e.std_error is None else float(e.std_error)
+            rows.append((";".join(str(p) for p in e.subset), e.order, float(e.value), std_error, e.method))
+        tables["moments.csv"] = ("subset,t,value,std_error,method", rows)
+    payload = {"n_qubits": rho.n_qubits, "moments": [e.to_dict() for e in estimates], "cross_checks": checks}
+    _write_outputs(config, "moments.json", payload, tables)
     return 0
 
 
@@ -395,7 +357,6 @@ def cmd_criteria(config: RunConfig) -> int:
         raise CliError("choose a criterion with --test or request --structure")
     full = tuple(range(1, n + 1))
     verdicts = []
-    structure = None
     moments = None
     if config.test == "gme4":
         if n != 4:
@@ -419,30 +380,22 @@ def cmd_criteria(config: RunConfig) -> int:
         raise CliError(
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
-    if config.structure:
-        # one exact moment map per request: gme4's, if it built one
-        structure = _structure_report_of_state(rho, moments or exact_moment_map(rho))
-
-    out = _out_dir(config)
-    payload = _metadata(
-        config,
-        n_qubits=n,
-        verdicts=[v.to_dict() for v in verdicts],
-        structure=None if structure is None else structure.to_dict(),
-    )
-    _write_json(out / "criteria.json", payload)
+    # one exact moment map per request: gme4's, if it built one
+    structure = _structure_report_of_state(rho, moments or exact_moment_map(rho)) if config.structure else None
+    payload = {
+        "n_qubits": n,
+        "verdicts": [v.to_dict() for v in verdicts],
+        "structure": None if structure is None else structure.to_dict(),
+    }
+    _write_outputs(config, "criteria.json", payload, {})
     return 0
 
 
 def cmd_design(config: RunConfig) -> int:
     design = design_points(config.design)
     report = validate_design(design, config.design)
-    out = _out_dir(config)
-    _write_table(out / "design.csv", "x,y,z", design.points.tolist())
-    _write_json(
-        out / "design_validation.json",
-        _metadata(config, validation=report.to_dict()),
-    )
+    tables = {"design.csv": ("x,y,z", design.points.tolist())}
+    _write_outputs(config, "design_validation.json", {"validation": report.to_dict()}, tables)
     if not report.passed:
         raise CrossCheckError(
             f"design validation failed (max deviation {report.max_abs_deviation:.3e})"
@@ -464,67 +417,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"randmeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Parser-level defaults win over argument defaults, so RunConfig's are the only ones.
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
-    def common(p, with_state=True):
-        if with_state:
+    def command(name, help, state=True):
+        """Add subcommand ``name`` with the shared options; return its ``add_argument``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**defaults)
+        if state:
             p.add_argument("--state", required=True, help=_state_help())
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--output", default="randmeas-output", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+        p.add_argument("--output", help="output directory")
+        p.add_argument("--format", choices=("json", "csv"))
+        return p.add_argument
 
-    p_sample = sub.add_parser("sample", help="sample a correlation distribution")
-    common(p_sample)
-    p_sample.add_argument("--subset", default="full", help="parties, e.g. 'full' or '1,2'")
-    p_sample.add_argument("--samples", type=int, default=10000, help="number of random settings M")
+    option = command("sample", "sample a correlation distribution")
+    option("--subset", help="parties, e.g. 'full' or '1,2'")
+    option("--samples", type=int, help="number of random settings M")
 
-    p_moments = sub.add_parser("moments", help="estimate moments of a correlation distribution")
-    common(p_moments)
-    p_moments.add_argument("--subset", default="full", help="'full', 'all', or a comma list")
-    p_moments.add_argument("--orders", default="2", help="comma list of moment orders t")
-    p_moments.add_argument("--samples", type=int, default=10000, help="Monte-Carlo settings M")
-    p_moments.add_argument("--shots", type=int, default=0, help="shots per setting K (0 = exact expectations)")
-    p_moments.add_argument("--design", type=int, default=0, help="design order for exact sums (0 = Haar MC)")
-    p_moments.add_argument("--bootstrap", action="store_true", help="bootstrap standard errors (1000 resamples)")
+    option = command("moments", "estimate moments of a correlation distribution")
+    option("--subset", help="'full', 'all', or a comma list")
+    option("--orders", help="comma list of moment orders t")
+    option("--samples", type=int, help="Monte-Carlo settings M")
+    option("--shots", type=int, help="shots per setting K (0 = exact expectations)")
+    option("--design", type=int, help="design order for exact sums (0 = Haar MC)")
+    option("--bootstrap", action="store_true", help="bootstrap standard errors (1000 resamples)")
 
-    p_criteria = sub.add_parser("criteria", help="evaluate entanglement criteria")
-    common(p_criteria)
-    p_criteria.add_argument("--test", default=None, help="criterion: gme4, wclass, bisep3, length")
-    p_criteria.add_argument("--structure", action="store_true", help="also report all marginal bound tests")
+    option = command("criteria", "evaluate entanglement criteria")
+    option("--test", help="criterion: gme4, wclass, bisep3, length")
+    option("--structure", action="store_true", help="also report all marginal bound tests")
 
-    p_design = sub.add_parser("design", help="emit a direction set and its validation")
-    common(p_design, with_state=False)
-    p_design.add_argument("--order", type=int, required=True, help="design degree (3 or 5)")
-
+    option = command("design", "emit a direction set and its validation", state=False)
+    option("--order", dest="design", metavar="ORDER", type=int, required=True, help="design degree (3 or 5)")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
-        raise CliError(f"seed must be non-negative, got {seed}")
-    text = str(getattr(args, "orders", "2"))
-    try:
-        orders = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise CliError(f"bad --orders {text!r}: expected a comma list of integers") from exc
-    config = RunConfig(
-        command=args.command,
-        state=getattr(args, "state", None),
-        subset=getattr(args, "subset", "full"),
-        samples=getattr(args, "samples", 10000),
-        shots=getattr(args, "shots", 0),
-        design=getattr(args, "design", 0) or getattr(args, "order", 0),
-        orders=orders,
-        seed=seed,
-        output=args.output,
-        format=args.format,
-        bootstrap=getattr(args, "bootstrap", False),
-        test=getattr(args, "test", None),
-        structure=getattr(args, "structure", False),
-    )
-    if config.state is not None:
-        config.state = render_state(parse_state(config.state))
-    return config
 
 
 _COMMANDS = {
@@ -539,7 +464,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**vars(args))
         return _COMMANDS[args.command](config)
     except (CliError, CrossCheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
