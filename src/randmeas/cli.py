@@ -28,10 +28,10 @@ from .correlations import (
     sample_distribution,
 )
 from .criteria import (
-    _structure_report_of_state,
     bisep_line_3,
     entanglement_by_length,
     gme_test_4,
+    structure_report_from_state,
     w_class_witness,
 )
 from .moments import (
@@ -381,7 +381,7 @@ def cmd_criteria(config: RunConfig) -> int:
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
     # one exact moment map per request: gme4's, if it built one
-    structure = _structure_report_of_state(rho, moments or exact_moment_map(rho)) if config.structure else None
+    structure = structure_report_from_state(rho, moments) if config.structure else None
     payload = {
         "n_qubits": n,
         "verdicts": [v.to_dict() for v in verdicts],

@@ -168,14 +168,12 @@ def structure_report(moments, purities) -> StructureReport:
     return StructureReport(full, verdicts.pop(full), verdicts)
 
 
-def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
+def structure_report_from_state(rho: DensityMatrix, moments: dict | None = None) -> StructureReport:
     """Structure report from exact moments and marginal purities of a state,
-    both read off ``rho.pauli``."""
-    return _structure_report_of_state(rho, exact_moment_map(rho))
-
-
-def _structure_report_of_state(rho: DensityMatrix, moments: dict) -> StructureReport:
-    """Structure report of ``rho`` from its exact moment map ``moments``."""
+    both read off ``rho.pauli``.  ``moments``, if given, is the exact moment
+    map of ``rho`` already built, as ``exact_moment_map(rho)`` returns it."""
+    if moments is None:
+        moments = exact_moment_map(rho)
     purities = {
         subset: marginal_purity(rho, subset)
         for subset in all_subsets(rho.n_qubits, min_size=2)
