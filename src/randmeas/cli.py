@@ -36,6 +36,7 @@ from .criteria import (
 )
 from .moments import (
     _check_design_tuples,
+    _check_mc_samples,
     _check_order,
     _check_shots_cover_order,
     _design_moment,
@@ -296,6 +297,8 @@ def cmd_moments(config: RunConfig) -> int:
         _check_shots_cover_order(config.shots, highest)
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
+    if not (config.design or config.shots):
+        _check_mc_samples(config.samples)
     if config.design:
         design = design_points(config.design)
         for t in config.orders:

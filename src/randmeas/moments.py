@@ -132,8 +132,7 @@ def moments_mc(
     """
     orders = [_check_order(t) for t in orders]
     m = samples.settings_count
-    if m < 2:
-        raise ValueError(f"need M >= 2 samples for a standard error, got M={m}")
+    _check_mc_samples(m)
     powers = [_power(samples.values, t) for t in orders]
     if bootstrap:
         if rng is None:
@@ -162,6 +161,11 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     k = len(tensor.subset)
     value = tensor.sum_squares() / 3.0**k
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
+
+
+def _check_mc_samples(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"need M >= 2 samples for a standard error, got M={m}")
 
 
 def _check_shots_cover_order(k: int, t: int) -> None:

@@ -113,6 +113,13 @@ def test_moments_rejects_zero_samples(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_moments_allows_one_setting_with_shots(tmp_path):
+    # the finite-shot route needs no spread over settings, so M = 1 stays valid
+    out = tmp_path / "o"
+    assert run_cli(["moments", "--state", "ghz:3", "--samples", 1, "--shots", 2, "--output", out]) == 0
+    assert read_json(out / "moments.json")["moments"][0]["method"] == "finite_shot"
+
+
 def test_sample_bell_histogram_is_flat(tmp_path):
     out = tmp_path / "bell"
     rc = run_cli(
@@ -274,8 +281,10 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
             "--state ghz:8 --subset 1,2 --orders 2,4 --samples 200000 --shots 2",
             "need at least t shots per setting for unbiased order-4 estimation, got K=2",
         ),
+        ("--state ghz:3 --samples 1", "need M >= 2 samples for a standard error, got M=1"),
+        ("--state ghz:3 --samples 1 --bootstrap", "need M >= 2 samples for a standard error, got M=1"),
     ],
-    ids=["unparsable", "zero", "fewer_shots_than_t"],
+    ids=["unparsable", "zero", "fewer_shots_than_t", "one_monte_carlo_sample", "one_bootstrap_sample"],
 )
 def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, monkeypatch):
     import randmeas.cli
