@@ -431,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state", required=True, help=_state_help())
         p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
         p.add_argument("--output", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"))
         return p.add_argument
 
     option = command("sample", "sample a correlation distribution")
@@ -439,6 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--samples", type=int, help="number of random settings M")
 
     option = command("moments", "estimate moments of a correlation distribution")
+    option("--format", choices=("json", "csv"))
     option("--subset", help="'full', 'all', or a comma list")
     option("--orders", help="comma list of moment orders t")
     option("--samples", type=int, help="Monte-Carlo settings M")

@@ -465,6 +465,21 @@ def test_moments_all_subsets(tmp_path):
     assert len(read_json(out / "moments.json")["moments"]) == 7
 
 
+@pytest.mark.parametrize(
+    "args", ["sample --state bell", "criteria --state ghz:4 --test gme4", "design --order 3"],
+    ids=["sample", "criteria", "design"],
+)
+def test_format_is_a_moments_option(args, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([*args.split(), "--format", "json", "--output", out])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert run_cli([*args.split(), "--output", out]) == 0
+    meta = next(read_json(path) for path in out.iterdir() if path.suffix == ".json")
+    assert meta["config"]["format"] == "json"
+
+
 def test_criteria_gme4_ghz(tmp_path):
     out = tmp_path / "c"
     rc = run_cli(["criteria", "--state", "ghz:4", "--test", "gme4", "--output", out])

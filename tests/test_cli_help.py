@@ -8,13 +8,6 @@ import pytest
 
 from randmeas.cli import main
 
-STATE_HELP = """\
-  --state STATE        state spec 'kind[:param[,param]]'; kinds:
-                       product_zero:n, bell, ghz:n, w:n, cluster_linear[:n],
-                       werner:p, trisep4, bisep4[:phi]; aliases: product2,
-                       bell_psi_minus
-"""
-
 HELP = {
     "randmeas": """\
 usage: randmeas [-h] [--version] {sample,moments,criteria,design} ...
@@ -35,17 +28,17 @@ options:
 """,
     "sample": """\
 usage: randmeas sample [-h] --state STATE [--seed SEED] [--output OUTPUT]
-                       [--format {json,csv}] [--subset SUBSET]
-                       [--samples SAMPLES]
+                       [--subset SUBSET] [--samples SAMPLES]
 
 options:
-  -h, --help           show this help message and exit
-""" + STATE_HELP + """\
-  --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
-  --output OUTPUT      output directory
-  --format {json,csv}
-  --subset SUBSET      parties, e.g. 'full' or '1,2'
-  --samples SAMPLES    number of random settings M
+  -h, --help         show this help message and exit
+  --state STATE      state spec 'kind[:param[,param]]'; kinds: product_zero:n,
+                     bell, ghz:n, w:n, cluster_linear[:n], werner:p, trisep4,
+                     bisep4[:phi]; aliases: product2, bell_psi_minus
+  --seed SEED        RNG seed (default $RANDMEAS_SEED or 0)
+  --output OUTPUT    output directory
+  --subset SUBSET    parties, e.g. 'full' or '1,2'
+  --samples SAMPLES  number of random settings M
 """,
     "moments": """\
 usage: randmeas moments [-h] --state STATE [--seed SEED] [--output OUTPUT]
@@ -55,7 +48,10 @@ usage: randmeas moments [-h] --state STATE [--seed SEED] [--output OUTPUT]
 
 options:
   -h, --help           show this help message and exit
-""" + STATE_HELP + """\
+  --state STATE        state spec 'kind[:param[,param]]'; kinds:
+                       product_zero:n, bell, ghz:n, w:n, cluster_linear[:n],
+                       werner:p, trisep4, bisep4[:phi]; aliases: product2,
+                       bell_psi_minus
   --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
   --output OUTPUT      output directory
   --format {json,csv}
@@ -68,27 +64,26 @@ options:
 """,
     "criteria": """\
 usage: randmeas criteria [-h] --state STATE [--seed SEED] [--output OUTPUT]
-                         [--format {json,csv}] [--test TEST] [--structure]
+                         [--test TEST] [--structure]
 
 options:
-  -h, --help           show this help message and exit
-""" + STATE_HELP + """\
-  --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
-  --output OUTPUT      output directory
-  --format {json,csv}
-  --test TEST          criterion: gme4, wclass, bisep3, length
-  --structure          also report all marginal bound tests
+  -h, --help       show this help message and exit
+  --state STATE    state spec 'kind[:param[,param]]'; kinds: product_zero:n,
+                   bell, ghz:n, w:n, cluster_linear[:n], werner:p, trisep4,
+                   bisep4[:phi]; aliases: product2, bell_psi_minus
+  --seed SEED      RNG seed (default $RANDMEAS_SEED or 0)
+  --output OUTPUT  output directory
+  --test TEST      criterion: gme4, wclass, bisep3, length
+  --structure      also report all marginal bound tests
 """,
     "design": """\
-usage: randmeas design [-h] [--seed SEED] [--output OUTPUT]
-                       [--format {json,csv}] --order ORDER
+usage: randmeas design [-h] [--seed SEED] [--output OUTPUT] --order ORDER
 
 options:
-  -h, --help           show this help message and exit
-  --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
-  --output OUTPUT      output directory
-  --format {json,csv}
-  --order ORDER        design degree (3 or 5)
+  -h, --help       show this help message and exit
+  --seed SEED      RNG seed (default $RANDMEAS_SEED or 0)
+  --output OUTPUT  output directory
+  --order ORDER    design degree (3 or 5)
 """,
 }
 
