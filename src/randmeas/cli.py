@@ -281,8 +281,7 @@ def _cross_check(subset, estimate, exact) -> dict:
 
 
 def cmd_moments(config: RunConfig) -> int:
-    spec = parse_state(config.state)
-    rho = make_state(spec)
+    rho = make_state(parse_state(config.state))
     subsets = parse_subset(config.subset, rho.n_qubits)
     if config.shots < 0:
         raise CliError(f"--shots must be >= 0 (0 = exact expectations), got {config.shots}")
@@ -353,8 +352,7 @@ def cmd_moments(config: RunConfig) -> int:
 
 
 def cmd_criteria(config: RunConfig) -> int:
-    spec = parse_state(config.state)
-    rho = make_state(spec)
+    rho = make_state(parse_state(config.state))
     n = rho.n_qubits
     if config.test is None and not config.structure:
         raise CliError("choose a criterion with --test or request --structure")
