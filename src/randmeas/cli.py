@@ -382,12 +382,8 @@ def cmd_criteria(config: RunConfig) -> int:
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
     # one exact moment map per request: gme4's, if it built one
-    structure = structure_report_from_state(rho, moments) if config.structure else None
-    payload = {
-        "n_qubits": n,
-        "verdicts": [v.to_dict() for v in verdicts],
-        "structure": None if structure is None else structure.to_dict(),
-    }
+    structure = structure_report_from_state(rho, moments).to_dict() if config.structure else None
+    payload = {"n_qubits": n, "verdicts": [v.to_dict() for v in verdicts], "structure": structure}
     _write_outputs(config, "criteria.json", payload, {})
     return 0
 
@@ -418,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"randmeas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Parser-level defaults win over argument defaults, so RunConfig's are the only ones.
+    # Parser-level defaults override argument-level ones: RunConfig's fields are the only defaults.
     defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
     def command(name, help, state=True):
