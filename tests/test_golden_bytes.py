@@ -82,6 +82,27 @@ GOLDEN = {
             "moments.json": "b68ab415fa4816dab0a92dc224d66ec0f8096aec335ed6a3e725582060758e2a",
         },
     ),
+    "design3_sums_w4_odd": (
+        "moments --state w:4 --subset all --orders 1,2,3 --design 3 --format csv",
+        {
+            "moments.csv": "5fd71b176bcfe64cd795814cbb244f5c2a9381da2abc38ce9471cd59ec5df12f",
+            "moments.json": "2a325f7c61ae18ff424892101f949f22a8a5f3bd954e8c5d7ca149b09bc0b321",
+        },
+    ),
+    "design_sums_werner_odd": (
+        "moments --state werner:0.3 --orders 1,2,3,4,5 --design 5 --format csv",
+        {
+            "moments.csv": "3cfe6d35aac27730a6f690574f6eb4ce7cd94f54e5c5b33f066b1a3770ff7c29",
+            "moments.json": "2ba174f5b7c9aa0586f045cfb06828caf61c3b6a09d50529d167ca4a0c44c4b9",
+        },
+    ),
+    "monte_carlo_w3_odd": (
+        "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
+        {
+            "moments.csv": "deda1f7bffd536a66bbecf680b397aabd7bd4325bcd5204af729dc7313800999",
+            "moments.json": "1ef66a779a807d976ad3f74fb6750980f80929c73fbf8cfb794f9e5d3ac8a7d5",
+        },
+    ),
     "monte_carlo_ghz3_odd": (
         "moments --state ghz:3 --orders 1,3 --samples 2000 --seed 6 --format csv",
         {
