@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .correlations import (
+    HISTOGRAM_BINS,
     analytic_pdf,
     correlation_length,
     correlation_tensor,
@@ -35,7 +36,6 @@ from .criteria import (
     w_class_witness,
 )
 from .moments import (
-    _check_design_tuples,
     _check_mc_samples,
     _check_order,
     _check_shots_cover_order,
@@ -49,7 +49,7 @@ from .moments import (
     random_settings,
     simulate_shots,
 )
-from .sampling import RngStream, design_points, validate_design
+from .sampling import RngStream, design_points, half_design, validate_design
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
@@ -236,7 +236,7 @@ def cmd_sample(config: RunConfig) -> int:
         if density.is_delta:
             density_info = {"kind": density.kind, "point_mass_at": 0.0}
         else:
-            edges = np.linspace(-1.0, 1.0, 82)
+            edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
             left, right = edges[:-1], edges[1:]
             mean_density = np.diff(density.cdf(edges)) / (right - left)
             rows = np.column_stack([left, right, 0.5 * (left + right), mean_density]).tolist()
@@ -292,20 +292,15 @@ def cmd_moments(config: RunConfig) -> int:
     if config.bootstrap and (config.design or config.shots):
         raise CliError("--bootstrap applies to Monte Carlo moments, not to --design or --shots")
     highest = max(_check_order(t) for t in config.orders)
+    repeated = [t for t in config.orders if config.orders.count(t) > 1]
+    if repeated:
+        raise CliError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     if not (config.design or config.shots):
         _check_mc_samples(config.samples)
-    if config.design:
-        design = design_points(config.design)
-        for t in config.orders:
-            if design.degree < t:
-                raise CliError(
-                    f"design order insufficient: degree {design.degree} < t={t}"
-                )
-        _check_design_tuples(len(design.points), max(map(len, subsets)))
 
     estimates = []
     checks = []
@@ -315,16 +310,17 @@ def cmd_moments(config: RunConfig) -> int:
         table = simulate_shots(rho, settings, config.shots, RngStream(config.seed, STREAM_SHOTS))
         estimates = [estimate_moment_from_shots(table, t, parties=s) for s in subsets for t in config.orders]
     elif config.design:
+        half = half_design(design_points(config.design))
         for subset in subsets:
-            for est in _design_moment(rho, subset, config.orders, design.degree, design.points):
+            for est in _design_moment(rho, subset, config.orders, config.design, half):
                 estimates.append(est)
                 if do_checks and est.order == 2:
                     checks.append(_cross_check(subset, est, moment_exact_t2(correlation_tensor(rho, subset)).value))
     else:
-        # Each order t <= 5 is checked against the smallest design exact for
-        # it: one multi-order design sum per subset and design.
-        due = {3: [t for t in config.orders if t <= 3], 5: [t for t in config.orders if 3 < t <= 5]}
-        designs = {degree: design_points(degree) for degree, ts in due.items() if ts and do_checks}
+        # Every order t <= 5 is checked against one design sum per subset
+        # over the 5-design's antipodal half.
+        checked = [t for t in config.orders if t <= 5]
+        half = half_design(design_points(5)) if do_checks else None
         for subset_index, subset in enumerate(subsets):
             stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
             samples = sample_distribution(rho, subset, config.samples, stream)
@@ -332,11 +328,7 @@ def cmd_moments(config: RunConfig) -> int:
             subset_estimates = moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng)
             estimates += subset_estimates
             if do_checks:
-                exact = {
-                    e.order: e.value
-                    for degree, design in designs.items()
-                    for e in _design_moment(rho, subset, due[degree], degree, design.points)
-                }
+                exact = {e.order: e.value for e in _design_moment(rho, subset, checked, 5, half)}
                 checks += [_cross_check(subset, est, exact.get(est.order)) for est in subset_estimates]
 
     tables = {}

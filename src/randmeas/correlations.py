@@ -19,6 +19,7 @@ from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
 CORRELATION_EXCESS_ATOL = 1e-9
 IMAG_RESIDUE_ATOL = 1e-10
+HISTOGRAM_BINS = 81
 
 _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # Site transfer matrix: S[a, 2 r + c] = P_a[c, r], so contracting every
@@ -194,20 +195,22 @@ class SampleSet:
 
     subset: tuple
     values: np.ndarray
-    settings_count: int
     seed: RngStream | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).view()
-        if vals.shape != (self.settings_count,):
-            raise ValueError(
-                f"expected {self.settings_count} values, got shape {vals.shape}"
-            )
+        if vals.ndim != 1:
+            raise ValueError(f"sample values must be one-dimensional, got shape {vals.shape}")
         if vals.size and (vals.min() < -1.0 or vals.max() > 1.0):
             raise ValueError("sample values outside [-1, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
+
+    @property
+    def settings_count(self) -> int:
+        """The number of direction settings M, one value each."""
+        return len(self.values)
 
     def to_csv(self, path) -> None:
         """Write ``sample_index,E`` rows, each byte for byte Python's
@@ -310,16 +313,16 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
     values = correlation_values(tensor.components, directions)
     values = _clamp_correlations(values)
     provenance = rng if isinstance(rng, RngStream) else None
-    return SampleSet(parties, values, m, provenance)
+    return SampleSet(parties, values, provenance)
 
 
-def histogram_table(values, bins: int = 81, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Histogram rows (bin_left, bin_right, count, density).
+def histogram_table(values) -> np.ndarray:
+    """Histogram rows (bin_left, bin_right, count, density) over [-1, 1].
 
-    The default odd bin count centers one bin at 0 so point masses at the
-    origin land in a single bin.
+    The odd bin count ``HISTOGRAM_BINS`` centers one bin at 0 so point
+    masses at the origin land in a single bin.
     """
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
     widths = np.diff(edges)
     total = max(1, len(np.asarray(values)))
     density = counts / (total * widths)

@@ -15,6 +15,8 @@ import numpy as np
 from .sampling import _generator, haar_unitaries
 from .states import DensityMatrix, _conjugate_locally, w_state
 
+MAX_W_COMPONENTS = 4
+
 
 def random_pure_vector(dim: int, rng) -> np.ndarray:
     """Haar-random unit vector (complex Gaussian, normalized)."""
@@ -75,11 +77,11 @@ def random_biseparable_state(n_qubits: int, rng) -> DensityMatrix:
     return DensityMatrix(n_qubits, mat)
 
 
-def random_w_class_mixture(n_qubits: int, rng, max_components: int = 4) -> DensityMatrix:
-    """Convex mixture of locally rotated W states (a subset of the mixed
-    W class)."""
+def random_w_class_mixture(n_qubits: int, rng) -> DensityMatrix:
+    """Convex mixture of 1 to ``MAX_W_COMPONENTS`` locally rotated W states
+    (a subset of the mixed W class)."""
     gen = _generator(rng)
-    n_components = int(gen.integers(1, max_components + 1))
+    n_components = int(gen.integers(1, MAX_W_COMPONENTS + 1))
     weights = gen.dirichlet(np.ones(n_components))
     base = w_state(n_qubits).matrix
     dim = 2**n_qubits

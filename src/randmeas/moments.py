@@ -27,6 +27,7 @@ from .sampling import (
     _block_rows,
     _check_unit_norm,
     _generator,
+    half_design,
     uniform_directions,
 )
 from .states import DensityMatrix
@@ -34,10 +35,11 @@ from .states import DensityMatrix
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
 _EXACT_METHODS = ("exact_tensor", "design")
 
-#: Largest number of design tuples a single exact sum may expand to.
+#: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
 
 EVEN_MOMENT_ATOL = 1e-9
+PURITY_ATOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,11 +175,6 @@ def _check_shots_cover_order(k: int, t: int) -> None:
         raise ValueError(f"need at least t shots per setting for unbiased order-{t} estimation, got K={k}")
 
 
-def _check_design_tuples(points: int, k: int) -> None:
-    if points**k > MAX_DESIGN_TUPLES:
-        raise ValueError(f"design sum over {points}^{k} tuples exceeds MAX_DESIGN_TUPLES")
-
-
 def _power(values: np.ndarray, t: int) -> np.ndarray:
     """values^t as the product chain ((v * v) * v) * ... of t - 1 IEEE
     multiplications, each in place into one new array.  numpy's ``**``
@@ -193,29 +190,30 @@ def _power(values: np.ndarray, t: int) -> np.ndarray:
 def _design_moment(
     rho: DensityMatrix, subset, orders, degree: int, points: np.ndarray
 ) -> list:
-    """Means of E^t over every direction tuple of ``points`` (an (N, 3)
-    array exact for polynomials of degree <= ``degree``), one estimate
-    per order in ``orders``, all read off one grid of E.  Tuples are
-    summed in lexicographic order with pairwise summation for
-    reproducibility.  ``half_design(design)`` as ``points`` sums one
-    direction per antipodal pair, which is exact for even t only."""
+    """Means of E^t over the direction tuples of an antipodal design of
+    degree ``degree`` >= t, one estimate per order in ``orders``, given
+    its ``half_design`` as ``points``.  Flipping one site's direction
+    flips the sign of E, so odd t are exactly 0.0 and even t are means
+    over the half design's tuples, read off one grid of E summed in
+    lexicographic order with pairwise summation."""
     orders = [_check_order(t) for t in orders]
-    if degree < max(orders):
+    if degree < max(orders, default=0):
         raise ValueError(
             f"design order insufficient for requested moment: degree {degree} < t={max(orders)}"
         )
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    _check_design_tuples(len(points), k)
-    grid = _slab(rho.pauli, parties, slice(1, 4))
-    for _ in range(k):
-        # consume the leading site axis, appending its point axis at the end
-        grid = np.tensordot(grid, points, axes=(0, 1))
-    values = grid.ravel()
-    return [
-        MomentEstimate(parties, t, float(np.sum(_power(values, t)) / values.size), None, "design")
-        for t in orders
-    ]
+    if len(points) ** k > MAX_DESIGN_TUPLES:
+        raise ValueError(f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES")
+    means = {}
+    if any(t % 2 == 0 for t in orders):
+        grid = _slab(rho.pauli, parties, slice(1, 4))
+        for _ in range(k):
+            # consume the leading site axis, appending its point axis at the end
+            grid = np.tensordot(grid, points, axes=(0, 1))
+        values = grid.ravel()
+        means = {t: float(np.sum(_power(values, t)) / values.size) for t in orders if t % 2 == 0}
+    return [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]
 
 
 def moment_design(
@@ -224,9 +222,10 @@ def moment_design(
     """Exact order-t moment by summation over design direction tuples.
 
     E^t is a degree-t polynomial in each site's direction, so a design of
-    degree >= t reproduces the sphere integral exactly.
+    degree >= t reproduces the sphere integral exactly.  The design must
+    be antipodal, as every ``design_points`` design is.
     """
-    (estimate,) = _design_moment(rho, subset, (t,), design.degree, design.points)
+    (estimate,) = _design_moment(rho, subset, (t,), design.degree, half_design(design))
     return estimate
 
 
@@ -427,7 +426,7 @@ def exact_moment_map(rho: DensityMatrix) -> dict:
     }
 
 
-def purity_from_moments(moments, atol: float = 1e-6) -> float:
+def purity_from_moments(moments) -> float:
     """Purity as the 3^|A|-weighted sum of second moments over all subsets.
 
     ``moments`` must contain every non-empty subset of {1..n}; the empty
@@ -451,7 +450,7 @@ def purity_from_moments(moments, atol: float = 1e-6) -> float:
     purity = total / 2.0**n
     if purity <= 0.0:
         raise ValueError(f"purity {purity!r} is not positive")
-    if exact_only and purity > 1.0 + atol:
+    if exact_only and purity > 1.0 + PURITY_ATOL:
         raise ValueError(f"purity {purity!r} exceeds 1 beyond tolerance")
     return purity
 

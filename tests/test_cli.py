@@ -197,17 +197,16 @@ def test_moments_insufficient_design_order(tmp_path, capsys):
     assert "design order insufficient" in capsys.readouterr().err
 
 
-def test_moments_refuses_design_cap_before_any_sum(tmp_path, capsys, monkeypatch):
-    sums = []
-    for module in (randmeas.moments, randmeas.cli):
-        monkeypatch.setattr(module, "_design_moment", lambda *args: sums.append(args))
-    rc = run_cli(
-        ["moments", "--state", "w:8", "--subset", "all", "--orders", "2,4", "--design", 5, "--output", tmp_path / "o"]
-    )
-    assert rc == 1
-    assert "error: design sum over 12^8 tuples exceeds MAX_DESIGN_TUPLES" in capsys.readouterr().err
-    assert sums == []
-    assert not (tmp_path / "o").exists()
+def test_moments_design_5_at_eight_qubits_matches_the_exact_map(tmp_path):
+    out = tmp_path / "o"
+    rc = run_cli(["moments", "--state", "w:8", "--subset", "all", "--orders", "2,4", "--design", 5, "--output", out])
+    assert rc == 0
+    exact = exact_moment_map(make_state(parse_state("w:8")))
+    entries = read_json(out / "moments.json")["moments"]
+    assert len(entries) == 2 * 255
+    for entry in entries:
+        if entry["t"] == 2:
+            assert abs(entry["value"] - exact[tuple(entry["subset"])].value) <= 1e-12
 
 
 @pytest.mark.parametrize("route", [["--shots", 5], ["--design", 3]], ids=["shots", "design"])
@@ -283,8 +282,9 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
         ),
         ("--state ghz:3 --samples 1", "need M >= 2 samples for a standard error, got M=1"),
         ("--state ghz:3 --samples 1 --bootstrap", "need M >= 2 samples for a standard error, got M=1"),
+        ("--state bell --orders 2,2 --samples 1000", "moment order t=2 is repeated in --orders"),
     ],
-    ids=["unparsable", "zero", "fewer_shots_than_t", "one_monte_carlo_sample", "one_bootstrap_sample"],
+    ids=["unparsable", "zero", "fewer_shots_than_t", "one_monte_carlo_sample", "one_bootstrap_sample", "repeated"],
 )
 def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, monkeypatch):
     import randmeas.cli
@@ -392,17 +392,14 @@ def test_monte_carlo_cross_checks_build_one_grid_per_subset_and_degree(tmp_path,
     out = tmp_path / "o"
     args = ["moments", "--state", "ghz:4", "--subset", "all", "--orders", "1,2,3,4", "--samples", 2000, "--seed", 1]
     assert run_cli([*args, "--output", out]) == 0
-    assert sorted(designs) == [(3,), (5,)]
+    assert designs == [(5,)]
     subsets = [tuple(s) for s in parse_subset("all", 4)]
-    assert [(call[1], call[2], call[3]) for call in sums] == [
-        (s, orders, degree) for s in subsets for orders, degree in (([1, 2, 3], 3), ([4], 5))
-    ]
+    assert [(call[1], call[2], call[3]) for call in sums] == [(s, [1, 2, 3, 4], 5) for s in subsets]
     rho = ghz(4)
     checks = read_json(out / "moments.json")["cross_checks"]
     assert [(c["subset"], c["t"]) for c in checks] == [(list(s), t) for s in subsets for t in (1, 2, 3, 4)]
     for check in checks:
-        design = design_points(3 if check["t"] <= 3 else 5)
-        assert check["exact_value"] == moment_design(rho, check["subset"], check["t"], design).value
+        assert check["exact_value"] == moment_design(rho, check["subset"], check["t"], design_points(5)).value
 
 
 @pytest.mark.parametrize("test", [["--test", "gme4"], []], ids=["gme4", "structure_only"])

@@ -333,6 +333,10 @@ def test_sample_distribution_is_deterministic_and_validated():
     b = sample_distribution(rho, (1, 2), 500, RngStream(8))
     np.testing.assert_array_equal(a.values, b.values)
     assert a.settings_count == 500 and a.subset == (1, 2)
+    with pytest.raises(AttributeError):
+        a.settings_count = 3
+    with pytest.raises(ValueError, match="one-dimensional"):
+        correlations.SampleSet((1, 2), np.zeros((2, 2)))
     assert np.max(np.abs(a.values)) <= 1.0
     with pytest.raises(ValueError, match="M >= 1"):
         sample_distribution(rho, (1, 2), 0, RngStream(8))
@@ -396,7 +400,7 @@ def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatc
     if m == 40_000:
         special += list(_csv_edge_values())
     values[: min(m, len(special))] = special[:m]
-    samples = correlations.SampleSet((1, 2), values, m)
+    samples = correlations.SampleSet((1, 2), values)
     samples.to_csv(tmp_path / "chunks.csv")
     _sample_csv_by_rows(samples, tmp_path / "rows.csv")
     assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -410,7 +414,7 @@ def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatc
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=64))
 def test_sample_csv_matches_row_loop_oracle_on_any_float(tmp_path_factory, values):
     directory = tmp_path_factory.mktemp("csv")
-    samples = correlations.SampleSet((1,), values, len(values))
+    samples = correlations.SampleSet((1,), values)
     samples.to_csv(directory / "chunks.csv")
     _sample_csv_by_rows(samples, directory / "rows.csv")
     assert (directory / "chunks.csv").read_bytes() == (directory / "rows.csv").read_bytes()
@@ -424,7 +428,7 @@ def test_decade_starts_split_the_17_digit_roundings():
 
 def test_sample_csv_memory_is_capped_by_the_block_budget(tmp_path):
     m = 2 * 10**5
-    samples = correlations.SampleSet((1, 2), np.random.default_rng(33).uniform(-1.0, 1.0, m), m)
+    samples = correlations.SampleSet((1, 2), np.random.default_rng(33).uniform(-1.0, 1.0, m))
     tracemalloc.start()
     try:
         samples.to_csv(tmp_path / "samples.csv")

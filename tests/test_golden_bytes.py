@@ -71,15 +71,22 @@ GOLDEN = {
     "design_sums_w4": (
         "moments --state w:4 --subset all --orders 2,4 --design 5 --format csv",
         {
-            "moments.csv": "98dbb3590cca292f4d6db7e64e3b1efe8904d9b07105e6d61933d97f805eb3b0",
-            "moments.json": "7a51227b344e3d33ef519abdf57e1ff11dc0e7efebcee7f683299d10bd886aa9",
+            "moments.csv": "1b27862d5cf3a5644242e94ec5b3082765756668e5f4919815f22bb3293159b4",
+            "moments.json": "acff2cb17691957939bf95bc79dd46eeb5d88ca92aef15d8207cfcf178c51cd3",
         },
     ),
     "design_sums_w5_odd": (
         "moments --state w:5 --subset all --orders 2,3,4,5 --design 5 --format csv",
         {
-            "moments.csv": "23d967485253f69da20d329ca8bb4d7cd5ff733aa480c6b923faa3ef79e88c75",
-            "moments.json": "b68ab415fa4816dab0a92dc224d66ec0f8096aec335ed6a3e725582060758e2a",
+            "moments.csv": "3c9247b278e289e0fce07bd775431bc20ac1302cc9fd30de4668a64c17f08089",
+            "moments.json": "9b80a9ada927307f69dd5ada464d25921053073ad4bd60ae2fc049a43162515e",
+        },
+    ),
+    "design_sums_w8": (
+        "moments --state w:8 --subset all --orders 2,4 --design 5 --format csv",
+        {
+            "moments.csv": "fcf46fb1246e6075a15784e6c15b942d7404a0db9f6b1040e5baff6812afa36b",
+            "moments.json": "c82ccfb660970bb90c159e1eff90f93da1fbb627081bdd5da1316188108188fd",
         },
     ),
     "design3_sums_w4_odd": (
@@ -100,7 +107,7 @@ GOLDEN = {
         "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
         {
             "moments.csv": "deda1f7bffd536a66bbecf680b397aabd7bd4325bcd5204af729dc7313800999",
-            "moments.json": "1ef66a779a807d976ad3f74fb6750980f80929c73fbf8cfb794f9e5d3ac8a7d5",
+            "moments.json": "3c08f98badf334bb952e0febd82d08118d7cd3a09019bbc8005aa94781f9f6f0",
         },
     ),
     "monte_carlo_ghz3_odd": (
@@ -114,7 +121,7 @@ GOLDEN = {
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
             "moments.csv": "5faa52e23dcbda522c863ed08220ba68d3000e42d12bf7107ad45f8a0d25ef01",
-            "moments.json": "d1852bad6ebc711a556329c32ff2075290a7300e2a137170d6f15a6193dea860",
+            "moments.json": "4c9d406cdbdb959ac63d969d2f176592d78cc48d439c071c820d979d7e8818a7",
         },
     ),
     "monte_carlo_w5": (
@@ -127,13 +134,13 @@ GOLDEN = {
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
-            "moments.json": "73aeb7ac8756335db1086474426b3186a431af430428cb076e6f679ace3b9cb1",
+            "moments.json": "6fce907277ab1c5cfedc7f256cec6e02175f6d7b65f53724d730aceb9b14270d",
         },
     ),
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "0ba03c1ff9806815716b3ef90fbd679c26bdd1a3ab9781ac29cdfc163b1e48d8",
+            "moments.json": "b30560388d58e9bbbea564623ab208f175a056aa98e2ab7b7d7679c3274d2212",
         },
     ),
     "shots_ghz3": (
@@ -222,7 +229,7 @@ GOLDEN = {
     "bisep3_product_zero3": (
         "criteria --state product_zero:3 --test bisep3",
         {
-            "criteria.json": "242decfafbdd045ef417ec8e22a233debbb8f86c1824adb22f6f7a36c0c8d9f7",
+            "criteria.json": "c912c3a417a7c259e9b10e2628bfac71b437aba0f8dfc63fdcf1d901dac263dc",
         },
     ),
     "wclass_ghz8": (

@@ -32,7 +32,14 @@ from randmeas.moments import (
     random_settings,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, _generator, design_points, half_design
+from randmeas.sampling import (
+    RngStream,
+    SphericalDesign,
+    _generator,
+    design_points,
+    half_design,
+    uniform_directions,
+)
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
@@ -247,6 +254,41 @@ def _design_values(rho, subset, points):
     return grid.ravel()
 
 
+def _full_design_moment(rho, subset, t, design):
+    """Oracle: the mean of E^t over every tuple of the full design, odd t
+    included, with no use of antipodal symmetry."""
+    values = _design_values(rho, subset, design.points)
+    return float(np.sum(_power(values, t)) / values.size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_design_moment_matches_the_full_design_oracle(n):
+    states = [random_density_matrix(n, RngStream(46, n))]
+    if n >= 2:
+        states += [ghz(n), w_state(n)]
+    for rho in states:
+        for design in (D3, D5):
+            orders = range(1, design.degree + 1)
+            half = half_design(design)
+            for subset in all_subsets(n):
+                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, half)):
+                    assert abs(est.value - _full_design_moment(rho, subset, t, design)) <= 1e-15
+                    if t % 2:
+                        assert est.value == 0.0 and not np.signbit(est.value)
+
+
+def test_design_moment_refuses_a_caller_design_over_the_cap_before_any_grid(monkeypatch):
+    grids = []
+    monkeypatch.setattr(moments, "_slab", lambda *args: grids.append(args))
+    # 30 antipodal pairs: 30^5 tuples exceed MAX_DESIGN_TUPLES
+    pairs = uniform_directions(RngStream(47), 30)
+    design = SphericalDesign(5, np.concatenate([pairs, -pairs]))
+    with pytest.raises(ValueError, match=r"design sum over 30\^5 tuples exceeds MAX_DESIGN_TUPLES"):
+        moment_design(ghz(5), (1, 2, 3, 4, 5), 2, design)
+    assert grids == []
+    assert 30**5 > moments.MAX_DESIGN_TUPLES > 30**4
+
+
 def _assert_near_pow_oracle(value, values, t):
     """``value`` is the mean of values^t to 4 ulps of the mean of |values|^t,
     the oracle being numpy's ``**`` (bit-equal at t <= 2)."""
@@ -262,14 +304,14 @@ def _assert_near_pow_oracle(value, values, t):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_product_chain_moments_match_the_pow_oracle(n):
     states = [ghz(n), w_state(n), random_density_matrix(n, RngStream(43, n))]
-    for index, rho in enumerate(states):
+    for rho in states:
         for design in (D3, D5):
-            if n == 5 and design is D5 and index < 2:
-                continue  # 12^5-tuple pow sums: the random state covers them
-            orders = [t for t in (2, 3, 4, 5) if t <= design.degree]
+            # odd design moments are exactly 0, with no power taken
+            orders = [t for t in (2, 4) if t <= design.degree]
+            half = half_design(design)
             for subset in all_subsets(n):
-                values = _design_values(rho, subset, design.points)
-                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, design.points)):
+                values = _design_values(rho, subset, half)
+                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, half)):
                     _assert_near_pow_oracle(est.value, values, t)
         for subset in all_subsets(n):
             samples = sample_distribution(rho, subset, 500, RngStream(44, n))
@@ -281,12 +323,12 @@ def test_multi_order_design_moment_is_bit_equal_to_single_orders():
     rho = random_density_matrix(4, RngStream(45))
     for subset in [(2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]:
         for design, orders in ((D3, (3, 1, 2, 2)), (D5, (2, 3, 4, 5, 1))):
-            shared = _design_moment(rho, subset, orders, design.degree, design.points)
+            shared = _design_moment(rho, subset, orders, design.degree, half_design(design))
             assert [e.order for e in shared] == list(orders)
             for est, t in zip(shared, orders):
                 assert est.to_dict() == moment_design(rho, subset, t, design).to_dict()
     with pytest.raises(ValueError, match="degree 3 < t=4"):
-        _design_moment(rho, (1, 2), (2, 4), D3.degree, D3.points)
+        _design_moment(rho, (1, 2), (2, 4), D3.degree, half_design(D3))
 
 
 def test_moment_design_rejects_insufficient_degree():
@@ -300,9 +342,8 @@ def test_half_design_moments_match_full():
         (ghz(3), (1, 2, 3), 4, D5, 64.0 / 1125.0),
         (product_zero(2), (1, 2), 2, D3, 1.0 / 9.0),
     ]:
-        (half,) = _design_moment(rho, subset, (t,), design.degree, half_design(design))
-        half = half.value
-        assert abs(half - moment_design(rho, subset, t, design).value) < 1e-13
+        half = moment_design(rho, subset, t, design).value
+        assert abs(half - _full_design_moment(rho, subset, t, design)) < 1e-13
         assert half == pytest.approx(exact, abs=1e-13)
 
 
@@ -453,7 +494,7 @@ def test_frozen_arrays_leave_the_callers_arrays_writable():
     frozen = {
         "settings": (settings, table.settings),
         "outcomes": (outcomes, ShotTable(settings, outcomes).outcomes),
-        "values": (values, SampleSet((1,), values, 2).values),
+        "values": (values, SampleSet((1,), values).values),
         "components": (components, CorrelationTensor((1,), components).components),
     }
     for name, (given, stored) in frozen.items():
