@@ -286,7 +286,6 @@ def test_design_moment_refuses_a_caller_design_over_the_cap_before_any_grid(monk
     with pytest.raises(ValueError, match=r"design sum over 30\^5 tuples exceeds MAX_DESIGN_TUPLES"):
         moment_design(ghz(5), (1, 2, 3, 4, 5), 2, design)
     assert grids == []
-    assert 30**5 > moments.MAX_DESIGN_TUPLES > 30**4
 
 
 def _assert_near_pow_oracle(value, values, t):
