@@ -38,10 +38,11 @@ from .criteria import (
 from .moments import (
     _check_mc_samples,
     _check_order,
+    _check_shot_table,
     _check_shots_cover_order,
     _design_moment,
+    _shot_moments,
     all_subsets,
-    estimate_moment_from_shots,
     exact_moment_map,
     moment_design,
     moment_exact_t2,
@@ -297,6 +298,7 @@ def cmd_moments(config: RunConfig) -> int:
         raise CliError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
+        _check_shot_table(config.samples, config.shots, rho.n_qubits)
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     if not (config.design or config.shots):
@@ -308,7 +310,7 @@ def cmd_moments(config: RunConfig) -> int:
     if config.shots:
         settings = random_settings(rho.n_qubits, config.samples, RngStream(config.seed, STREAM_SETTINGS))
         table = simulate_shots(rho, settings, config.shots, RngStream(config.seed, STREAM_SHOTS))
-        estimates = [estimate_moment_from_shots(table, t, parties=s) for s in subsets for t in config.orders]
+        estimates = _shot_moments(table, subsets, config.orders)
     elif config.design:
         half = half_design(design_points(config.design))
         for subset in subsets:

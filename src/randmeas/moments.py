@@ -37,6 +37,8 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
+#: Most bytes one ShotTable may hold: 24 of settings per party and setting, 1 per outcome.
+MAX_SHOT_TABLE_BYTES = 2**31
 
 EVEN_MOMENT_ATOL = 1e-9
 PURITY_ATOL = 1e-6
@@ -175,6 +177,11 @@ def _check_shots_cover_order(k: int, t: int) -> None:
         raise ValueError(f"need at least t shots per setting for unbiased order-{t} estimation, got K={k}")
 
 
+def _check_shot_table(m: int, k: int, n: int) -> None:
+    if (size := m * n * (24 + int(k))) > MAX_SHOT_TABLE_BYTES:
+        raise ValueError(f"shot table of M*n*(24 + K) = {size} bytes exceeds the {MAX_SHOT_TABLE_BYTES}-byte cap")
+
+
 def _power(values: np.ndarray, t: int) -> np.ndarray:
     """values^t as the product chain ((v * v) * v) * ... of t - 1 IEEE
     multiplications, each in place into one new array.  numpy's ``**``
@@ -247,20 +254,22 @@ class ShotTable:
     def __post_init__(self):
         # views, so that freezing them leaves the caller's arrays writable
         settings = np.asarray(self.settings, dtype=float).view()
-        outcomes = np.asarray(self.outcomes, dtype=np.int8).view()
+        outcomes = np.asarray(self.outcomes)
         if settings.ndim != 3 or settings.shape[2] != 3:
             raise ValueError(f"settings must have shape (M, n, 3), got {settings.shape}")
         if outcomes.ndim != 3 or outcomes.shape[0] != settings.shape[0] or outcomes.shape[2] != settings.shape[1]:
             raise ValueError(
                 f"outcomes shape {outcomes.shape} inconsistent with settings {settings.shape}"
             )
-        # reductions only: no temporaries the size of the table
+        # int8 tables by reductions only, with no temporaries the size of the
+        # table; others before the cast, which would store 1.7 and 257 as 1
         if outcomes.size and (
-            outcomes.min() < -1
-            or outcomes.max() > 1
-            or np.count_nonzero(outcomes) < outcomes.size
+            (outcomes.min() < -1 or outcomes.max() > 1 or np.count_nonzero(outcomes) < outcomes.size)
+            if outcomes.dtype == np.int8
+            else not np.all((outcomes == 1) | (outcomes == -1))
         ):
             raise ValueError("outcomes must be +-1")
+        outcomes = outcomes.astype(np.int8, copy=False).view()
         if not np.all(np.isfinite(settings)):
             raise ValueError("settings have non-finite (NaN or inf) entries")
         settings.setflags(write=False)
@@ -292,13 +301,14 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
 
     Sampling the joint distribution (rather than the product variable)
     keeps marginal-subset statistics extractable from the same table.
-    All M*K uniforms are drawn first; settings are then processed in
-    blocks of rows.  One setting holds at once the two widest Born
-    intermediates (2 + 1 times 4^(n-1) floats), its probability and
-    cumulative rows, and the search's index, probe and bit arrays over K
-    draws.
+    Settings are processed in blocks of rows, each block drawing its own
+    uniforms; consecutive draws equal one (M, K) draw.  One setting holds
+    at once the two widest Born intermediates (2 + 1 times 4^(n-1)
+    floats), its probability and cumulative rows, and the search's draw,
+    position, probe and bit arrays over K shots.  Only the M*K*n-byte
+    outcome table grows with M.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
     settings = np.asarray(settings, dtype=float)
     if settings.ndim == 2:
@@ -311,27 +321,28 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     m = settings.shape[0]
     if m < 1:
         raise ValueError(f"settings must satisfy M >= 1, got M={m}")
+    _check_shot_table(m, k, n)
     _check_unit_norm(settings)
     coeffs = rho.pauli.reshape(1, 1, 4, -1)
 
     gen = _generator(rng)
-    draws = gen.random((m, k))
-    outcomes = np.empty((m, k, n), dtype=np.int8)
-    rows = _block_rows(8 * (3 * 4 ** (n - 1) + 3 * 2**n + 4 * k))
+    # party-major, so that each party's (M, K) outcomes are contiguous
+    outcomes = np.empty((n, m, k), dtype=np.int8)
+    rows = _block_rows(8 * (3 * 4 ** (n - 1) + 3 * 2**n + 5 * k))
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         cumulative = _born_cumulative(coeffs, settings[block])
-        block_draws = draws[block]
-        # The drawn sign tuple's index is the count of cumulative entries
-        # <= draw; a binary search finds it one bit per step, and bit j is
-        # party j's outcome.
-        index = np.zeros(block_draws.shape, dtype=np.intp)
+        draws = gen.random((len(cumulative), k))
+        # The drawn sign tuple's index is the count of cumulative entries <=
+        # draw.  A binary search finds it one bit per step (bit j is party j's
+        # outcome), ``position`` being the flat index just before the interval.
+        position = np.repeat(np.arange(len(cumulative)) << n, k).reshape(draws.shape) - 1
         for j in range(n):
             width = 1 << (n - 1 - j)
-            bit = block_draws >= np.take_along_axis(cumulative, index + (width - 1), axis=1)
-            index += bit * width
-            outcomes[block, :, j] = 1 - 2 * bit
-    return ShotTable(settings, outcomes)
+            bit = draws >= cumulative.ravel().take(position + width)
+            position += bit * width
+            np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
+    return ShotTable(settings, outcomes.transpose(1, 2, 0))
 
 
 def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
@@ -371,37 +382,44 @@ def estimate_moment_from_shots(shots: ShotTable, t: int, parties=None) -> Moment
     outcome products.  With x_i = +-1 this reduces to e_t(x) / C(K, t)
     with e_t the elementary symmetric polynomial, a function of the count
     of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
-    The returned value is the mean over settings.  Estimates for several
-    subsets of one table share its settings and shots, so they are
-    correlated: each ``std_error`` holds for its own estimate only.
+    The value is the mean over settings, in O(M K |A|) time for subset A.
+    Estimates of several subsets of one table (the CLI takes them all in
+    one pass) share its settings and shots, so they are correlated: each
+    ``std_error`` holds for its own estimate only.
     """
-    t = _check_order(t)
-    k_shots = shots.shots_per_setting
-    _check_shots_cover_order(k_shots, t)
-    n = shots.n_parties
-    if parties is None:
-        columns = list(range(n))
-        subset = tuple(range(1, n + 1))
-    else:
-        subset = normalize_subset(parties, n)
-        columns = [p - 1 for p in subset]
-    products = shots.outcomes[:, :, columns].prod(axis=2)
-    plus_counts = ((products + 1) // 2).sum(axis=1)
+    (estimate,) = _shot_moments(shots, [range(1, shots.n_parties + 1) if parties is None else parties], (t,))
+    return estimate
 
-    # e_t(x) = sum_j C(K+, j) C(K-, t-j) (-1)^(t-j), tabulated over K+.
-    table = np.zeros(k_shots + 1)
-    for kp in range(k_shots + 1):
-        km = k_shots - kp
-        e_t = sum(
-            comb(kp, j) * comb(km, t - j) * (-1) ** (t - j)
-            for j in range(max(0, t - km), min(t, kp) + 1)
-        )
-        table[kp] = e_t / comb(k_shots, t)
-    per_setting = table[plus_counts]
-    value = float(per_setting.mean())
+
+def _shot_weights(k: int, t: int) -> np.ndarray:
+    """e_t(x) / C(K, t) for K +-1 shots x, indexed by their count K+ of +1:
+    e_t(x) = sum_j C(K+, j) C(K-, t-j) (-1)^(t-j), summed in exact integers."""
+    return np.array([
+        sum(comb(kp, j) * comb(k - kp, t - j) * (-1) ** (t - j) for j in range(t + 1)) / comb(k, t)
+        for kp in range(k + 1)
+    ])
+
+
+def _shot_moments(shots: ShotTable, subsets, orders) -> list:
+    """``estimate_moment_from_shots`` for each subset and order, subset-major,
+    counting each subset's +1 products once and building each order's weights once."""
+    orders = [_check_order(t) for t in orders]
+    k = shots.shots_per_setting
+    _check_shots_cover_order(k, max(orders, default=1))
+    weights = [_shot_weights(k, t) for t in orders]
     m = shots.n_settings
-    std_error = float(per_setting.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
-    return MomentEstimate(subset, t, value, std_error, "finite_shot", m, k_shots)
+    estimates = []
+    for parties in subsets:
+        subset = normalize_subset(parties, shots.n_parties)
+        products = shots.outcomes[:, :, subset[0] - 1].copy()
+        for p in subset[1:]:
+            products *= shots.outcomes[:, :, p - 1]
+        plus_counts = np.count_nonzero(products > 0, axis=1)
+        for t, table in zip(orders, weights):
+            per_setting = table[plus_counts]
+            std_error = float(per_setting.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
+            estimates.append(MomentEstimate(subset, t, float(per_setting.mean()), std_error, "finite_shot", m, k))
+    return estimates
 
 
 # ---------------------------------------------------------------------------

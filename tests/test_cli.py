@@ -283,15 +283,27 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
         ("--state ghz:3 --samples 1", "need M >= 2 samples for a standard error, got M=1"),
         ("--state ghz:3 --samples 1 --bootstrap", "need M >= 2 samples for a standard error, got M=1"),
         ("--state bell --orders 2,2 --samples 1000", "moment order t=2 is repeated in --orders"),
+        (
+            "--state ghz:3 --shots 1000000000 --samples 1000000",
+            "shot table of M*n*(24 + K) = 3000000072000000 bytes exceeds the 2147483648-byte cap",
+        ),
     ],
-    ids=["unparsable", "zero", "fewer_shots_than_t", "one_monte_carlo_sample", "one_bootstrap_sample", "repeated"],
+    ids=[
+        "unparsable",
+        "zero",
+        "fewer_shots_than_t",
+        "one_monte_carlo_sample",
+        "one_bootstrap_sample",
+        "repeated",
+        "oversized_shot_table",
+    ],
 )
 def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, monkeypatch):
     import randmeas.cli
 
     work = []
-    monkeypatch.setattr(randmeas.cli, "simulate_shots", lambda *a: work.append("simulate_shots"))
-    monkeypatch.setattr(randmeas.cli, "sample_distribution", lambda *a: work.append("sample_distribution"))
+    for name in ("random_settings", "simulate_shots", "sample_distribution"):
+        monkeypatch.setattr(randmeas.cli, name, lambda *a, name=name: work.append(name))
     out = tmp_path / "o"
     assert run_cli(["moments", *args.split(), "--output", out]) == 1
     assert f"error: {message}" in capsys.readouterr().err

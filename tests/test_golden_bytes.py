@@ -161,6 +161,21 @@ GOLDEN = {
             "moments.json": "17f9310428f3ed420fa48f043afe2ae3adf455911fcf7d15f257082702e22c8d",
         },
     ),
+    # Shot tables that span several of simulate_shots' blocks (about 8 at
+    # n = 3 and K = 50, 4 at n = 8), so each block's draws must continue
+    # the one seeded stream.
+    "shots_w3_all_blocks": (
+        "moments --state w:3 --subset all --orders 2,4 --samples 12000 --shots 50 --seed 11",
+        {
+            "moments.json": "5396f94c8d09fa1bc8accc1416c771b30d89d0f81fe5f3020dfd8d232b46f511",
+        },
+    ),
+    "shots_ghz8_blocks": (
+        "moments --state ghz:8 --orders 2,4 --samples 40 --shots 20 --seed 11",
+        {
+            "moments.json": "599bc6450534603a6e95e2f244073b70f4be2f16bc0a13ea9e5eb1c2e8f3f36d",
+        },
+    ),
     "bisep3_w3": (
         "criteria --state w:3 --test bisep3",
         {

@@ -1,5 +1,7 @@
 import re
 import tracemalloc
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from randmeas.correlations import (
 )
 from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
+    MAX_SHOT_TABLE_BYTES,
     MomentEstimate,
     _design_moment,
     _power,
+    _shot_moments,
+    _shot_weights,
     ShotTable,
     all_subsets,
     estimate_moment_from_shots,
@@ -477,6 +482,18 @@ def test_shot_table_validation():
     table = simulate_shots(bell_psi_minus(), settings, 2, RngStream(57))
     with pytest.raises(ValueError, match="\\+-1"):
         ShotTable(settings, np.zeros((3, 2, 2)))
+    # a cast to int8 would store each of these as +-1
+    for bad in (1.7, -1.2, 1 + 1e-9, 257, np.nan):
+        outcomes = np.array(table.outcomes, dtype=float if isinstance(bad, float) else int)
+        outcomes[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="\\+-1"):
+            ShotTable(settings, outcomes)
+    for bad in (0, 2, -128):
+        outcomes = np.array(table.outcomes)
+        outcomes[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="\\+-1"):
+            ShotTable(settings, outcomes)
+    assert np.array_equal(ShotTable(settings, table.outcomes.astype(float)).outcomes, table.outcomes)
     for bad in (np.nan, np.inf):
         broken = settings.copy()
         broken[1, 0, 2] = bad
@@ -508,9 +525,13 @@ def test_simulate_shots_rejects_bad_input():
     settings = random_settings(2, 3, RngStream(58))
     with pytest.raises(ValueError, match="M >= 1"):
         simulate_shots(rho, np.empty((0, 2, 3)), 5, RngStream(59))
-    for k in (0, 2.0, 1.5, "3"):
+    for k in (0, 2.0, 1.5, "3", True, False):
         with pytest.raises(ValueError, match="integer K >= 1"):
             simulate_shots(rho, settings, k, RngStream(59))
+    # refused before any outcome is allocated
+    over = MAX_SHOT_TABLE_BYTES // (3 * 2) - 24 + 1
+    with pytest.raises(ValueError, match="bytes exceeds the 2147483648-byte cap"):
+        simulate_shots(rho, settings, over, RngStream(59))
     for bad in (np.nan, np.inf):
         broken = settings.copy()
         broken[2, 1, 0] = bad
@@ -520,6 +541,65 @@ def test_simulate_shots_rejects_bad_input():
     stretched[1, 0] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
         simulate_shots(rho, stretched, 5, RngStream(59))
+
+
+def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
+    """Reference implementation of ``estimate_moment_from_shots``: one
+    product over the subset's columns and one e_t table per call."""
+    k_shots = shots.shots_per_setting
+    n = shots.n_parties
+    if parties is None:
+        columns = list(range(n))
+        subset = tuple(range(1, n + 1))
+    else:
+        subset = tuple(sorted(parties))
+        columns = [p - 1 for p in subset]
+    products = shots.outcomes[:, :, columns].prod(axis=2)
+    plus_counts = ((products + 1) // 2).sum(axis=1)
+    table = np.zeros(k_shots + 1)
+    for kp in range(k_shots + 1):
+        km = k_shots - kp
+        e_t = sum(
+            comb(kp, j) * comb(km, t - j) * (-1) ** (t - j)
+            for j in range(max(0, t - km), min(t, kp) + 1)
+        )
+        table[kp] = e_t / comb(k_shots, t)
+    per_setting = table[plus_counts]
+    value = float(per_setting.mean())
+    m = shots.n_settings
+    std_error = float(per_setting.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
+    return MomentEstimate(subset, t, value, std_error, "finite_shot", m, k_shots)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_shot_weights_match_brute_force_u_statistics(k):
+    for t in range(1, k + 1):
+        weights = _shot_weights(k, t)
+        for kp in range(k + 1):
+            shots = [1] * kp + [-1] * (k - kp)
+            total = sum(prod(chosen) for chosen in combinations(shots, t))
+            assert weights[kp] == total / comb(k, t), (k, t, kp)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_shot_moments_equal_the_per_estimate_oracle(n):
+    settings = random_settings(n, 20, RngStream(81, n))
+    subsets = all_subsets(n)
+    for rho in _oracle_states(n):
+        for k in (1, 2, 5, 50):
+            orders = sorted({1, 2, 3, 4, k} & set(range(1, k + 1)))
+            table = simulate_shots(rho, settings, k, RngStream(82, k))
+            # the party-major table simulate_shots returns, and once a C-ordered copy
+            copies = [ShotTable(settings, np.ascontiguousarray(table.outcomes))] if k == 5 else []
+            for shots in [table, *copies]:
+                got = iter(_shot_moments(shots, subsets, orders))
+                for subset in subsets:
+                    for t in orders:
+                        est, oracle = next(got), _estimate_moment_from_shots_oracle(shots, t, subset)
+                        assert (est.subset, est.order) == (subset, t)
+                        assert (est.value, est.std_error) == (oracle.value, oracle.std_error)
+            full, oracle = estimate_moment_from_shots(table, k), _estimate_moment_from_shots_oracle(table, k)
+            assert (full.subset, full.value, full.std_error) == (oracle.subset, oracle.value, oracle.std_error)
 
 
 def _simulate_shots_oracle(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
@@ -634,8 +714,9 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget():
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # Only the draws (8 bytes) and the outcome table (n bytes) grow with M.
-    assert peaks[2000] - peaks[200] <= (2000 - 200) * k * (8 + n) + 64 * 1024
+    # Only the outcome table (n bytes per shot) grows with M; each block
+    # draws its own uniforms.
+    assert peaks[2000] - peaks[200] <= (2000 - 200) * k * n + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
