@@ -131,6 +131,15 @@ GOLDEN = {
             "moments.json": "fd7cb57c3bc9afa11545d6b1148baa34e3d5376f52d0e42cb6606e4f90e87860",
         },
     ),
+    # A marginal subset of a larger state: its settings table spans only
+    # the requested parties, so it is the (M, 2, 3) draw of its own.
+    "monte_carlo_w5_subset": (
+        "moments --state w:5 --subset 2,4 --orders 2,4 --samples 3000 --seed 4 --format csv",
+        {
+            "moments.csv": "74e18aa1ab3e4748d8fa928b2e8d89784fc69c16de6281290234595bbea4c3ff",
+            "moments.json": "15d2be8ee7a2ca9d7973ed6f56730dfb8517bdaf1cd11c069c994a771307a34c",
+        },
+    ),
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
