@@ -60,7 +60,6 @@ from .states import (
     cluster_linear,
     ghz,
     make_state,
-    partial_trace,
     product_zero,
     purity_direct,
     tensor,

@@ -36,7 +36,6 @@ from .criteria import (
     w_class_witness,
 )
 from .moments import (
-    _check_mc_samples,
     _check_order,
     _check_shot_table,
     _check_shots_cover_order,
@@ -47,16 +46,15 @@ from .moments import (
     moment_design,
     moment_exact_t2,
     moments_mc,
-    random_settings,
     simulate_shots,
 )
-from .sampling import RngStream, design_points, half_design, validate_design
+from .sampling import RngStream, design_points, half_design, random_settings, validate_design
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
-#: Stream-id blocks per purpose so random consumers never collide: samples and
-#: bootstrap rows add the subset index; one shot table serves every subset.
+#: One stream id per purpose so random consumers never collide; one settings
+#: table, one shot table and one draw of bootstrap rows serve every subset.
 STREAM_SAMPLES = 0
 STREAM_SETTINGS = 1_000_000
 STREAM_SHOTS = 2_000_000
@@ -255,7 +253,7 @@ def cmd_sample(config: RunConfig) -> int:
     return 0
 
 
-def _cross_check(subset, estimate, exact) -> dict:
+def _cross_check(estimate, exact) -> dict:
     """Compare an estimate against an independent exact oracle value
     (``None`` when no oracle covers its order).
 
@@ -263,7 +261,7 @@ def _cross_check(subset, estimate, exact) -> dict:
     1e-12; Monte-Carlo values must agree with a design sum within 4
     standard errors (plus a tiny absolute floor).
     """
-    t = estimate.order
+    subset, t = estimate.subset, estimate.order
     if exact is None:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     if estimate.method == "design":
@@ -301,8 +299,6 @@ def cmd_moments(config: RunConfig) -> int:
         _check_shot_table(config.samples, config.shots, rho.n_qubits)
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
-    if not (config.design or config.shots):
-        _check_mc_samples(config.samples)
 
     estimates = []
     checks = []
@@ -317,21 +313,20 @@ def cmd_moments(config: RunConfig) -> int:
             for est in _design_moment(rho, subset, config.orders, config.design, half):
                 estimates.append(est)
                 if do_checks and est.order == 2:
-                    checks.append(_cross_check(subset, est, moment_exact_t2(correlation_tensor(rho, subset)).value))
+                    checks.append(_cross_check(est, moment_exact_t2(correlation_tensor(rho, subset)).value))
     else:
-        # Every order t <= 5 is checked against one design sum per subset
-        # over the 5-design's antipodal half.
-        checked = [t for t in config.orders if t <= 5]
-        half = half_design(design_points(5)) if do_checks else None
-        for subset_index, subset in enumerate(subsets):
-            stream = RngStream(config.seed, STREAM_SAMPLES + subset_index)
-            samples = sample_distribution(rho, subset, config.samples, stream)
-            bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP + subset_index)
-            subset_estimates = moments_mc(samples, config.orders, bootstrap=config.bootstrap, rng=bootstrap_rng)
-            estimates += subset_estimates
-            if do_checks:
-                exact = {e.order: e.value for e in _design_moment(rho, subset, checked, 5, half)}
-                checks += [_cross_check(subset, est, exact.get(est.order)) for est in subset_estimates]
+        bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP) if config.bootstrap else None
+        samples_rng = RngStream(config.seed, STREAM_SAMPLES)
+        estimates = moments_mc(rho, subsets, config.orders, config.samples, samples_rng, bootstrap_rng)
+        if do_checks:
+            # Every order t <= 5 is checked against one design sum per subset
+            # over the 5-design's antipodal half.
+            checked = [t for t in config.orders if t <= 5]
+            half = half_design(design_points(5))
+            exact = {
+                (subset, e.order): e.value for subset in subsets for e in _design_moment(rho, subset, checked, 5, half)
+            }
+            checks = [_cross_check(e, exact.get((e.subset, e.order))) for e in estimates]
 
     tables = {}
     if config.format == "csv":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import RngStream, _block_rows, as_direction_array, uniform_directions
+from .sampling import _block_rows, as_direction_array, random_settings
 from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
@@ -195,7 +195,6 @@ class SampleSet:
 
     subset: tuple
     values: np.ndarray
-    seed: RngStream | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).view()
@@ -307,13 +306,13 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
     parties = normalize_subset(subset, rho.n_qubits)
-    k = len(parties)
-    tensor = correlation_tensor(rho, parties)
-    directions = uniform_directions(rng, m * k).reshape(m, k, 3)
-    values = correlation_values(tensor.components, directions)
-    values = _clamp_correlations(values)
-    provenance = rng if isinstance(rng, RngStream) else None
-    return SampleSet(parties, values, provenance)
+    return SampleSet(parties, _subset_values(rho, parties, random_settings(len(parties), m, rng)))
+
+
+def _subset_values(rho: DensityMatrix, parties: tuple, directions: np.ndarray) -> np.ndarray:
+    """Clamped correlation values of ``parties`` (sorted) for the rows of
+    (M, k, 3) ``directions``, one direction per party in order."""
+    return _clamp_correlations(correlation_values(correlation_tensor(rho, parties).components, directions))
 
 
 def histogram_table(values) -> np.ndarray:

@@ -82,7 +82,8 @@ def m_quantifier(moments, full_subset) -> float:
 def _m_quantifier_stats(normalized, full):
     """Value, variance and provenance of the m quantifier of the sorted tuple ``full``,
     reading only its subsets.  The variance treats subset estimates as
-    independent; moments read off one shot table are correlated."""
+    independent; moments read off one settings or shot table, as every
+    Monte Carlo and ``--shots`` request reads them, are correlated."""
     proper = [sub for size in range(1, len(full)) for sub in combinations(full, size)]
     for sub in (full, *proper):
         if sub not in normalized:

@@ -21,14 +21,16 @@ from math import comb
 
 import numpy as np
 
-from .correlations import SampleSet, _slab, correlation_length, normalize_subset
+from .correlations import _slab, _subset_values, correlation_length, normalize_subset
 from .sampling import (
+    MAX_TABLE_BYTES,
+    RngStream,
     SphericalDesign,
     _block_rows,
     _check_unit_norm,
     _generator,
     half_design,
-    uniform_directions,
+    random_settings,
 )
 from .states import DensityMatrix
 
@@ -37,8 +39,8 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
-#: Most bytes one ShotTable may hold: 24 of settings per party and setting, 1 per outcome.
-MAX_SHOT_TABLE_BYTES = 2**31
+#: Resampled means behind each bootstrap standard error.
+BOOTSTRAP_RESAMPLES = 1000
 
 EVEN_MOMENT_ATOL = 1e-9
 PURITY_ATOL = 1e-6
@@ -116,48 +118,53 @@ def _normalize_moments(moments) -> dict:
     return normalized
 
 
-def moments_mc(
-    samples: SampleSet,
-    orders,
-    bootstrap: bool = False,
-    bootstrap_resamples: int = 1000,
-    rng=None,
-) -> list:
-    """Monte-Carlo moments, one per order in ``orders``: sample means of
-    E^t with plug-in standard errors.
+def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap_rng=None) -> list:
+    """Monte-Carlo moments of each subset and order, subset-major: sample
+    means of E^t with plug-in standard errors.
 
-    With ``bootstrap=True`` each standard error is instead the spread of
-    ``bootstrap_resamples`` resampled means (requires ``rng``).  Every
-    order reads one draw of index rows, so each estimate equals that of
-    its own single-order call with the same ``rng``.  Resamples are drawn
+    One table of ``m`` random settings is drawn on ``rng`` for the sorted
+    union of the subsets' parties, and each subset reads its own columns,
+    as a randomized-measurement experiment reads every marginal off one
+    data set.  A single subset's table is thus the draw of
+    ``sample_distribution`` on the same stream.  Estimates of different
+    subsets share settings, so they are correlated: each ``std_error``
+    holds for its own estimate only.
+
+    Given ``bootstrap_rng``, each standard error is instead the spread of
+    ``BOOTSTRAP_RESAMPLES`` resampled means.  One draw of index rows serves
+    every (subset, order), so each estimate equals that of a single-subset,
+    single-order call on the same columns and stream.  Resamples are drawn
     in blocks of rows, each row holding its M indices and M resampled
     powers; consecutive draws from one generator equal those of a single
-    (resamples, M) call.
+    (resamples, M) call.  The settings table is released before them.
     """
     orders = [_check_order(t) for t in orders]
-    m = samples.settings_count
     _check_mc_samples(m)
-    powers = [_power(samples.values, t) for t in orders]
-    if bootstrap:
-        if rng is None:
-            raise ValueError("bootstrap standard errors require an rng")
-        gen = _generator(rng)
-        means = np.empty((len(orders), bootstrap_resamples))
+    subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
+    union = sorted(set().union(*subsets))
+    table = random_settings(len(union), m, rng)
+    estimates, powers = [], []
+    for subset in subsets:
+        columns = [union.index(p) for p in subset]
+        values = _subset_values(rho, subset, table if len(columns) == len(union) else table[:, columns])
+        for t in orders:
+            power = _power(values, t)
+            estimates.append([subset, t, float(power.mean()), float(power.std(ddof=1) / np.sqrt(m))])
+            if bootstrap_rng is not None:
+                powers.append(power)
+    del table
+    if bootstrap_rng is not None:
+        gen = _generator(bootstrap_rng)
+        means = np.empty((len(powers), BOOTSTRAP_RESAMPLES))
         rows = _block_rows(16 * m)
-        for start in range(0, bootstrap_resamples, rows):
-            idx = gen.integers(0, m, size=(min(rows, bootstrap_resamples - start), m))
+        for start in range(0, BOOTSTRAP_RESAMPLES, rows):
+            idx = gen.integers(0, m, size=(min(rows, BOOTSTRAP_RESAMPLES - start), m))
             for row, power in zip(means, powers):
                 row[start : start + len(idx)] = power[idx].mean(axis=1)
-        std_errors = [float(row.std(ddof=1)) for row in means]
-    else:
-        std_errors = [float(power.std(ddof=1) / np.sqrt(m)) for power in powers]
-    seed = None
-    if samples.seed is not None:
-        seed = (samples.seed.seed, samples.seed.stream_id)
-    return [
-        MomentEstimate(samples.subset, t, float(power.mean()), std_error, "monte_carlo", m, None, seed)
-        for t, power, std_error in zip(orders, powers, std_errors)
-    ]
+        for estimate, row in zip(estimates, means):
+            estimate[3] = float(row.std(ddof=1))
+    seed = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else None
+    return [MomentEstimate(*estimate, "monte_carlo", m, None, seed) for estimate in estimates]
 
 
 def moment_exact_t2(tensor) -> MomentEstimate:
@@ -178,8 +185,8 @@ def _check_shots_cover_order(k: int, t: int) -> None:
 
 
 def _check_shot_table(m: int, k: int, n: int) -> None:
-    if (size := m * n * (24 + int(k))) > MAX_SHOT_TABLE_BYTES:
-        raise ValueError(f"shot table of M*n*(24 + K) = {size} bytes exceeds the {MAX_SHOT_TABLE_BYTES}-byte cap")
+    if (size := m * n * (24 + int(k))) > MAX_TABLE_BYTES:
+        raise ValueError(f"shot table of M*n*(24 + K) = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
 
 
 def _power(values: np.ndarray, t: int) -> np.ndarray:
@@ -288,11 +295,6 @@ class ShotTable:
     @property
     def shots_per_setting(self) -> int:
         return self.outcomes.shape[1]
-
-
-def random_settings(n: int, m: int, rng) -> np.ndarray:
-    """M uniformly random direction tuples for n parties, shape (M, n, 3)."""
-    return uniform_directions(rng, m * n).reshape(m, n, 3)
 
 
 def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:

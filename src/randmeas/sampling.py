@@ -23,6 +23,11 @@ DESIGN_VALIDATION_ATOL = 1e-12
 #: inputs and outputs does not grow with the number of rows.
 _BLOCK_BYTES = 4 << 20
 
+#: Most bytes one settings table may take: ``random_settings`` counts 40 a
+#: direction (its z, azimuth and output), a ShotTable 24 a direction and 1
+#: an outcome.
+MAX_TABLE_BYTES = 2**31
+
 
 def _block_rows(row_bytes: int) -> int:
     """Rows per block when each row holds ``row_bytes`` of temporaries."""
@@ -104,6 +109,14 @@ def uniform_directions(rng, count: int) -> np.ndarray:
         np.multiply(radial, np.cos(azimuth[block]), out=out[block, 0])
         np.multiply(radial, np.sin(azimuth[block]), out=out[block, 1])
     return out
+
+
+def random_settings(n: int, m: int, rng) -> np.ndarray:
+    """M uniformly random direction tuples for n parties, shape (M, n, 3).
+    A draw over ``MAX_TABLE_BYTES`` is refused before anything is drawn."""
+    if (size := 40 * m * n) > MAX_TABLE_BYTES:
+        raise ValueError(f"settings table of 40*M*n = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+    return uniform_directions(rng, m * n).reshape(m, n, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,9 @@ from randmeas.moments import (
     moment_exact_t2,
     moments_mc,
     purity_from_moments,
-    random_settings,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, design_points, validate_design
+from randmeas.sampling import RngStream, design_points, random_settings, validate_design
 from randmeas.states import (
     apply_local_unitaries,
     bell_psi_minus,
@@ -94,15 +93,14 @@ def test_criterion_1_distribution_oracles():
 
 def test_criterion_2_moment_oracle_triangle():
     m = 100_000
-    stream = 200
-    for name, rho in NAMED_STATES.items():
-        for subset in all_subsets(rho.n_qubits):
+    for stream, (name, rho) in enumerate(NAMED_STATES.items()):
+        # every subset is read off one table of settings of the state
+        subsets = all_subsets(rho.n_qubits)
+        estimates = moments_mc(rho, subsets, (2,), m, RngStream(107, stream))
+        for subset, mc in zip(subsets, estimates, strict=True):
             exact = moment_exact_t2(correlation_tensor(rho, subset)).value
             via_design = moment_design(rho, subset, 2, D3).value
             assert abs(exact - via_design) < 1e-12, (name, subset)
-            stream += 1
-            samples = sample_distribution(rho, subset, m, RngStream(107, stream))
-            (mc,) = moments_mc(samples, (2,))
             tolerance = max(4.0 * mc.std_error, 1e-12)
             assert abs(mc.value - exact) < tolerance, (name, subset)
 

@@ -9,18 +9,30 @@ from scipy import stats
 import randmeas.cli
 import randmeas.criteria
 import randmeas.moments
-from randmeas.cli import STREAM_SETTINGS, STREAM_SHOTS, CliError, main, parse_state, parse_subset, render_state
+import randmeas.sampling
+from randmeas.cli import (
+    STREAM_BOOTSTRAP,
+    STREAM_SAMPLES,
+    STREAM_SETTINGS,
+    STREAM_SHOTS,
+    CliError,
+    main,
+    parse_state,
+    parse_subset,
+    render_state,
+)
 from randmeas.correlations import correlation_length, pauli_coefficients, sample_distribution
 from randmeas.criteria import structure_report_from_state
 from randmeas.moments import (
+    all_subsets,
     estimate_moment_from_shots,
     exact_moment_map,
     moment_design,
-    random_settings,
+    moments_mc,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, design_points
-from randmeas.states import DensityMatrix, ghz, make_state, partial_trace
+from randmeas.sampling import RngStream, design_points, random_settings
+from randmeas.states import DensityMatrix, ghz, make_state
 
 
 def run_cli(args):
@@ -302,13 +314,39 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
     import randmeas.cli
 
     work = []
-    for name in ("random_settings", "simulate_shots", "sample_distribution"):
-        monkeypatch.setattr(randmeas.cli, name, lambda *a, name=name: work.append(name))
+    for module, name in ((randmeas.sampling, "uniform_directions"), (randmeas.cli, "simulate_shots")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: work.append(name))
     out = tmp_path / "o"
     assert run_cli(["moments", *args.split(), "--output", out]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert work == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["moments", "sample"])
+def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(randmeas.sampling, "uniform_directions", lambda *a: draws.append(a))
+    out = tmp_path / "o"
+    assert run_cli([command, "--state", "ghz:3", "--samples", 10**9, "--output", out]) == 1
+    message = "settings table of 40*M*n = 120000000000 bytes exceeds the 2147483648-byte cap"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert draws == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bootstrap", [[], ["--bootstrap"]], ids=["plugin", "bootstrap"])
+def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monkeypatch):
+    draws = _count_calls(monkeypatch, "uniform_directions", randmeas.sampling)
+    out = tmp_path / "o"
+    args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
+    assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
+    assert [count for _, count in draws] == [4 * 300]
+    bootstrap_rng = RngStream(3, STREAM_BOOTSTRAP) if bootstrap else None
+    expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES), bootstrap_rng)
+    entries = read_json(out / "moments.json")["moments"]
+    assert entries == [json.loads(json.dumps(e.to_dict())) for e in expected]
+    assert {tuple(entry["seed"]) for entry in entries} == {(3, STREAM_SAMPLES)}
 
 
 def test_moments_refuses_negative_shots_first(tmp_path, capsys):
@@ -439,8 +477,9 @@ def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):
 
 
 def test_structure_request_validates_one_state_and_takes_no_partial_trace(tmp_path):
-    # marginal purities are read off rho.pauli, not off marginal DensityMatrix objects
-    watched = {DensityMatrix.__post_init__.__code__: "validations", partial_trace.__code__: "partial_traces"}
+    # marginal purities are read off rho.pauli, not off marginal DensityMatrix
+    # objects; the package has no partial trace left to call
+    watched = {DensityMatrix.__post_init__.__code__: "validations"}
     counts = dict.fromkeys(watched.values(), 0)
 
     def hook(frame, event, arg):
@@ -453,7 +492,7 @@ def test_structure_request_validates_one_state_and_takes_no_partial_trace(tmp_pa
     finally:
         sys.setprofile(None)
     assert rc == 0
-    assert counts == {"validations": 1, "partial_traces": 0}
+    assert counts == {"validations": 1}
 
 
 def test_moments_csv_format(tmp_path):

@@ -106,8 +106,8 @@ GOLDEN = {
     "monte_carlo_w3_odd": (
         "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
         {
-            "moments.csv": "deda1f7bffd536a66bbecf680b397aabd7bd4325bcd5204af729dc7313800999",
-            "moments.json": "3c08f98badf334bb952e0febd82d08118d7cd3a09019bbc8005aa94781f9f6f0",
+            "moments.csv": "255c8f459edc84bb02b40c79d05d691a1f7800629f59d1a97d8a4920300b2d19",
+            "moments.json": "e29676749084015ad77484e21b366f3aade5fc0162b0fcd72c1a7cbe0fe9af7e",
         },
     ),
     "monte_carlo_ghz3_odd": (
@@ -120,8 +120,8 @@ GOLDEN = {
     "monte_carlo_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
-            "moments.csv": "5faa52e23dcbda522c863ed08220ba68d3000e42d12bf7107ad45f8a0d25ef01",
-            "moments.json": "4c9d406cdbdb959ac63d969d2f176592d78cc48d439c071c820d979d7e8818a7",
+            "moments.csv": "87bfe369a40c6b696c88c7f7457b3cd88139f1239a98fc9b7183ee442ab4d0f9",
+            "moments.json": "4afea05c955336ea6aa0eca4095b89f05de05e829c38499ba2e13e497f219c18",
         },
     ),
     "monte_carlo_w5": (
@@ -149,7 +149,7 @@ GOLDEN = {
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "b30560388d58e9bbbea564623ab208f175a056aa98e2ab7b7d7679c3274d2212",
+            "moments.json": "86acc66fb841a72c32d3425b8773494d54b6598783cb0b9314932b049e22107f",
         },
     ),
     "shots_ghz3": (

@@ -12,6 +12,7 @@ from randmeas.correlations import (
     SampleSet,
     _block_rows,
     _slab,
+    _subset_values,
     correlation,
     correlation_length,
     correlation_tensor,
@@ -20,12 +21,13 @@ from randmeas.correlations import (
 )
 from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
-    MAX_SHOT_TABLE_BYTES,
     MomentEstimate,
     _design_moment,
     _power,
     _shot_moments,
     _shot_weights,
+    _check_mc_samples,
+    _check_order,
     ShotTable,
     all_subsets,
     estimate_moment_from_shots,
@@ -34,15 +36,16 @@ from randmeas.moments import (
     moment_exact_t2,
     moments_mc,
     purity_from_moments,
-    random_settings,
     simulate_shots,
 )
 from randmeas.sampling import (
+    MAX_TABLE_BYTES,
     RngStream,
     SphericalDesign,
     _generator,
     design_points,
     half_design,
+    random_settings,
     uniform_directions,
 )
 from randmeas.states import (
@@ -74,40 +77,64 @@ def _record_block_rows(monkeypatch, module):
 
 
 def test_moment_mc_bell_second_moment():
-    samples = sample_distribution(bell_psi_minus(), (1, 2), 50_000, RngStream(30))
-    (est,) = moments_mc(samples, (2,))
+    (est,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 50_000, RngStream(30))
     assert abs(est.value - 1.0 / 3.0) < 4 * est.std_error
     assert est.method == "monte_carlo" and est.samples == 50_000
+    assert est.seed == (30, 0)
 
 
 def test_moment_mc_product_second_moment():
-    samples = sample_distribution(product_zero(2), (1, 2), 50_000, RngStream(31))
-    (est,) = moments_mc(samples, (2,))
+    (est,) = moments_mc(product_zero(2), [(1, 2)], (2,), 50_000, RngStream(31))
     assert abs(est.value - 1.0 / 9.0) < 4 * est.std_error
 
 
 def test_moment_mc_point_mass_has_zero_error():
-    white = werner(0.0)
-    samples = sample_distribution(white, (1, 2), 1000, RngStream(32))
-    (est,) = moments_mc(samples, (4,))
+    (est,) = moments_mc(werner(0.0), [(1, 2)], (4,), 1000, RngStream(32))
     assert est.value == 0.0 and est.std_error == 0.0
 
 
-def test_moment_mc_validation():
-    samples = sample_distribution(bell_psi_minus(), (1, 2), 1, RngStream(33))
+def test_moment_mc_validation(monkeypatch):
+    draws = []
+    monkeypatch.setattr(moments, "random_settings", lambda *args: draws.append(args))
     with pytest.raises(ValueError, match="M >= 2"):
-        moments_mc(samples, (2,))
-    good = sample_distribution(bell_psi_minus(), (1, 2), 10, RngStream(33))
+        moments_mc(bell_psi_minus(), [(1, 2)], (2,), 1, RngStream(33))
     with pytest.raises(ValueError, match="positive integer"):
-        moments_mc(good, (0,))
+        moments_mc(bell_psi_minus(), [(1, 2)], (0,), 10, RngStream(33))
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        moments_mc(bell_psi_minus(), [(1,), (1, 3)], (2,), 10, RngStream(33))
+    assert draws == []
 
 
 def test_moment_mc_bootstrap_error_is_close_to_plugin():
-    samples = sample_distribution(bell_psi_minus(), (1, 2), 20_000, RngStream(34))
-    (plain,) = moments_mc(samples, (2,))
-    (boot,) = moments_mc(samples, (2,), bootstrap=True, rng=RngStream(35))
+    (plain,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 20_000, RngStream(34))
+    (boot,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 20_000, RngStream(34), RngStream(35))
     assert boot.value == plain.value
     assert abs(boot.std_error - plain.std_error) < 0.3 * plain.std_error
+
+
+def _moments_mc_oracle(samples, orders, bootstrap=False, bootstrap_resamples=1000, rng=None):
+    """The single-subset ``moments_mc`` that read one SampleSet: sample
+    means of E^t with plug-in standard errors or, with ``bootstrap``, the
+    spread of ``bootstrap_resamples`` means drawn in shared row blocks."""
+    orders = [_check_order(t) for t in orders]
+    m = samples.settings_count
+    _check_mc_samples(m)
+    powers = [_power(samples.values, t) for t in orders]
+    if bootstrap:
+        gen = _generator(rng)
+        means = np.empty((len(orders), bootstrap_resamples))
+        rows = _block_rows(16 * m)
+        for start in range(0, bootstrap_resamples, rows):
+            idx = gen.integers(0, m, size=(min(rows, bootstrap_resamples - start), m))
+            for row, power in zip(means, powers):
+                row[start : start + len(idx)] = power[idx].mean(axis=1)
+        std_errors = [float(row.std(ddof=1)) for row in means]
+    else:
+        std_errors = [float(power.std(ddof=1) / np.sqrt(m)) for power in powers]
+    return [
+        MomentEstimate(samples.subset, t, float(power.mean()), std_error, "monte_carlo", m)
+        for t, power, std_error in zip(orders, powers, std_errors)
+    ]
 
 
 def _bootstrap_std_error_oracle(samples, t, resamples, rng):
@@ -122,13 +149,14 @@ def _bootstrap_std_error_oracle(samples, t, resamples, rng):
 @pytest.mark.parametrize("m", [2, 3, 20_000])
 @pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
 def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
+    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
     if forced_rows:
         monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
     else:
         rows = _record_block_rows(monkeypatch, moments)
     samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38, m))
     for t in (2, 4):
-        (boot,) = moments_mc(samples, (t,), True, 200, RngStream(39, t))
+        (boot,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(38, m), RngStream(39, t))
         assert boot.std_error == _bootstrap_std_error_oracle(samples, t, 200, RngStream(39, t))
     if m == 20_000 and not forced_rows:
         assert 1 < rows[0] < 200  # several blocks under the real budget
@@ -137,18 +165,39 @@ def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 20_000])
 @pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
 def test_shared_row_bootstrap_matches_per_order_calls(m, forced_rows, monkeypatch):
+    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
     if forced_rows:
         monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
     else:
         rows = _record_block_rows(monkeypatch, moments)
-    samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(40, m))
-    for bootstrap in (True, False):
-        shared = moments_mc(samples, (2, 4), bootstrap, 200, RngStream(41, m))
+    for bootstrap in (RngStream(41, m), None):
+        shared = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(40, m), bootstrap)
         for t, estimate in zip((2, 4), shared):
-            (alone,) = moments_mc(samples, (t,), bootstrap, 200, RngStream(41, m))
+            (alone,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(40, m), bootstrap)
             assert estimate.to_dict() == alone.to_dict()
     if m == 20_000 and not forced_rows:
         assert 1 < rows[0] < 200  # several shared blocks under the real budget
+
+
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "plugin"])
+def test_every_subset_reads_its_columns_of_one_table(bootstrap, monkeypatch):
+    # 200 resamples of M = 3000 span three shared row blocks
+    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
+    rho = random_density_matrix(4, RngStream(82))
+    subsets = [(2, 4), (1,), (1, 2, 4), (4,)]
+    m, orders = 3000, (1, 2, 4)
+    got = moments_mc(rho, subsets, orders, m, RngStream(83), RngStream(84) if bootstrap else None)
+    union = [1, 2, 4]
+    table = random_settings(len(union), m, RngStream(83))
+    expected = []
+    for subset in subsets:
+        columns = table[:, [union.index(p) for p in subset]]
+        samples = SampleSet(subset, _subset_values(rho, subset, columns))
+        expected += _moments_mc_oracle(samples, orders, bootstrap, 200, RngStream(84))
+    assert [(e.subset, e.order) for e in got] == [(e.subset, e.order) for e in expected]
+    for estimate, oracle in zip(got, expected):
+        assert (estimate.value, estimate.std_error) == (oracle.value, oracle.std_error)
+        assert (estimate.samples, estimate.seed) == (m, (83, 0))
 
 
 def test_moment_exact_t2_values():
@@ -220,8 +269,7 @@ def test_moment_design_with_precomputed_coefficients_is_bit_equal(n):
 def test_moment_design_fourth_moment_against_monte_carlo():
     rho = ghz(3)
     exact = moment_design(rho, (1, 2, 3), 4, D5)
-    samples = sample_distribution(rho, (1, 2, 3), 1_000_000, RngStream(36))
-    (mc,) = moments_mc(samples, (4,))
+    (mc,) = moments_mc(rho, [(1, 2, 3)], (4,), 1_000_000, RngStream(36))
     assert abs(exact.value - mc.value) < 4 * mc.std_error
     # frozen analytic value for the three-qubit GHZ fourth moment
     assert exact.value == pytest.approx(64.0 / 1125.0, abs=1e-12)
@@ -319,7 +367,7 @@ def test_product_chain_moments_match_the_pow_oracle(n):
                     _assert_near_pow_oracle(est.value, values, t)
         for subset in all_subsets(n):
             samples = sample_distribution(rho, subset, 500, RngStream(44, n))
-            for est in moments_mc(samples, (2, 3, 4, 5)):
+            for est in moments_mc(rho, [subset], (2, 3, 4, 5), 500, RngStream(44, n)):
                 _assert_near_pow_oracle(est.value, samples.values, est.order)
 
 
@@ -363,7 +411,7 @@ def test_oracle_triangle_small_scale():
         exact = moment_exact_t2(correlation_tensor(state, subset)).value
         via_design = moment_design(state, subset, 2, D3).value
         assert abs(exact - via_design) < 1e-12
-        (mc,) = moments_mc(sample_distribution(state, subset, 50_000, RngStream(37)), (2,))
+        (mc,) = moments_mc(state, [subset], (2,), 50_000, RngStream(37))
         assert abs(mc.value - exact) < 4 * mc.std_error
 
 
@@ -529,7 +577,7 @@ def test_simulate_shots_rejects_bad_input():
         with pytest.raises(ValueError, match="integer K >= 1"):
             simulate_shots(rho, settings, k, RngStream(59))
     # refused before any outcome is allocated
-    over = MAX_SHOT_TABLE_BYTES // (3 * 2) - 24 + 1
+    over = MAX_TABLE_BYTES // (3 * 2) - 24 + 1
     with pytest.raises(ValueError, match="bytes exceeds the 2147483648-byte cap"):
         simulate_shots(rho, settings, over, RngStream(59))
     for bad in (np.nan, np.inf):

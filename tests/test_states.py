@@ -14,7 +14,6 @@ from randmeas.states import (
     cluster_linear,
     ghz,
     make_state,
-    partial_trace,
     product_zero,
     purity_direct,
     tensor,
@@ -22,6 +21,8 @@ from randmeas.states import (
     w_state,
     werner,
 )
+
+from matrix_oracles import partial_trace
 
 NAMED_STATES = {
     "product_zero(2)": lambda: product_zero(2),
