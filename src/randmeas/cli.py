@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from math import log, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,9 @@ STREAM_SAMPLES = 0
 STREAM_SETTINGS = 1_000_000
 STREAM_SHOTS = 2_000_000
 STREAM_BOOTSTRAP = 3_000_000
+
+#: Chance that a Monte Carlo cross-check fails a correct estimate.
+CROSS_CHECK_FALSE_ALARM = 1e-6
 
 
 class CliError(Exception):
@@ -258,8 +262,13 @@ def _cross_check(estimate, exact) -> dict:
     (``None`` when no oracle covers its order).
 
     Design values (t = 2 only) must match the tensor contraction to
-    1e-12; Monte-Carlo values must agree with a design sum within 4
-    standard errors (plus a tiny absolute floor).
+    1e-12.  Monte-Carlo values must agree with a design sum within the
+    two-sided empirical Bernstein bound (Maurer and Pontil 2009, Thm. 4)
+    at ``CROSS_CHECK_FALSE_ALARM``: the mean of M values spanning a range
+    R (1 for even t, 2 for odd) lies within s * sqrt(2 L) + 7 R L / (3 (M - 1))
+    of its expectation, L = ln(4 / rate), with s the plug-in standard
+    error.  Unlike a multiple of s it holds at every M >= 2; a bootstrap
+    error stands in for s.
     """
     subset, t = estimate.subset, estimate.order
     if exact is None:
@@ -267,7 +276,11 @@ def _cross_check(estimate, exact) -> dict:
     if estimate.method == "design":
         tolerance = 1e-12
     else:
-        tolerance = max(4.0 * (estimate.std_error or 0.0), 1e-9)
+        log_term = log(4.0 / CROSS_CHECK_FALSE_ALARM)
+        value_range = 1.0 if t % 2 == 0 else 2.0
+        tolerance = estimate.std_error * sqrt(2.0 * log_term) + 7.0 * value_range * log_term / (
+            3.0 * (estimate.samples - 1)
+        )
     deviation = abs(estimate.value - exact)
     if not deviation <= tolerance:
         raise CrossCheckError(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -239,6 +240,33 @@ def test_moments_monte_carlo_cross_check_passes(tmp_path):
     data = read_json(out / "moments.json")
     assert data["cross_checks"][0]["passed"]
     assert abs(data["moments"][0]["value"] - 1.0 / 3.0) < 4 * data["moments"][0]["std_error"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_monte_carlo_cross_checks_pass_correct_estimates_at_tiny_m(m, tmp_path):
+    # the estimate's own error is too noisy to bound anything at M = 2 or 3
+    for seed in range(6):
+        for args in ("--state bell --orders 1,2,4", "--state ghz:3 --subset all --orders 2,3", "--state w:4 --orders 2"):
+            for bootstrap in ([], ["--bootstrap"]):
+                out = tmp_path / "o"
+                argv = ["moments", *args.split(), "--samples", m, "--seed", seed, *bootstrap, "--output", out]
+                assert run_cli(argv) == 0, (args, seed, bootstrap)
+                assert all(c["passed"] for c in read_json(out / "moments.json")["cross_checks"])
+
+
+def test_monte_carlo_cross_check_fails_an_estimate_pushed_off(tmp_path, capsys, monkeypatch):
+    args = ["moments", "--state", "bell", "--orders", "2", "--samples", 10_000, "--seed", 5]
+    assert run_cli([*args, "--output", tmp_path / "right"]) == 0
+    (check,) = read_json(tmp_path / "right" / "moments.json")["cross_checks"]
+    assert check["tolerance"] < 0.025
+
+    def pushed_off(*call):
+        return [dataclasses.replace(e, value=e.value + 0.025) for e in moments_mc(*call)]
+
+    monkeypatch.setattr(randmeas.cli, "moments_mc", pushed_off)
+    assert run_cli([*args, "--output", tmp_path / "wrong"]) == 1
+    assert "error: oracle cross-check failed for subset (1, 2), t=2" in capsys.readouterr().err
+    assert not (tmp_path / "wrong").exists()
 
 
 def test_moments_finite_shots(tmp_path):

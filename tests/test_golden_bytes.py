@@ -107,21 +107,21 @@ GOLDEN = {
         "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
         {
             "moments.csv": "255c8f459edc84bb02b40c79d05d691a1f7800629f59d1a97d8a4920300b2d19",
-            "moments.json": "e29676749084015ad77484e21b366f3aade5fc0162b0fcd72c1a7cbe0fe9af7e",
+            "moments.json": "446d9ac27fd13ac90c6a00f7de18ef0e1ad608c042a8d975b804290f9b9fa1ba",
         },
     ),
     "monte_carlo_ghz3_odd": (
         "moments --state ghz:3 --orders 1,3 --samples 2000 --seed 6 --format csv",
         {
             "moments.csv": "1ff9a36b4f5db4e479b0fd0184baa3e9c79adfee6245690e0b6ca27bee59f78e",
-            "moments.json": "7998fa1315dc9cbbe17164f6218a82b302f5fc4f7a7254842174e8cc038fa3bd",
+            "moments.json": "9315de3cc380828a9db3868ddfe3a3c529655247704585c7e71b090f0f117a2e",
         },
     ),
     "monte_carlo_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
             "moments.csv": "87bfe369a40c6b696c88c7f7457b3cd88139f1239a98fc9b7183ee442ab4d0f9",
-            "moments.json": "4afea05c955336ea6aa0eca4095b89f05de05e829c38499ba2e13e497f219c18",
+            "moments.json": "fbd7eb89d3baf815c2ceb4da7ab52f2a1ef7693e1d7c3ef3156162690e12f845",
         },
     ),
     "monte_carlo_w5": (
@@ -143,13 +143,13 @@ GOLDEN = {
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
-            "moments.json": "6fce907277ab1c5cfedc7f256cec6e02175f6d7b65f53724d730aceb9b14270d",
+            "moments.json": "0137b897276027cf90181c00bd5e99f8a8cccce4cfd6f539866d2aac49693f0f",
         },
     ),
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "86acc66fb841a72c32d3425b8773494d54b6598783cb0b9314932b049e22107f",
+            "moments.json": "7e718120cff256c36d2a74a5eee185b448257d703dddb9f8e7404fe54299839a",
         },
     ),
     "shots_ghz3": (
