@@ -146,7 +146,7 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap_rng=N
     estimates, powers = [], []
     for subset in subsets:
         columns = [union.index(p) for p in subset]
-        values = _subset_values(rho, subset, table if len(columns) == len(union) else table[:, columns])
+        values = _subset_values(rho, subset, table if len(columns) == len(union) else table.take(columns, axis=1))
         for t in orders:
             power = _power(values, t)
             estimates.append([subset, t, float(power.mean()), float(power.std(ddof=1) / np.sqrt(m))])
