@@ -140,6 +140,13 @@ GOLDEN = {
             "moments.json": "15d2be8ee7a2ca9d7973ed6f56730dfb8517bdaf1cd11c069c994a771307a34c",
         },
     ),
+    # t = 6 has no exact oracle, so its cross-check entry says unchecked.
+    "monte_carlo_bell_unchecked_t6": (
+        "moments --state bell --orders 2,6 --samples 200 --seed 3",
+        {
+            "moments.json": "77c99668faef8cf7b69e5896ca1a771cb48f7b55b9fe07405d98b2ccf5e4718a",
+        },
+    ),
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
