@@ -16,8 +16,8 @@ from randmeas import (
     bisep_line_3_r4,
     correlation_tensor,
     design_points,
-    moment_design,
     moment_exact_t2,
+    moments_design,
 )
 from randmeas.ensembles import (
     random_biseparable_state,
@@ -50,8 +50,8 @@ def main():
             for _ in range(args.per_ensemble):
                 rho = draw()
                 r2 = moment_exact_t2(correlation_tensor(rho, FULL)).value
-                r4 = moment_design(rho, FULL, 4, design).value
-                fh.write(f"{label},{r2:.17g},{r4:.17g},{bisep_line_3_r4(r2):.17g}\n")
+                (r4,) = moments_design(rho, [FULL], [4], design)
+                fh.write(f"{label},{r2:.17g},{r4.value:.17g},{bisep_line_3_r4(r2):.17g}\n")
     print(f"wrote {3 * args.per_ensemble} states -> {path}")
 
 

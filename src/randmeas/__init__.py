@@ -35,10 +35,11 @@ from .criteria import (
 from .moments import (
     MomentEstimate,
     ShotTable,
-    estimate_moment_from_shots,
     exact_moment_map,
-    moment_design,
     moment_exact_t2,
+    moments_design,
+    moments_from_shots,
+    moments_mc,
     purity_from_moments,
     simulate_shots,
 )

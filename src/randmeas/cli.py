@@ -40,16 +40,15 @@ from .moments import (
     _check_order,
     _check_shot_table,
     _check_shots_cover_order,
-    _design_moment,
-    _shot_moments,
     all_subsets,
     exact_moment_map,
-    moment_design,
     moment_exact_t2,
+    moments_design,
+    moments_from_shots,
     moments_mc,
     simulate_shots,
 )
-from .sampling import RngStream, design_points, half_design, random_settings, validate_design
+from .sampling import RngStream, design_points, random_settings, validate_design
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
@@ -313,20 +312,20 @@ def cmd_moments(config: RunConfig) -> int:
     if not config.design and config.samples < 1:
         raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
 
-    estimates = []
     checks = []
     do_checks = rho.n_qubits <= 4
     if config.shots:
         settings = random_settings(rho.n_qubits, config.samples, RngStream(config.seed, STREAM_SETTINGS))
         table = simulate_shots(rho, settings, config.shots, RngStream(config.seed, STREAM_SHOTS))
-        estimates = _shot_moments(table, subsets, config.orders)
+        estimates = moments_from_shots(table, subsets, config.orders)
     elif config.design:
-        half = half_design(design_points(config.design))
-        for subset in subsets:
-            for est in _design_moment(rho, subset, config.orders, config.design, half):
-                estimates.append(est)
-                if do_checks and est.order == 2:
-                    checks.append(_cross_check(est, moment_exact_t2(correlation_tensor(rho, subset)).value))
+        estimates = moments_design(rho, subsets, config.orders, design_points(config.design))
+        if do_checks:
+            checks = [
+                _cross_check(e, moment_exact_t2(correlation_tensor(rho, e.subset)).value)
+                for e in estimates
+                if e.order == 2
+            ]
     else:
         bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP) if config.bootstrap else None
         samples_rng = RngStream(config.seed, STREAM_SAMPLES)
@@ -335,10 +334,7 @@ def cmd_moments(config: RunConfig) -> int:
             # Every order t <= 5 is checked against one design sum per subset
             # over the 5-design's antipodal half.
             checked = [t for t in config.orders if t <= 5]
-            half = half_design(design_points(5))
-            exact = {
-                (subset, e.order): e.value for subset in subsets for e in _design_moment(rho, subset, checked, 5, half)
-            }
+            exact = {(e.subset, e.order): e.value for e in moments_design(rho, subsets, checked, design_points(5))}
             checks = [_cross_check(e, exact.get((e.subset, e.order))) for e in estimates]
 
     tables = {}
@@ -375,7 +371,7 @@ def cmd_criteria(config: RunConfig) -> int:
         if n != 3:
             raise CliError(f"bisep3 applies to 3-qubit states, got n={n}")
         r2 = moment_exact_t2(correlation_tensor(rho, full))
-        r4 = moment_design(rho, full, 4, design_points(5))
+        (r4,) = moments_design(rho, [full], [4], design_points(5))
         verdicts.append(bisep_line_3(r2, r4))
     elif config.test == "length":
         verdicts.append(entanglement_by_length(correlation_length(rho, full), n))

@@ -1,9 +1,13 @@
 """Moments of correlation distributions.
 
 Four routes to the t-th moment of the distribution of E over random
-directions: Monte Carlo over sampled correlations, exact contraction of
-the correlation tensor (t = 2), exact summation over spherical-design
-direction tuples, and unbiased estimation from finite measurement shots.
+directions: Monte Carlo over sampled correlations (``moments_mc``),
+exact contraction of the correlation tensor (t = 2, ``moment_exact_t2``),
+exact summation over spherical-design direction tuples
+(``moments_design``), and unbiased estimation from finite measurement
+shots (``moments_from_shots``).  The Monte Carlo, design and shot calls
+each take their source, a list of party subsets and a list of orders,
+and return one ``MomentEstimate`` per (subset, order), subset-major.
 Second moments over all party subsets combine into the purity.
 
 Every power E^t is the IEEE product chain ((E * E) * E) * ... of
@@ -201,46 +205,40 @@ def _power(values: np.ndarray, t: int) -> np.ndarray:
     return power
 
 
-def _design_moment(
-    rho: DensityMatrix, subset, orders, degree: int, points: np.ndarray
-) -> list:
-    """Means of E^t over the direction tuples of an antipodal design of
-    degree ``degree`` >= t, one estimate per order in ``orders``, given
-    its ``half_design`` as ``points``.  Flipping one site's direction
-    flips the sign of E, so odd t are exactly 0.0 and even t are means
-    over the half design's tuples, read off one grid of E summed in
-    lexicographic order with pairwise summation."""
-    orders = [_check_order(t) for t in orders]
-    if degree < max(orders, default=0):
-        raise ValueError(
-            f"design order insufficient for requested moment: degree {degree} < t={max(orders)}"
-        )
-    parties = normalize_subset(subset, rho.n_qubits)
-    k = len(parties)
-    if len(points) ** k > MAX_DESIGN_TUPLES:
-        raise ValueError(f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES")
-    means = {}
-    if any(t % 2 == 0 for t in orders):
-        grid = _slab(rho.pauli, parties, slice(1, 4))
-        for _ in range(k):
-            # consume the leading site axis, appending its point axis at the end
-            grid = np.tensordot(grid, points, axes=(0, 1))
-        values = grid.ravel()
-        means = {t: float(np.sum(_power(values, t)) / values.size) for t in orders if t % 2 == 0}
-    return [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]
-
-
-def moment_design(
-    rho: DensityMatrix, subset, t: int, design: SphericalDesign
-) -> MomentEstimate:
-    """Exact order-t moment by summation over design direction tuples.
+def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign) -> list:
+    """Exact moments of each subset and order, subset-major, by summation
+    over the direction tuples of ``design``.
 
     E^t is a degree-t polynomial in each site's direction, so a design of
     degree >= t reproduces the sphere integral exactly.  The design must
-    be antipodal, as every ``design_points`` design is.
+    be antipodal, as every ``design_points`` design is, and is halved once
+    per call.  Flipping one site's direction flips the sign of E, so odd t
+    are exactly 0.0 and even t are means over the half design's tuples,
+    read off one grid of E per subset summed in lexicographic order with
+    pairwise summation.
     """
-    (estimate,) = _design_moment(rho, subset, (t,), design.degree, half_design(design))
-    return estimate
+    orders = [_check_order(t) for t in orders]
+    if design.degree < max(orders, default=0):
+        raise ValueError(
+            f"design order insufficient for requested moment: degree {design.degree} < t={max(orders)}"
+        )
+    subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
+    points = half_design(design)
+    k = max(map(len, subsets), default=0)
+    if len(points) ** k > MAX_DESIGN_TUPLES:
+        raise ValueError(f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES")
+    estimates = []
+    for parties in subsets:
+        means = {}
+        if any(t % 2 == 0 for t in orders):
+            grid = _slab(rho.pauli, parties, slice(1, 4))
+            for _ in parties:
+                # consume the leading site axis, appending its point axis at the end
+                grid = np.tensordot(grid, points, axes=(0, 1))
+            values = grid.ravel()
+            means = {t: float(np.sum(_power(values, t)) / values.size) for t in orders if t % 2 == 0}
+        estimates += [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +374,6 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
     return cumulative
 
 
-def estimate_moment_from_shots(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
-    """Unbiased order-t moment from a shot table.
-
-    Per setting, E^t is estimated by the order-t U-statistic: the average
-    over all selections of t distinct shots of the product of their +-1
-    outcome products.  With x_i = +-1 this reduces to e_t(x) / C(K, t)
-    with e_t the elementary symmetric polynomial, a function of the count
-    of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
-    The value is the mean over settings, in O(M K |A|) time for subset A.
-    Estimates of several subsets of one table (the CLI takes them all in
-    one pass) share its settings and shots, so they are correlated: each
-    ``std_error`` holds for its own estimate only.
-    """
-    (estimate,) = _shot_moments(shots, [range(1, shots.n_parties + 1) if parties is None else parties], (t,))
-    return estimate
-
-
 def _shot_weights(k: int, t: int) -> np.ndarray:
     """e_t(x) / C(K, t) for K +-1 shots x, indexed by their count K+ of +1:
     e_t(x) = sum_j C(K+, j) C(K-, t-j) (-1)^(t-j), summed in exact integers."""
@@ -402,9 +383,21 @@ def _shot_weights(k: int, t: int) -> np.ndarray:
     ])
 
 
-def _shot_moments(shots: ShotTable, subsets, orders) -> list:
-    """``estimate_moment_from_shots`` for each subset and order, subset-major,
-    counting each subset's +1 products once and building each order's weights once."""
+def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
+    """Unbiased moments of each subset and order, subset-major, from one
+    shot table.
+
+    Per setting, E^t is estimated by the order-t U-statistic: the average
+    over all selections of t distinct shots of the product of their +-1
+    outcome products.  With x_i = +-1 this reduces to e_t(x) / C(K, t)
+    with e_t the elementary symmetric polynomial, a function of the count
+    of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
+    The value is the mean over settings, in O(M K |A|) time for subset A;
+    each subset's +1 products are counted once for every order.
+    Estimates of different subsets share the table's settings and shots,
+    so they are correlated: each ``std_error`` holds for its own estimate
+    only.
+    """
     orders = [_check_order(t) for t in orders]
     k = shots.shots_per_setting
     _check_shots_cover_order(k, max(orders, default=1))

@@ -31,10 +31,10 @@ from randmeas.ensembles import (
 )
 from randmeas.moments import (
     all_subsets,
-    estimate_moment_from_shots,
     exact_moment_map,
-    moment_design,
     moment_exact_t2,
+    moments_design,
+    moments_from_shots,
     moments_mc,
     purity_from_moments,
     simulate_shots,
@@ -99,7 +99,7 @@ def test_criterion_2_moment_oracle_triangle():
         estimates = moments_mc(rho, subsets, (2,), m, RngStream(107, stream))
         for subset, mc in zip(subsets, estimates, strict=True):
             exact = moment_exact_t2(correlation_tensor(rho, subset)).value
-            via_design = moment_design(rho, subset, 2, D3).value
+            via_design = moments_design(rho, [subset], [2], D3)[0].value
             assert abs(exact - via_design) < 1e-12, (name, subset)
             tolerance = max(4.0 * mc.std_error, 1e-12)
             assert abs(mc.value - exact) < tolerance, (name, subset)
@@ -171,14 +171,14 @@ def test_criterion_6_three_qubit_line():
     for _ in range(1000):
         rho = random_biseparable_state(3, gen)
         r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
-        r4 = moment_design(rho, (1, 2, 3), 4, D5)
+        (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
         if bisep_line_3(r2, r4).detected:
             violations += 1
     assert violations == 0
 
     rho = ghz(3)
     r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
-    r4 = moment_design(rho, (1, 2, 3), 4, D5)
+    (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
     # oracle-computed values for the three-qubit GHZ state
     assert abs(r2.value - 4.0 / 27.0) < 1e-12
     assert abs(r4.value - 64.0 / 1125.0) < 1e-12
@@ -208,7 +208,7 @@ def test_criterion_8_finite_shot_unbiasedness():
     for run in range(n_runs):
         settings = random_settings(2, m, RngStream(140, run))
         table = simulate_shots(rho, settings, k, RngStream(141, run))
-        unbiased_runs[run] = estimate_moment_from_shots(table, 2).value
+        unbiased_runs[run] = moments_from_shots(table, [(1, 2)], [2])[0].value
         naive_runs[run] = (table.outcomes.prod(axis=2).mean(axis=1) ** 2).mean()
 
     exact = 1.0 / 3.0

@@ -26,9 +26,9 @@ from randmeas.correlations import correlation_length, pauli_coefficients, sample
 from randmeas.criteria import structure_report_from_state
 from randmeas.moments import (
     all_subsets,
-    estimate_moment_from_shots,
     exact_moment_map,
-    moment_design,
+    moments_design,
+    moments_from_shots,
     moments_mc,
     simulate_shots,
 )
@@ -297,17 +297,19 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(randmeas.cli, "random_settings", counting("random_settings", random_settings))
     monkeypatch.setattr(randmeas.cli, "simulate_shots", counting("simulate_shots", simulate_shots))
+    routes = _count_calls(monkeypatch, "moments_from_shots", randmeas.cli)
     out = tmp_path / "o"
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3"
     assert run_cli([*args.split(), "--output", out]) == 0
     assert calls == {"random_settings": 1, "simulate_shots": 1}
+    assert [(call[1], call[2]) for call in routes] == [(parse_subset("all", 4), (2, 4))]
 
     settings = random_settings(4, 50, RngStream(3, STREAM_SETTINGS))
     table = simulate_shots(ghz(4), settings, 20, RngStream(3, STREAM_SHOTS))
     entries = read_json(out / "moments.json")["moments"]
     assert len(entries) == 30
     for entry in entries:
-        expected = estimate_moment_from_shots(table, entry["t"], parties=entry["subset"])
+        (expected,) = moments_from_shots(table, [entry["subset"]], [entry["t"]])
         assert (entry["value"], entry["std_error"]) == (expected.value, expected.std_error)
 
 
@@ -454,11 +456,13 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_design_request_builds_one_grid_per_subset(tmp_path, monkeypatch):
-    sums = _count_calls(monkeypatch, "_design_moment", randmeas.cli)
+    routes = _count_calls(monkeypatch, "moments_design", randmeas.cli)
+    grids = _count_calls(monkeypatch, "_slab", randmeas.moments)
     out = tmp_path / "o"
     args = ["moments", "--state", "w:4", "--subset", "all", "--orders", "2,3,4,5", "--design", 5, "--output", out]
     assert run_cli(args) == 0
-    assert [call[1] for call in sums] == [tuple(s) for s in parse_subset("all", 4)]
+    assert [(call[1], call[2]) for call in routes] == [(parse_subset("all", 4), (2, 3, 4, 5))]
+    assert [call[1] for call in grids] == [tuple(s) for s in parse_subset("all", 4)]
     assert [(m["subset"], m["t"]) for m in read_json(out / "moments.json")["moments"]] == [
         (list(s), t) for s in parse_subset("all", 4) for t in (2, 3, 4, 5)
     ]
@@ -466,18 +470,22 @@ def test_design_request_builds_one_grid_per_subset(tmp_path, monkeypatch):
 
 def test_monte_carlo_cross_checks_build_one_grid_per_subset_and_degree(tmp_path, monkeypatch):
     designs = _count_calls(monkeypatch, "design_points", randmeas.cli)
-    sums = _count_calls(monkeypatch, "_design_moment", randmeas.cli)
+    estimates = _count_calls(monkeypatch, "moments_mc", randmeas.cli)
+    sums = _count_calls(monkeypatch, "moments_design", randmeas.cli)
+    grids = _count_calls(monkeypatch, "_slab", randmeas.moments)
     out = tmp_path / "o"
     args = ["moments", "--state", "ghz:4", "--subset", "all", "--orders", "1,2,3,4", "--samples", 2000, "--seed", 1]
     assert run_cli([*args, "--output", out]) == 0
     assert designs == [(5,)]
     subsets = [tuple(s) for s in parse_subset("all", 4)]
-    assert [(call[1], call[2], call[3]) for call in sums] == [(s, [1, 2, 3, 4], 5) for s in subsets]
+    assert [call[1] for call in estimates] == [subsets]
+    assert [(call[1], call[2], call[3].degree) for call in sums] == [(subsets, [1, 2, 3, 4], 5)]
+    assert [call[1] for call in grids] == subsets
     rho = ghz(4)
     checks = read_json(out / "moments.json")["cross_checks"]
     assert [(c["subset"], c["t"]) for c in checks] == [(list(s), t) for s in subsets for t in (1, 2, 3, 4)]
     for check in checks:
-        assert check["exact_value"] == moment_design(rho, check["subset"], check["t"], design_points(5)).value
+        assert check["exact_value"] == moments_design(rho, [check["subset"]], [check["t"]], design_points(5))[0].value
 
 
 @pytest.mark.parametrize("test", [["--test", "gme4"], []], ids=["gme4", "structure_only"])
@@ -497,7 +505,7 @@ def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):
     full = (1, 2, 3, 4)
     exact_moment_map(rho)
     structure_report_from_state(rho)
-    moment_design(rho, full, 4, design_points(5))
+    moments_design(rho, [full], [4], design_points(5))
     sample_distribution(rho, full, 100, RngStream(0))
     simulate_shots(rho, random_settings(4, 10, RngStream(1)), 5, RngStream(2))
     correlation_length(rho, full)

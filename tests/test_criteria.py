@@ -23,8 +23,8 @@ from randmeas.moments import (
     MomentEstimate,
     all_subsets,
     exact_moment_map,
-    moment_design,
     moment_exact_t2,
+    moments_design,
 )
 from randmeas.correlations import correlation_tensor
 from randmeas.sampling import RngStream, design_points
@@ -155,7 +155,7 @@ def test_bisep_line_white_noise_not_detected():
 def test_bisep_line_detects_ghz3():
     rho = ghz(3)
     r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
-    r4 = moment_design(rho, (1, 2, 3), 4, D5)
+    (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
     # frozen oracle values: r2 = 4/27, r4 = 64/1125
     assert r2.value == pytest.approx(4.0 / 27.0, abs=1e-12)
     assert r4.value == pytest.approx(64.0 / 1125.0, abs=1e-12)
@@ -303,7 +303,7 @@ def test_biseparable_3q_states_respect_line():
     for _ in range(100):
         rho = random_biseparable_state(3, gen)
         r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
-        r4 = moment_design(rho, (1, 2, 3), 4, D5)
+        (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
         assert not bisep_line_3(r2, r4).detected
 
 

@@ -22,18 +22,16 @@ from randmeas.correlations import (
 from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
     MomentEstimate,
-    _design_moment,
     _power,
-    _shot_moments,
     _shot_weights,
     _check_mc_samples,
     _check_order,
     ShotTable,
     all_subsets,
-    estimate_moment_from_shots,
     exact_moment_map,
-    moment_design,
     moment_exact_t2,
+    moments_design,
+    moments_from_shots,
     moments_mc,
     purity_from_moments,
     simulate_shots,
@@ -239,7 +237,7 @@ def test_moment_design_matches_exact_tensor():
         (w_state(3), (1, 3)),
     ]:
         exact = moment_exact_t2(correlation_tensor(state, subset)).value
-        via_design = moment_design(state, subset, 2, D3).value
+        via_design = moments_design(state, [subset], [2], D3)[0].value
         assert abs(via_design - exact) < 1e-12
 
 
@@ -261,14 +259,14 @@ def test_moment_design_with_precomputed_coefficients_is_bit_equal(n):
         for t, design in ((2, D3), (3, D3), (4, D5)):
             if len(design.points) ** len(subset) > 12**4:
                 continue  # 12^5 and more tuples: the 3-design sums cover them
-            shared = moment_design(rho, subset, t, design).value
+            shared = moments_design(rho, [subset], [t], design)[0].value
             fresh = DensityMatrix(n, rho.matrix)
-            assert np.array_equal(shared, moment_design(fresh, subset, t, design).value)
+            assert np.array_equal(shared, moments_design(fresh, [subset], [t], design)[0].value)
 
 
 def test_moment_design_fourth_moment_against_monte_carlo():
     rho = ghz(3)
-    exact = moment_design(rho, (1, 2, 3), 4, D5)
+    (exact,) = moments_design(rho, [(1, 2, 3)], [4], D5)
     (mc,) = moments_mc(rho, [(1, 2, 3)], (4,), 1_000_000, RngStream(36))
     assert abs(exact.value - mc.value) < 4 * mc.std_error
     # frozen analytic value for the three-qubit GHZ fourth moment
@@ -322,9 +320,12 @@ def test_design_moment_matches_the_full_design_oracle(n):
     for rho in states:
         for design in (D3, D5):
             orders = range(1, design.degree + 1)
-            half = half_design(design)
-            for subset in all_subsets(n):
-                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, half)):
+            subsets = all_subsets(n)
+            got = iter(moments_design(rho, subsets, orders, design))
+            for subset in subsets:
+                for t in orders:
+                    est = next(got)
+                    assert (est.subset, est.order) == (subset, t)
                     assert abs(est.value - _full_design_moment(rho, subset, t, design)) <= 1e-15
                     if t % 2:
                         assert est.value == 0.0 and not np.signbit(est.value)
@@ -337,7 +338,7 @@ def test_design_moment_refuses_a_caller_design_over_the_cap_before_any_grid(monk
     pairs = uniform_directions(RngStream(47), 30)
     design = SphericalDesign(5, np.concatenate([pairs, -pairs]))
     with pytest.raises(ValueError, match=r"design sum over 30\^5 tuples exceeds MAX_DESIGN_TUPLES"):
-        moment_design(ghz(5), (1, 2, 3, 4, 5), 2, design)
+        moments_design(ghz(5), [(1, 2, 3, 4, 5)], [2], design)
     assert grids == []
 
 
@@ -363,7 +364,7 @@ def test_product_chain_moments_match_the_pow_oracle(n):
             half = half_design(design)
             for subset in all_subsets(n):
                 values = _design_values(rho, subset, half)
-                for t, est in zip(orders, _design_moment(rho, subset, orders, design.degree, half)):
+                for t, est in zip(orders, moments_design(rho, [subset], orders, design)):
                     _assert_near_pow_oracle(est.value, values, t)
         for subset in all_subsets(n):
             samples = sample_distribution(rho, subset, 500, RngStream(44, n))
@@ -373,19 +374,20 @@ def test_product_chain_moments_match_the_pow_oracle(n):
 
 def test_multi_order_design_moment_is_bit_equal_to_single_orders():
     rho = random_density_matrix(4, RngStream(45))
-    for subset in [(2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]:
-        for design, orders in ((D3, (3, 1, 2, 2)), (D5, (2, 3, 4, 5, 1))):
-            shared = _design_moment(rho, subset, orders, design.degree, half_design(design))
-            assert [e.order for e in shared] == list(orders)
-            for est, t in zip(shared, orders):
-                assert est.to_dict() == moment_design(rho, subset, t, design).to_dict()
+    subsets = [(2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]
+    for design, orders in ((D3, (3, 1, 2, 2)), (D5, (2, 3, 4, 5, 1))):
+        shared = moments_design(rho, subsets, orders, design)
+        assert [(e.subset, e.order) for e in shared] == [(s, t) for s in subsets for t in orders]
+        for est in shared:
+            (single,) = moments_design(rho, [est.subset], [est.order], design)
+            assert est.to_dict() == single.to_dict()
     with pytest.raises(ValueError, match="degree 3 < t=4"):
-        _design_moment(rho, (1, 2), (2, 4), D3.degree, half_design(D3))
+        moments_design(rho, [(1, 2)], (2, 4), D3)
 
 
 def test_moment_design_rejects_insufficient_degree():
     with pytest.raises(ValueError, match="design order insufficient"):
-        moment_design(ghz(3), (1, 2, 3), 4, D3)
+        moments_design(ghz(3), [(1, 2, 3)], [4], D3)
 
 
 def test_half_design_moments_match_full():
@@ -394,22 +396,22 @@ def test_half_design_moments_match_full():
         (ghz(3), (1, 2, 3), 4, D5, 64.0 / 1125.0),
         (product_zero(2), (1, 2), 2, D3, 1.0 / 9.0),
     ]:
-        half = moment_design(rho, subset, t, design).value
+        half = moments_design(rho, [subset], [t], design)[0].value
         assert abs(half - _full_design_moment(rho, subset, t, design)) < 1e-13
         assert half == pytest.approx(exact, abs=1e-13)
 
 
 def test_overcomplete_design_consistency():
     for state, subset in [(bell_psi_minus(), (1, 2)), (ghz(4), (1, 2, 3, 4))]:
-        with_3 = moment_design(state, subset, 2, D3).value
-        with_5 = moment_design(state, subset, 2, D5).value
+        with_3 = moments_design(state, [subset], [2], D3)[0].value
+        with_5 = moments_design(state, [subset], [2], D5)[0].value
         assert abs(with_3 - with_5) < 1e-12
 
 
 def test_oracle_triangle_small_scale():
     for state, subset in [(bell_psi_minus(), (1, 2)), (ghz(3), (1, 2, 3))]:
         exact = moment_exact_t2(correlation_tensor(state, subset)).value
-        via_design = moment_design(state, subset, 2, D3).value
+        via_design = moments_design(state, [subset], [2], D3)[0].value
         assert abs(exact - via_design) < 1e-12
         (mc,) = moments_mc(state, [subset], (2,), 50_000, RngStream(37))
         assert abs(mc.value - exact) < 4 * mc.std_error
@@ -421,7 +423,7 @@ def test_vanishing_second_moment_implies_vanishing_fourth():
         full = tuple(range(1, n + 1))
         r2 = moment_exact_t2(correlation_tensor(white, full)).value
         assert r2 < 1e-12
-        assert moment_design(white, full, 4, D5).value < 1e-10
+        assert moments_design(white, [full], [4], D5)[0].value < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +466,13 @@ def test_simulate_shots_empirical_correlation_converges():
 def test_estimator_deterministic_case_is_exact():
     settings = np.array([[E_Z, E_Z]])
     table = simulate_shots(product_zero(2), settings, 7, RngStream(44))
-    assert estimate_moment_from_shots(table, 2).value == 1.0
+    assert moments_from_shots(table, [(1, 2)], [2])[0].value == 1.0
 
 
 def test_estimator_single_setting_fourth_order():
     settings = np.array([[E_Z, E_Z]])
     table = simulate_shots(product_zero(2), settings, 5, RngStream(45))
-    est = estimate_moment_from_shots(table, 4)
+    (est,) = moments_from_shots(table, [(1, 2)], [4])
     assert est.value == 1.0 and est.std_error is None
 
 
@@ -478,7 +480,7 @@ def test_estimator_requires_enough_shots():
     settings = random_settings(2, 3, RngStream(46))
     table = simulate_shots(bell_psi_minus(), settings, 2, RngStream(47))
     with pytest.raises(ValueError, match="at least t shots"):
-        estimate_moment_from_shots(table, 3)
+        moments_from_shots(table, [(1, 2)], [3])
 
 
 def test_estimator_t2_matches_closed_form():
@@ -489,7 +491,7 @@ def test_estimator_t2_matches_closed_form():
     ehat = products.mean(axis=1)
     k = 6
     closed = ((k * ehat**2 - 1.0) / (k - 1.0)).mean()
-    est = estimate_moment_from_shots(table, 2)
+    (est,) = moments_from_shots(table, [(1, 2)], [2])
     assert abs(est.value - closed) < 1e-12
 
 
@@ -500,8 +502,8 @@ def test_estimator_is_unbiased(t, k):
     n_settings = 500 * 200
     settings = random_settings(2, n_settings, RngStream(50 + t))
     table = simulate_shots(rho, settings, k, RngStream(60 + t * 10 + k))
-    est = estimate_moment_from_shots(table, t)
-    exact = moment_design(rho, (1, 2), t, D5).value
+    (est,) = moments_from_shots(table, [(1, 2)], [t])
+    exact = moments_design(rho, [(1, 2)], [t], D5)[0].value
     assert abs(est.value - exact) < 4 * est.std_error
 
 
@@ -520,7 +522,7 @@ def test_marginal_moment_from_joint_shots():
     rho = w_state(3)
     settings = random_settings(3, 40_000, RngStream(54))
     table = simulate_shots(rho, settings, 4, RngStream(55))
-    est = estimate_moment_from_shots(table, 2, parties=(1, 2))
+    (est,) = moments_from_shots(table, [(1, 2)], [2])
     exact = moment_exact_t2(correlation_tensor(rho, (1, 2))).value
     assert abs(est.value - exact) < 4 * est.std_error
 
@@ -592,8 +594,9 @@ def test_simulate_shots_rejects_bad_input():
 
 
 def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
-    """Reference implementation of ``estimate_moment_from_shots``: one
-    product over the subset's columns and one e_t table per call."""
+    """Reference implementation of ``moments_from_shots`` for one subset
+    and order: one product over the subset's columns and one e_t table per
+    call."""
     k_shots = shots.shots_per_setting
     n = shots.n_parties
     if parties is None:
@@ -640,13 +643,14 @@ def test_shot_moments_equal_the_per_estimate_oracle(n):
             # the party-major table simulate_shots returns, and once a C-ordered copy
             copies = [ShotTable(settings, np.ascontiguousarray(table.outcomes))] if k == 5 else []
             for shots in [table, *copies]:
-                got = iter(_shot_moments(shots, subsets, orders))
+                got = iter(moments_from_shots(shots, subsets, orders))
                 for subset in subsets:
                     for t in orders:
                         est, oracle = next(got), _estimate_moment_from_shots_oracle(shots, t, subset)
                         assert (est.subset, est.order) == (subset, t)
                         assert (est.value, est.std_error) == (oracle.value, oracle.std_error)
-            full, oracle = estimate_moment_from_shots(table, k), _estimate_moment_from_shots_oracle(table, k)
+            (full,) = moments_from_shots(table, [range(1, n + 1)], [k])
+            oracle = _estimate_moment_from_shots_oracle(table, k)
             assert (full.subset, full.value, full.std_error) == (oracle.subset, oracle.value, oracle.std_error)
 
 
@@ -745,7 +749,7 @@ def test_simulate_shots_at_eight_qubits():
     rho = ghz(8)
     settings = random_settings(8, 2000, RngStream(75))
     table = simulate_shots(rho, settings, 50, RngStream(76))
-    est = estimate_moment_from_shots(table, 2)
+    (est,) = moments_from_shots(table, [range(1, 9)], [2])
     exact = moment_exact_t2(correlation_tensor(rho, tuple(range(1, 9)))).value
     assert abs(est.value - exact) < 5 * est.std_error
 
@@ -809,7 +813,7 @@ def test_purity_from_moments_rejects_negative():
 
 def test_purity_from_moments_accepts_negative_finite_shot_moments():
     table = simulate_shots(ghz(3), random_settings(3, 200, RngStream(1)), 5, RngStream(2))
-    estimates = {subset: estimate_moment_from_shots(table, 2, subset) for subset in all_subsets(3)}
+    estimates = {e.subset: e for e in moments_from_shots(table, all_subsets(3), [2])}
     assert estimates[(1,)].value == pytest.approx(-0.014, abs=1e-12)
     purity = purity_from_moments(estimates)
     expected = 1.0 + sum(3.0 ** len(s) * e.value for s, e in estimates.items())
