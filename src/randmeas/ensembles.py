@@ -34,11 +34,6 @@ def random_density_matrix(n_qubits: int, rng) -> DensityMatrix:
     return DensityMatrix(n_qubits, mat / np.trace(mat).real)
 
 
-def random_local_unitaries(n_qubits: int, rng) -> list:
-    """One independent Haar 2x2 unitary per qubit."""
-    return list(haar_unitaries(rng, n_qubits))
-
-
 def permute_vector_qubits(vec: np.ndarray, order) -> np.ndarray:
     """Reorder a state vector whose qubits currently appear in ``order``
     (1-based party labels) into ascending party order."""

@@ -72,10 +72,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n_qubits", int(n))
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     @cached_property
     def pauli(self) -> np.ndarray:
         """Read-only ``pauli_coefficients`` of this state, computed on first use."""
@@ -134,11 +130,14 @@ def w_state(n: int) -> DensityMatrix:
     return DensityMatrix.from_vector(vec)
 
 
-def cluster_linear() -> DensityMatrix:
+def cluster_linear(n: int = 4) -> DensityMatrix:
     """Four-qubit linear cluster state: CZ chain applied to |++++>.
 
     Amplitude of basis state b picks up (-1) for every adjacent 11 pair.
+    ``n`` must be 4.
     """
+    if n != 4:
+        raise ValueError(f"parameter n must equal 4 for cluster_linear, got {n}")
     vec = np.empty(16, dtype=complex)
     for b in range(16):
         bits = [(b >> (3 - j)) & 1 for j in range(4)]
@@ -177,12 +176,6 @@ def bisep4(phi: float = 0.2) -> DensityMatrix:
     return DensityMatrix.from_vector(np.kron(_phi_plus_vec(), second))
 
 
-def _cluster_linear_n(n: int) -> DensityMatrix:
-    if n != 4:
-        raise ValueError(f"parameter n must equal 4 for cluster_linear, got {n}")
-    return cluster_linear()
-
-
 @dataclass(frozen=True)
 class NamedState:
     """One row of :data:`STATES`.
@@ -208,7 +201,7 @@ STATES = {
     "bell": NamedState(bell_psi_minus, density="bell"),
     "ghz": NamedState(ghz, ("n",), int),
     "w": NamedState(w_state, ("n",), int),
-    "cluster_linear": NamedState(_cluster_linear_n, ("n",), int, (4,)),
+    "cluster_linear": NamedState(cluster_linear, ("n",), int, (4,)),
     "werner": NamedState(werner, ("p",), float, density="werner"),
     "trisep4": NamedState(trisep4),
     "bisep4": NamedState(bisep4, ("phi",), float, (0.2,)),
@@ -219,33 +212,23 @@ STATES = {
 
 @dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Symbolic description of a state: a kind name plus numeric parameters.
-
-    ``custom`` carries an explicit matrix instead of parameters.
-    """
+    """Symbolic description of a state: a kind name plus numeric parameters."""
 
     kind: str
     params: tuple = ()
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         row = STATES.get(self.kind)
-        if self.kind != "custom" and (row is None or row.alias_of is not None):
+        if row is None or row.alias_of is not None:
             raise ValueError(
                 f"unknown state kind {self.kind!r}; valid kinds: "
-                + ", ".join(sorted(["custom"] + [k for k, r in STATES.items() if r.alias_of is None]))
+                + ", ".join(sorted(k for k, r in STATES.items() if r.alias_of is None))
             )
         object.__setattr__(self, "params", tuple(self.params))
 
 
 def make_state(spec: StateSpec) -> DensityMatrix:
     """Construct the density matrix described by ``spec``."""
-    if spec.kind == "custom":
-        if spec.matrix is None:
-            raise ValueError("custom StateSpec requires a matrix")
-        mat = np.asarray(spec.matrix)
-        n = int(round(np.log2(mat.shape[0])))
-        return DensityMatrix(n, mat)
     row = STATES[spec.kind]
     if len(spec.params) != len(row.params):
         raise ValueError(

@@ -26,7 +26,6 @@ from randmeas.criteria import (
 from randmeas.ensembles import (
     random_biseparable_state,
     random_density_matrix,
-    random_local_unitaries,
     random_w_class_mixture,
 )
 from randmeas.moments import (
@@ -39,7 +38,7 @@ from randmeas.moments import (
     purity_from_moments,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, design_points, random_settings, validate_design
+from randmeas.sampling import RngStream, design_points, haar_unitaries, random_settings, validate_design
 from randmeas.states import (
     apply_local_unitaries,
     bell_psi_minus,
@@ -230,7 +229,7 @@ def test_criterion_9_lu_invariance():
             m_quantifier(exact_moment_map(rho), full_subset(rho)) if n == 4 else None
         )
         for _ in range(50):
-            rotated = apply_local_unitaries(rho, random_local_unitaries(n, gen))
+            rotated = apply_local_unitaries(rho, haar_unitaries(gen, n))
             moments = exact_moment_map(rotated)
             for subset in subsets:
                 assert abs(moments[subset].value - base_moments[subset]) < 1e-9, (

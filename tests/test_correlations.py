@@ -19,9 +19,9 @@ from randmeas.correlations import (
     pauli_coefficients,
     sample_distribution,
 )
-from randmeas.ensembles import random_density_matrix, random_local_unitaries
+from randmeas.ensembles import random_density_matrix
 from randmeas.moments import all_subsets, moments_mc
-from randmeas.sampling import _BLOCK_BYTES, RngStream, uniform_directions
+from randmeas.sampling import _BLOCK_BYTES, RngStream, haar_unitaries, uniform_directions
 from randmeas.states import (
     IDENTITY_2,
     SIGMA_X,
@@ -345,7 +345,7 @@ def test_sample_distribution_is_deterministic_and_validated():
 
 def test_sampled_second_moment_is_lu_invariant():
     rho = ghz(3)
-    rotated = apply_local_unitaries(rho, random_local_unitaries(3, RngStream(9)))
+    rotated = apply_local_unitaries(rho, haar_unitaries(RngStream(9), 3))
     (m1,) = moments_mc(rho, [(1, 2, 3)], (2,), 20_000, RngStream(10))
     (m2,) = moments_mc(rotated, [(1, 2, 3)], (2,), 20_000, RngStream(11))
     combined = np.hypot(m1.std_error, m2.std_error)

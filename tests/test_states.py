@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randmeas.correlations import correlation_length
-from randmeas.ensembles import random_density_matrix, random_local_unitaries
+from randmeas.ensembles import random_density_matrix
 from randmeas.sampling import RngStream, haar_unitaries
 from randmeas.states import (
     DensityMatrix,
@@ -82,8 +82,6 @@ def test_make_state_dispatch_matches_builders():
     np.testing.assert_array_equal(
         make_state(StateSpec("bisep4", (0.3,))).matrix, bisep4(0.3).matrix
     )
-    custom = make_state(StateSpec("custom", matrix=np.eye(4) / 4))
-    assert custom.n_qubits == 2
 
 
 def test_make_state_rejects_bad_parameters():
@@ -201,7 +199,7 @@ def test_random_local_rotations_preserve_product_correlation_length():
     rho = product_zero(2)
     gen = RngStream(12).generator()
     for _ in range(10):
-        rotated = apply_local_unitaries(rho, random_local_unitaries(2, gen))
+        rotated = apply_local_unitaries(rho, haar_unitaries(gen, 2))
         assert abs(correlation_length(rotated, (1, 2)) - 1.0) < 1e-10
 
 
@@ -218,5 +216,5 @@ def test_purity_is_lu_invariant_over_100_frames():
     base = purity_direct(rho)
     gen = RngStream(13).generator()
     for _ in range(100):
-        rotated = apply_local_unitaries(rho, random_local_unitaries(2, gen))
+        rotated = apply_local_unitaries(rho, haar_unitaries(gen, 2))
         assert abs(purity_direct(rotated) - base) < 1e-10
