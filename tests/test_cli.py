@@ -614,6 +614,46 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
     assert "--test" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        ("sample --state product2:3", None, "alias 'product2' takes no parameters"),
+        ("moments --state werner:abc", None, "bad parameter for 'werner'"),
+        ("moments --state bell --subset 1,x", None, "bad subset '1,x'"),
+        ("moments --state bell", "abc", "environment variable RANDMEAS_SEED='abc' is not an integer"),
+        ("moments --state bell --seed -1", None, "seed must be non-negative, got -1"),
+        ("sample --state ghz:3 --subset all", None, "sample expects a single subset"),
+        ("moments --state bell --orders ,", None, "at least one moment order is required"),
+        ("moments --state bell --design 3 --shots 5", None, "choose either --design or --shots, not both"),
+        ("criteria --state bell --test wclass", None, "wclass applies to n >= 3 qubits, got n=2"),
+        ("criteria --state ghz:4 --test bisep3", None, "bisep3 applies to 3-qubit states, got n=4"),
+        ("criteria --state bell --test nope", None, "unknown criterion 'nope'"),
+    ],
+    ids=[
+        "alias_parameters",
+        "bad_parameter",
+        "bad_subset",
+        "seed_env_not_integer",
+        "negative_seed",
+        "sample_many_subsets",
+        "no_orders",
+        "design_and_shots",
+        "wclass_two_qubits",
+        "bisep3_four_qubits",
+        "unknown_criterion",
+    ],
+)
+def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("RANDMEAS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RANDMEAS_SEED", env)
+    out = tmp_path / "o"
+    assert run_cli([*args.split(), "--output", out]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_outputs(tmp_path):
     out3 = tmp_path / "d3"
     assert run_cli(["design", "--order", 3, "--output", out3]) == 0
