@@ -227,16 +227,17 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
     k = max(map(len, subsets), default=0)
     if len(points) ** k > MAX_DESIGN_TUPLES:
         raise ValueError(f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES")
+    even = [t for t in orders if t % 2 == 0]
     estimates = []
     for parties in subsets:
         means = {}
-        if any(t % 2 == 0 for t in orders):
+        if even:
             grid = _slab(rho.pauli, parties, slice(1, 4))
             for _ in parties:
                 # consume the leading site axis, appending its point axis at the end
                 grid = np.tensordot(grid, points, axes=(0, 1))
             values = grid.ravel()
-            means = {t: float(np.sum(_power(values, t)) / values.size) for t in orders if t % 2 == 0}
+            means = {t: float(np.sum(_power(values, t)) / values.size) for t in even}
         estimates += [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]
     return estimates
 
