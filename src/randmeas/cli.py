@@ -40,6 +40,7 @@ from .moments import (
     _check_order,
     _check_shot_table,
     _check_shots_cover_order,
+    _with_bootstrap_error,
     all_subsets,
     exact_moment_map,
     moment_exact_t2,
@@ -54,11 +55,10 @@ from .states import STATES, StateSpec, make_state
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
 #: One stream id per purpose so random consumers never collide; one settings
-#: table, one shot table and one draw of bootstrap rows serve every subset.
+#: table and one shot table serve every subset.
 STREAM_SAMPLES = 0
 STREAM_SETTINGS = 1_000_000
 STREAM_SHOTS = 2_000_000
-STREAM_BOOTSTRAP = 3_000_000
 
 #: Chance that a Monte Carlo cross-check fails a correct estimate.
 CROSS_CHECK_FALSE_ALARM = 1e-6
@@ -265,9 +265,9 @@ def _cross_check(estimate, exact) -> dict:
     two-sided empirical Bernstein bound (Maurer and Pontil 2009, Thm. 4)
     at ``CROSS_CHECK_FALSE_ALARM``: the mean of M values spanning a range
     R (1 for even t, 2 for odd) lies within s * sqrt(2 L) + 7 R L / (3 (M - 1))
-    of its expectation, L = ln(4 / rate), with s the plug-in standard
-    error.  Unlike a multiple of s it holds at every M >= 2; a bootstrap
-    error stands in for s.
+    of its expectation, L = ln(4 / rate), with s the plug-in (1/(M - 1)
+    variance) error, also under ``--bootstrap``.  Unlike a multiple of s
+    it holds at every M >= 2.
     """
     subset, t = estimate.subset, estimate.order
     if exact is None:
@@ -327,15 +327,15 @@ def cmd_moments(config: RunConfig) -> int:
                 if e.order == 2
             ]
     else:
-        bootstrap_rng = RngStream(config.seed, STREAM_BOOTSTRAP) if config.bootstrap else None
-        samples_rng = RngStream(config.seed, STREAM_SAMPLES)
-        estimates = moments_mc(rho, subsets, config.orders, config.samples, samples_rng, bootstrap_rng)
+        estimates = moments_mc(rho, subsets, config.orders, config.samples, RngStream(config.seed, STREAM_SAMPLES))
         if do_checks:
             # Every order t <= 5 is checked against one design sum per subset
             # over the 5-design's antipodal half.
             checked = [t for t in config.orders if t <= 5]
             exact = {(e.subset, e.order): e.value for e in moments_design(rho, subsets, checked, design_points(5))}
             checks = [_cross_check(e, exact.get((e.subset, e.order))) for e in estimates]
+        if config.bootstrap:
+            estimates = [_with_bootstrap_error(e) for e in estimates]
 
     tables = {}
     if config.format == "csv":
@@ -436,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--samples", type=int, help="Monte-Carlo settings M")
     option("--shots", type=int, help="shots per setting K (0 = exact expectations)")
     option("--design", type=int, help="design order for exact sums (0 = Haar MC)")
-    option("--bootstrap", action="store_true", help="bootstrap standard errors (1000 resamples)")
+    option("--bootstrap", action="store_true", help="closed-form bootstrap standard errors")
 
     option = command("criteria", "evaluate entanglement criteria")
     option("--test", help="criterion: gme4, wclass, bisep3, length")

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import sqrt
 
 from .correlations import marginal_purity
-from .moments import _entry_stats, _normalize_moments, all_subsets, exact_moment_map
+from .moments import MomentEstimate, _entry_stats, _normalize_moments, all_subsets, exact_moment_map
 from .states import DensityMatrix
 
 #: Coefficients c_k of the biseparable bound M_k <= c_k (1 - tr rho^2).
@@ -235,8 +235,14 @@ def w_class_witness(r2, n: int) -> Verdict:
 
 def entanglement_by_length(length, n: int | None = None) -> Verdict:
     """Correlation length above the product-state value 1 signals
-    entanglement (not necessarily genuine multipartite)."""
+    entanglement (not necessarily genuine multipartite).  A ``MomentEstimate``
+    is read as its subset's R2, whose length is 3^|subset| R2."""
     value, err, method = _entry_stats(length)
+    if isinstance(length, MomentEstimate):
+        if length.order != 2:
+            raise ValueError(f"a correlation length needs a second moment, got t={length.order}")
+        scale = 3.0 ** len(length.subset)
+        value, err = scale * value, None if err is None else scale * err
     if value < 0.0:
         raise ValueError(f"correlation length must be non-negative, got {value!r}")
     note = "entanglement (not necessarily genuine multipartite)"

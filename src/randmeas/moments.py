@@ -19,9 +19,9 @@ promised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -43,8 +43,6 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
-#: Resampled means behind each bootstrap standard error.
-BOOTSTRAP_RESAMPLES = 1000
 
 EVEN_MOMENT_ATOL = 1e-9
 PURITY_ATOL = 1e-6
@@ -122,7 +120,7 @@ def _normalize_moments(moments) -> dict:
     return normalized
 
 
-def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap_rng=None) -> list:
+def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap: bool = False) -> list:
     """Monte-Carlo moments of each subset and order, subset-major: sample
     means of E^t with plug-in standard errors.
 
@@ -134,41 +132,33 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap_rng=N
     subsets share settings, so they are correlated: each ``std_error``
     holds for its own estimate only.
 
-    Given ``bootstrap_rng``, each standard error is instead the spread of
-    ``BOOTSTRAP_RESAMPLES`` resampled means.  One draw of index rows serves
-    every (subset, order), so each estimate equals that of a single-subset,
-    single-order call on the same columns and stream.  Resamples are drawn
-    in blocks of rows, each row holding its M indices and M resampled
-    powers; consecutive draws from one generator equal those of a single
-    (resamples, M) call.  The settings table is released before them.
+    With ``bootstrap``, each standard error is instead the ideal bootstrap
+    one (``_with_bootstrap_error``), which draws nothing.
     """
     orders = [_check_order(t) for t in orders]
     _check_mc_samples(m)
     subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
     union = sorted(set().union(*subsets))
     table = random_settings(len(union), m, rng)
-    estimates, powers = [], []
+    seed = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else None
+    estimates = []
     for subset in subsets:
         columns = [union.index(p) for p in subset]
         values = _subset_values(rho, subset, table if len(columns) == len(union) else table.take(columns, axis=1))
         for t in orders:
             power = _power(values, t)
-            estimates.append([subset, t, float(power.mean()), float(power.std(ddof=1) / np.sqrt(m))])
-            if bootstrap_rng is not None:
-                powers.append(power)
-    del table
-    if bootstrap_rng is not None:
-        gen = _generator(bootstrap_rng)
-        means = np.empty((len(powers), BOOTSTRAP_RESAMPLES))
-        rows = _block_rows(16 * m)
-        for start in range(0, BOOTSTRAP_RESAMPLES, rows):
-            idx = gen.integers(0, m, size=(min(rows, BOOTSTRAP_RESAMPLES - start), m))
-            for row, power in zip(means, powers):
-                row[start : start + len(idx)] = power[idx].mean(axis=1)
-        for estimate, row in zip(estimates, means):
-            estimate[3] = float(row.std(ddof=1))
-    seed = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else None
-    return [MomentEstimate(*estimate, "monte_carlo", m, None, seed) for estimate in estimates]
+            std_error = float(power.std(ddof=1) / np.sqrt(m))
+            estimates.append(MomentEstimate(subset, t, float(power.mean()), std_error, "monte_carlo", m, None, seed))
+    return [_with_bootstrap_error(e) for e in estimates] if bootstrap else estimates
+
+
+def _with_bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
+    """``estimate`` with the ideal bootstrap error of its mean: over all M^M
+    resamples the mean's variance is the 1/M sample variance over M
+    (Efron and Tibshirani 1993, sections 5-6), sqrt((M - 1) / M) times the
+    plug-in error, so a check bounded by the plug-in error can run first."""
+    m = estimate.samples
+    return replace(estimate, std_error=estimate.std_error * sqrt((m - 1) / m))
 
 
 def moment_exact_t2(tensor) -> MomentEstimate:

@@ -19,8 +19,8 @@ DESIGN_VALIDATION_ATOL = 1e-12
 
 #: Bytes of per-block temporaries in every loop over rows of directions or
 #: settings (``uniform_directions``, ``correlation_values``,
-#: ``simulate_shots``, the bootstrap of ``moments_mc``): memory beyond their
-#: inputs and outputs does not grow with the number of rows.
+#: ``simulate_shots``): memory beyond their inputs and outputs does not grow
+#: with the number of rows.
 _BLOCK_BYTES = 4 << 20
 
 #: Most bytes one settings table may take: ``random_settings`` counts 40 a

@@ -12,7 +12,6 @@ import randmeas.criteria
 import randmeas.moments
 import randmeas.sampling
 from randmeas.cli import (
-    STREAM_BOOTSTRAP,
     STREAM_SAMPLES,
     STREAM_SETTINGS,
     STREAM_SHOTS,
@@ -254,6 +253,25 @@ def test_monte_carlo_cross_checks_pass_correct_estimates_at_tiny_m(m, tmp_path):
                 assert all(c["passed"] for c in read_json(out / "moments.json")["cross_checks"])
 
 
+@pytest.mark.parametrize("m", [2, 3, 2000])
+@pytest.mark.parametrize("args", ["--state bell --orders 1,2,4", "--state ghz:3 --subset all --orders 2,3"])
+def test_bootstrap_moves_only_the_std_errors(args, m, tmp_path):
+    """--bootstrap swaps each error for the exact bootstrap one after the
+    cross-checks, whose bound takes the plug-in error either way."""
+    runs = {}
+    for flag in ([], ["--bootstrap"]):
+        out = tmp_path / "o"
+        assert run_cli(["moments", *args.split(), "--samples", m, "--seed", 4, *flag, "--output", out]) == 0
+        runs[bool(flag)] = read_json(out / "moments.json")
+    plain, boot = runs[False], runs[True]
+    assert plain["cross_checks"] and boot["cross_checks"] == plain["cross_checks"]
+    assert boot["config"] == {**plain["config"], "bootstrap": True}
+    for b, p in zip(boot["moments"], plain["moments"], strict=True):
+        assert b["std_error"] == pytest.approx(p["std_error"] * np.sqrt((m - 1) / m), rel=1e-15, abs=0.0)
+        assert {**b, "std_error": None} == {**p, "std_error": None}
+    assert {**boot, "moments": None, "config": None} == {**plain, "moments": None, "config": None}
+
+
 def test_monte_carlo_cross_check_fails_an_estimate_pushed_off(tmp_path, capsys, monkeypatch):
     args = ["moments", "--state", "bell", "--orders", "2", "--samples", 10_000, "--seed", 5]
     assert run_cli([*args, "--output", tmp_path / "right"]) == 0
@@ -372,8 +390,7 @@ def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monke
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
     assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
     assert [count for _, count in draws] == [4 * 300]
-    bootstrap_rng = RngStream(3, STREAM_BOOTSTRAP) if bootstrap else None
-    expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES), bootstrap_rng)
+    expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES), bootstrap=bool(bootstrap))
     entries = read_json(out / "moments.json")["moments"]
     assert entries == [json.loads(json.dumps(e.to_dict())) for e in expected]
     assert {tuple(entry["seed"]) for entry in entries} == {(3, STREAM_SAMPLES)}

@@ -60,7 +60,7 @@ options:
   --samples SAMPLES    Monte-Carlo settings M
   --shots SHOTS        shots per setting K (0 = exact expectations)
   --design DESIGN      design order for exact sums (0 = Haar MC)
-  --bootstrap          bootstrap standard errors (1000 resamples)
+  --bootstrap          closed-form bootstrap standard errors
 """,
     "criteria": """\
 usage: randmeas criteria [-h] --state STATE [--seed SEED] [--output OUTPUT]

@@ -25,6 +25,7 @@ from randmeas.moments import (
     exact_moment_map,
     moment_exact_t2,
     moments_design,
+    moments_mc,
 )
 from randmeas.correlations import correlation_tensor
 from randmeas.sampling import RngStream, design_points
@@ -210,6 +211,18 @@ def test_entanglement_by_length_verdicts():
             entanglement_by_length(bad)
 
 
+def test_entanglement_by_length_reads_a_monte_carlo_second_moment():
+    # the exact length of a Bell state is 3, its second moment 1/3
+    for bootstrap in (False, True):
+        (r2,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 2000, RngStream(61), bootstrap=bootstrap)
+        verdict = entanglement_by_length(r2, 2)
+        assert verdict.statistic == 9.0 * r2.value and verdict.std_error == 9.0 * r2.std_error
+        assert verdict.detected and verdict.inputs_provenance == ("monte_carlo",)
+    (r4,) = moments_mc(bell_psi_minus(), [(1, 2)], (4,), 100, RngStream(61))
+    with pytest.raises(ValueError, match="needs a second moment, got t=4"):
+        entanglement_by_length(r4, 2)
+
+
 def test_statistical_inputs_require_z_sigma_margin():
     # margin of two standard errors: not detected at z = 3
     noisy = MomentEstimate((1, 2), 2, 0.35, 0.05, "monte_carlo", samples=100)
@@ -253,9 +266,9 @@ def _wclass_at(sigmas):
 
 
 def _length_at(sigmas):
-    # finite-shot estimates are the ones whose even-order values may leave [0, 1]
-    length = MomentEstimate((1, 2, 3), 2, 1.0 + sigmas * 0.01, 0.01, "finite_shot", 100, 4)
-    return entanglement_by_length(length, 3), 0.01
+    # a three-party second moment R2 is decided as the length 27 R2
+    r2 = _estimate((1, 2, 3), 2, (1.0 + sigmas * 0.01) / 27.0, 0.01 / 27.0)
+    return entanglement_by_length(r2, 3), 0.01
 
 
 @pytest.mark.parametrize(

@@ -150,13 +150,13 @@ GOLDEN = {
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
-            "moments.json": "0137b897276027cf90181c00bd5e99f8a8cccce4cfd6f539866d2aac49693f0f",
+            "moments.json": "5b151b1a19ba773374b5aa50d5561a9320fc3cccf72118098d75431ff5ee52e6",
         },
     ),
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "7e718120cff256c36d2a74a5eee185b448257d703dddb9f8e7404fe54299839a",
+            "moments.json": "ee9c740180b742a0e28a69b83d1d45cd303121e76d0be153edd2f60bcc4b404f",
         },
     ),
     "shots_ghz3": (

@@ -104,97 +104,102 @@ def test_moment_mc_validation(monkeypatch):
 
 
 def test_moment_mc_bootstrap_error_is_close_to_plugin():
-    (plain,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 20_000, RngStream(34))
-    (boot,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 20_000, RngStream(34), RngStream(35))
-    assert boot.value == plain.value
-    assert abs(boot.std_error - plain.std_error) < 0.3 * plain.std_error
+    m = 20_000
+    (plain,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), m, RngStream(34))
+    (boot,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), m, RngStream(34), bootstrap=True)
+    assert boot.value == plain.value and boot.seed == plain.seed
+    assert boot.std_error == pytest.approx(plain.std_error * np.sqrt((m - 1) / m), rel=1e-15)
 
 
-def _moments_mc_oracle(samples, orders, bootstrap=False, bootstrap_resamples=1000, rng=None):
+def _moments_mc_oracle(samples, orders, bootstrap=False):
     """The single-subset ``moments_mc`` that read one SampleSet: sample
     means of E^t with plug-in standard errors or, with ``bootstrap``, the
-    spread of ``bootstrap_resamples`` means drawn in shared row blocks."""
+    1/M-normalised spread over sqrt(M)."""
     orders = [_check_order(t) for t in orders]
     m = samples.settings_count
     _check_mc_samples(m)
     powers = [_power(samples.values, t) for t in orders]
-    if bootstrap:
-        gen = _generator(rng)
-        means = np.empty((len(orders), bootstrap_resamples))
-        rows = _block_rows(16 * m)
-        for start in range(0, bootstrap_resamples, rows):
-            idx = gen.integers(0, m, size=(min(rows, bootstrap_resamples - start), m))
-            for row, power in zip(means, powers):
-                row[start : start + len(idx)] = power[idx].mean(axis=1)
-        std_errors = [float(row.std(ddof=1)) for row in means]
-    else:
-        std_errors = [float(power.std(ddof=1) / np.sqrt(m)) for power in powers]
     return [
-        MomentEstimate(samples.subset, t, float(power.mean()), std_error, "monte_carlo", m)
-        for t, power, std_error in zip(orders, powers, std_errors)
+        MomentEstimate(
+            samples.subset, t, float(power.mean()), float(power.std(ddof=0 if bootstrap else 1) / np.sqrt(m)),
+            "monte_carlo", m,
+        )
+        for t, power in zip(orders, powers)
     ]
 
 
-def _bootstrap_std_error_oracle(samples, t, resamples, rng):
-    """The one-call bootstrap that ``moments_mc`` used to run: all
-    resamples' indices drawn as one (resamples, M) array."""
-    powers = _power(samples.values, t)
+def _bootstrap_std_error_oracle(samples, orders, resamples, rng):
+    """The resampling bootstrap that ``moments_mc`` used to run: for each
+    order, the spread of ``resamples`` means of M powers drawn with
+    replacement.  One draw of index rows, in blocks under the shared byte
+    budget, serves every order."""
+    powers = [_power(samples.values, t) for t in orders]
     m = samples.settings_count
-    idx = _generator(rng).integers(0, m, size=(resamples, m))
-    return float(powers[idx].mean(axis=1).std(ddof=1))
+    gen = _generator(rng)
+    means = np.empty((len(powers), resamples))
+    rows = _block_rows(16 * m)
+    for start in range(0, resamples, rows):
+        idx = gen.integers(0, m, size=(min(rows, resamples - start), m))
+        for row, power in zip(means, powers):
+            row[start : start + len(idx)] = power[idx].mean(axis=1)
+    return [float(row.std(ddof=1)) for row in means]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_bootstrap_error_is_the_spread_over_every_resample(m):
+    """The ideal bootstrap enumerated: the population spread of the means
+    of all M^M index tuples drawn with replacement."""
+    rho = random_density_matrix(3, RngStream(36, m))
+    subset = (1, 3)
+    orders = (1, 2, 4)
+    boot = moments_mc(rho, [subset], orders, m, RngStream(37, m), bootstrap=True)
+    values = _subset_values(rho, subset, random_settings(2, m, RngStream(37, m)))
+    idx = np.array(np.meshgrid(*[np.arange(m)] * m, indexing="ij")).reshape(m, -1).T
+    for estimate, t in zip(boot, orders):
+        spread = _power(values, t)[idx].mean(axis=1).std(ddof=0)
+        assert spread > 0.0
+        assert estimate.std_error == pytest.approx(spread, rel=1e-15, abs=0.0)
+
+
+def test_bootstrap_error_matches_resampling():
+    """4000 resamples estimate the ideal bootstrap error with relative noise
+    about 1/sqrt(2 (B - 1)) = 1.1%; 7% is about six times that."""
+    m, resamples = 20_000, 4000
+    samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38))
+    boot = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(38), bootstrap=True)
+    resampled = _bootstrap_std_error_oracle(samples, (2, 4), resamples, RngStream(39))
+    for estimate, oracle in zip(boot, resampled):
+        assert estimate.std_error == pytest.approx(oracle, rel=0.07)
 
 
 @pytest.mark.parametrize("m", [2, 3, 20_000])
-@pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
-def test_blocked_bootstrap_matches_one_call_oracle(m, forced_rows, monkeypatch):
-    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
-    if forced_rows:
-        monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
-    else:
-        rows = _record_block_rows(monkeypatch, moments)
-    samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38, m))
-    for t in (2, 4):
-        (boot,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(38, m), RngStream(39, t))
-        assert boot.std_error == _bootstrap_std_error_oracle(samples, t, 200, RngStream(39, t))
-    if m == 20_000 and not forced_rows:
-        assert 1 < rows[0] < 200  # several blocks under the real budget
-
-
-@pytest.mark.parametrize("m", [2, 3, 20_000])
-@pytest.mark.parametrize("forced_rows", [None, 3], ids=["budget", "rows3"])
-def test_shared_row_bootstrap_matches_per_order_calls(m, forced_rows, monkeypatch):
-    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
-    if forced_rows:
-        monkeypatch.setattr(moments, "_block_rows", lambda _: forced_rows)
-    else:
-        rows = _record_block_rows(monkeypatch, moments)
-    for bootstrap in (RngStream(41, m), None):
-        shared = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(40, m), bootstrap)
+def test_shared_row_bootstrap_matches_per_order_calls(m):
+    for bootstrap in (True, False):
+        shared = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(40, m), bootstrap=bootstrap)
         for t, estimate in zip((2, 4), shared):
-            (alone,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(40, m), bootstrap)
+            (alone,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(40, m), bootstrap=bootstrap)
             assert estimate.to_dict() == alone.to_dict()
-    if m == 20_000 and not forced_rows:
-        assert 1 < rows[0] < 200  # several shared blocks under the real budget
 
 
 @pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "plugin"])
-def test_every_subset_reads_its_columns_of_one_table(bootstrap, monkeypatch):
-    # 200 resamples of M = 3000 span three shared row blocks
-    monkeypatch.setattr(moments, "BOOTSTRAP_RESAMPLES", 200)
+def test_every_subset_reads_its_columns_of_one_table(bootstrap):
     rho = random_density_matrix(4, RngStream(82))
     subsets = [(2, 4), (1,), (1, 2, 4), (4,)]
     m, orders = 3000, (1, 2, 4)
-    got = moments_mc(rho, subsets, orders, m, RngStream(83), RngStream(84) if bootstrap else None)
+    got = moments_mc(rho, subsets, orders, m, RngStream(83), bootstrap=bootstrap)
     union = [1, 2, 4]
     table = random_settings(len(union), m, RngStream(83))
     expected = []
     for subset in subsets:
         columns = table[:, [union.index(p) for p in subset]]
         samples = SampleSet(subset, _subset_values(rho, subset, columns))
-        expected += _moments_mc_oracle(samples, orders, bootstrap, 200, RngStream(84))
+        expected += _moments_mc_oracle(samples, orders, bootstrap)
     assert [(e.subset, e.order) for e in got] == [(e.subset, e.order) for e in expected]
     for estimate, oracle in zip(got, expected):
-        assert (estimate.value, estimate.std_error) == (oracle.value, oracle.std_error)
+        assert estimate.value == oracle.value
+        # exact for the plug-in error; the bootstrap error is the plug-in one
+        # times sqrt((M - 1) / M), within a few ulps of the oracle's 1/M spread
+        assert estimate.std_error == pytest.approx(oracle.std_error, rel=1e-15 if bootstrap else 0.0, abs=0.0)
         assert (estimate.samples, estimate.seed) == (m, (83, 0))
 
 
