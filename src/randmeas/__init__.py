@@ -27,7 +27,6 @@ from .criteria import (
     entanglement_by_length,
     gme_test_4,
     m_quantifier,
-    structure_report,
     structure_report_from_state,
     w_class_chi,
     w_class_witness,
@@ -35,6 +34,7 @@ from .criteria import (
 from .moments import (
     MomentEstimate,
     ShotTable,
+    bootstrap_error,
     exact_moment_map,
     moment_exact_t2,
     moments_design,

@@ -27,6 +27,7 @@ from .correlations import (
     correlation_tensor,
     histogram_table,
     marginal_purity,
+    normalize_subset,
     sample_distribution,
 )
 from .criteria import (
@@ -40,8 +41,8 @@ from .moments import (
     _check_order,
     _check_shot_table,
     _check_shots_cover_order,
-    _with_bootstrap_error,
     all_subsets,
+    bootstrap_error,
     exact_moment_map,
     moment_exact_t2,
     moments_design,
@@ -86,24 +87,13 @@ def parse_state(text: str) -> StateSpec:
         if tail:
             raise CliError(f"alias {head!r} takes no parameters")
         return StateSpec(*row.alias_of)
-    names = row.params
     if tail:
-        raw = tail.split(",")
-        if len(raw) != len(names):
-            raise CliError(
-                f"state kind {head!r} takes {len(names)} parameter(s) "
-                f"({', '.join(names)}), got {len(raw)}"
-            )
         try:
-            params = tuple(row.cast(r) for r in raw)
+            params = tuple(row.cast(r) for r in tail.split(","))
         except ValueError as exc:
             raise CliError(f"bad parameter for {head!r}: {exc}") from exc
         return StateSpec(head, params)
-    if row.defaults is not None:
-        return StateSpec(head, row.defaults)
-    if names:
-        raise CliError(f"state kind {head!r} requires parameter(s): {', '.join(names)}")
-    return StateSpec(head)
+    return StateSpec(head, row.defaults or ())
 
 
 def render_state(spec: StateSpec) -> str:
@@ -139,12 +129,10 @@ def parse_subset(text: str, n: int) -> list:
     if text == "all":
         return all_subsets(n)
     try:
-        parties = tuple(sorted({int(p) for p in text.split(",")}))
+        parties = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad subset {text!r}: expected 'full', 'all' or a comma list") from exc
-    if not parties or parties[0] < 1 or parties[-1] > n:
-        raise CliError(f"subset {text!r} outside parties 1..{n}")
-    return [parties]
+    return [normalize_subset(parties, n)]
 
 
 @dataclass
@@ -222,8 +210,6 @@ def _reference_density(spec: StateSpec, subset, n: int):
 def cmd_sample(config: RunConfig) -> int:
     spec = parse_state(config.state)
     rho = make_state(spec)
-    if config.samples < 1:
-        raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
     subsets = parse_subset(config.subset, rho.n_qubits)
     if len(subsets) != 1:
         raise CliError("sample expects a single subset (use 'full' or a comma list)")
@@ -309,8 +295,6 @@ def cmd_moments(config: RunConfig) -> int:
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
         _check_shot_table(config.samples, config.shots, rho.n_qubits)
-    if not config.design and config.samples < 1:
-        raise CliError(f"samples must satisfy M >= 1, got {config.samples}")
 
     checks = []
     do_checks = rho.n_qubits <= 4
@@ -335,7 +319,7 @@ def cmd_moments(config: RunConfig) -> int:
             exact = {(e.subset, e.order): e.value for e in moments_design(rho, subsets, checked, design_points(5))}
             checks = [_cross_check(e, exact.get((e.subset, e.order))) for e in estimates]
         if config.bootstrap:
-            estimates = [_with_bootstrap_error(e) for e in estimates]
+            estimates = [bootstrap_error(e) for e in estimates]
 
     tables = {}
     if config.format == "csv":
@@ -358,13 +342,9 @@ def cmd_criteria(config: RunConfig) -> int:
     verdicts = []
     moments = None
     if config.test == "gme4":
-        if n != 4:
-            raise CliError(f"gme4 applies to 4-qubit states, got n={n}")
         moments = exact_moment_map(rho)
         verdicts.append(gme_test_4(moments, marginal_purity(rho, full)))
     elif config.test == "wclass":
-        if n < 3:
-            raise CliError(f"wclass applies to n >= 3 qubits, got n={n}")
         r2 = moment_exact_t2(correlation_tensor(rho, full))
         verdicts.append(w_class_witness(r2, n))
     elif config.test == "bisep3":
@@ -390,10 +370,10 @@ def cmd_design(config: RunConfig) -> int:
     design = design_points(config.design)
     report = validate_design(design, config.design)
     tables = {"design.csv": ("x,y,z", design.points.tolist())}
-    _write_outputs(config, "design_validation.json", {"validation": report.to_dict()}, tables)
-    if not report.passed:
+    _write_outputs(config, "design_validation.json", {"validation": report}, tables)
+    if not report["passed"]:
         raise CrossCheckError(
-            f"design validation failed (max deviation {report.max_abs_deviation:.3e})"
+            f"design validation failed (max deviation {report['max_abs_deviation']:.3e})"
         )
     return 0
 

@@ -303,8 +303,6 @@ def _csv_block(values: np.ndarray, start: int) -> bytes:
 def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``.  Deterministic given the stream."""
-    if m < 1:
-        raise ValueError(f"samples must satisfy M >= 1, got {m}")
     parties = normalize_subset(subset, rho.n_qubits)
     return SampleSet(parties, _subset_values(rho, parties, random_settings(len(parties), m, rng)))
 

@@ -147,39 +147,21 @@ class StructureReport:
         }
 
 
-def structure_report(moments, purities) -> StructureReport:
-    """Apply the marginal bound to every subset of size >= 2.
-
-    ``purities`` maps each such subset to the purity of its marginal;
-    ``moments`` must hold second moments of every non-empty subset.
-    """
-    normalized = _normalize_moments(moments)
-    n = max(key[-1] for key in normalized)
+def structure_report_from_state(rho: DensityMatrix, moments: dict | None = None) -> StructureReport:
+    """Apply the marginal bound to every subset of size >= 2 of ``rho``,
+    from exact moments and marginal purities both read off ``rho.pauli``.
+    ``moments``, if given, is the exact moment map of ``rho`` already
+    built, as ``exact_moment_map(rho)`` returns it."""
+    n = rho.n_qubits
     if n < 2:
         raise ValueError(f"a structure report needs at least 2 parties, got {n}")
-    purities = _normalize_moments(purities)
-    verdicts = {}
-    for subset in all_subsets(n, min_size=2):
-        if subset not in purities:
-            raise ValueError(f"missing purity for subset {subset}")
-        verdicts[subset] = _marginal_bound_verdict(
-            normalized, subset, float(purities[subset]), f"marginal_bound_k{len(subset)}"
-        )
+    normalized = _normalize_moments(exact_moment_map(rho) if moments is None else moments)
+    verdicts = {
+        s: _marginal_bound_verdict(normalized, s, marginal_purity(rho, s), f"marginal_bound_k{len(s)}")
+        for s in all_subsets(n, min_size=2)
+    }
     full = tuple(range(1, n + 1))
     return StructureReport(full, verdicts.pop(full), verdicts)
-
-
-def structure_report_from_state(rho: DensityMatrix, moments: dict | None = None) -> StructureReport:
-    """Structure report from exact moments and marginal purities of a state,
-    both read off ``rho.pauli``.  ``moments``, if given, is the exact moment
-    map of ``rho`` already built, as ``exact_moment_map(rho)`` returns it."""
-    if moments is None:
-        moments = exact_moment_map(rho)
-    purities = {
-        subset: marginal_purity(rho, subset)
-        for subset in all_subsets(rho.n_qubits, min_size=2)
-    }
-    return structure_report(moments, purities)
 
 
 def bisep_line_3_r4(r2: float) -> float:

@@ -120,7 +120,7 @@ def _normalize_moments(moments) -> dict:
     return normalized
 
 
-def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap: bool = False) -> list:
+def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng) -> list:
     """Monte-Carlo moments of each subset and order, subset-major: sample
     means of E^t with plug-in standard errors.
 
@@ -130,10 +130,8 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap: bool
     data set.  A single subset's table is thus the draw of
     ``sample_distribution`` on the same stream.  Estimates of different
     subsets share settings, so they are correlated: each ``std_error``
-    holds for its own estimate only.
-
-    With ``bootstrap``, each standard error is instead the ideal bootstrap
-    one (``_with_bootstrap_error``), which draws nothing.
+    holds for its own estimate only.  ``bootstrap_error`` turns each
+    plug-in error into the ideal bootstrap one.
     """
     orders = [_check_order(t) for t in orders]
     _check_mc_samples(m)
@@ -149,14 +147,16 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng, bootstrap: bool
             power = _power(values, t)
             std_error = float(power.std(ddof=1) / np.sqrt(m))
             estimates.append(MomentEstimate(subset, t, float(power.mean()), std_error, "monte_carlo", m, None, seed))
-    return [_with_bootstrap_error(e) for e in estimates] if bootstrap else estimates
+    return estimates
 
 
-def _with_bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
+def bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
     """``estimate`` with the ideal bootstrap error of its mean: over all M^M
     resamples the mean's variance is the 1/M sample variance over M
     (Efron and Tibshirani 1993, sections 5-6), sqrt((M - 1) / M) times the
     plug-in error, so a check bounded by the plug-in error can run first."""
+    if estimate.method != "monte_carlo":
+        raise ValueError(f"a bootstrap error applies to monte_carlo estimates, got {estimate.method}")
     m = estimate.samples
     return replace(estimate, std_error=estimate.std_error * sqrt((m - 1) / m))
 

@@ -212,7 +212,8 @@ STATES = {
 
 @dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Symbolic description of a state: a kind name plus numeric parameters."""
+    """Symbolic description of a state: a kind name plus one value per
+    parameter its :data:`STATES` row names."""
 
     kind: str
     params: tuple = ()
@@ -224,17 +225,18 @@ class StateSpec:
                 f"unknown state kind {self.kind!r}; valid kinds: "
                 + ", ".join(sorted(k for k, r in STATES.items() if r.alias_of is None))
             )
-        object.__setattr__(self, "params", tuple(self.params))
+        params = tuple(self.params)
+        if len(params) != len(row.params):
+            raise ValueError(
+                f"state kind {self.kind!r} takes {len(row.params)} parameter(s) "
+                f"({', '.join(row.params)}), got {len(params)}"
+            )
+        object.__setattr__(self, "params", params)
 
 
 def make_state(spec: StateSpec) -> DensityMatrix:
     """Construct the density matrix described by ``spec``."""
     row = STATES[spec.kind]
-    if len(spec.params) != len(row.params):
-        raise ValueError(
-            f"state kind {spec.kind!r} takes {len(row.params)} parameter(s), "
-            f"got {len(spec.params)}"
-        )
     args = [
         _as_int(name, v) if row.cast is int else float(v)
         for name, v in zip(row.params, spec.params)

@@ -187,16 +187,16 @@ def test_criterion_6_three_qubit_line():
 
 def test_criterion_7_design_exactness():
     octa = validate_design(D3, 3)
-    assert octa.passed and octa.max_abs_deviation < 1e-12
+    assert octa["passed"] and octa["max_abs_deviation"] < 1e-12
 
     octa_at_4 = validate_design(D3, 4)
     degree_4_failures = [
-        e for e in octa_at_4.entries if e[0] + e[1] + e[2] == 4 and e[5] >= 1e-12
+        e for e in octa_at_4["monomials"] if e["a"] + e["b"] + e["c"] == 4 and e["deviation"] >= 1e-12
     ]
     assert len(degree_4_failures) >= 1
 
     icosa = validate_design(D5, 5)
-    assert icosa.passed and icosa.max_abs_deviation < 1e-12
+    assert icosa["passed"] and icosa["max_abs_deviation"] < 1e-12
 
 
 def test_criterion_8_finite_shot_unbiasedness():

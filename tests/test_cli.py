@@ -25,6 +25,7 @@ from randmeas.correlations import correlation_length, pauli_coefficients, sample
 from randmeas.criteria import structure_report_from_state
 from randmeas.moments import (
     all_subsets,
+    bootstrap_error,
     exact_moment_map,
     moments_design,
     moments_from_shots,
@@ -61,9 +62,9 @@ def test_parse_state_rejects_unknown_kind():
 
 
 def test_parse_state_rejects_bad_arity():
-    with pytest.raises(CliError, match="parameter"):
+    with pytest.raises(ValueError, match=r"state kind 'ghz' takes 1 parameter\(s\) \(n\), got 0"):
         parse_state("ghz")
-    with pytest.raises(CliError, match="parameter"):
+    with pytest.raises(ValueError, match=r"state kind 'ghz' takes 1 parameter\(s\) \(n\), got 2"):
         parse_state("ghz:3,4")
 
 
@@ -93,8 +94,10 @@ def test_parse_subset_forms():
     assert parse_subset("full", 3) == [(1, 2, 3)]
     assert parse_subset("2,1", 3) == [(1, 2)]
     assert len(parse_subset("all", 3)) == 7
-    with pytest.raises(CliError, match="outside"):
+    with pytest.raises(ValueError, match=r"party subset \(5,\) outside 1\.\.3"):
         parse_subset("5", 3)
+    with pytest.raises(ValueError, match=r"party subset \(0, 2\) outside 1\.\.3"):
+        parse_subset("2,0", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +119,16 @@ def test_sample_rejects_zero_samples(tmp_path, capsys):
 
 
 def test_moments_rejects_zero_samples(tmp_path, capsys):
-    for extra in (["--shots", 5], []):
+    # the shot route draws its settings table; Monte Carlo needs M >= 2 for a standard error
+    for extra, message in (
+        (["--shots", 5], "samples must satisfy M >= 1, got 0"),
+        ([], "need M >= 2 samples for a standard error, got M=0"),
+    ):
         rc = run_cli(
             ["moments", "--state", "ghz:3", "--samples", 0, *extra, "--output", tmp_path / "o"]
         )
         assert rc == 1
-        assert "samples must satisfy M >= 1, got 0" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -390,7 +397,9 @@ def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monke
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
     assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
     assert [count for _, count in draws] == [4 * 300]
-    expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES), bootstrap=bool(bootstrap))
+    expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES))
+    if bootstrap:
+        expected = [bootstrap_error(e) for e in expected]
     entries = read_json(out / "moments.json")["moments"]
     assert entries == [json.loads(json.dumps(e.to_dict())) for e in expected]
     assert {tuple(entry["seed"]) for entry in entries} == {(3, STREAM_SAMPLES)}
@@ -613,9 +622,11 @@ def test_criteria_wclass_w4_margin_near_zero(tmp_path):
 
 
 def test_criteria_mismatched_n(tmp_path, capsys):
-    rc = run_cli(["criteria", "--state", "ghz:3", "--test", "gme4", "--output", tmp_path / "o"])
+    out = tmp_path / "o"
+    rc = run_cli(["criteria", "--state", "ghz:3", "--test", "gme4", "--output", out])
     assert rc == 1
-    assert "4-qubit" in capsys.readouterr().err
+    assert "error: this bound applies to four qubits only, got 3 parties" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_criteria_structure_refuses_a_single_party(tmp_path, capsys):
@@ -637,12 +648,14 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("sample --state product2:3", None, "alias 'product2' takes no parameters"),
         ("moments --state werner:abc", None, "bad parameter for 'werner'"),
         ("moments --state bell --subset 1,x", None, "bad subset '1,x'"),
+        ("moments --state bell --subset 3", None, "party subset (3,) outside 1..2"),
+        ("moments --state ghz", None, "state kind 'ghz' takes 1 parameter(s) (n), got 0"),
         ("moments --state bell", "abc", "environment variable RANDMEAS_SEED='abc' is not an integer"),
         ("moments --state bell --seed -1", None, "seed must be non-negative, got -1"),
         ("sample --state ghz:3 --subset all", None, "sample expects a single subset"),
         ("moments --state bell --orders ,", None, "at least one moment order is required"),
         ("moments --state bell --design 3 --shots 5", None, "choose either --design or --shots, not both"),
-        ("criteria --state bell --test wclass", None, "wclass applies to n >= 3 qubits, got n=2"),
+        ("criteria --state bell --test wclass", None, "W class requires n >= 3 qubits, got n=2"),
         ("criteria --state ghz:4 --test bisep3", None, "bisep3 applies to 3-qubit states, got n=4"),
         ("criteria --state bell --test nope", None, "unknown criterion 'nope'"),
     ],
@@ -650,6 +663,8 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "alias_parameters",
         "bad_parameter",
         "bad_subset",
+        "subset_out_of_range",
+        "missing_parameter",
         "seed_env_not_integer",
         "negative_seed",
         "sample_many_subsets",

@@ -22,6 +22,7 @@ from randmeas.ensembles import (
 from randmeas.moments import (
     MomentEstimate,
     all_subsets,
+    bootstrap_error,
     exact_moment_map,
     moment_exact_t2,
     moments_design,
@@ -213,8 +214,8 @@ def test_entanglement_by_length_verdicts():
 
 def test_entanglement_by_length_reads_a_monte_carlo_second_moment():
     # the exact length of a Bell state is 3, its second moment 1/3
-    for bootstrap in (False, True):
-        (r2,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 2000, RngStream(61), bootstrap=bootstrap)
+    (plain,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), 2000, RngStream(61))
+    for r2 in (plain, bootstrap_error(plain)):
         verdict = entanglement_by_length(r2, 2)
         assert verdict.statistic == 9.0 * r2.value and verdict.std_error == 9.0 * r2.std_error
         assert verdict.detected and verdict.inputs_provenance == ("monte_carlo",)

@@ -28,6 +28,7 @@ from randmeas.moments import (
     _check_order,
     ShotTable,
     all_subsets,
+    bootstrap_error,
     exact_moment_map,
     moment_exact_t2,
     moments_design,
@@ -106,9 +107,21 @@ def test_moment_mc_validation(monkeypatch):
 def test_moment_mc_bootstrap_error_is_close_to_plugin():
     m = 20_000
     (plain,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), m, RngStream(34))
-    (boot,) = moments_mc(bell_psi_minus(), [(1, 2)], (2,), m, RngStream(34), bootstrap=True)
+    boot = bootstrap_error(plain)
     assert boot.value == plain.value and boot.seed == plain.seed
     assert boot.std_error == pytest.approx(plain.std_error * np.sqrt((m - 1) / m), rel=1e-15)
+
+
+def test_bootstrap_error_refuses_exact_and_shot_estimates():
+    for method, std_error in (("design", None), ("exact_tensor", None), ("finite_shot", 0.01)):
+        estimate = MomentEstimate((1, 2), 2, 0.3, std_error, method, 100)
+        with pytest.raises(ValueError, match=f"applies to monte_carlo estimates, got {method}"):
+            bootstrap_error(estimate)
+
+
+def _moments_mc_bootstrap(*args):
+    """``moments_mc`` with every standard error turned into the bootstrap one."""
+    return [bootstrap_error(e) for e in moments_mc(*args)]
 
 
 def _moments_mc_oracle(samples, orders, bootstrap=False):
@@ -152,7 +165,7 @@ def test_bootstrap_error_is_the_spread_over_every_resample(m):
     rho = random_density_matrix(3, RngStream(36, m))
     subset = (1, 3)
     orders = (1, 2, 4)
-    boot = moments_mc(rho, [subset], orders, m, RngStream(37, m), bootstrap=True)
+    boot = _moments_mc_bootstrap(rho, [subset], orders, m, RngStream(37, m))
     values = _subset_values(rho, subset, random_settings(2, m, RngStream(37, m)))
     idx = np.array(np.meshgrid(*[np.arange(m)] * m, indexing="ij")).reshape(m, -1).T
     for estimate, t in zip(boot, orders):
@@ -166,7 +179,7 @@ def test_bootstrap_error_matches_resampling():
     about 1/sqrt(2 (B - 1)) = 1.1%; 7% is about six times that."""
     m, resamples = 20_000, 4000
     samples = sample_distribution(ghz(3), (1, 2, 3), m, RngStream(38))
-    boot = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(38), bootstrap=True)
+    boot = _moments_mc_bootstrap(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(38))
     resampled = _bootstrap_std_error_oracle(samples, (2, 4), resamples, RngStream(39))
     for estimate, oracle in zip(boot, resampled):
         assert estimate.std_error == pytest.approx(oracle, rel=0.07)
@@ -174,10 +187,10 @@ def test_bootstrap_error_matches_resampling():
 
 @pytest.mark.parametrize("m", [2, 3, 20_000])
 def test_shared_row_bootstrap_matches_per_order_calls(m):
-    for bootstrap in (True, False):
-        shared = moments_mc(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(40, m), bootstrap=bootstrap)
+    for call in (_moments_mc_bootstrap, moments_mc):
+        shared = call(ghz(3), [(1, 2, 3)], (2, 4), m, RngStream(40, m))
         for t, estimate in zip((2, 4), shared):
-            (alone,) = moments_mc(ghz(3), [(1, 2, 3)], (t,), m, RngStream(40, m), bootstrap=bootstrap)
+            (alone,) = call(ghz(3), [(1, 2, 3)], (t,), m, RngStream(40, m))
             assert estimate.to_dict() == alone.to_dict()
 
 
@@ -186,7 +199,7 @@ def test_every_subset_reads_its_columns_of_one_table(bootstrap):
     rho = random_density_matrix(4, RngStream(82))
     subsets = [(2, 4), (1,), (1, 2, 4), (4,)]
     m, orders = 3000, (1, 2, 4)
-    got = moments_mc(rho, subsets, orders, m, RngStream(83), bootstrap=bootstrap)
+    got = (_moments_mc_bootstrap if bootstrap else moments_mc)(rho, subsets, orders, m, RngStream(83))
     union = [1, 2, 4]
     table = random_settings(len(union), m, RngStream(83))
     expected = []

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,29 @@ def test_rng_stream_rejects_out_of_range_ids():
         RngStream(-1)
     with pytest.raises(ValueError, match="stream_id"):
         RngStream(0, 2**64)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), True, "3"])
+def test_rng_stream_refuses_non_integer_ids(bad):
+    # Philox would key 1.5 as 1 while the stream recorded seed=1.5
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+        RngStream(bad)
+    with pytest.raises(ValueError, match=re.escape(f"stream_id must be an integer, got {bad!r}")):
+        RngStream(1, bad)
+
+
+def test_rng_stream_accepts_numpy_integers():
+    stream = RngStream(np.uint64(2**64 - 1), np.int32(3))
+    np.testing.assert_array_equal(stream.generator().random(4), RngStream(2**64 - 1, 3).generator().random(4))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_random_settings_refuses_fewer_than_one_setting_before_any_draw(m, monkeypatch):
+    draws = []
+    monkeypatch.setattr(sampling, "uniform_directions", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=f"samples must satisfy M >= 1, got {m}"):
+        sampling.random_settings(3, m, RngStream(0))
+    assert draws == []
 
 
 def test_haar_unitaries_are_unitary():
@@ -181,7 +205,7 @@ def test_design_points_octahedron():
     assert len(design) == 6
     arrays = design.as_array()
     assert any(np.allclose(p, [0.0, 0.0, 1.0]) for p in arrays)
-    assert validate_design(design, 3).passed
+    assert validate_design(design, 3)["passed"]
 
 
 def test_design_points_icosahedron():
@@ -190,7 +214,7 @@ def test_design_points_icosahedron():
     norms = np.linalg.norm(design.as_array(), axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     report = validate_design(design, 5)
-    assert report.passed and report.max_abs_deviation < 1e-12
+    assert report["passed"] and report["max_abs_deviation"] < 1e-12
 
 
 def test_design_points_rejects_unsupported_degree():
@@ -206,12 +230,12 @@ def test_octahedron_monomial_values():
     assert sphere_monomial_integral(0, 0, 2) == pytest.approx(1.0 / 3.0)
     # x^2 y^2 at degree 4: design average 0, sphere integral 1/15
     report = validate_design(design, 4)
-    assert not report.passed
-    entry = next(e for e in report.entries if (e[0], e[1], e[2]) == (2, 2, 0))
-    assert entry[3] == 0.0 and entry[4] == pytest.approx(1.0 / 15.0)
+    assert not report["passed"]
+    entry = next(e for e in report["monomials"] if (e["a"], e["b"], e["c"]) == (2, 2, 0))
+    assert entry["design_average"] == 0.0 and entry["exact_integral"] == pytest.approx(1.0 / 15.0)
     # odd monomial z: both sides vanish
-    entry = next(e for e in report.entries if (e[0], e[1], e[2]) == (0, 0, 1))
-    assert entry[3] == 0.0 and entry[4] == 0.0
+    entry = next(e for e in report["monomials"] if (e["a"], e["b"], e["c"]) == (0, 0, 1))
+    assert entry["design_average"] == 0.0 and entry["exact_integral"] == 0.0
 
 
 def test_half_design_octahedron_keeps_positive_axes():

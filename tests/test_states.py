@@ -100,6 +100,14 @@ def test_make_state_rejects_bad_parameters():
             make_state(StateSpec("ghz", (bad,)))
 
 
+def test_state_spec_refuses_a_parameter_count_naming_the_parameters():
+    with pytest.raises(ValueError, match=r"^state kind 'ghz' takes 1 parameter\(s\) \(n\), got 2$"):
+        StateSpec("ghz", (3, 4))
+    with pytest.raises(ValueError, match=r"^state kind 'bell' takes 0 parameter\(s\) \(\), got 1$"):
+        StateSpec("bell", [1])
+    assert StateSpec("werner", [0.5]).params == (0.5,)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
