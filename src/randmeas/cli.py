@@ -82,7 +82,7 @@ def parse_state(text: str) -> StateSpec:
     head, _, tail = text.strip().partition(":")
     row = STATES.get(head)
     if row is None:
-        raise CliError(f"unknown state kind {head!r}; valid kinds: " + ", ".join(sorted(STATES)))
+        return StateSpec(head)  # refuses the unknown kind
     if row.alias_of is not None:
         if tail:
             raise CliError(f"alias {head!r} takes no parameters")

@@ -143,11 +143,16 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng) -> list:
     for subset in subsets:
         columns = [union.index(p) for p in subset]
         values = _subset_values(rho, subset, table if len(columns) == len(union) else table.take(columns, axis=1))
-        for t in orders:
-            power = _power(values, t)
-            std_error = float(power.std(ddof=1) / np.sqrt(m))
-            estimates.append(MomentEstimate(subset, t, float(power.mean()), std_error, "monte_carlo", m, None, seed))
+        estimates += [_setting_mean(_power(values, t), subset, t, "monte_carlo", seed=seed) for t in orders]
     return estimates
+
+
+def _setting_mean(rows: np.ndarray, subset, t: int, method: str, k=None, seed=None) -> MomentEstimate:
+    """The order-t estimate of ``subset`` from one value per setting: their
+    mean, with the plug-in error std(ddof=1) / sqrt(M), or None at M = 1."""
+    m = len(rows)
+    std_error = float(rows.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
+    return MomentEstimate(subset, t, float(rows.mean()), std_error, method, m, k, seed)
 
 
 def bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
@@ -179,6 +184,9 @@ def _check_shots_cover_order(k: int, t: int) -> None:
 
 
 def _check_shot_table(m: int, k: int, n: int) -> None:
+    """Refuse a shot simulation over ``MAX_TABLE_BYTES``: the M*n*K one-byte
+    outcomes of the ShotTable plus the 24 bytes a direction of the caller's
+    settings, which ``simulate_shots`` holds while it draws."""
     if (size := m * n * (24 + int(k))) > MAX_TABLE_BYTES:
         raise ValueError(f"shot table of M*n*(24 + K) = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
 
@@ -238,25 +246,20 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
 
 @dataclass(frozen=True, eq=False)
 class ShotTable:
-    """Recorded +-1 outcomes for each of M direction settings.
+    """Recorded +-1 outcomes, shape (M, K, n): K joint outcomes of the n
+    parties for each of M settings.
 
-    ``settings`` has shape (M, n, 3) and ``outcomes`` shape (M, K, n);
-    every setting holds exactly K joint outcomes.
+    The table is frame-free: it records which shots share a setting, not
+    the setting's directions.  The estimators need nothing more, so the
+    moments need no shared reference frame.
     """
 
-    settings: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self):
-        # views, so that freezing them leaves the caller's arrays writable
-        settings = np.asarray(self.settings, dtype=float).view()
         outcomes = np.asarray(self.outcomes)
-        if settings.ndim != 3 or settings.shape[2] != 3:
-            raise ValueError(f"settings must have shape (M, n, 3), got {settings.shape}")
-        if outcomes.ndim != 3 or outcomes.shape[0] != settings.shape[0] or outcomes.shape[2] != settings.shape[1]:
-            raise ValueError(
-                f"outcomes shape {outcomes.shape} inconsistent with settings {settings.shape}"
-            )
+        if outcomes.ndim != 3:
+            raise ValueError(f"outcomes must have shape (M, K, n), got {outcomes.shape}")
         # int8 tables by reductions only, with no temporaries the size of the
         # table; others before the cast, which would store 1.7 and 257 as 1
         if outcomes.size and (
@@ -265,25 +268,22 @@ class ShotTable:
             else not np.all((outcomes == 1) | (outcomes == -1))
         ):
             raise ValueError("outcomes must be +-1")
+        # a view, so that freezing it leaves the caller's array writable
         outcomes = outcomes.astype(np.int8, copy=False).view()
-        if not np.all(np.isfinite(settings)):
-            raise ValueError("settings have non-finite (NaN or inf) entries")
-        settings.setflags(write=False)
         outcomes.setflags(write=False)
-        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def n_settings(self) -> int:
-        return self.settings.shape[0]
-
-    @property
-    def n_parties(self) -> int:
-        return self.settings.shape[1]
+        return self.outcomes.shape[0]
 
     @property
     def shots_per_setting(self) -> int:
         return self.outcomes.shape[1]
+
+    @property
+    def n_parties(self) -> int:
+        return self.outcomes.shape[2]
 
 
 def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
@@ -302,8 +302,6 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
     settings = np.asarray(settings, dtype=float)
-    if settings.ndim == 2:
-        settings = settings[None, :, :]
     n = rho.n_qubits
     if settings.ndim != 3 or settings.shape[1:] != (n, 3):
         raise ValueError(
@@ -333,7 +331,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             bit = draws >= cumulative.ravel().take(position + width)
             position += bit * width
             np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
-    return ShotTable(settings, outcomes.transpose(1, 2, 0))
+    return ShotTable(outcomes.transpose(1, 2, 0))
 
 
 def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
@@ -393,7 +391,6 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
     k = shots.shots_per_setting
     _check_shots_cover_order(k, max(orders, default=1))
     weights = [_shot_weights(k, t) for t in orders]
-    m = shots.n_settings
     estimates = []
     for parties in subsets:
         subset = normalize_subset(parties, shots.n_parties)
@@ -402,9 +399,7 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
             products *= shots.outcomes[:, :, p - 1]
         plus_counts = np.count_nonzero(products > 0, axis=1)
         for t, table in zip(orders, weights):
-            per_setting = table[plus_counts]
-            std_error = float(per_setting.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
-            estimates.append(MomentEstimate(subset, t, float(per_setting.mean()), std_error, "finite_shot", m, k))
+            estimates.append(_setting_mean(table[plus_counts], subset, t, "finite_shot", k))
     return estimates
 
 

@@ -24,8 +24,8 @@ DESIGN_VALIDATION_ATOL = 1e-12
 _BLOCK_BYTES = 4 << 20
 
 #: Most bytes one settings table may take: ``random_settings`` counts 40 a
-#: direction (its z, azimuth and output), a ShotTable 24 a direction and 1
-#: an outcome.
+#: direction (its z, azimuth and output), ``simulate_shots`` 24 a direction
+#: for the settings it reads and 1 an outcome for its ShotTable.
 MAX_TABLE_BYTES = 2**31
 
 

@@ -15,7 +15,6 @@ from randmeas.cli import (
     STREAM_SAMPLES,
     STREAM_SETTINGS,
     STREAM_SHOTS,
-    CliError,
     main,
     parse_state,
     parse_subset,
@@ -57,7 +56,7 @@ def test_parse_state_aliases_and_defaults():
 
 
 def test_parse_state_rejects_unknown_kind():
-    with pytest.raises(CliError, match="valid kinds"):
+    with pytest.raises(ValueError, match="unknown state kind 'squeezed'; valid kinds: bell, bisep4, "):
         parse_state("squeezed:2")
 
 

@@ -549,24 +549,22 @@ def test_shot_table_validation():
     settings = random_settings(2, 3, RngStream(56))
     table = simulate_shots(bell_psi_minus(), settings, 2, RngStream(57))
     with pytest.raises(ValueError, match="\\+-1"):
-        ShotTable(settings, np.zeros((3, 2, 2)))
+        ShotTable(np.zeros((3, 2, 2)))
     # a cast to int8 would store each of these as +-1
     for bad in (1.7, -1.2, 1 + 1e-9, 257, np.nan):
         outcomes = np.array(table.outcomes, dtype=float if isinstance(bad, float) else int)
         outcomes[2, 1, 0] = bad
         with pytest.raises(ValueError, match="\\+-1"):
-            ShotTable(settings, outcomes)
+            ShotTable(outcomes)
     for bad in (0, 2, -128):
         outcomes = np.array(table.outcomes)
         outcomes[0, 0, 1] = bad
         with pytest.raises(ValueError, match="\\+-1"):
-            ShotTable(settings, outcomes)
-    assert np.array_equal(ShotTable(settings, table.outcomes.astype(float)).outcomes, table.outcomes)
-    for bad in (np.nan, np.inf):
-        broken = settings.copy()
-        broken[1, 0, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            ShotTable(broken, table.outcomes)
+            ShotTable(outcomes)
+    assert np.array_equal(ShotTable(table.outcomes.astype(float)).outcomes, table.outcomes)
+    for flat in (table.outcomes[0], table.outcomes[None]):
+        with pytest.raises(ValueError, match="outcomes must have shape \\(M, K, n\\)"):
+            ShotTable(flat)
 
 
 def test_frozen_arrays_leave_the_callers_arrays_writable():
@@ -576,8 +574,7 @@ def test_frozen_arrays_leave_the_callers_arrays_writable():
     values = np.array([0.5, -0.25])
     components = np.array([0.0, 0.0, 1.0])
     frozen = {
-        "settings": (settings, table.settings),
-        "outcomes": (outcomes, ShotTable(settings, outcomes).outcomes),
+        "outcomes": (outcomes, ShotTable(outcomes).outcomes),
         "values": (values, SampleSet((1,), values).values),
         "components": (components, CorrelationTensor((1,), components).components),
     }
@@ -593,6 +590,8 @@ def test_simulate_shots_rejects_bad_input():
     settings = random_settings(2, 3, RngStream(58))
     with pytest.raises(ValueError, match="M >= 1"):
         simulate_shots(rho, np.empty((0, 2, 3)), 5, RngStream(59))
+    with pytest.raises(ValueError, match=r"settings must have shape \(M, 2, 3\)"):
+        simulate_shots(rho, settings[0], 5, RngStream(59))
     for k in (0, 2.0, 1.5, "3", True, False):
         with pytest.raises(ValueError, match="integer K >= 1"):
             simulate_shots(rho, settings, k, RngStream(59))
@@ -659,7 +658,7 @@ def test_shot_moments_equal_the_per_estimate_oracle(n):
             orders = sorted({1, 2, 3, 4, k} & set(range(1, k + 1)))
             table = simulate_shots(rho, settings, k, RngStream(82, k))
             # the party-major table simulate_shots returns, and once a C-ordered copy
-            copies = [ShotTable(settings, np.ascontiguousarray(table.outcomes))] if k == 5 else []
+            copies = [ShotTable(np.ascontiguousarray(table.outcomes))] if k == 5 else []
             for shots in [table, *copies]:
                 got = iter(moments_from_shots(shots, subsets, orders))
                 for subset in subsets:
@@ -719,7 +718,7 @@ def _simulate_shots_oracle(rho: DensityMatrix, settings, k: int, rng) -> ShotTab
     for j in range(n):
         bits = (indices >> (n - 1 - j)) & 1
         outcomes[:, :, j] = 1 - 2 * bits
-    return ShotTable(settings, outcomes)
+    return ShotTable(outcomes)
 
 
 def _oracle_outcomes(rho, settings, k, stream):
