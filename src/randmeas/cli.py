@@ -65,10 +65,6 @@ STREAM_SHOTS = 2_000_000
 CROSS_CHECK_FALSE_ALARM = 1e-6
 
 
-class CliError(Exception):
-    """Input error reported to the user (exit status 1)."""
-
-
 class CrossCheckError(Exception):
     """Internal oracle disagreement (exit status 1)."""
 
@@ -85,13 +81,13 @@ def parse_state(text: str) -> StateSpec:
         return StateSpec(head)  # refuses the unknown kind
     if row.alias_of is not None:
         if tail:
-            raise CliError(f"alias {head!r} takes no parameters")
+            raise ValueError(f"alias {head!r} takes no parameters")
         return StateSpec(*row.alias_of)
     if tail:
         try:
             params = tuple(row.cast(r) for r in tail.split(","))
         except ValueError as exc:
-            raise CliError(f"bad parameter for {head!r}: {exc}") from exc
+            raise ValueError(f"bad parameter for {head!r}: {exc}") from exc
         return StateSpec(head, params)
     return StateSpec(head, row.defaults or ())
 
@@ -131,7 +127,7 @@ def parse_subset(text: str, n: int) -> list:
     try:
         parties = [int(p) for p in text.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad subset {text!r}: expected 'full', 'all' or a comma list") from exc
+        raise ValueError(f"bad subset {text!r}: expected 'full', 'all' or a comma list") from exc
     return [normalize_subset(parties, n)]
 
 
@@ -163,14 +159,14 @@ class RunConfig:
             try:
                 self.seed = int(env)
             except ValueError as exc:
-                raise CliError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
+                raise ValueError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
         if self.seed < 0:
-            raise CliError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         text = str(self.orders)
         try:
             self.orders = tuple(int(t) for t in text.split(",") if t.strip())
         except ValueError as exc:
-            raise CliError(f"bad --orders {text!r}: expected a comma list of integers") from exc
+            raise ValueError(f"bad --orders {text!r}: expected a comma list of integers") from exc
         if self.state is not None:
             self.state = render_state(parse_state(self.state))
 
@@ -212,7 +208,7 @@ def cmd_sample(config: RunConfig) -> int:
     rho = make_state(spec)
     subsets = parse_subset(config.subset, rho.n_qubits)
     if len(subsets) != 1:
-        raise CliError("sample expects a single subset (use 'full' or a comma list)")
+        raise ValueError("sample expects a single subset (use 'full' or a comma list)")
     subset = subsets[0]
     stream = RngStream(config.seed, STREAM_SAMPLES)
     samples = sample_distribution(rho, subset, config.samples, stream)
@@ -281,17 +277,17 @@ def cmd_moments(config: RunConfig) -> int:
     rho = make_state(parse_state(config.state))
     subsets = parse_subset(config.subset, rho.n_qubits)
     if config.shots < 0:
-        raise CliError(f"--shots must be >= 0 (0 = exact expectations), got {config.shots}")
+        raise ValueError(f"--shots must be >= 0 (0 = exact expectations), got {config.shots}")
     if not config.orders:
-        raise CliError("at least one moment order is required")
+        raise ValueError("at least one moment order is required")
     if config.design and config.shots:
-        raise CliError("choose either --design or --shots, not both")
+        raise ValueError("choose either --design or --shots, not both")
     if config.bootstrap and (config.design or config.shots):
-        raise CliError("--bootstrap applies to Monte Carlo moments, not to --design or --shots")
+        raise ValueError("--bootstrap applies to Monte Carlo moments, not to --design or --shots")
     highest = max(_check_order(t) for t in config.orders)
     repeated = [t for t in config.orders if config.orders.count(t) > 1]
     if repeated:
-        raise CliError(f"moment order t={repeated[0]} is repeated in --orders")
+        raise ValueError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
         _check_shot_table(config.samples, config.shots, rho.n_qubits)
@@ -337,30 +333,27 @@ def cmd_criteria(config: RunConfig) -> int:
     rho = make_state(parse_state(config.state))
     n = rho.n_qubits
     if config.test is None and not config.structure:
-        raise CliError("choose a criterion with --test or request --structure")
+        raise ValueError("choose a criterion with --test or request --structure")
     full = tuple(range(1, n + 1))
     verdicts = []
-    moments = None
     if config.test == "gme4":
-        moments = exact_moment_map(rho)
-        verdicts.append(gme_test_4(moments, marginal_purity(rho, full)))
+        verdicts.append(gme_test_4(exact_moment_map(rho), marginal_purity(rho, full)))
     elif config.test == "wclass":
         r2 = moment_exact_t2(correlation_tensor(rho, full))
         verdicts.append(w_class_witness(r2, n))
     elif config.test == "bisep3":
         if n != 3:
-            raise CliError(f"bisep3 applies to 3-qubit states, got n={n}")
+            raise ValueError(f"bisep3 applies to 3-qubit states, got n={n}")
         r2 = moment_exact_t2(correlation_tensor(rho, full))
         (r4,) = moments_design(rho, [full], [4], design_points(5))
         verdicts.append(bisep_line_3(r2, r4))
     elif config.test == "length":
         verdicts.append(entanglement_by_length(correlation_length(rho, full), n))
     elif config.test is not None:
-        raise CliError(
+        raise ValueError(
             f"unknown criterion {config.test!r}; valid tests: gme4, wclass, bisep3, length"
         )
-    # one exact moment map per request: gme4's, if it built one
-    structure = structure_report_from_state(rho, moments).to_dict() if config.structure else None
+    structure = structure_report_from_state(rho).to_dict() if config.structure else None
     payload = {"n_qubits": n, "verdicts": [v.to_dict() for v in verdicts], "structure": structure}
     _write_outputs(config, "criteria.json", payload, {})
     return 0
@@ -441,7 +434,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**vars(args))
         return _COMMANDS[args.command](config)
-    except (CliError, CrossCheckError, ValueError) as exc:
+    except (CrossCheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,30 +79,17 @@ class CorrelationTensor:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
 
-    def sum_squares(self) -> float:
-        return float(np.sum(self.components**2))
-
 
 def correlation(rho: DensityMatrix, dirs) -> float:
     """E = tr(rho O) with sigma_u on every party keyed in ``dirs`` and
-    identity elsewhere.  ``dirs`` maps 1-based party index to a direction.
-    The keyed parties' correlation tensor is contracted with the directions.
+    identity elsewhere.  ``dirs`` maps 1-based party index to a direction:
+    one row of ``_subset_values``.
     """
     if not dirs:
         raise ValueError("dirs must specify at least one party")
     keyed = {int(p): as_direction_array(d) for p, d in dirs.items()}
     parties = normalize_subset(keyed.keys(), rho.n_qubits)
-    directions = np.stack([keyed[p] for p in parties])[None]
-    return _clamp_correlations(
-        correlation_values(correlation_tensor(rho, parties).components, directions)[0]
-    )
-
-
-def _clamp_correlations(values):
-    excess = float(np.max(np.abs(values))) - 1.0
-    if excess > CORRELATION_EXCESS_ATOL:
-        raise ValueError(f"correlation exceeds 1 by {excess:.3e}")
-    return np.clip(values, -1.0, 1.0) if np.ndim(values) else float(np.clip(values, -1.0, 1.0))
+    return float(_subset_values(rho, parties, np.stack([keyed[p] for p in parties])[None])[0])
 
 
 def _slab(coefficients: np.ndarray, parties: tuple, axes: slice) -> np.ndarray:
@@ -200,7 +187,7 @@ class SampleSet:
         vals = np.asarray(self.values, dtype=float).view()
         if vals.ndim != 1:
             raise ValueError(f"sample values must be one-dimensional, got shape {vals.shape}")
-        if vals.size and (vals.min() < -1.0 or vals.max() > 1.0):
+        if vals.size and not (vals.min() >= -1.0 and vals.max() <= 1.0):  # NaN fails both
             raise ValueError("sample values outside [-1, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -309,8 +296,13 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
 
 def _subset_values(rho: DensityMatrix, parties: tuple, directions: np.ndarray) -> np.ndarray:
     """Clamped correlation values of ``parties`` (sorted) for the rows of
-    (M, k, 3) ``directions``, one direction per party in order."""
-    return _clamp_correlations(correlation_values(correlation_tensor(rho, parties).components, directions))
+    (M, k, 3) ``directions``, one direction per party in order, contracted
+    with the correlation-tensor slab of ``rho.pauli``."""
+    values = correlation_values(_slab(rho.pauli, parties, slice(1, 4)), directions)
+    excess = float(np.max(np.abs(values))) - 1.0
+    if excess > CORRELATION_EXCESS_ATOL:
+        raise ValueError(f"correlation exceeds 1 by {excess:.3e}")
+    return np.clip(values, -1.0, 1.0)
 
 
 def histogram_table(values) -> np.ndarray:

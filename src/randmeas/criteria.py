@@ -147,15 +147,13 @@ class StructureReport:
         }
 
 
-def structure_report_from_state(rho: DensityMatrix, moments: dict | None = None) -> StructureReport:
+def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
     """Apply the marginal bound to every subset of size >= 2 of ``rho``,
-    from exact moments and marginal purities both read off ``rho.pauli``.
-    ``moments``, if given, is the exact moment map of ``rho`` already
-    built, as ``exact_moment_map(rho)`` returns it."""
+    from exact moments and marginal purities both read off ``rho.pauli``."""
     n = rho.n_qubits
     if n < 2:
         raise ValueError(f"a structure report needs at least 2 parties, got {n}")
-    normalized = _normalize_moments(exact_moment_map(rho) if moments is None else moments)
+    normalized = _normalize_moments(exact_moment_map(rho))
     verdicts = {
         s: _marginal_bound_verdict(normalized, s, marginal_purity(rho, s), f"marginal_bound_k{len(s)}")
         for s in all_subsets(n, min_size=2)

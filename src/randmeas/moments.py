@@ -169,7 +169,7 @@ def bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
 def moment_exact_t2(tensor) -> MomentEstimate:
     """Second moment from the correlation tensor: 3^(-k) * sum of squares."""
     k = len(tensor.subset)
-    value = tensor.sum_squares() / 3.0**k
+    value = float(np.sum(tensor.components**2)) / 3.0**k
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
@@ -258,11 +258,11 @@ class ShotTable:
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes)
-        if outcomes.ndim != 3:
-            raise ValueError(f"outcomes must have shape (M, K, n), got {outcomes.shape}")
+        if outcomes.ndim != 3 or not outcomes.size:
+            raise ValueError(f"outcomes must have shape (M, K, n) with M, K, n >= 1, got {outcomes.shape}")
         # int8 tables by reductions only, with no temporaries the size of the
         # table; others before the cast, which would store 1.7 and 257 as 1
-        if outcomes.size and (
+        if (
             (outcomes.min() < -1 or outcomes.max() > 1 or np.count_nonzero(outcomes) < outcomes.size)
             if outcomes.dtype == np.int8
             else not np.all((outcomes == 1) | (outcomes == -1))

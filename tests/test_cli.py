@@ -513,7 +513,7 @@ def test_monte_carlo_cross_checks_build_one_grid_per_subset_and_degree(tmp_path,
         assert check["exact_value"] == moments_design(rho, [check["subset"]], [check["t"]], design_points(5))[0].value
 
 
-@pytest.mark.parametrize("test", [["--test", "gme4"], []], ids=["gme4", "structure_only"])
+@pytest.mark.parametrize("test", [[]], ids=["structure_only"])
 def test_structure_request_builds_one_moment_map(test, tmp_path, monkeypatch):
     maps = _count_calls(monkeypatch, "exact_moment_map", randmeas.cli, randmeas.criteria)
     out = tmp_path / "o"
@@ -657,6 +657,10 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("criteria --state bell --test wclass", None, "W class requires n >= 3 qubits, got n=2"),
         ("criteria --state ghz:4 --test bisep3", None, "bisep3 applies to 3-qubit states, got n=4"),
         ("criteria --state bell --test nope", None, "unknown criterion 'nope'"),
+        ("moments --state ghz:9", None, "parameter n=9 exceeds the configured limit MAX_QUBITS=8"),
+        ("moments --state ghz:1", None, "parameter n must be an integer >= 2, got 1"),
+        ("sample --state product_zero:0", None, "parameter n must be an integer >= 1, got 0"),
+        ("criteria --state ghz:5 --structure", None, "no bound coefficient configured for 5 parties"),
     ],
     ids=[
         "alias_parameters",
@@ -672,6 +676,10 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "wclass_two_qubits",
         "bisep3_four_qubits",
         "unknown_criterion",
+        "qubits_above_limit",
+        "ghz_one_qubit",
+        "product_no_qubits",
+        "structure_five_parties",
     ],
 )
 def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):

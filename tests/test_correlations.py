@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from randmeas import correlations
 from randmeas.correlations import (
     CorrelationTensor,
+    _subset_values,
     analytic_pdf,
     correlation,
     correlation_length,
@@ -175,6 +176,23 @@ def test_contraction_matches_direct_correlation():
         assert abs(direct - value) < 1e-12
 
 
+def _subset_values_oracle(rho, parties, directions):
+    """The route ``_subset_values`` replaced, kept as an oracle: a validated
+    CorrelationTensor copy of the subset, contracted and clamped."""
+    return np.clip(correlation_values(correlation_tensor(rho, parties).components, directions), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_subset_values_are_bit_equal_to_the_tensor_route(k):
+    # a leading run of parties, and that run with its last party moved to
+    # party 8 (the full set at k = 8): strided slabs without and with the
+    # last Pauli axis
+    rho = random_density_matrix(8, RngStream(92))
+    dirs = uniform_directions(RngStream(93, k), 3001 * k).reshape(3001, k, 3)
+    for parties in {tuple(range(1, k + 1)), (*range(1, k), 8)}:
+        assert np.array_equal(_subset_values(rho, parties, dirs), _subset_values_oracle(rho, parties, dirs))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_correlation_matches_kronecker_oracle(n):
     rng = np.random.default_rng(n)
@@ -338,6 +356,9 @@ def test_sample_distribution_is_deterministic_and_validated():
         a.settings_count = 3
     with pytest.raises(ValueError, match="one-dimensional"):
         correlations.SampleSet((1, 2), np.zeros((2, 2)))
+    for bad in (1.5, -1.5, np.nan):
+        with pytest.raises(ValueError, match="outside \\[-1, 1\\]"):
+            correlations.SampleSet((1,), [0.5, bad])
     assert np.max(np.abs(a.values)) <= 1.0
     with pytest.raises(ValueError, match="M >= 1"):
         sample_distribution(rho, (1, 2), 0, RngStream(8))

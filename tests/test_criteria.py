@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import randmeas.criteria
 from randmeas.criteria import (
     DETECTION_ATOL,
     M_BOUND_COEFF,
@@ -138,14 +137,6 @@ def test_structure_report_covers_all_subsets():
     report = structure_report_from_state(ghz(4))
     assert len(report.marginals) == 10  # size-2 and size-3 subsets of 4 parties
     assert report.full.detected
-
-
-def test_structure_report_reads_a_given_moment_map(monkeypatch):
-    rho = bisep4(0.2)
-    moments = exact_moment_map(rho)
-    expected = structure_report_from_state(rho).to_dict()
-    monkeypatch.setattr(randmeas.criteria, "exact_moment_map", lambda rho: pytest.fail("map rebuilt"))
-    assert structure_report_from_state(rho, moments).to_dict() == expected
 
 
 def test_bisep_line_white_noise_not_detected():

@@ -245,7 +245,7 @@ def test_exact_moment_map_is_bit_equal_to_per_subset_tensors(n):
         for subset, expected in oracle.items():
             assert got[subset].value == expected.value
             assert (got[subset].method, got[subset].std_error) == ("exact_tensor", None)
-            assert correlation_length(rho, subset) == correlation_tensor(rho, subset).sum_squares()
+            assert correlation_length(rho, subset) == float(np.sum(correlation_tensor(rho, subset).components ** 2))
 
 
 def test_moment_design_matches_exact_tensor():
@@ -562,7 +562,8 @@ def test_shot_table_validation():
         with pytest.raises(ValueError, match="\\+-1"):
             ShotTable(outcomes)
     assert np.array_equal(ShotTable(table.outcomes.astype(float)).outcomes, table.outcomes)
-    for flat in (table.outcomes[0], table.outcomes[None]):
+    for flat in (table.outcomes[0], table.outcomes[None], np.ones((0, 3, 2), np.int8),
+                 np.ones((3, 0, 2), np.int8), np.ones((3, 3, 0), np.int8)):
         with pytest.raises(ValueError, match="outcomes must have shape \\(M, K, n\\)"):
             ShotTable(flat)
 
