@@ -204,6 +204,12 @@ GOLDEN = {
             "criteria.json": "784a75aa0ebc05c52cda5188db03c96afec5502e5dd246b37dd9879fface2580",
         },
     ),
+    "gme4_cluster_linear": (
+        "criteria --state cluster_linear --test gme4",
+        {
+            "criteria.json": "d957e749214f3e9bfa7518c1b34949221edcc5f92903e9f9e2a33a417ee1bb56",
+        },
+    ),
     "wclass_w4": (
         "criteria --state w:4 --test wclass",
         {
