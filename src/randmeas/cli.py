@@ -361,7 +361,7 @@ def cmd_criteria(config: RunConfig) -> int:
 
 def cmd_design(config: RunConfig) -> int:
     design = design_points(config.design)
-    report = validate_design(design, config.design)
+    report = validate_design(design)
     tables = {"design.csv": ("x,y,z", design.points.tolist())}
     _write_outputs(config, "design_validation.json", {"validation": report}, tables)
     if not report["passed"]:

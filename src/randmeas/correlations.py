@@ -180,7 +180,6 @@ def _outer_product(block: np.ndarray) -> np.ndarray:
 class SampleSet:
     """Correlation values for independently drawn random direction tuples."""
 
-    subset: tuple
     values: np.ndarray
 
     def __post_init__(self):
@@ -191,7 +190,6 @@ class SampleSet:
             raise ValueError("sample values outside [-1, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
 
     @property
     def settings_count(self) -> int:
@@ -291,7 +289,7 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``.  Deterministic given the stream."""
     parties = normalize_subset(subset, rho.n_qubits)
-    return SampleSet(parties, _subset_values(rho, parties, random_settings(len(parties), m, rng)))
+    return SampleSet(_subset_values(rho, parties, random_settings(len(parties), m, rng)))
 
 
 def _subset_values(rho: DensityMatrix, parties: tuple, directions: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Entanglement verdicts computed from correlation moments.
 
-Each criterion returns a Verdict whose margin, statistic minus
-threshold, is oriented so that a positive value always means "property
-detected / class excluded".  Exact inputs are decided against a small
-numerical floor; statistical inputs must have the margin clear z = 3
-propagated standard errors.  Both constants are fixed.
+Each criterion returns a Verdict, which decides itself: its margin,
+statistic minus threshold, is oriented so that a positive value always
+means "property detected / class excluded".  Exact inputs are decided
+against a small numerical floor; statistical inputs must have the margin
+clear z = 3 propagated standard errors.  Both constants are fixed.
 """
 
 from __future__ import annotations
@@ -33,16 +33,26 @@ DETECTION_ATOL = 1e-10
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one criterion: statistic vs threshold, margin oriented
-    positive-means-detected."""
+    positive-means-detected.  The one decision rule: the margin must clear
+    DEFAULT_Z standard errors, or DETECTION_ATOL without a positive error."""
 
     criterion: str
     statistic: float
     threshold: float
-    margin: float
-    detected: bool
     std_error: float | None = None
     inputs_provenance: tuple = ()
     note: str = ""
+    margin: float = field(init=False)
+    detected: bool = field(init=False)
+
+    def __post_init__(self):
+        margin = self.statistic - self.threshold
+        if self.std_error is not None and self.std_error > 0.0:
+            detected = margin > DEFAULT_Z * self.std_error
+        else:
+            detected = margin > DETECTION_ATOL
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "detected", detected)
 
     def to_dict(self) -> dict:
         return {
@@ -55,17 +65,6 @@ class Verdict:
             "inputs_provenance": list(self.inputs_provenance),
             "note": self.note,
         }
-
-
-def _verdict(criterion, statistic, threshold, std_error, provenance, note="") -> Verdict:
-    """The one decision rule: the margin must clear DEFAULT_Z standard
-    errors, or DETECTION_ATOL when there is no positive error."""
-    margin = statistic - threshold
-    if std_error is not None and std_error > 0.0:
-        detected = margin > DEFAULT_Z * std_error
-    else:
-        detected = margin > DETECTION_ATOL
-    return Verdict(criterion, statistic, threshold, margin, detected, std_error, provenance, note)
 
 
 def m_quantifier(moments, full_subset) -> float:
@@ -120,7 +119,7 @@ def _marginal_bound_verdict(normalized, subset, purity, criterion):
     value, variance, methods = _m_quantifier_stats(normalized, subset)
     threshold = M_BOUND_COEFF[k] * max(0.0, 1.0 - purity)
     std_error = sqrt(variance) if variance > 0.0 else None
-    return _verdict(criterion, value, threshold, std_error, methods)
+    return Verdict(criterion, value, threshold, std_error, methods)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def bisep_line_3(r2, r4) -> Verdict:
     note = f"line value at r2: {rhs!r}"
     if rhs >= 1.0:
         note += "; line above the attainable range r4 <= 1, criterion vacuous here"
-    return _verdict(
+    return Verdict(
         "three_qubit_biseparability_line", statistic, 0.0, std_error, (r2_method, r4_method), note
     )
 
@@ -207,7 +206,7 @@ def w_class_witness(r2, n: int) -> Verdict:
     r2_val, r2_err, r2_method = _entry_stats(r2)
     if not -1e-9 <= r2_val <= 1.0 + 1e-9:
         raise ValueError(f"r2 must lie in [0, 1], got {r2_val!r}")
-    return _verdict(
+    return Verdict(
         "w_class_exclusion", r2_val, chi, r2_err, (r2_method,),
         f"n={n}; excluded from the convex hull of the W class when detected",
     )
@@ -228,4 +227,4 @@ def entanglement_by_length(length, n: int | None = None) -> Verdict:
     note = "entanglement (not necessarily genuine multipartite)"
     if n is not None:
         note += f"; n={n}"
-    return _verdict("correlation_length_threshold", value, 1.0, err, (method,), note)
+    return Verdict("correlation_length_threshold", value, 1.0, err, (method,), note)

@@ -31,7 +31,7 @@ def random_density_matrix(n_qubits: int, rng) -> DensityMatrix:
     dim = 2**n_qubits
     g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
     mat = g @ g.conj().T
-    return DensityMatrix(n_qubits, mat / np.trace(mat).real)
+    return DensityMatrix(mat / np.trace(mat).real)
 
 
 def permute_vector_qubits(vec: np.ndarray, order) -> np.ndarray:
@@ -69,7 +69,7 @@ def random_biseparable_state(n_qubits: int, rng) -> DensityMatrix:
     noise_weight = gen.uniform(0.0, 1.0)
     dim = 2**n_qubits
     mat = (1.0 - noise_weight) * np.outer(vec, vec.conj()) + noise_weight * np.eye(dim) / dim
-    return DensityMatrix(n_qubits, mat)
+    return DensityMatrix(mat)
 
 
 def random_w_class_mixture(n_qubits: int, rng) -> DensityMatrix:
@@ -83,4 +83,4 @@ def random_w_class_mixture(n_qubits: int, rng) -> DensityMatrix:
     mat = np.zeros((dim, dim), dtype=complex)
     for weight in weights:
         mat += weight * _conjugate_locally(base, haar_unitaries(gen, n_qubits))
-    return DensityMatrix(n_qubits, mat)
+    return DensityMatrix(mat)

@@ -455,6 +455,6 @@ def purity_from_moments(moments) -> float:
 
 
 def _check_order(t) -> int:
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
         raise ValueError(f"moment order t must be a positive integer, got {t!r}")
     return int(t)

@@ -116,7 +116,9 @@ def uniform_directions(rng, count: int) -> np.ndarray:
 
 def random_settings(n: int, m: int, rng) -> np.ndarray:
     """M uniformly random direction tuples for n parties, shape (M, n, 3).
-    M < 1 or a draw over ``MAX_TABLE_BYTES`` is refused before anything is drawn."""
+    A non-integer M, M < 1 or a draw over ``MAX_TABLE_BYTES`` is refused first."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"samples M must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
     if (size := 40 * m * n) > MAX_TABLE_BYTES:
@@ -226,11 +228,11 @@ def sphere_monomial_integral(a: int, b: int, c: int) -> float:
     return num / _double_factorial(a + b + c + 1)
 
 
-def validate_design(design: SphericalDesign, t: int) -> dict:
-    """Compare design averages of all monomials of degree <= t against the
-    closed-form sphere integrals, as the mapping ``design_validation.json``
+def validate_design(design: SphericalDesign) -> dict:
+    """Compare design averages of all monomials up to ``design.degree`` with
+    the closed-form sphere integrals, as the mapping ``design_validation.json``
     holds.  Failure is reported in ``"passed"``, not raised."""
-    pts = design.points
+    pts, t = design.points, design.degree
     monomials = []
     for degree in range(t + 1):
         for axes in combinations_with_replacement(range(3), degree):

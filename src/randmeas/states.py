@@ -8,7 +8,7 @@ matrices; nothing here is sparse.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -31,30 +31,28 @@ UNITARITY_ATOL = 1e-10
 class DensityMatrix:
     """A validated n-qubit density matrix.
 
-    Validation happens at construction: the matrix must be Hermitian and
-    unit-trace within 1e-10 and positive semidefinite up to an eigenvalue
-    floor of -1e-10.  Instances are immutable (the stored array is marked
-    read-only), so they are safe to share across workers.
+    ``n_qubits`` is read off the 2^n x 2^n shape.  Validation happens at
+    construction: the matrix must be Hermitian and unit-trace within 1e-10
+    and positive semidefinite up to an eigenvalue floor of -1e-10.
+    Instances are immutable (the stored array is marked read-only), so
+    they are safe to share across workers.
     """
 
-    n_qubits: int
     matrix: np.ndarray
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+        shape = np.shape(self.matrix)
+        dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+        n = dim.bit_length() - 1
+        if n < 1 or dim != 2**n:
+            raise ValueError(f"matrix shape {shape} is not 2^n x 2^n for any n >= 1")
         if n > MAX_QUBITS:
             raise ValueError(
                 f"n_qubits={n} exceeds the configured dense-matrix limit "
                 f"MAX_QUBITS={MAX_QUBITS}"
             )
         mat = np.array(self.matrix, dtype=complex)
-        dim = 2**n
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match 2^{n} x 2^{n}"
-            )
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite (NaN or inf) entries")
         herm_dev = np.max(np.abs(mat - mat.conj().T))
@@ -70,7 +68,7 @@ class DensityMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "n_qubits", int(n))
+        object.__setattr__(self, "n_qubits", n)
 
     @cached_property
     def pauli(self) -> np.ndarray:
@@ -86,14 +84,13 @@ class DensityMatrix:
         """Build the pure state |psi><psi| from a (normalized) amplitude vector."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         dim = psi.size
-        n = int(round(np.log2(dim)))
-        if 2**n != dim:
+        if dim < 1 or dim & (dim - 1):
             raise ValueError(f"amplitude vector length {dim} is not a power of 2")
         norm = np.linalg.norm(psi)
         if norm < 1e-12:
             raise ValueError("amplitude vector is numerically zero")
         psi = psi / norm
-        return cls(n, np.outer(psi, psi.conj()))
+        return cls(np.outer(psi, psi.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +127,11 @@ def w_state(n: int) -> DensityMatrix:
     return DensityMatrix.from_vector(vec)
 
 
-def cluster_linear(n: int = 4) -> DensityMatrix:
+def cluster_linear() -> DensityMatrix:
     """Four-qubit linear cluster state: CZ chain applied to |++++>.
 
     Amplitude of basis state b picks up (-1) for every adjacent 11 pair.
-    ``n`` must be 4.
     """
-    if n != 4:
-        raise ValueError(f"parameter n must equal 4 for cluster_linear, got {n}")
     vec = np.empty(16, dtype=complex)
     for b in range(16):
         bits = [(b >> (3 - j)) & 1 for j in range(4)]
@@ -155,7 +149,7 @@ def werner(p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"parameter p must lie in [0, 1], got {p}")
     singlet = bell_psi_minus().matrix
-    return DensityMatrix(2, p * singlet + (1.0 - p) * np.eye(4) / 4.0)
+    return DensityMatrix(p * singlet + (1.0 - p) * np.eye(4) / 4.0)
 
 
 def _phi_plus_vec() -> np.ndarray:
@@ -201,7 +195,7 @@ STATES = {
     "bell": NamedState(bell_psi_minus, density="bell"),
     "ghz": NamedState(ghz, ("n",), int),
     "w": NamedState(w_state, ("n",), int),
-    "cluster_linear": NamedState(cluster_linear, ("n",), int, (4,)),
+    "cluster_linear": NamedState(cluster_linear),
     "werner": NamedState(werner, ("p",), float, density="werner"),
     "trisep4": NamedState(trisep4),
     "bisep4": NamedState(bisep4, ("phi",), float, (0.2,)),
@@ -250,7 +244,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Tensor product a (x) b; a's qubits come first."""
-    return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.matrix, b.matrix))
+    return DensityMatrix(np.kron(a.matrix, b.matrix))
 
 
 def purity_direct(rho: DensityMatrix) -> float:
@@ -271,7 +265,7 @@ def apply_local_unitaries(rho: DensityMatrix, unitaries) -> DensityMatrix:
         dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
         if dev > UNITARITY_ATOL:
             raise ValueError(f"unitary {j} deviates from unitarity by {dev:.3e}")
-    return DensityMatrix(rho.n_qubits, _conjugate_locally(rho.matrix, us))
+    return DensityMatrix(_conjugate_locally(rho.matrix, us))
 
 
 def _conjugate_locally(matrix: np.ndarray, unitaries) -> np.ndarray:
@@ -281,7 +275,7 @@ def _conjugate_locally(matrix: np.ndarray, unitaries) -> np.ndarray:
 
 
 def _check_qubit_count(name: str, n, minimum: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < minimum:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise ValueError(f"parameter {name} must be an integer >= {minimum}, got {n!r}")
     if n > MAX_QUBITS:
         raise ValueError(
@@ -291,6 +285,6 @@ def _check_qubit_count(name: str, n, minimum: int) -> None:
 
 def _as_int(name: str, value) -> int:
     as_float = float(value)
-    if not np.isfinite(as_float) or as_float != int(as_float):
+    if isinstance(value, (bool, np.bool_)) or not np.isfinite(as_float) or as_float != int(as_float):
         raise ValueError(f"parameter {name} must be an integer, got {value!r}")
     return int(as_float)

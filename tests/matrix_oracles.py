@@ -30,4 +30,4 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + remaining)
         remaining -= 1
     dim = 2 ** len(keep_t)
-    return DensityMatrix(len(keep_t), tensor_form.reshape(dim, dim))
+    return DensityMatrix(tensor_form.reshape(dim, dim))

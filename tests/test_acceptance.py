@@ -38,7 +38,7 @@ from randmeas.moments import (
     purity_from_moments,
     simulate_shots,
 )
-from randmeas.sampling import RngStream, design_points, haar_unitaries, random_settings, validate_design
+from randmeas.sampling import RngStream, SphericalDesign, design_points, haar_unitaries, random_settings, validate_design
 from randmeas.states import (
     apply_local_unitaries,
     bell_psi_minus,
@@ -186,16 +186,16 @@ def test_criterion_6_three_qubit_line():
 
 
 def test_criterion_7_design_exactness():
-    octa = validate_design(D3, 3)
+    octa = validate_design(D3)
     assert octa["passed"] and octa["max_abs_deviation"] < 1e-12
 
-    octa_at_4 = validate_design(D3, 4)
+    octa_at_4 = validate_design(SphericalDesign(4, design_points(3).points))
     degree_4_failures = [
         e for e in octa_at_4["monomials"] if e["a"] + e["b"] + e["c"] == 4 and e["deviation"] >= 1e-12
     ]
     assert len(degree_4_failures) >= 1
 
-    icosa = validate_design(D5, 5)
+    icosa = validate_design(D5)
     assert icosa["passed"] and icosa["max_abs_deviation"] < 1e-12
 
 

@@ -52,7 +52,7 @@ def test_parse_state_aliases_and_defaults():
     assert render_state(parse_state("product2")) == "product_zero:2"
     assert render_state(parse_state("bell_psi_minus")) == "bell"
     assert render_state(parse_state("bisep4")) == "bisep4:0.2"
-    assert render_state(parse_state("cluster_linear")) == "cluster_linear:4"
+    assert render_state(parse_state("cluster_linear")) == "cluster_linear"
 
 
 def test_parse_state_rejects_unknown_kind():
@@ -80,7 +80,6 @@ state_strategy = st.one_of(
 
 @given(state_strategy)
 @example("cluster_linear")
-@example("cluster_linear:4")
 @example("bisep4")
 @example("product2")
 @example("bell_psi_minus")
@@ -661,6 +660,7 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("moments --state ghz:1", None, "parameter n must be an integer >= 2, got 1"),
         ("sample --state product_zero:0", None, "parameter n must be an integer >= 1, got 0"),
         ("criteria --state ghz:5 --structure", None, "no bound coefficient configured for 5 parties"),
+        ("criteria --state cluster_linear:4 --test gme4", None, "state kind 'cluster_linear' takes 0 parameter(s) (), got 1"),
     ],
     ids=[
         "alias_parameters",
@@ -680,6 +680,7 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "ghz_one_qubit",
         "product_no_qubits",
         "structure_five_parties",
+        "cluster_linear_parameter",
     ],
 )
 def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):

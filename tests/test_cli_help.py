@@ -33,7 +33,7 @@ usage: randmeas sample [-h] --state STATE [--seed SEED] [--output OUTPUT]
 options:
   -h, --help         show this help message and exit
   --state STATE      state spec 'kind[:param[,param]]'; kinds: product_zero:n,
-                     bell, ghz:n, w:n, cluster_linear[:n], werner:p, trisep4,
+                     bell, ghz:n, w:n, cluster_linear, werner:p, trisep4,
                      bisep4[:phi]; aliases: product2, bell_psi_minus
   --seed SEED        RNG seed (default $RANDMEAS_SEED or 0)
   --output OUTPUT    output directory
@@ -49,7 +49,7 @@ usage: randmeas moments [-h] --state STATE [--seed SEED] [--output OUTPUT]
 options:
   -h, --help           show this help message and exit
   --state STATE        state spec 'kind[:param[,param]]'; kinds:
-                       product_zero:n, bell, ghz:n, w:n, cluster_linear[:n],
+                       product_zero:n, bell, ghz:n, w:n, cluster_linear,
                        werner:p, trisep4, bisep4[:phi]; aliases: product2,
                        bell_psi_minus
   --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
@@ -69,7 +69,7 @@ usage: randmeas criteria [-h] --state STATE [--seed SEED] [--output OUTPUT]
 options:
   -h, --help       show this help message and exit
   --state STATE    state spec 'kind[:param[,param]]'; kinds: product_zero:n,
-                   bell, ghz:n, w:n, cluster_linear[:n], werner:p, trisep4,
+                   bell, ghz:n, w:n, cluster_linear, werner:p, trisep4,
                    bisep4[:phi]; aliases: product2, bell_psi_minus
   --seed SEED      RNG seed (default $RANDMEAS_SEED or 0)
   --output OUTPUT  output directory

@@ -17,6 +17,7 @@ from randmeas.correlations import (
     correlation_values,
     histogram_table,
     marginal_purity,
+    normalize_subset,
     pauli_coefficients,
     sample_distribution,
 )
@@ -122,7 +123,7 @@ def test_ghz4_tensor_component_census():
 def test_correlation_length_values():
     assert abs(correlation_length(product_zero(3), (1, 2, 3)) - 1.0) < 1e-10
     assert abs(correlation_length(bell_psi_minus(), (1, 2)) - 3.0) < 1e-12
-    white = DensityMatrix(2, np.eye(4) / 4)
+    white = DensityMatrix(np.eye(4) / 4)
     assert correlation_length(white, (1, 2)) < 1e-14
 
 
@@ -329,7 +330,7 @@ def _random_rank_state(n, rank, seed):
     gen = np.random.default_rng(seed)
     g = gen.standard_normal((2**n, rank)) + 1j * gen.standard_normal((2**n, rank))
     mat = g @ g.conj().T
-    return DensityMatrix(n, mat / np.trace(mat).real)
+    return DensityMatrix(mat / np.trace(mat).real)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -351,14 +352,14 @@ def test_sample_distribution_is_deterministic_and_validated():
     a = sample_distribution(rho, (1, 2), 500, RngStream(8))
     b = sample_distribution(rho, (1, 2), 500, RngStream(8))
     np.testing.assert_array_equal(a.values, b.values)
-    assert a.settings_count == 500 and a.subset == (1, 2)
+    assert a.settings_count == 500
     with pytest.raises(AttributeError):
         a.settings_count = 3
     with pytest.raises(ValueError, match="one-dimensional"):
-        correlations.SampleSet((1, 2), np.zeros((2, 2)))
+        correlations.SampleSet(np.zeros((2, 2)))
     for bad in (1.5, -1.5, np.nan):
         with pytest.raises(ValueError, match="outside \\[-1, 1\\]"):
-            correlations.SampleSet((1,), [0.5, bad])
+            correlations.SampleSet([0.5, bad])
     assert np.max(np.abs(a.values)) <= 1.0
     with pytest.raises(ValueError, match="M >= 1"):
         sample_distribution(rho, (1, 2), 0, RngStream(8))
@@ -422,7 +423,7 @@ def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatc
     if m == 40_000:
         special += list(_csv_edge_values())
     values[: min(m, len(special))] = special[:m]
-    samples = correlations.SampleSet((1, 2), values)
+    samples = correlations.SampleSet(values)
     samples.to_csv(tmp_path / "chunks.csv")
     _sample_csv_by_rows(samples, tmp_path / "rows.csv")
     assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -436,7 +437,7 @@ def test_sample_csv_matches_row_loop_oracle(m, forced_rows, tmp_path, monkeypatc
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=64))
 def test_sample_csv_matches_row_loop_oracle_on_any_float(tmp_path_factory, values):
     directory = tmp_path_factory.mktemp("csv")
-    samples = correlations.SampleSet((1,), values)
+    samples = correlations.SampleSet(values)
     samples.to_csv(directory / "chunks.csv")
     _sample_csv_by_rows(samples, directory / "rows.csv")
     assert (directory / "chunks.csv").read_bytes() == (directory / "rows.csv").read_bytes()
@@ -450,7 +451,7 @@ def test_decade_starts_split_the_17_digit_roundings():
 
 def test_sample_csv_memory_is_capped_by_the_block_budget(tmp_path):
     m = 2 * 10**5
-    samples = correlations.SampleSet((1, 2), np.random.default_rng(33).uniform(-1.0, 1.0, m))
+    samples = correlations.SampleSet(np.random.default_rng(33).uniform(-1.0, 1.0, m))
     tracemalloc.start()
     try:
         samples.to_csv(tmp_path / "samples.csv")
@@ -536,3 +537,24 @@ def test_sampled_distributions_match_closed_forms(state, density):
 def test_correlation_tensor_validates_component_range():
     with pytest.raises(ValueError, match="exceeds 1"):
         CorrelationTensor((1,), np.array([1.1, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: normalize_subset([], 3), "party subset must not be empty"),
+        (lambda: CorrelationTensor((1, 2), np.zeros(3)), r"components shape \(3,\) does not match subset \(1, 2\)"),
+        (lambda: analytic_pdf("werner"), "werner density requires the mixing parameter p"),
+        (lambda: analytic_pdf("werner", 1.5), r"parameter p must lie in \[0, 1\], got 1.5"),
+    ],
+    ids=["empty_subset", "tensor_shape", "werner_without_p", "werner_p_above_one"],
+)
+def test_correlation_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_mixed_white_density_is_a_point_mass_at_zero():
+    density = analytic_pdf("mixed_white")
+    np.testing.assert_array_equal(density.cdf(np.array([-0.1, 0.0, 0.1])), [0.0, 1.0, 1.0])
+    assert density.support == (0.0, 0.0)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from randmeas.criteria import (
+    DEFAULT_Z,
     DETECTION_ATOL,
     M_BOUND_COEFF,
+    Verdict,
     bisep_line_3,
     bisep_line_3_r4,
     entanglement_by_length,
@@ -89,7 +91,7 @@ def test_gme4_does_not_detect_trisep4():
 
 
 def test_gme4_white_noise():
-    white = DensityMatrix(4, np.eye(16) / 16)
+    white = DensityMatrix(np.eye(16) / 16)
     verdict = gme_test_4(exact_moment_map(white), 1.0 / 16.0)
     assert not verdict.detected
     assert verdict.statistic == pytest.approx(0.0, abs=1e-12)
@@ -325,3 +327,34 @@ def test_w_class_mixtures_stay_below_chi():
 def test_cluster_state_m4_is_positive():
     value = m_quantifier(exact_moment_map(cluster_linear()), (1, 2, 3, 4))
     assert value == pytest.approx(4.0 / 81.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gme_test_4(exact_moment_map(ghz(4)), 1.5), r"purity must lie in \(0, 1\], got 1.5"),
+        (lambda: w_class_witness(1.5, 3), r"r2 must lie in \[0, 1\], got 1.5"),
+    ],
+    ids=["purity_above_one", "r2_above_one"],
+)
+def test_criterion_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_bisep_line_notes_when_it_is_vacuous():
+    assert bisep_line_3(0.9, 0.5).note.endswith("criterion vacuous here")
+
+
+def test_verdict_derives_its_margin_and_decision():
+    verdict = Verdict("c", 0.3, 0.1, 0.02)
+    assert verdict.margin == 0.3 - 0.1 and verdict.detected
+    # a margin of exactly DEFAULT_Z errors does not clear them
+    at_z = Verdict("c", DEFAULT_Z * 0.25, 0.0, 0.25)
+    assert at_z.margin == DEFAULT_Z * 0.25 and not at_z.detected
+    # without a positive error the margin must clear DETECTION_ATOL
+    for std_error in (None, 0.0):
+        assert not Verdict("c", DETECTION_ATOL, 0.0, std_error).detected
+        assert Verdict("c", 2 * DETECTION_ATOL, 0.0, std_error).detected
+    with pytest.raises(TypeError):
+        Verdict("c", 0.3, 0.1, 0.02, margin=0.2)

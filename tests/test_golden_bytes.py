@@ -207,7 +207,7 @@ GOLDEN = {
     "gme4_cluster_linear": (
         "criteria --state cluster_linear --test gme4",
         {
-            "criteria.json": "d957e749214f3e9bfa7518c1b34949221edcc5f92903e9f9e2a33a417ee1bb56",
+            "criteria.json": "4f8eadcfe8e39da459771455cfe708f70ea6a2fd3b3982f878caa4e0f30723d9",
         },
     ),
     "wclass_w4": (

@@ -124,17 +124,17 @@ def _moments_mc_bootstrap(*args):
     return [bootstrap_error(e) for e in moments_mc(*args)]
 
 
-def _moments_mc_oracle(samples, orders, bootstrap=False):
-    """The single-subset ``moments_mc`` that read one SampleSet: sample
-    means of E^t with plug-in standard errors or, with ``bootstrap``, the
-    1/M-normalised spread over sqrt(M)."""
+def _moments_mc_oracle(samples, subset, orders, bootstrap=False):
+    """The single-subset ``moments_mc`` that read one SampleSet of
+    ``subset``: sample means of E^t with plug-in standard errors or, with
+    ``bootstrap``, the 1/M-normalised spread over sqrt(M)."""
     orders = [_check_order(t) for t in orders]
     m = samples.settings_count
     _check_mc_samples(m)
     powers = [_power(samples.values, t) for t in orders]
     return [
         MomentEstimate(
-            samples.subset, t, float(power.mean()), float(power.std(ddof=0 if bootstrap else 1) / np.sqrt(m)),
+            subset, t, float(power.mean()), float(power.std(ddof=0 if bootstrap else 1) / np.sqrt(m)),
             "monte_carlo", m,
         )
         for t, power in zip(orders, powers)
@@ -205,8 +205,8 @@ def test_every_subset_reads_its_columns_of_one_table(bootstrap):
     expected = []
     for subset in subsets:
         columns = table[:, [union.index(p) for p in subset]]
-        samples = SampleSet(subset, _subset_values(rho, subset, columns))
-        expected += _moments_mc_oracle(samples, orders, bootstrap)
+        samples = SampleSet(_subset_values(rho, subset, columns))
+        expected += _moments_mc_oracle(samples, subset, orders, bootstrap)
     assert [(e.subset, e.order) for e in got] == [(e.subset, e.order) for e in expected]
     for estimate, oracle in zip(got, expected):
         assert estimate.value == oracle.value
@@ -278,7 +278,7 @@ def test_moment_design_with_precomputed_coefficients_is_bit_equal(n):
             if len(design.points) ** len(subset) > 12**4:
                 continue  # 12^5 and more tuples: the 3-design sums cover them
             shared = moments_design(rho, [subset], [t], design)[0].value
-            fresh = DensityMatrix(n, rho.matrix)
+            fresh = DensityMatrix(rho.matrix)
             assert np.array_equal(shared, moments_design(fresh, [subset], [t], design)[0].value)
 
 
@@ -437,7 +437,7 @@ def test_oracle_triangle_small_scale():
 
 def test_vanishing_second_moment_implies_vanishing_fourth():
     for n in (2, 3):
-        white = DensityMatrix(n, np.eye(2**n) / 2**n)
+        white = DensityMatrix(np.eye(2**n) / 2**n)
         full = tuple(range(1, n + 1))
         r2 = moment_exact_t2(correlation_tensor(white, full)).value
         assert r2 < 1e-12
@@ -463,7 +463,7 @@ def test_simulate_shots_singlet_is_anticorrelated():
 
 
 def test_simulate_shots_white_noise_is_unbiased_coin():
-    white = DensityMatrix(2, np.eye(4) / 4)
+    white = DensityMatrix(np.eye(4) / 4)
     settings = random_settings(2, 1, RngStream(40))
     k = 10_000
     table = simulate_shots(white, settings, k, RngStream(41))
@@ -576,7 +576,7 @@ def test_frozen_arrays_leave_the_callers_arrays_writable():
     components = np.array([0.0, 0.0, 1.0])
     frozen = {
         "outcomes": (outcomes, ShotTable(outcomes).outcomes),
-        "values": (values, SampleSet((1,), values).values),
+        "values": (values, SampleSet(values).values),
         "components": (components, CorrelationTensor((1,), components).components),
     }
     for name, (given, stored) in frozen.items():
@@ -795,7 +795,7 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget():
 
 def test_purity_from_moments_named_states():
     assert purity_from_moments(exact_moment_map(ghz(4))) == pytest.approx(1.0, abs=1e-10)
-    white = DensityMatrix(2, np.eye(4) / 4)
+    white = DensityMatrix(np.eye(4) / 4)
     assert purity_from_moments(exact_moment_map(white)) == pytest.approx(0.25, abs=1e-12)
     wern = werner(1 / np.sqrt(3))
     assert purity_from_moments(exact_moment_map(wern)) == pytest.approx(
@@ -860,3 +860,26 @@ def test_moment_estimate_validation():
             MomentEstimate((1, 2), 2, value, std_error, "finite_shot")
     est = MomentEstimate((1, 2), 2, -0.2, 0.05, "finite_shot", samples=10, shots=2)
     assert est.to_dict()["t"] == 2 and est.to_dict()["K"] == 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MomentEstimate((1,), 2, 0.1, None, "bogus"), r"unknown method 'bogus'; expected one of \("),
+        (lambda: purity_from_moments({}), "party-subset map is empty"),
+        (
+            lambda: purity_from_moments({(1,): MomentEstimate((1,), 2, -0.4, 0.1, "finite_shot")}),
+            r"purity -0\.1\d* is not positive",
+        ),
+        (lambda: purity_from_moments({(1,): 0.5}), "purity 1.25 exceeds 1 beyond tolerance"),
+        (lambda: _check_order(True), "moment order t must be a positive integer, got True"),
+        (
+            lambda: moments_mc(bell_psi_minus(), [(1, 2)], [True], 10, RngStream(1)),
+            "moment order t must be a positive integer, got True",
+        ),
+    ],
+    ids=["unknown_method", "empty_map", "purity_not_positive", "purity_above_one", "bool_order", "bool_order_mc"],
+)
+def test_moment_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

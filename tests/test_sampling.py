@@ -14,6 +14,7 @@ from randmeas.sampling import (
     design_points,
     haar_unitaries,
     half_design,
+    random_settings,
     sphere_monomial_integral,
     uniform_directions,
     validate_design,
@@ -205,7 +206,7 @@ def test_design_points_octahedron():
     assert len(design) == 6
     arrays = design.as_array()
     assert any(np.allclose(p, [0.0, 0.0, 1.0]) for p in arrays)
-    assert validate_design(design, 3)["passed"]
+    assert validate_design(design)["passed"]
 
 
 def test_design_points_icosahedron():
@@ -213,7 +214,7 @@ def test_design_points_icosahedron():
     assert len(design) == 12
     norms = np.linalg.norm(design.as_array(), axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    report = validate_design(design, 5)
+    report = validate_design(design)
     assert report["passed"] and report["max_abs_deviation"] < 1e-12
 
 
@@ -229,7 +230,7 @@ def test_octahedron_monomial_values():
     assert abs(np.mean(pts[:, 2] ** 2) - 1.0 / 3.0) < 1e-15
     assert sphere_monomial_integral(0, 0, 2) == pytest.approx(1.0 / 3.0)
     # x^2 y^2 at degree 4: design average 0, sphere integral 1/15
-    report = validate_design(design, 4)
+    report = validate_design(SphericalDesign(4, design.points))
     assert not report["passed"]
     entry = next(e for e in report["monomials"] if (e["a"], e["b"], e["c"]) == (2, 2, 0))
     assert entry["design_average"] == 0.0 and entry["exact_integral"] == pytest.approx(1.0 / 15.0)
@@ -281,3 +282,22 @@ def test_design_csv_round_trip(tmp_path):
     assert main(["design", "--order", "5", "--output", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "design.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows, design_points(5).points)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sampling._generator(3), TypeError, "expected RngStream or numpy Generator"),
+        (
+            lambda: SphericalDesign(3, np.ones((4, 2))),
+            ValueError,
+            r"design points must have shape \(N, 3\), got \(4, 2\)",
+        ),
+        (lambda: random_settings(2, 2.5, RngStream(1)), ValueError, "samples M must be an integer, got 2.5"),
+        (lambda: random_settings(2, True, RngStream(1)), ValueError, "samples M must be an integer, got True"),
+    ],
+    ids=["not_a_generator", "design_shape", "fractional_samples", "bool_samples"],
+)
+def test_sampling_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -85,8 +87,8 @@ def test_make_state_dispatch_matches_builders():
 
 
 def test_make_state_rejects_bad_parameters():
-    with pytest.raises(ValueError, match="n"):
-        make_state(StateSpec("cluster_linear", (3,)))
+    with pytest.raises(ValueError, match=r"^state kind 'cluster_linear' takes 0 parameter\(s\) \(\), got 1$"):
+        StateSpec("cluster_linear", (3,))
     with pytest.raises(ValueError, match="p"):
         make_state(StateSpec("werner", (-0.1,)))
     with pytest.raises(ValueError, match="kind"):
@@ -110,24 +112,24 @@ def test_state_spec_refuses_a_parameter_count_naming_the_parameters():
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
+        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(1, np.eye(2))
+        DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
-        DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+        DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError, match="MAX_QUBITS"):
-        DensityMatrix(9, np.eye(2**9) / 2**9)
+        DensityMatrix(np.eye(2**9) / 2**9)
     one_nan = np.eye(2) / 2
     one_nan[0, 1] = np.nan
     for bad in (np.full((2, 2), np.nan), one_nan, np.diag([np.inf, 0.0])):
         with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(1, bad)
+            DensityMatrix(bad)
 
 
 def test_tensor_basics():
     zero = product_zero(1)
     np.testing.assert_array_equal(tensor(zero, zero).matrix, product_zero(2).matrix)
-    mixed = DensityMatrix(1, np.eye(2) / 2)
+    mixed = DensityMatrix(np.eye(2) / 2)
     np.testing.assert_allclose(tensor(mixed, mixed).matrix, np.eye(4) / 4, atol=1e-15)
 
 
@@ -183,7 +185,7 @@ def test_partial_trace_composes(seed):
 
 def test_purity_direct_values():
     assert abs(purity_direct(ghz(4)) - 1.0) < 1e-12
-    assert abs(purity_direct(DensityMatrix(2, np.eye(4) / 4)) - 0.25) < 1e-15
+    assert abs(purity_direct(DensityMatrix(np.eye(4) / 4)) - 0.25) < 1e-15
     p = 1 / np.sqrt(3)
     assert abs(purity_direct(werner(p)) - (p**2 + (1 - p**2) / 4)) < 1e-12
     assert abs(purity_direct(werner(p)) - 0.5) < 1e-12
@@ -226,3 +228,36 @@ def test_purity_is_lu_invariant_over_100_frames():
     for _ in range(100):
         rotated = apply_local_unitaries(rho, haar_unitaries(gen, 2))
         assert abs(purity_direct(rotated) - base) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DensityMatrix.from_vector([1, 0, 0]), "amplitude vector length 3 is not a power of 2"),
+        (lambda: DensityMatrix.from_vector([]), "amplitude vector length 0 is not a power of 2"),
+        (lambda: DensityMatrix.from_vector([0, 0]), "amplitude vector is numerically zero"),
+        (
+            lambda: apply_local_unitaries(ghz(2), [np.eye(2), np.eye(3)]),
+            r"unitary 2 has shape \(3, 3\), expected \(2, 2\)",
+        ),
+        (lambda: product_zero(True), "parameter n must be an integer >= 1, got True"),
+        (lambda: make_state(StateSpec("product_zero", (True,))), "parameter n must be an integer, got True"),
+    ]
+    + [
+        (lambda shape=shape: DensityMatrix(np.zeros(shape)), rf"^matrix shape {re.escape(str(shape))} is not 2\^n x 2\^n for any n >= 1$")
+        for shape in [(2, 3), (3, 3), (4,), (1, 1)]
+    ],
+    ids=[
+        "vector_length", "empty_vector", "zero_vector", "unitary_shape", "bool_qubit_count", "bool_parameter",
+        "shape_2x3", "shape_3x3", "shape_4", "shape_1x1",
+    ],
+)
+def test_state_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_density_matrix_sizes_itself():
+    assert DensityMatrix(np.eye(8) / 8).n_qubits == 3
+    with pytest.raises(TypeError):
+        DensityMatrix(2, np.eye(4) / 4)
