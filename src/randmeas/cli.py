@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cache
 from math import log, sqrt
 from pathlib import Path
 
@@ -375,6 +376,7 @@ def cmd_design(config: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@cache  # built on the first main() call, then reused: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randmeas",

@@ -233,7 +233,7 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
             grid = _slab(rho.pauli, parties, slice(1, 4))
             for _ in parties:
                 # consume the leading site axis, appending its point axis at the end
-                grid = np.tensordot(grid, points, axes=(0, 1))
+                grid = np.dot(grid.reshape(3, -1).T, points.T)
             values = grid.ravel()
             means = {t: float(np.sum(_power(values, t)) / values.size) for t in even}
         estimates += [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]

@@ -162,11 +162,15 @@ class SphericalDesign:
     points: np.ndarray
 
     def __post_init__(self):
+        degree = self.degree
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
+            raise ValueError(f"design degree must be an integer >= 1, got {degree!r}")
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"design points must have shape (N, 3), got {pts.shape}")
         _check_unit_norm(pts)
         pts.setflags(write=False)
+        object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "points", pts)
 
     def as_array(self) -> np.ndarray:

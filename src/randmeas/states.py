@@ -61,7 +61,9 @@ class DensityMatrix:
         trace_dev = abs(mat.trace() - 1.0)
         if trace_dev > TRACE_ATOL:
             raise ValueError(f"matrix trace deviates from 1 by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        # A real matrix (every named state) takes the faster real routine;
+        # both read the same lower triangle.
+        min_eig = float(np.linalg.eigvalsh(mat if mat.imag.any() else mat.real)[0])
         if min_eig < EIGENVALUE_FLOOR:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
@@ -81,13 +83,20 @@ class DensityMatrix:
 
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityMatrix":
-        """Build the pure state |psi><psi| from a (normalized) amplitude vector."""
+        """Build the pure state |psi><psi| from an amplitude vector, normalized here."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         dim = psi.size
         if dim < 1 or dim & (dim - 1):
             raise ValueError(f"amplitude vector length {dim} is not a power of 2")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("amplitude vector has non-finite (NaN or inf) entries")
+        # Dividing by the power of two at the largest component first is
+        # exact, so the norm cannot overflow and the normalized bits stay.
+        exponent = int(np.frexp(np.max(np.abs(psi.view(float))))[1])
+        psi = np.ldexp(psi.view(float), -exponent).view(complex)
         norm = np.linalg.norm(psi)
-        if norm < 1e-12:
+        # The input's norm is norm * 2^exponent, which exceeds 1/2 at exponent > 0.
+        if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
             raise ValueError("amplitude vector is numerically zero")
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
@@ -232,7 +241,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
     """Construct the density matrix described by ``spec``."""
     row = STATES[spec.kind]
     args = [
-        _as_int(name, v) if row.cast is int else float(v)
+        _as_int(name, v) if row.cast is int else _as_float(name, v)
         for name, v in zip(row.params, spec.params)
     ]
     return row.build(*args)
@@ -288,3 +297,10 @@ def _as_int(name: str, value) -> int:
     if isinstance(value, (bool, np.bool_)) or not np.isfinite(as_float) or as_float != int(as_float):
         raise ValueError(f"parameter {name} must be an integer, got {value!r}")
     return int(as_float)
+
+
+def _as_float(name: str, value) -> float:
+    as_float = float(value)
+    if not np.isfinite(as_float):
+        raise ValueError(f"parameter {name} must be finite, got {value!r}")
+    return as_float

@@ -108,6 +108,21 @@ def test_sample_unknown_state_exits_nonzero(tmp_path, capsys):
     assert "valid kinds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, value", [("1e400", "inf"), ("nan", "nan"), ("-inf", "-inf")])
+def test_criteria_names_a_non_finite_state_parameter(text, value, tmp_path, capsys):
+    rc = run_cli(["criteria", "--state", f"bisep4:{text}", "--test", "gme4", "--output", tmp_path / "o"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: parameter phi must be finite, got {value}\n"
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    randmeas.cli._build_parser.cache_clear()
+    assert run_cli(["design", "--order", 3, "--output", tmp_path / "d"]) == 0
+    assert run_cli(["criteria", "--state", "bell", "--test", "length", "--output", tmp_path / "c"]) == 0
+    info = randmeas.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_sample_rejects_zero_samples(tmp_path, capsys):
     rc = run_cli(
         ["sample", "--state", "product2", "--samples", 0, "--output", tmp_path / "o"]

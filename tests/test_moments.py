@@ -323,6 +323,30 @@ def _design_values(rho, subset, points):
     return grid.ravel()
 
 
+def _design_moments_by_tensordot(rho, subsets, orders, design):
+    """Oracle: ``moments_design``'s values with every grid built by the
+    tensordot loop of ``_design_values``."""
+    half = half_design(design)
+    means = []
+    for subset in subsets:
+        values = _design_values(rho, subset, half)
+        means += [float(np.sum(_power(values, t)) / values.size) if t % 2 == 0 else 0.0 for t in orders]
+    return means
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_design_moments_equal_the_tensordot_oracle(n):
+    states = [random_density_matrix(n, RngStream(47, n))]
+    if n >= 2:
+        states += [ghz(n), w_state(n)]
+    subsets = all_subsets(n) if n <= 6 else [(2,), (1, n), (2, 3, n), (1, 3, 4, 6, n), tuple(range(1, n + 1))]
+    for rho in states:
+        for design in (D3, D5):
+            orders = range(1, design.degree + 1)
+            got = [est.value for est in moments_design(rho, subsets, orders, design)]
+            assert np.array_equal(got, _design_moments_by_tensordot(rho, subsets, orders, design))
+
+
 def _full_design_moment(rho, subset, t, design):
     """Oracle: the mean of E^t over every tuple of the full design, odd t
     included, with no use of antipodal symmetry."""

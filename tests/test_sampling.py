@@ -278,6 +278,13 @@ def test_spherical_design_points_are_a_checked_read_only_array():
         SphericalDesign(1, np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
 
+def test_spherical_design_keeps_a_degree_its_points_fall_short_of():
+    # validate_design is what reports the shortfall, so the design itself accepts it.
+    design = SphericalDesign(np.int64(4), design_points(3).points)
+    assert design.degree == 4 and type(design.degree) is int
+    assert not validate_design(design)["passed"]
+
+
 def test_design_csv_round_trip(tmp_path):
     assert main(["design", "--order", "5", "--output", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "design.csv", delimiter=",", skiprows=1)
@@ -295,8 +302,14 @@ def test_design_csv_round_trip(tmp_path):
         ),
         (lambda: random_settings(2, 2.5, RngStream(1)), ValueError, "samples M must be an integer, got 2.5"),
         (lambda: random_settings(2, True, RngStream(1)), ValueError, "samples M must be an integer, got True"),
+    ]
+    + [
+        (lambda degree=degree: SphericalDesign(degree, np.eye(3)), ValueError,
+         rf"^design degree must be an integer >= 1, got {re.escape(repr(degree))}$")
+        for degree in (-1, 0, 2.5, True, "3")
     ],
-    ids=["not_a_generator", "design_shape", "fractional_samples", "bool_samples"],
+    ids=["not_a_generator", "design_shape", "fractional_samples", "bool_samples"]
+    + [f"design_degree_{name}" for name in ("negative", "zero", "fractional", "bool", "text")],
 )
 def test_sampling_refusals(call, error, message):
     with pytest.raises(error, match=message):

@@ -126,6 +126,37 @@ def test_density_matrix_validation():
             DensityMatrix(bad)
 
 
+def test_real_matrices_take_the_eigenvalue_floor_as_complex_ones_do():
+    # The real part alone, [[0.5, 0], [0, 0.5]], is positive; the matrix is not.
+    with pytest.raises(ValueError, match=r"semidefinite \(min eigenvalue -1.000e-01\)"):
+        DensityMatrix(np.array([[0.5, 0.6j], [-0.6j, 0.5]]))
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    for depth, accepted in ((0.5e-10, True), (0.9e-10, True), (1.1e-10, False), (1.5e-10, False)):
+        diagonal = np.diag([1.0 + depth, -depth])
+        for mat in (diagonal, rotation @ diagonal @ rotation.T, diagonal.astype(complex)):
+            if accepted:
+                DensityMatrix(mat)
+            else:
+                with pytest.raises(ValueError, match="not positive semidefinite"):
+                    DensityMatrix(mat)
+
+
+def test_from_vector_scales_without_overflow_and_keeps_its_bits():
+    gen = np.random.default_rng(17)
+    for n in (1, 3, 6):
+        vec = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        psi = vec / np.linalg.norm(vec)  # the unscaled rule, exact for O(1) amplitudes
+        expected = np.outer(psi, psi.conj())
+        for power in (-20, 0, 7, 600, 1000):
+            np.testing.assert_array_equal(DensityMatrix.from_vector(vec * 2.0**power).matrix, expected)
+    plus = DensityMatrix.from_vector([1, 1]).matrix
+    np.testing.assert_array_equal(DensityMatrix.from_vector([1e200, 1e200]).matrix, plus)
+    np.testing.assert_allclose(DensityMatrix.from_vector([1e-11, 0.0]).matrix, np.diag([1.0, 0.0]), atol=1e-15)
+    with pytest.raises(ValueError, match="numerically zero"):
+        DensityMatrix.from_vector([1e-13, 0.0])
+
+
 def test_tensor_basics():
     zero = product_zero(1)
     np.testing.assert_array_equal(tensor(zero, zero).matrix, product_zero(2).matrix)
@@ -246,10 +277,19 @@ def test_purity_is_lu_invariant_over_100_frames():
     + [
         (lambda shape=shape: DensityMatrix(np.zeros(shape)), rf"^matrix shape {re.escape(str(shape))} is not 2\^n x 2\^n for any n >= 1$")
         for shape in [(2, 3), (3, 3), (4,), (1, 1)]
+    ]
+    + [
+        (lambda v=v: DensityMatrix.from_vector(v), r"^amplitude vector has non-finite \(NaN or inf\) entries$")
+        for v in ([np.nan, 1.0], [1.0, 0.0, 0.0, complex(0.0, np.inf)])
+    ]
+    + [
+        (lambda kind=kind, x=x: make_state(StateSpec(kind, (x,))), rf"^parameter {name} must be finite, got {x!r}$")
+        for kind, name, x in (("bisep4", "phi", float("inf")), ("bisep4", "phi", float("nan")), ("werner", "p", -float("inf")))
     ],
     ids=[
         "vector_length", "empty_vector", "zero_vector", "unitary_shape", "bool_qubit_count", "bool_parameter",
         "shape_2x3", "shape_3x3", "shape_4", "shape_1x1",
+        "nan_amplitude", "inf_amplitude", "inf_phi", "nan_phi", "negative_inf_p",
     ],
 )
 def test_state_refusals(call, message):
