@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import _block_rows, as_direction_array, random_settings
+from .sampling import RngStream, _block_rows, _check_settings, _settings_blocks, as_direction_array
 from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
@@ -135,24 +135,39 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     at k = 1 the matrix product alone gives the values.  A lone site's
     product is a view of its direction rows, so at k <= 2 the calls see
     the operands of a site-by-site contraction and give its bits.
-
-    A row's temporaries are the two outer products, each with the partial
-    product it grew from and one copied site (under 2 * 3^a and 2 * 3^b
-    floats), and the matrix product's result with its row-major copy
-    (2 * 3^b floats).
     """
+    rows = _contraction_rows(components.ndim)
+    blocks = (directions[start : start + rows] for start in range(0, directions.shape[0], rows))
+    return _contract(components, blocks, directions.shape[0])
+
+
+def _contraction_rows(k: int) -> int:
+    """Rows per block of a k-site contraction.  A row's temporaries are the
+    two outer products, each with the partial product it grew from and one
+    copied site (under 2 * 3^a and 2 * 3^b floats), and the matrix
+    product's result with its row-major copy (2 * 3^b floats).  At k >= 3
+    the row count of a matrix product can move the last bit of its values,
+    so every caller cuts its rows into these blocks."""
+    a = (k + 1) // 2
+    return _block_rows(8 * (2 * 3**a + 4 * 3 ** (k - a)))
+
+
+def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
+    """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
+    ``blocks`` of its directions, each ``_contraction_rows(k)`` rows long
+    but the last."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
-    out = np.empty(directions.shape[0])
-    rows = _block_rows(8 * (2 * 3**a + 4 * 3 ** (k - a)))
-    for start in range(0, directions.shape[0], rows):
-        block = directions[start : start + rows]
+    out = np.empty(count)
+    start = 0
+    for block in blocks:
         # The tensor multiplies from the left, so rows run along the
         # product's columns (along its rows, the BLAS kernel picked for the
         # block's row count can change a row's bits); the row-major copy
         # hands the dot the layout of a site-by-site contraction.
         values = out[start : start + len(block)]
+        start += len(block)
         if k == 1:
             # the product's one row is the values
             np.dot(matrix.T, _outer_product(block), out=values[None])
@@ -285,22 +300,32 @@ def _csv_block(values: np.ndarray, start: int) -> bytes:
     return text.compress(text > 0).tobytes()
 
 
-def sample_distribution(rho: DensityMatrix, subset, m: int, rng) -> SampleSet:
+def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
-    tuples on ``subset``.  Deterministic given the stream."""
+    tuples on ``subset``: ``_subset_values`` of ``random_settings(k, m, rng)``
+    bit for bit.  The settings are drawn and contracted one block at a time,
+    so only the ``m`` values outlive a block."""
     parties = normalize_subset(subset, rho.n_qubits)
-    return SampleSet(_subset_values(rho, parties, random_settings(len(parties), m, rng)))
+    k = len(parties)
+    _check_settings(k, m)
+    blocks = _settings_blocks(rng, k, m, _contraction_rows(k))
+    return SampleSet(_clamped(_contract(_slab(rho.pauli, parties, slice(1, 4)), blocks, m)))
 
 
 def _subset_values(rho: DensityMatrix, parties: tuple, directions: np.ndarray) -> np.ndarray:
     """Clamped correlation values of ``parties`` (sorted) for the rows of
     (M, k, 3) ``directions``, one direction per party in order, contracted
     with the correlation-tensor slab of ``rho.pauli``."""
-    values = correlation_values(_slab(rho.pauli, parties, slice(1, 4)), directions)
-    excess = float(np.max(np.abs(values))) - 1.0
+    return _clamped(correlation_values(_slab(rho.pauli, parties, slice(1, 4)), directions))
+
+
+def _clamped(values: np.ndarray) -> np.ndarray:
+    """``values`` clamped to [-1, 1] in place, after refusing any beyond
+    ``CORRELATION_EXCESS_ATOL``; NaN passes through."""
+    excess = float(max(values.max(), -values.min())) - 1.0
     if excess > CORRELATION_EXCESS_ATOL:
         raise ValueError(f"correlation exceeds 1 by {excess:.3e}")
-    return np.clip(values, -1.0, 1.0)
+    return np.clip(values, -1.0, 1.0, out=values)
 
 
 def histogram_table(values) -> np.ndarray:

@@ -18,12 +18,12 @@ _UINT64_MAX = 2**64 - 1
 DESIGN_VALIDATION_ATOL = 1e-12
 
 #: Bytes of per-block temporaries in every loop over rows of directions or
-#: settings (``uniform_directions``, ``correlation_values``,
+#: settings (``_sphere_points``, ``correlation_values``,
 #: ``simulate_shots``): memory beyond their inputs and outputs does not grow
 #: with the number of rows.
 _BLOCK_BYTES = 4 << 20
 
-#: Most bytes one settings table may take: ``random_settings`` counts 40 a
+#: Most bytes one settings table may take: ``_check_settings`` counts 40 a
 #: direction (its z, azimuth and output), ``simulate_shots`` 24 a direction
 #: for the settings it reads and 1 an outcome for its ShotTable.
 MAX_TABLE_BYTES = 2**31
@@ -95,18 +95,23 @@ def uniform_directions(rng, count: int) -> np.ndarray:
 
     z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which
     is the pushforward of the Haar measure through U sigma_z U^dagger.
-    Both are drawn whole; the x and y columns are written in row blocks,
-    so the temporaries beyond z, the azimuth and the output stay within
-    the block budget.
+    All z are drawn first, then all azimuths, one 64-bit word each.
     """
     gen = _generator(rng)
     z = gen.uniform(-1.0, 1.0, size=count)
-    azimuth = gen.uniform(0.0, 2.0 * np.pi, size=count)
-    out = np.empty((count, 3))
+    return _sphere_points(z, gen.uniform(0.0, 2.0 * np.pi, size=count))
+
+
+def _sphere_points(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """The (x, y, z) rows of the points with heights ``z`` and azimuths
+    ``azimuth``.  The x and y columns are written in row blocks, so the
+    temporaries beyond the inputs and the output stay within the block
+    budget."""
+    out = np.empty((len(z), 3))
     out[:, 2] = z
     # A row's temporaries: z^2, its radial factor and a cosine or sine.
     rows = _block_rows(8 * 3)
-    for start in range(0, count, rows):
+    for start in range(0, len(z), rows):
         block = slice(start, start + rows)
         radial = np.sqrt(np.maximum(0.0, 1.0 - z[block] * z[block]))
         np.multiply(radial, np.cos(azimuth[block]), out=out[block, 0])
@@ -114,16 +119,43 @@ def uniform_directions(rng, count: int) -> np.ndarray:
     return out
 
 
-def random_settings(n: int, m: int, rng) -> np.ndarray:
-    """M uniformly random direction tuples for n parties, shape (M, n, 3).
-    A non-integer M, M < 1 or a draw over ``MAX_TABLE_BYTES`` is refused first."""
+def _check_settings(n: int, m: int) -> None:
+    """Refuse a non-integer M, M < 1 or a table over ``MAX_TABLE_BYTES``
+    at 40 bytes a direction (its z, azimuth and output)."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"samples M must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
     if (size := 40 * m * n) > MAX_TABLE_BYTES:
         raise ValueError(f"settings table of 40*M*n = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+
+
+def random_settings(n: int, m: int, rng) -> np.ndarray:
+    """M uniformly random direction tuples for n parties, shape (M, n, 3).
+    ``_check_settings`` refuses a bad M before any draw."""
+    _check_settings(n, m)
     return uniform_directions(rng, m * n).reshape(m, n, 3)
+
+
+def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
+    """The rows of ``random_settings(n, m, rng)`` bit for bit, as (rows, n, 3)
+    blocks (the last one shorter), drawing one block at a time.
+
+    The z of the whole draw fill Philox words 0 to M*n - 1 and the azimuths
+    the next M*n, so a second generator moved to word M*n draws the
+    azimuths alongside the z.  A live Generator cannot be restarted at
+    word 0 and is refused.
+    """
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    z_gen, azimuth_gen = rng.generator(), rng.generator()
+    # Philox makes four words a counter step.
+    azimuth_gen.bit_generator.advance(m * n // 4)
+    azimuth_gen.bit_generator.random_raw(m * n % 4)
+    for start in range(0, m, rows):
+        count = n * (min(start + rows, m) - start)
+        z = z_gen.uniform(-1.0, 1.0, size=count)
+        yield _sphere_points(z, azimuth_gen.uniform(0.0, 2.0 * np.pi, size=count)).reshape(-1, n, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def trisep4() -> DensityMatrix:
 
 def bisep4(phi: float = 0.2) -> DensityMatrix:
     """Biseparable four-qubit state (|00>+|11>)/sqrt(2) x (sin(phi)|00> + cos(phi)|11>)."""
-    phi = float(phi)
+    phi = _as_float("phi", phi)
     second = np.array([np.sin(phi), 0.0, 0.0, np.cos(phi)], dtype=complex)
     return DensityMatrix.from_vector(np.kron(_phi_plus_vec(), second))
 

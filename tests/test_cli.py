@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 import randmeas.cli
+import randmeas.correlations
 import randmeas.criteria
 import randmeas.moments
 import randmeas.sampling
@@ -395,6 +396,7 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
 def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path, capsys, monkeypatch):
     draws = []
     monkeypatch.setattr(randmeas.sampling, "uniform_directions", lambda *a: draws.append(a))
+    monkeypatch.setattr(randmeas.correlations, "_settings_blocks", lambda *a: draws.append(a))
     out = tmp_path / "o"
     assert run_cli([command, "--state", "ghz:3", "--samples", 10**9, "--output", out]) == 1
     message = "settings table of 40*M*n = 120000000000 bytes exceeds the 2147483648-byte cap"

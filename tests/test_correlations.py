@@ -23,7 +23,7 @@ from randmeas.correlations import (
 )
 from randmeas.ensembles import random_density_matrix
 from randmeas.moments import all_subsets, moments_mc
-from randmeas.sampling import _BLOCK_BYTES, RngStream, haar_unitaries, uniform_directions
+from randmeas.sampling import _BLOCK_BYTES, RngStream, haar_unitaries, random_settings, uniform_directions
 from randmeas.states import (
     IDENTITY_2,
     SIGMA_X,
@@ -286,16 +286,23 @@ def test_single_site_values_are_bit_equal_to_the_ones_block_oracle(monkeypatch):
 
 def test_sample_distribution_memory_is_capped_by_the_block_budget():
     rho = ghz(8)
-    tracemalloc.start()
-    try:
-        sample_distribution(rho, range(1, 9), 10**5, RngStream(26))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The directions (19.2 MB), the direction draw's z and azimuth (6.4 MB
-    # each) and one block of its temporaries stay; a single (M, 3^7)
-    # contraction block would take 1.75 GB.
-    assert peak < 48 * 2**20
+    rho.pauli  # cached on the state, not part of the draw
+    # The values hold 8 bytes a setting.  The rest is one block's contraction
+    # temporaries (the budget), its settings and those of the block before
+    # (k = 2 draws 29,127 rows a block at 48 bytes a row and peaks near 1.3
+    # budgets), never the 40 bytes a direction of a whole draw.  Both sizes
+    # of M span several full blocks, so only the values grow with M.
+    for k, (small, big) in ((2, (10**5, 2 * 10**5)), (8, (10**4, 10**5))):
+        peaks = {}
+        for m in (small, big):
+            tracemalloc.start()
+            try:
+                sample_distribution(rho, range(1, k + 1), m, RngStream(26))
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[big] <= 8 * big + 2 * _BLOCK_BYTES, k
+        assert peaks[big] - peaks[small] <= 8 * (big - small) + 2**16, k
 
 
 def test_correlation_values_memory_is_capped_by_the_block_budget():
@@ -345,6 +352,45 @@ def test_pauli_coefficients_match_moveaxis_oracle_bit_for_bit(n):
 def test_pauli_coefficients_identity_entry_is_trace():
     coeffs = pauli_coefficients(werner(0.3))
     assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+
+
+def _sample_distribution_whole(rho, parties, m, rng):
+    """The route ``sample_distribution`` used to run, kept as an oracle: the
+    whole (M, k, 3) settings table drawn at once, then contracted."""
+    return _subset_values(rho, parties, random_settings(len(parties), m, rng))
+
+
+@pytest.fixture(scope="module")
+def mixed8():
+    return random_density_matrix(8, RngStream(94))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("forced_rows, m", [(None, None), (1, 101), (3, 301), (1_000, 2_001)],
+                         ids=["budget", "rows1", "rows3", "rows1000"])
+def test_sample_distribution_streams_the_whole_table_bit_for_bit(k, forced_rows, m, mixed8, monkeypatch):
+    if forced_rows:
+        monkeypatch.setattr(correlations, "_block_rows", lambda _: forced_rows)
+    else:
+        m = 2 * correlations._contraction_rows(k) + 1  # two full blocks and one row
+    parties = (*range(1, k), 8)
+    streamed = sample_distribution(mixed8, parties, m, RngStream(95, k)).values
+    assert np.array_equal(streamed, _sample_distribution_whole(mixed8, parties, m, RngStream(95, k)))
+
+
+def test_sample_distribution_refuses_a_live_generator():
+    with pytest.raises(TypeError, match="expected RngStream, got <class 'numpy.random._generator.Generator'>"):
+        sample_distribution(ghz(2), (1, 2), 10, np.random.default_rng(0))
+
+
+def test_clamp_refuses_excess_and_passes_nan():
+    values = np.array([0.5, -(1.0 + 5e-10), 1.0 + 5e-10, -0.0])
+    assert correlations._clamped(values) is values
+    assert values.tolist() == [0.5, -1.0, 1.0, -0.0] and np.signbit(values[3])
+    for bad in (-(1.0 + 2e-9), 1.0 + 2e-9):
+        with pytest.raises(ValueError, match="correlation exceeds 1 by 2.000e-09"):
+            correlations._clamped(np.array([0.0, bad]))
+    assert np.isnan(correlations._clamped(np.array([2.0, np.nan]))[1])
 
 
 def test_sample_distribution_is_deterministic_and_validated():

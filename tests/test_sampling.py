@@ -166,6 +166,16 @@ def test_uniform_directions_match_stacked_oracle(count, forced_rows, monkeypatch
     assert np.array_equal(dirs, _uniform_directions_stacked(RngStream(29, count), count))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_settings_blocks_concatenate_to_random_settings(n):
+    # odd M, so M * n covers every offset of the azimuth stream in a
+    # four-word Philox step
+    for m, rows in ((1, 1), (1, 5), (7, 3), (1_001, 1), (1_001, 1_000), (1_001, 1_001)):
+        blocks = list(sampling._settings_blocks(RngStream(31, n), n, m, rows))
+        assert [len(block) for block in blocks] == [min(rows, m - start) for start in range(0, m, rows)]
+        assert np.array_equal(np.concatenate(blocks), random_settings(n, m, RngStream(31, n)))
+
+
 def test_uniform_directions_memory_is_capped_by_the_block_budget():
     count = 800_000
     tracemalloc.start()

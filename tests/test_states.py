@@ -285,11 +285,13 @@ def test_purity_is_lu_invariant_over_100_frames():
     + [
         (lambda kind=kind, x=x: make_state(StateSpec(kind, (x,))), rf"^parameter {name} must be finite, got {x!r}$")
         for kind, name, x in (("bisep4", "phi", float("inf")), ("bisep4", "phi", float("nan")), ("werner", "p", -float("inf")))
-    ],
+    ]
+    # refused by name before np.sin could warn (RuntimeWarnings are errors here)
+    + [(lambda x=x: bisep4(x), rf"^parameter phi must be finite, got {x!r}$") for x in (float("inf"), float("nan"))],
     ids=[
         "vector_length", "empty_vector", "zero_vector", "unitary_shape", "bool_qubit_count", "bool_parameter",
         "shape_2x3", "shape_3x3", "shape_4", "shape_1x1",
-        "nan_amplitude", "inf_amplitude", "inf_phi", "nan_phi", "negative_inf_p",
+        "nan_amplitude", "inf_amplitude", "inf_phi", "nan_phi", "negative_inf_p", "direct_inf_phi", "direct_nan_phi",
     ],
 )
 def test_state_refusals(call, message):
