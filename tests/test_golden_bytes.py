@@ -192,6 +192,20 @@ GOLDEN = {
             "moments.json": "599bc6450534603a6e95e2f244073b70f4be2f16bc0a13ea9e5eb1c2e8f3f36d",
         },
     ),
+    # A mixed state, whose shots come from the Pauli coefficients, and a W
+    # state, whose amplitude pattern no GHZ golden has.
+    "shots_werner_all": (
+        "moments --state werner:0.6 --subset all --orders 2,4 --samples 4000 --shots 10 --seed 5",
+        {
+            "moments.json": "93dd6b4a3c645b08914ec2e8361dcb5f083c184d11f44ad4716b80217dcbdd20",
+        },
+    ),
+    "shots_w6_all": (
+        "moments --state w:6 --subset all --orders 2,4 --samples 2000 --shots 10 --seed 6",
+        {
+            "moments.json": "8ea3043a1b08f5674282da613e9a14728028020fecbabe09a6d2c524aabc83e7",
+        },
+    ),
     "bisep3_w3": (
         "criteria --state w:3 --test bisep3",
         {
