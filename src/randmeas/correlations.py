@@ -174,6 +174,7 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
         else:
             vals = np.tensordot(matrix, _outer_product(block[:, :a]), axes=(0, 0))
             np.einsum("mi,mi->m", vals.T.copy(), _outer_product(block[:, a:]).T, out=values)
+        block = vals = None  # freed before a streamed source draws the next block
     return out
 
 

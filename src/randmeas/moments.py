@@ -274,10 +274,6 @@ class ShotTable:
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
-    def n_settings(self) -> int:
-        return self.outcomes.shape[0]
-
-    @property
     def shots_per_setting(self) -> int:
         return self.outcomes.shape[1]
 
@@ -292,12 +288,14 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
 
     Sampling the joint distribution (rather than the product variable)
     keeps marginal-subset statistics extractable from the same table.
-    Settings are processed in blocks of rows, each block drawing its own
-    uniforms; consecutive draws equal one (M, K) draw.  One setting holds
-    at once the two widest Born intermediates (2 + 1 times 4^(n-1)
-    floats), its probability and cumulative rows, and the search's draw,
-    position, probe and bit arrays over K shots.  Only the M*K*n-byte
-    outcome table grows with M.
+    They come from the amplitudes of a state built by ``from_vector``, else
+    from ``rho.pauli``.  Settings are processed in blocks of rows, each
+    block drawing its own uniforms; consecutive draws equal one (M, K)
+    draw.  One setting holds at once its widest Born intermediates (2 + 2
+    + 1 times 2^n floats from amplitudes, 2 + 1 times 4^(n-1) from the
+    Pauli coefficients), its probability and cumulative rows, and the
+    search's draw, position, probe and bit arrays over K shots.  Only the
+    M*K*n-byte outcome table grows with M.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
@@ -312,15 +310,18 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
         raise ValueError(f"settings must satisfy M >= 1, got M={m}")
     _check_shot_table(m, k, n)
     _check_unit_norm(settings)
-    coeffs = rho.pauli.reshape(1, 1, 4, -1)
+    if rho._vector is None:
+        source, born, width = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative, 3 * 4 ** (n - 1)
+    else:
+        source, born, width = rho._vector, _amplitude_cumulative, 5 * 2**n
 
     gen = _generator(rng)
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
-    rows = _block_rows(8 * (3 * 4 ** (n - 1) + 3 * 2**n + 5 * k))
+    rows = _block_rows(8 * (width + 3 * 2**n + 5 * k))
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        cumulative = _born_cumulative(coeffs, settings[block])
+        cumulative = born(source, settings[block])
         draws = gen.random((len(cumulative), k))
         # The drawn sign tuple's index is the count of cumulative entries <=
         # draw.  A binary search finds it one bit per step (bit j is party j's
@@ -356,7 +357,39 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
     probs = probs.reshape(b, 2**n) / 2**n
     if float(probs.min()) < -1e-9:
         raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
-    probs = np.clip(probs, 0.0, None)
+    return _cumulative(np.clip(probs, 0.0, None))
+
+
+def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """``_born_cumulative`` of the pure state with amplitudes ``psi``, read
+    off the vector in O(n 2^n) a setting.
+
+    Site j's amplitude axis meets the rows <u+| = (c, conj(e)) and
+    <u-| = (-e, c) of its direction u, with c = sqrt((1 + z)/2) and
+    e = (x + iy)/(2c), or e = 1 where c = 0; then p(s) = |amplitude|^2.
+    The settings run along the last, contiguous axis of every elementwise
+    update.
+    """
+    b, n, _ = settings.shape
+    x, y, z = np.ascontiguousarray(settings.transpose(2, 1, 0))
+    c = np.sqrt((1.0 + z) / 2.0)
+    e = np.divide(x + 1j * y, 2.0 * c, out=np.ones((n, b), complex), where=c > 0.0)
+    amps = psi.reshape(-1, 1)
+    for j in range(n):
+        # (2^j, 2, 2^(n-1-j), b): the signs of parties 1..j, then party j+1's
+        # basis axis, which becomes its sign axis
+        pairs = amps.reshape(2**j, 2, 2 ** (n - 1 - j), -1)
+        amps = np.empty((2**j, 2, 2 ** (n - 1 - j), b), complex)
+        np.multiply(pairs[:, 0], c[j], out=amps[:, 0])
+        amps[:, 0] += e[j].conj() * pairs[:, 1]
+        np.multiply(pairs[:, 1], c[j], out=amps[:, 1])
+        amps[:, 1] -= e[j] * pairs[:, 0]
+    probs = amps.real**2 + amps.imag**2
+    return _cumulative(probs.reshape(2**n, b).T.copy())
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """The (b, 2^n) Born ``probs``, normalized in place, as cumulative rows ending at 1."""
     probs /= probs.sum(axis=1, keepdims=True)
     cumulative = np.cumsum(probs, axis=1)
     cumulative[:, -1] = 1.0

@@ -35,11 +35,13 @@ class DensityMatrix:
     construction: the matrix must be Hermitian and unit-trace within 1e-10
     and positive semidefinite up to an eigenvalue floor of -1e-10.
     Instances are immutable (the stored array is marked read-only), so
-    they are safe to share across workers.
+    they are safe to share across workers.  ``from_vector`` also keeps the
+    read-only normalized amplitudes as ``_vector``; other states hold None.
     """
 
     matrix: np.ndarray
     n_qubits: int = field(init=False)
+    _vector: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         shape = np.shape(self.matrix)
@@ -99,7 +101,10 @@ class DensityMatrix:
         if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
             raise ValueError("amplitude vector is numerically zero")
         psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
+        rho = cls(np.outer(psi, psi.conj()))
+        psi.setflags(write=False)
+        object.__setattr__(rho, "_vector", psi)
+        return rho
 
 
 # ---------------------------------------------------------------------------

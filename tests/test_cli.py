@@ -463,22 +463,24 @@ def _count_pauli_passes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args, checks",
+    "args, checks, passes",
     [
-        ("moments --state w:6 --subset all --orders 2,4 --design 5", 0),
-        ("moments --state ghz:4 --subset all --orders 2,4 --design 5", 15),
-        ("moments --state ghz:4 --subset all --orders 2,4 --samples 2000 --seed 3", 30),
-        ("moments --state ghz:4 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3", 0),
-        ("criteria --state ghz:3 --test bisep3", None),
-        ("criteria --state ghz:4 --test gme4 --structure", None),
+        ("moments --state w:6 --subset all --orders 2,4 --design 5", 0, 1),
+        ("moments --state ghz:4 --subset all --orders 2,4 --design 5", 15, 1),
+        ("moments --state ghz:4 --subset all --orders 2,4 --samples 2000 --seed 3", 30, 1),
+        # a pure state's shots are drawn from its amplitude vector
+        ("moments --state ghz:4 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3", 0, 0),
+        ("moments --state werner:0.6 --subset all --orders 2,4 --samples 50 --shots 20 --seed 3", 0, 1),
+        ("criteria --state ghz:3 --test bisep3", None, 1),
+        ("criteria --state ghz:4 --test gme4 --structure", None, 1),
     ],
-    ids=["design_w6", "design_checks_ghz4", "monte_carlo_ghz4", "shots_ghz4", "bisep3", "structure"],
+    ids=["design_w6", "design_checks_ghz4", "monte_carlo_ghz4", "shots_ghz4", "shots_werner", "bisep3", "structure"],
 )
-def test_one_pauli_pass_per_request(args, checks, tmp_path, monkeypatch):
+def test_one_pauli_pass_per_request(args, checks, passes, tmp_path, monkeypatch):
     calls = _count_pauli_passes(monkeypatch)
     out = tmp_path / "o"
     assert run_cli([*args.split(), "--output", out]) == 0
-    assert len(calls) == 1
+    assert len(calls) == passes
     if checks is not None:
         assert len(read_json(out / "moments.json")["cross_checks"]) == checks
 

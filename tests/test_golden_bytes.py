@@ -177,9 +177,11 @@ GOLDEN = {
             "moments.json": "17f9310428f3ed420fa48f043afe2ae3adf455911fcf7d15f257082702e22c8d",
         },
     ),
-    # Shot tables that span several of simulate_shots' blocks (about 8 at
-    # n = 3 and K = 50, 4 at n = 8), so each block's draws must continue
-    # the one seeded stream.
+    # Shot tables that span several of simulate_shots' blocks (8 at n = 3
+    # and K = 50), so each block's draws must continue the one seeded
+    # stream.  The n = 8 table spanned 4 blocks of the Pauli route; it fits
+    # in one of the amplitude route, whose settings take 23 times fewer
+    # bytes.
     "shots_w3_all_blocks": (
         "moments --state w:3 --subset all --orders 2,4 --samples 12000 --shots 50 --seed 11",
         {

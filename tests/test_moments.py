@@ -50,9 +50,12 @@ from randmeas.sampling import (
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
+    bisep4,
+    cluster_linear,
     ghz,
     product_zero,
     purity_direct,
+    trisep4,
     w_state,
     werner,
 )
@@ -659,7 +662,7 @@ def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -
         table[kp] = e_t / comb(k_shots, t)
     per_setting = table[plus_counts]
     value = float(per_setting.mean())
-    m = shots.n_settings
+    m = shots.outcomes.shape[0]
     std_error = float(per_setting.std(ddof=1) / np.sqrt(m)) if m >= 2 else None
     return MomentEstimate(subset, t, value, std_error, "finite_shot", m, k_shots)
 
@@ -777,14 +780,63 @@ def test_simulate_shots_matches_oracle(n, monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 50), (7, 20), (8, 7), (8, 50)])
 def test_simulate_shots_matches_oracle_over_budget_blocks(n, k, monkeypatch):
+    # Each state spans two and a half blocks of its own route.  The mixed
+    # state's Pauli route meets the einsum oracle.  The pure states' blocks
+    # are 6 to 23 times longer, too long for the einsum oracle, so their
+    # amplitude route meets the Pauli route of the same matrix, which holds
+    # no vector and which the einsum oracle checks here and in
+    # test_simulate_shots_matches_oracle.
     answers = _record_block_rows(monkeypatch, moments)
-    simulate_shots(product_zero(n), random_settings(n, 1, RngStream(73)), k, RngStream(74))
-    rows = answers[0]
-    m = 2 * rows + rows // 2
-    settings = random_settings(n, m, RngStream(73, n))
     for rho in _oracle_states(n):
+        simulate_shots(rho, random_settings(n, 1, RngStream(73)), k, RngStream(74))
+        rows = answers[-1]
+        settings = random_settings(n, 2 * rows + rows // 2, RngStream(73, n))
         fast = simulate_shots(rho, settings, k, RngStream(74, k)).outcomes
-        assert np.array_equal(fast, _oracle_outcomes(rho, settings, k, RngStream(74, k)))
+        if rho._vector is None:
+            assert np.array_equal(fast, _oracle_outcomes(rho, settings, k, RngStream(74, k)))
+        else:
+            pauli = simulate_shots(DensityMatrix(rho.matrix), settings, k, RngStream(74, k)).outcomes
+            assert np.array_equal(fast, pauli)
+
+
+def _pure_states(n):
+    """The named pure states on n qubits and two seeded random complex ones."""
+    gen = np.random.default_rng(n)
+    named = {1: [product_zero(1)], 2: [bell_psi_minus()], 4: [cluster_linear(), trisep4(), bisep4()]}
+    return [
+        *named.get(n, []),
+        *([product_zero(n), ghz(n), w_state(n)] if n >= 2 else []),
+        *(DensityMatrix.from_vector(gen.normal(size=2**n) + 1j * gen.normal(size=2**n)) for _ in range(2)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_amplitude_route_matches_the_pauli_route(n):
+    settings = random_settings(n, 50, RngStream(83, n))
+    # the poles, where c = 0 or e carries no phase, on every site and alternating
+    settings[:3] = 0.0
+    settings[0, :, 2], settings[1, :, 2] = -1.0, 1.0
+    settings[2, :, 2] = np.where(np.arange(n) % 2, 1.0, -1.0)
+    for rho in _pure_states(n):
+        amplitude = moments._amplitude_cumulative(rho._vector, settings)
+        pauli = moments._born_cumulative(rho.pauli.reshape(1, 1, 4, -1), settings)
+        deviation = np.abs(np.diff(amplitude, prepend=0.0) - np.diff(pauli, prepend=0.0))
+        assert deviation.max() <= 1e-14
+
+
+def test_only_states_built_from_a_vector_take_the_amplitude_route(monkeypatch):
+    pure = ghz(3)
+    assert not pure._vector.flags.writeable
+    assert np.array_equal(np.outer(pure._vector, pure._vector.conj()), pure.matrix)
+    mixed = [random_density_matrix(3, RngStream(84)), werner(0.6), DensityMatrix(pure.matrix)]
+    assert all(rho._vector is None for rho in mixed)
+    routes = []
+    for name in ("_born_cumulative", "_amplitude_cumulative"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, name=name, real=real: routes.append(name) or real(*args))
+    for rho in [pure, *mixed]:
+        simulate_shots(rho, random_settings(rho.n_qubits, 5, RngStream(85)), 3, RngStream(86))
+    assert routes == ["_amplitude_cumulative"] + 3 * ["_born_cumulative"]
 
 
 def test_simulate_shots_at_eight_qubits():
@@ -796,11 +848,15 @@ def test_simulate_shots_at_eight_qubits():
     assert abs(est.value - exact) < 5 * est.std_error
 
 
-def test_simulate_shots_memory_is_capped_by_the_block_budget():
+def test_simulate_shots_memory_is_capped_by_the_block_budget(monkeypatch):
     n, k = 8, 50
     rho = ghz(n)
+    answers = _record_block_rows(monkeypatch, moments)
+    simulate_shots(rho, random_settings(n, 1, RngStream(77)), k, RngStream(78))
+    # both runs span several blocks
+    small, big = 3 * answers[0], 10 * answers[0]
     peaks = {}
-    for m in (200, 2000):
+    for m in (small, big):
         settings = random_settings(n, m, RngStream(77))
         tracemalloc.start()
         try:
@@ -810,7 +866,7 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget():
             tracemalloc.stop()
     # Only the outcome table (n bytes per shot) grows with M; each block
     # draws its own uniforms.
-    assert peaks[2000] - peaks[200] <= (2000 - 200) * k * n + 64 * 1024
+    assert peaks[big] - peaks[small] <= (big - small) * k * n + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
