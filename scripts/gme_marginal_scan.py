@@ -14,7 +14,7 @@ from randmeas import (
     bisep4,
     cluster_linear,
     ghz,
-    purity_direct,
+    marginal_purity,
     structure_report_from_state,
     trisep4,
 )
@@ -42,7 +42,7 @@ def main():
             f"{name:<12} {report.full.statistic:>10.6f} {report.full.threshold:>10.6f} "
             f"{'yes' if report.full.detected else 'no':>5}  {flagged or '-'}"
         )
-        assert abs(purity_direct(rho) - 1.0) < 1e-9  # demo states are pure
+        assert abs(marginal_purity(rho, range(1, 5)) - 1.0) < 1e-9  # demo states are pure
 
     if args.json_path:
         payload = {name: report.to_dict() for name, report in reports.items()}

@@ -14,9 +14,8 @@ from randmeas import (
     DensityMatrix,
     RngStream,
     bisep_line_3_r4,
-    correlation_tensor,
     design_points,
-    moment_exact_t2,
+    exact_moment_map,
     moments_design,
 )
 from randmeas.ensembles import (
@@ -49,7 +48,7 @@ def main():
         for label, draw in ensembles.items():
             for _ in range(args.per_ensemble):
                 rho = draw()
-                r2 = moment_exact_t2(correlation_tensor(rho, FULL)).value
+                r2 = exact_moment_map(rho, [FULL])[FULL].value
                 (r4,) = moments_design(rho, [FULL], [4], design)
                 fh.write(f"{label},{r2:.17g},{r4.value:.17g},{bisep_line_3_r4(r2):.17g}\n")
     print(f"wrote {3 * args.per_ensemble} states -> {path}")

@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .correlations import (
     CorrelationDensity,
-    CorrelationTensor,
     SampleSet,
     analytic_pdf,
     correlation,
     correlation_length,
-    correlation_tensor,
     marginal_purity,
     sample_distribution,
 )
@@ -26,7 +24,6 @@ from .criteria import (
     bisep_line_3_r4,
     entanglement_by_length,
     gme_test_4,
-    m_quantifier,
     structure_report_from_state,
     w_class_chi,
     w_class_witness,
@@ -36,7 +33,6 @@ from .moments import (
     ShotTable,
     bootstrap_error,
     exact_moment_map,
-    moment_exact_t2,
     moments_design,
     moments_from_shots,
     moments_mc,
@@ -55,15 +51,12 @@ from .sampling import (
 from .states import (
     DensityMatrix,
     StateSpec,
-    apply_local_unitaries,
     bell_psi_minus,
     bisep4,
     cluster_linear,
     ghz,
     make_state,
     product_zero,
-    purity_direct,
-    tensor,
     trisep4,
     w_state,
     werner,

@@ -4,7 +4,9 @@ Subcommands: ``sample`` (correlation distributions), ``moments``
 (moment estimates with automatic oracle cross-checks), ``criteria``
 (entanglement verdicts), ``design`` (direction sets).  Outputs are
 plot-ready CSV tables plus a JSON file embedding the full run
-configuration; identical command lines produce byte-identical files.
+configuration.  Identical command lines produce byte-identical files with
+one numpy and BLAS build at one BLAS thread count; a known defect lets
+``sample`` and Monte Carlo values at k >= 3 differ between thread counts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .correlations import (
     HISTOGRAM_BINS,
     analytic_pdf,
     correlation_length,
-    correlation_tensor,
     histogram_table,
     marginal_purity,
     normalize_subset,
@@ -45,7 +46,6 @@ from .moments import (
     all_subsets,
     bootstrap_error,
     exact_moment_map,
-    moment_exact_t2,
     moments_design,
     moments_from_shots,
     moments_mc,
@@ -301,12 +301,9 @@ def cmd_moments(config: RunConfig) -> int:
         estimates = moments_from_shots(table, subsets, config.orders)
     elif config.design:
         estimates = moments_design(rho, subsets, config.orders, design_points(config.design))
-        if do_checks:
-            checks = [
-                _cross_check(e, moment_exact_t2(correlation_tensor(rho, e.subset)).value)
-                for e in estimates
-                if e.order == 2
-            ]
+        if do_checks and 2 in config.orders:
+            exact = exact_moment_map(rho, subsets)
+            checks = [_cross_check(e, exact[e.subset].value) for e in estimates if e.order == 2]
     else:
         estimates = moments_mc(rho, subsets, config.orders, config.samples, RngStream(config.seed, STREAM_SAMPLES))
         if do_checks:
@@ -338,14 +335,13 @@ def cmd_criteria(config: RunConfig) -> int:
     full = tuple(range(1, n + 1))
     verdicts = []
     if config.test == "gme4":
-        verdicts.append(gme_test_4(exact_moment_map(rho), marginal_purity(rho, full)))
+        verdicts.append(gme_test_4(exact_moment_map(rho, all_subsets(n)), marginal_purity(rho, full)))
     elif config.test == "wclass":
-        r2 = moment_exact_t2(correlation_tensor(rho, full))
-        verdicts.append(w_class_witness(r2, n))
+        verdicts.append(w_class_witness(exact_moment_map(rho, [full])[full], n))
     elif config.test == "bisep3":
         if n != 3:
             raise ValueError(f"bisep3 applies to 3-qubit states, got n={n}")
-        r2 = moment_exact_t2(correlation_tensor(rho, full))
+        r2 = exact_moment_map(rho, [full])[full]
         (r4,) = moments_design(rho, [full], [4], design_points(5))
         verdicts.append(bisep_line_3(r2, r4))
     elif config.test == "length":

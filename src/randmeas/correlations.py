@@ -54,6 +54,8 @@ def normalize_subset(subset, n: int) -> tuple:
     return parties
 
 
+# CorrelationTensor and correlation_tensor stay only for the benchmark's
+# oracles (perfbench/oracles.py); the package reads slabs in place.
 @dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """Correlation values along all Pauli axis combinations of a subset.
@@ -80,6 +82,16 @@ class CorrelationTensor:
         object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
 
 
+def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> CorrelationTensor:
+    """Correlation tensor of ``subset``: ``rho.pauli`` padded by identity on
+    the unmeasured parties.  ``coefficients`` replaces ``rho.pauli`` only for
+    callers holding their own tensor, such as the benchmark's oracles."""
+    parties = normalize_subset(subset, rho.n_qubits)
+    if coefficients is None:
+        coefficients = rho.pauli
+    return CorrelationTensor(parties, _slab(coefficients, parties, slice(1, 4)).copy())
+
+
 def correlation(rho: DensityMatrix, dirs) -> float:
     """E = tr(rho O) with sigma_u on every party keyed in ``dirs`` and
     identity elsewhere.  ``dirs`` maps 1-based party index to a direction:
@@ -99,16 +111,6 @@ def _slab(coefficients: np.ndarray, parties: tuple, axes: slice) -> np.ndarray:
     return coefficients[
         tuple(axes if party in parties else 0 for party in range(1, coefficients.ndim + 1))
     ]
-
-
-def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> CorrelationTensor:
-    """Correlation tensor of ``subset``: ``rho.pauli`` padded by identity on
-    the unmeasured parties.  ``coefficients`` replaces ``rho.pauli`` only for
-    callers holding their own tensor, such as the benchmark's oracles."""
-    parties = normalize_subset(subset, rho.n_qubits)
-    if coefficients is None:
-        coefficients = rho.pauli
-    return CorrelationTensor(parties, _slab(coefficients, parties, slice(1, 4)).copy())
 
 
 def correlation_length(rho: DensityMatrix, subset) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import sqrt
+from numbers import Integral
 
 from .correlations import marginal_purity
 from .moments import MomentEstimate, _entry_stats, _normalize_moments, all_subsets, exact_moment_map
@@ -67,20 +68,11 @@ class Verdict:
         }
 
 
-def m_quantifier(moments, full_subset) -> float:
-    """m_S minus half the sum of m_A * m_{S\\A} over proper non-empty A.
-
-    For a pure state that is a product across some bipartition, the pair
-    of terms from that bipartition exactly cancels the full moment.
-    """
-    full = tuple(sorted(int(p) for p in full_subset))
-    value, _, _ = _m_quantifier_stats(_normalize_moments(moments), full)
-    return value
-
-
 def _m_quantifier_stats(normalized, full):
-    """Value, variance and provenance of the m quantifier of the sorted tuple ``full``,
-    reading only its subsets.  The variance treats subset estimates as
+    """Value, variance and provenance of the m quantifier m_S - (1/2) sum of
+    m_A m_{S\\A} over proper non-empty A, S the sorted tuple ``full``; a pure
+    product across some bipartition cancels m_S with that pair's terms.
+    It reads only the subsets of S.  The variance treats subset estimates as
     independent; moments read off one settings or shot table, as every
     Monte Carlo and ``--shots`` request reads them, are correlated."""
     proper = [sub for size in range(1, len(full)) for sub in combinations(full, size)]
@@ -152,13 +144,28 @@ def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
     n = rho.n_qubits
     if n < 2:
         raise ValueError(f"a structure report needs at least 2 parties, got {n}")
-    normalized = _normalize_moments(exact_moment_map(rho))
+    moments = exact_moment_map(rho, all_subsets(n))
     verdicts = {
-        s: _marginal_bound_verdict(normalized, s, marginal_purity(rho, s), f"marginal_bound_k{len(s)}")
+        s: _marginal_bound_verdict(moments, s, marginal_purity(rho, s), f"marginal_bound_k{len(s)}")
         for s in all_subsets(n, min_size=2)
     }
     full = tuple(range(1, n + 1))
     return StructureReport(full, verdicts.pop(full), verdicts)
+
+
+def _moment_stats(entry, name: str, t: int, n: int | None = None) -> tuple:
+    """``_entry_stats`` of the order-t moment a criterion reads as ``name``:
+    a plain number, or a ``MomentEstimate`` of order t and, given ``n``, of
+    n parties.  Given ``n``, the value must lie in [0, 1]."""
+    if isinstance(entry, MomentEstimate):
+        if entry.order != t:
+            raise ValueError(f"{name} needs a {'second' if t == 2 else 'fourth'} moment, got t={entry.order}")
+        if n is not None and len(entry.subset) != n:
+            raise ValueError(f"{name} needs the moment of {n} parties, got subset {entry.subset}")
+    stats = _entry_stats(entry)
+    if n is not None and not -1e-9 <= stats[0] <= 1.0 + 1e-9:
+        raise ValueError(f"{name} must lie in [0, 1], got {stats[0]!r}")
+    return stats
 
 
 def bisep_line_3_r4(r2: float) -> float:
@@ -172,11 +179,8 @@ def bisep_line_3(r2, r4) -> Verdict:
     Biseparable states satisfy r4 >= bisep_line_3_r4(r2); a fourth moment
     below that line certifies genuine tripartite entanglement.
     """
-    r2_val, r2_err, r2_method = _entry_stats(r2)
-    r4_val, r4_err, r4_method = _entry_stats(r4)
-    for name, val in (("r2", r2_val), ("r4", r4_val)):
-        if not -1e-9 <= val <= 1.0 + 1e-9:
-            raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+    r2_val, r2_err, r2_method = _moment_stats(r2, "r2", 2, 3)
+    r4_val, r4_err, r4_method = _moment_stats(r4, "r4", 4, 3)
     rhs = bisep_line_3_r4(r2_val)
     statistic = rhs - r4_val
     variance = 0.0
@@ -195,6 +199,8 @@ def bisep_line_3(r2, r4) -> Verdict:
 
 def w_class_chi(n: int) -> float:
     """Upper bound (5 - 4/n)/3^n on the second moment over the mixed W class."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"W class requires an integer qubit count n, got n={n!r}")
     if n < 3:
         raise ValueError(f"W class requires n >= 3 qubits, got n={n}")
     return (5.0 - 4.0 / n) / 3.0**n
@@ -203,9 +209,7 @@ def w_class_chi(n: int) -> float:
 def w_class_witness(r2, n: int) -> Verdict:
     """Exclusion from the mixed W class: r2 above chi(n) rules it out."""
     chi = w_class_chi(n)
-    r2_val, r2_err, r2_method = _entry_stats(r2)
-    if not -1e-9 <= r2_val <= 1.0 + 1e-9:
-        raise ValueError(f"r2 must lie in [0, 1], got {r2_val!r}")
+    r2_val, r2_err, r2_method = _moment_stats(r2, "r2", 2, n)
     return Verdict(
         "w_class_exclusion", r2_val, chi, r2_err, (r2_method,),
         f"n={n}; excluded from the convex hull of the W class when detected",
@@ -216,10 +220,8 @@ def entanglement_by_length(length, n: int | None = None) -> Verdict:
     """Correlation length above the product-state value 1 signals
     entanglement (not necessarily genuine multipartite).  A ``MomentEstimate``
     is read as its subset's R2, whose length is 3^|subset| R2."""
-    value, err, method = _entry_stats(length)
+    value, err, method = _moment_stats(length, "a correlation length", 2)
     if isinstance(length, MomentEstimate):
-        if length.order != 2:
-            raise ValueError(f"a correlation length needs a second moment, got t={length.order}")
         scale = 3.0 ** len(length.subset)
         value, err = scale * value, None if err is None else scale * err
     if value < 0.0:

@@ -8,12 +8,13 @@ convex mixtures of locally rotated W states.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
 from .sampling import _generator, haar_unitaries
-from .states import DensityMatrix, _conjugate_locally, w_state
+from .states import DensityMatrix, w_state
 
 MAX_W_COMPONENTS = 4
 
@@ -23,15 +24,6 @@ def random_pure_vector(dim: int, rng) -> np.ndarray:
     gen = _generator(rng)
     vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     return vec / np.linalg.norm(vec)
-
-
-def random_density_matrix(n_qubits: int, rng) -> DensityMatrix:
-    """Generic full-rank mixed state from a square Ginibre matrix."""
-    gen = _generator(rng)
-    dim = 2**n_qubits
-    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
 
 
 def permute_vector_qubits(vec: np.ndarray, order) -> np.ndarray:
@@ -82,5 +74,6 @@ def random_w_class_mixture(n_qubits: int, rng) -> DensityMatrix:
     dim = 2**n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     for weight in weights:
-        mat += weight * _conjugate_locally(base, haar_unitaries(gen, n_qubits))
+        local = reduce(np.kron, haar_unitaries(gen, n_qubits))
+        mat += weight * (local @ base @ local.conj().T)
     return DensityMatrix(mat)

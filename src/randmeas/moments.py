@@ -2,12 +2,13 @@
 
 Four routes to the t-th moment of the distribution of E over random
 directions: Monte Carlo over sampled correlations (``moments_mc``),
-exact contraction of the correlation tensor (t = 2, ``moment_exact_t2``),
-exact summation over spherical-design direction tuples
-(``moments_design``), and unbiased estimation from finite measurement
-shots (``moments_from_shots``).  The Monte Carlo, design and shot calls
-each take their source, a list of party subsets and a list of orders,
-and return one ``MomentEstimate`` per (subset, order), subset-major.
+exact sums of squared correlation-tensor components (t = 2,
+``exact_moment_map``), exact summation over spherical-design direction
+tuples (``moments_design``), and unbiased estimation from finite
+measurement shots (``moments_from_shots``).  The Monte Carlo, design and
+shot calls each take their source, a list of party subsets and a list of
+orders, and return one ``MomentEstimate`` per (subset, order),
+subset-major.
 Second moments over all party subsets combine into the purity.
 
 Every power E^t is the IEEE product chain ((E * E) * E) * ... of
@@ -166,6 +167,7 @@ def bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
     return replace(estimate, std_error=estimate.std_error * sqrt((m - 1) / m))
 
 
+# Kept only for the benchmark's oracles (perfbench/oracles.py); see exact_moment_map.
 def moment_exact_t2(tensor) -> MomentEstimate:
     """Second moment from the correlation tensor: 3^(-k) * sum of squares."""
     k = len(tensor.subset)
@@ -450,12 +452,11 @@ def all_subsets(n: int, min_size: int = 1) -> list:
     ]
 
 
-def exact_moment_map(rho: DensityMatrix) -> dict:
-    """Exact second moments 3^-k correlation_length for every non-empty party subset."""
-    return {
-        s: MomentEstimate(s, 2, correlation_length(rho, s) / 3.0 ** len(s), None, "exact_tensor")
-        for s in all_subsets(rho.n_qubits)
-    }
+def exact_moment_map(rho: DensityMatrix, subsets) -> dict:
+    """Exact second moments 3^-k correlation_length of each party subset,
+    keyed by its sorted party tuple, in the order given."""
+    subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
+    return {s: MomentEstimate(s, 2, correlation_length(rho, s) / 3.0 ** len(s), None, "exact_tensor") for s in subsets}
 
 
 def purity_from_moments(moments) -> float:

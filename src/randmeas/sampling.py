@@ -208,9 +208,6 @@ class SphericalDesign:
     def as_array(self) -> np.ndarray:
         return self.points
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 _SUPPORTED_DESIGN_DEGREES = (3, 5)
 

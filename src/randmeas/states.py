@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +24,6 @@ MAX_QUBITS = 8
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-UNITARITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,42 +249,6 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         for name, v in zip(row.params, spec.params)
     ]
     return row.build(*args)
-
-
-# ---------------------------------------------------------------------------
-# Algebra
-# ---------------------------------------------------------------------------
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Tensor product a (x) b; a's qubits come first."""
-    return DensityMatrix(np.kron(a.matrix, b.matrix))
-
-
-def purity_direct(rho: DensityMatrix) -> float:
-    """tr(rho^2), computed directly from the matrix."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
-
-
-def apply_local_unitaries(rho: DensityMatrix, unitaries) -> DensityMatrix:
-    """Conjugate ``rho`` by U_1 (x) ... (x) U_n, one 2x2 unitary per qubit."""
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
-    if len(us) != rho.n_qubits:
-        raise ValueError(
-            f"expected {rho.n_qubits} unitaries (one per qubit), got {len(us)}"
-        )
-    for j, u in enumerate(us, start=1):
-        if u.shape != (2, 2):
-            raise ValueError(f"unitary {j} has shape {u.shape}, expected (2, 2)")
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-        if dev > UNITARITY_ATOL:
-            raise ValueError(f"unitary {j} deviates from unitarity by {dev:.3e}")
-    return DensityMatrix(_conjugate_locally(rho.matrix, us))
-
-
-def _conjugate_locally(matrix: np.ndarray, unitaries) -> np.ndarray:
-    """(U_1 (x) ... (x) U_n) matrix (U_1 (x) ... (x) U_n)^dagger, unchecked."""
-    full = reduce(np.kron, unitaries)
-    return full @ matrix @ full.conj().T
 
 
 def _check_qubit_count(name: str, n, minimum: int) -> None:

@@ -1,11 +1,17 @@
 """Matrix-route references that the package itself no longer needs.
 
-``partial_trace`` is the oracle for ``correlations.marginal_purity``,
-which reads marginal purities off the Pauli tensor instead.
+``partial_trace`` and ``purity_direct`` are the oracles for
+``correlations.marginal_purity``, which reads marginal purities off the
+Pauli tensor instead.  ``random_density_matrix``, ``tensor`` and
+``apply_local_unitaries`` build the generic, product and locally rotated
+states the tests check invariants on.
 """
+
+from functools import reduce
 
 import numpy as np
 
+from randmeas.sampling import _generator
 from randmeas.states import DensityMatrix
 
 
@@ -31,3 +37,28 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         remaining -= 1
     dim = 2 ** len(keep_t)
     return DensityMatrix(tensor_form.reshape(dim, dim))
+
+
+def purity_direct(rho: DensityMatrix) -> float:
+    """tr(rho^2), computed directly from the matrix."""
+    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def random_density_matrix(n_qubits: int, rng) -> DensityMatrix:
+    """Generic full-rank mixed state from a square Ginibre matrix."""
+    gen = _generator(rng)
+    dim = 2**n_qubits
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    mat = g @ g.conj().T
+    return DensityMatrix(mat / np.trace(mat).real)
+
+
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Tensor product a (x) b; a's qubits come first."""
+    return DensityMatrix(np.kron(a.matrix, b.matrix))
+
+
+def apply_local_unitaries(rho: DensityMatrix, unitaries) -> DensityMatrix:
+    """Conjugate ``rho`` by U_1 (x) ... (x) U_n, one 2x2 unitary per qubit."""
+    local = reduce(np.kron, [np.asarray(u, dtype=complex) for u in unitaries])
+    return DensityMatrix(local @ rho.matrix @ local.conj().T)

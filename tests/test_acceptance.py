@@ -12,26 +12,22 @@ from scipy import stats
 from randmeas.correlations import (
     analytic_pdf,
     correlation_length,
-    correlation_tensor,
     sample_distribution,
 )
 from randmeas.criteria import (
     bisep_line_3,
     gme_test_4,
-    m_quantifier,
     structure_report_from_state,
     w_class_chi,
     w_class_witness,
 )
 from randmeas.ensembles import (
     random_biseparable_state,
-    random_density_matrix,
     random_w_class_mixture,
 )
 from randmeas.moments import (
     all_subsets,
     exact_moment_map,
-    moment_exact_t2,
     moments_design,
     moments_from_shots,
     moments_mc,
@@ -40,18 +36,17 @@ from randmeas.moments import (
 )
 from randmeas.sampling import RngStream, SphericalDesign, design_points, haar_unitaries, random_settings, validate_design
 from randmeas.states import (
-    apply_local_unitaries,
     bell_psi_minus,
     bisep4,
     cluster_linear,
     ghz,
     product_zero,
-    purity_direct,
-    tensor,
     trisep4,
     w_state,
     werner,
 )
+
+from matrix_oracles import apply_local_unitaries, purity_direct, random_density_matrix, tensor
 
 D3 = design_points(3)
 D5 = design_points(5)
@@ -97,7 +92,7 @@ def test_criterion_2_moment_oracle_triangle():
         subsets = all_subsets(rho.n_qubits)
         estimates = moments_mc(rho, subsets, (2,), m, RngStream(107, stream))
         for subset, mc in zip(subsets, estimates, strict=True):
-            exact = moment_exact_t2(correlation_tensor(rho, subset)).value
+            exact = exact_moment_map(rho, [subset])[subset].value
             via_design = moments_design(rho, [subset], [2], D3)[0].value
             assert abs(exact - via_design) < 1e-12, (name, subset)
             tolerance = max(4.0 * mc.std_error, 1e-12)
@@ -107,7 +102,7 @@ def test_criterion_2_moment_oracle_triangle():
 def test_criterion_3_purity_identity():
     for name, rho in ALL_NAMED.items():
         assert abs(
-            purity_from_moments(exact_moment_map(rho)) - purity_direct(rho)
+            purity_from_moments(exact_moment_map(rho, all_subsets(rho.n_qubits))) - purity_direct(rho)
         ) < 1e-9, name
 
     gen = RngStream(110).generator()
@@ -115,29 +110,29 @@ def test_criterion_3_purity_identity():
         for n in (2, 3):
             rho = random_density_matrix(n, gen)
             assert abs(
-                purity_from_moments(exact_moment_map(rho)) - purity_direct(rho)
+                purity_from_moments(exact_moment_map(rho, all_subsets(rho.n_qubits))) - purity_direct(rho)
             ) < 1e-9
 
     wern = werner(1.0 / np.sqrt(3.0))
-    assert abs(purity_from_moments(exact_moment_map(wern)) - 0.5) < 1e-10
+    assert abs(purity_from_moments(exact_moment_map(wern, all_subsets(wern.n_qubits))) - 0.5) < 1e-10
 
 
 def test_criterion_4_gme_marginal_structure():
     ghz4 = ghz(4)
-    verdict = gme_test_4(exact_moment_map(ghz4), purity_direct(ghz4))
+    verdict = gme_test_4(exact_moment_map(ghz4, all_subsets(4)), purity_direct(ghz4))
     assert verdict.detected
     assert abs(verdict.statistic - 6.0 / 81.0) < 1e-10
     assert abs(verdict.threshold) < 1e-12
 
     cluster = cluster_linear()
     assert abs(purity_direct(cluster) - 1.0) < 1e-12
-    cluster_verdict = gme_test_4(exact_moment_map(cluster), purity_direct(cluster))
+    cluster_verdict = gme_test_4(exact_moment_map(cluster, all_subsets(4)), purity_direct(cluster))
     assert cluster_verdict.detected and cluster_verdict.statistic > 0.0
     # value recorded from the exact oracle
     assert abs(cluster_verdict.statistic - 4.0 / 81.0) < 1e-12
 
     for rho in (trisep4(), bisep4(0.2)):
-        assert not gme_test_4(exact_moment_map(rho), purity_direct(rho)).detected
+        assert not gme_test_4(exact_moment_map(rho, all_subsets(4)), purity_direct(rho)).detected
 
     assert structure_report_from_state(trisep4()).flagged() == [(1, 2)]
     assert structure_report_from_state(bisep4(0.2)).flagged() == [(1, 2), (3, 4)]
@@ -147,7 +142,7 @@ def test_criterion_5_w_class_witness():
     assert w_class_chi(4) == 4.0 / 81.0
 
     for rho in (ghz(4), tensor(bell_psi_minus(), bell_psi_minus())):
-        r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3, 4)))
+        r2 = exact_moment_map(rho, [(1, 2, 3, 4)])[(1, 2, 3, 4)]
         assert abs(r2.value - 1.0 / 9.0) < 1e-12
         assert 1.0 / 9.0 > 4.0 / 81.0
         assert w_class_witness(r2, 4).detected
@@ -158,7 +153,7 @@ def test_criterion_5_w_class_witness():
         false_exclusions = 0
         for _ in range(1000):
             rho = random_w_class_mixture(n, gen)
-            r2 = moment_exact_t2(correlation_tensor(rho, full))
+            r2 = exact_moment_map(rho, [full])[full]
             if w_class_witness(r2, n).detected:
                 false_exclusions += 1
         assert false_exclusions == 0, f"n={n}"
@@ -169,14 +164,14 @@ def test_criterion_6_three_qubit_line():
     violations = 0
     for _ in range(1000):
         rho = random_biseparable_state(3, gen)
-        r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
+        r2 = exact_moment_map(rho, [(1, 2, 3)])[(1, 2, 3)]
         (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
         if bisep_line_3(r2, r4).detected:
             violations += 1
     assert violations == 0
 
     rho = ghz(3)
-    r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
+    r2 = exact_moment_map(rho, [(1, 2, 3)])[(1, 2, 3)]
     (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
     # oracle-computed values for the three-qubit GHZ state
     assert abs(r2.value - 4.0 / 27.0) < 1e-12
@@ -223,14 +218,12 @@ def test_criterion_9_lu_invariance():
     for name, rho in ALL_NAMED.items():
         n = rho.n_qubits
         subsets = all_subsets(n)
-        base_moments = {s: e.value for s, e in exact_moment_map(rho).items()}
+        base_moments = {s: e.value for s, e in exact_moment_map(rho, subsets).items()}
         base_length = correlation_length(rho, full_subset(rho))
-        base_m4 = (
-            m_quantifier(exact_moment_map(rho), full_subset(rho)) if n == 4 else None
-        )
+        base_m4 = gme_test_4(exact_moment_map(rho, subsets), 1.0).statistic if n == 4 else None
         for _ in range(50):
             rotated = apply_local_unitaries(rho, haar_unitaries(gen, n))
-            moments = exact_moment_map(rotated)
+            moments = exact_moment_map(rotated, subsets)
             for subset in subsets:
                 assert abs(moments[subset].value - base_moments[subset]) < 1e-9, (
                     name,
@@ -240,6 +233,4 @@ def test_criterion_9_lu_invariance():
                 correlation_length(rotated, full_subset(rho)) - base_length
             ) < 1e-9, name
             if base_m4 is not None:
-                assert abs(
-                    m_quantifier(moments, full_subset(rho)) - base_m4
-                ) < 1e-9, name
+                assert abs(gme_test_4(moments, 1.0).statistic - base_m4) < 1e-9, name

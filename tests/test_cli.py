@@ -234,7 +234,7 @@ def test_moments_design_5_at_eight_qubits_matches_the_exact_map(tmp_path):
     out = tmp_path / "o"
     rc = run_cli(["moments", "--state", "w:8", "--subset", "all", "--orders", "2,4", "--design", 5, "--output", out])
     assert rc == 0
-    exact = exact_moment_map(make_state(parse_state("w:8")))
+    exact = exact_moment_map(make_state(parse_state("w:8")), all_subsets(8))
     entries = read_json(out / "moments.json")["moments"]
     assert len(entries) == 2 * 255
     for entry in entries:
@@ -511,6 +511,17 @@ def test_design_request_builds_one_grid_per_subset(tmp_path, monkeypatch):
     ]
 
 
+def test_design_cross_checks_read_the_exact_moment_map(tmp_path):
+    out = tmp_path / "o"
+    args = ["moments", "--state", "w:4", "--subset", "all", "--orders", 2, "--design", 3, "--output", out]
+    assert run_cli(args) == 0
+    exact = exact_moment_map(make_state(parse_state("w:4")), all_subsets(4))
+    checks = read_json(out / "moments.json")["cross_checks"]
+    assert [tuple(c["subset"]) for c in checks] == list(exact)
+    for check in checks:
+        assert check["exact_value"] == exact[tuple(check["subset"])].value
+
+
 def test_monte_carlo_cross_checks_build_one_grid_per_subset_and_degree(tmp_path, monkeypatch):
     designs = _count_calls(monkeypatch, "design_points", randmeas.cli)
     estimates = _count_calls(monkeypatch, "moments_mc", randmeas.cli)
@@ -546,7 +557,7 @@ def test_one_pauli_pass_per_state_across_library_calls(monkeypatch):
     calls = _count_pauli_passes(monkeypatch)
     rho = ghz(4)
     full = (1, 2, 3, 4)
-    exact_moment_map(rho)
+    exact_moment_map(rho, all_subsets(4))
     structure_report_from_state(rho)
     moments_design(rho, [full], [4], design_points(5))
     sample_distribution(rho, full, 100, RngStream(0))

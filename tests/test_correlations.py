@@ -21,7 +21,6 @@ from randmeas.correlations import (
     pauli_coefficients,
     sample_distribution,
 )
-from randmeas.ensembles import random_density_matrix
 from randmeas.moments import all_subsets, moments_mc
 from randmeas.sampling import _BLOCK_BYTES, RngStream, haar_unitaries, random_settings, uniform_directions
 from randmeas.states import (
@@ -30,16 +29,14 @@ from randmeas.states import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    apply_local_unitaries,
     bell_psi_minus,
     ghz,
     product_zero,
-    purity_direct,
     w_state,
     werner,
 )
 
-from matrix_oracles import partial_trace
+from matrix_oracles import apply_local_unitaries, partial_trace, purity_direct, random_density_matrix
 
 E_Z = np.array([0.0, 0.0, 1.0])
 

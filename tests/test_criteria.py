@@ -10,7 +10,6 @@ from randmeas.criteria import (
     bisep_line_3_r4,
     entanglement_by_length,
     gme_test_4,
-    m_quantifier,
     structure_report_from_state,
     w_class_chi,
     w_class_witness,
@@ -25,11 +24,9 @@ from randmeas.moments import (
     all_subsets,
     bootstrap_error,
     exact_moment_map,
-    moment_exact_t2,
     moments_design,
     moments_mc,
 )
-from randmeas.correlations import correlation_tensor
 from randmeas.sampling import RngStream, design_points
 from randmeas.states import (
     DensityMatrix,
@@ -38,21 +35,27 @@ from randmeas.states import (
     cluster_linear,
     ghz,
     product_zero,
-    purity_direct,
-    tensor,
     trisep4,
+    w_state,
 )
+
+from matrix_oracles import purity_direct, tensor
 
 D5 = design_points(5)
 
 
+def _m4(rho):
+    """The m quantifier of a four-qubit state's full set: the gme4 statistic."""
+    return gme_test_4(exact_moment_map(rho, all_subsets(4)), 1.0).statistic
+
+
 def test_m_quantifier_ghz4():
-    value = m_quantifier(exact_moment_map(ghz(4)), (1, 2, 3, 4))
+    value = _m4(ghz(4))
     assert value == pytest.approx(6.0 / 81.0, abs=1e-12)
 
 
 def test_m_quantifier_product_state():
-    value = m_quantifier(exact_moment_map(product_zero(4)), (1, 2, 3, 4))
+    value = _m4(product_zero(4))
     assert value == pytest.approx(-6.0 / 81.0, abs=1e-12)
 
 
@@ -62,7 +65,7 @@ def test_m_quantifier_factorizes_for_pure_bipartition_products():
         left = DensityMatrix.from_vector(random_pure_vector(4, gen))
         right = DensityMatrix.from_vector(random_pure_vector(4, gen))
         product = tensor(left, right)
-        moments = exact_moment_map(product)
+        moments = exact_moment_map(product, [(1, 2, 3, 4), (1, 2), (3, 4)])
         m_full = moments[(1, 2, 3, 4)].value
         m_left = moments[(1, 2)].value
         m_right = moments[(3, 4)].value
@@ -70,14 +73,15 @@ def test_m_quantifier_factorizes_for_pure_bipartition_products():
 
 
 def test_m_quantifier_requires_all_subsets():
-    with pytest.raises(ValueError, match="missing subset"):
-        m_quantifier({(1, 2): 0.1, (1,): 0.0}, (1, 2))
+    moments = {s: 0.0 for s in all_subsets(4) if s != (2, 4)}
+    with pytest.raises(ValueError, match=r"missing subset \(2, 4\)"):
+        gme_test_4(moments, 1.0)
     with pytest.raises(ValueError, match=r"subset key \(0,\) is not a non-empty set"):
-        m_quantifier({(0,): 0.1, (1,): 0.1, (0, 1): 0.2}, (0, 1))
+        gme_test_4({**moments, (0,): 0.0}, 1.0)
 
 
 def test_gme4_detects_ghz4():
-    verdict = gme_test_4(exact_moment_map(ghz(4)), purity_direct(ghz(4)))
+    verdict = gme_test_4(exact_moment_map(ghz(4), all_subsets(4)), purity_direct(ghz(4)))
     assert verdict.detected
     assert verdict.statistic == pytest.approx(6.0 / 81.0, abs=1e-10)
     assert abs(verdict.threshold) < 1e-12
@@ -85,14 +89,14 @@ def test_gme4_detects_ghz4():
 
 def test_gme4_does_not_detect_trisep4():
     rho = trisep4()
-    verdict = gme_test_4(exact_moment_map(rho), purity_direct(rho))
+    verdict = gme_test_4(exact_moment_map(rho, all_subsets(4)), purity_direct(rho))
     assert not verdict.detected
     assert verdict.statistic == pytest.approx(-2.0 / 27.0, abs=1e-12)
 
 
 def test_gme4_white_noise():
     white = DensityMatrix(np.eye(16) / 16)
-    verdict = gme_test_4(exact_moment_map(white), 1.0 / 16.0)
+    verdict = gme_test_4(exact_moment_map(white, all_subsets(4)), 1.0 / 16.0)
     assert not verdict.detected
     assert verdict.statistic == pytest.approx(0.0, abs=1e-12)
     assert verdict.threshold == pytest.approx((8.0 / 81.0) * (15.0 / 16.0), abs=1e-12)
@@ -100,11 +104,11 @@ def test_gme4_white_noise():
 
 def test_gme4_rejects_wrong_party_count():
     with pytest.raises(ValueError, match="four qubits"):
-        gme_test_4(exact_moment_map(ghz(3)), 1.0)
+        gme_test_4(exact_moment_map(ghz(3), all_subsets(3)), 1.0)
 
 
 def test_gme4_threshold_is_linear_in_purity():
-    moments = exact_moment_map(ghz(4))
+    moments = exact_moment_map(ghz(4), all_subsets(4))
     for purity in (1.0, 0.75, 0.5):
         verdict = gme_test_4(moments, purity)
         assert verdict.threshold == pytest.approx(
@@ -149,7 +153,7 @@ def test_bisep_line_white_noise_not_detected():
 
 def test_bisep_line_detects_ghz3():
     rho = ghz(3)
-    r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
+    r2 = exact_moment_map(rho, [(1, 2, 3)])[(1, 2, 3)]
     (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
     # frozen oracle values: r2 = 4/27, r4 = 64/1125
     assert r2.value == pytest.approx(4.0 / 27.0, abs=1e-12)
@@ -172,22 +176,20 @@ def test_w_class_chi_values():
 
 
 def test_w_class_witness_excludes_ghz4_and_bell_pair():
-    r2_ghz = moment_exact_t2(correlation_tensor(ghz(4), (1, 2, 3, 4)))
+    r2_ghz = exact_moment_map(ghz(4), [(1, 2, 3, 4)])[(1, 2, 3, 4)]
     assert r2_ghz.value == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert w_class_witness(r2_ghz, 4).detected
 
     pair = tensor(bell_psi_minus(), bell_psi_minus())
-    r2_pair = moment_exact_t2(correlation_tensor(pair, (1, 2, 3, 4)))
+    r2_pair = exact_moment_map(pair, [(1, 2, 3, 4)])[(1, 2, 3, 4)]
     assert r2_pair.value == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert w_class_witness(r2_pair, 4).detected
 
 
 def test_w_state_sits_on_the_boundary():
-    from randmeas.states import w_state
-
     for n in (3, 4):
         full = tuple(range(1, n + 1))
-        r2 = moment_exact_t2(correlation_tensor(w_state(n), full))
+        r2 = exact_moment_map(w_state(n), [full])[full]
         verdict = w_class_witness(r2, n)
         assert abs(verdict.margin) < 1e-12
         assert not verdict.detected
@@ -219,7 +221,7 @@ def test_entanglement_by_length_reads_a_monte_carlo_second_moment():
 
 def test_statistical_inputs_require_z_sigma_margin():
     # margin of two standard errors: not detected at z = 3
-    noisy = MomentEstimate((1, 2), 2, 0.35, 0.05, "monte_carlo", samples=100)
+    noisy = MomentEstimate((1, 2, 3, 4), 2, 0.35, 0.05, "monte_carlo", samples=100)
     low = w_class_witness(noisy, 4)  # margin ~ 0.30 >> 3 sigma: detected
     assert low.detected
     borderline = MomentEstimate(
@@ -301,7 +303,7 @@ def test_biseparable_4q_states_respect_gme_bound():
     gen = RngStream(71).generator()
     for _ in range(100):
         rho = random_biseparable_state(4, gen)
-        verdict = gme_test_4(exact_moment_map(rho), purity_direct(rho))
+        verdict = gme_test_4(exact_moment_map(rho, all_subsets(4)), purity_direct(rho))
         assert not verdict.detected
 
 
@@ -309,7 +311,7 @@ def test_biseparable_3q_states_respect_line():
     gen = RngStream(72).generator()
     for _ in range(100):
         rho = random_biseparable_state(3, gen)
-        r2 = moment_exact_t2(correlation_tensor(rho, (1, 2, 3)))
+        r2 = exact_moment_map(rho, [(1, 2, 3)])[(1, 2, 3)]
         (r4,) = moments_design(rho, [(1, 2, 3)], [4], D5)
         assert not bisep_line_3(r2, r4).detected
 
@@ -320,25 +322,41 @@ def test_w_class_mixtures_stay_below_chi():
         full = tuple(range(1, n + 1))
         for _ in range(100):
             rho = random_w_class_mixture(n, gen)
-            r2 = moment_exact_t2(correlation_tensor(rho, full))
+            r2 = exact_moment_map(rho, [full])[full]
             assert not w_class_witness(r2, n).detected
 
 
 def test_cluster_state_m4_is_positive():
-    value = m_quantifier(exact_moment_map(cluster_linear()), (1, 2, 3, 4))
+    value = _m4(cluster_linear())
     assert value == pytest.approx(4.0 / 81.0, abs=1e-12)
+
+
+def _ghz3_design5(subset, t):
+    (estimate,) = moments_design(ghz(3), [subset], [t], D5)
+    return estimate
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: gme_test_4(exact_moment_map(ghz(4)), 1.5), r"purity must lie in \(0, 1\], got 1.5"),
+        (lambda: gme_test_4(exact_moment_map(ghz(4), all_subsets(4)), 1.5), r"purity must lie in \(0, 1\], got 1.5"),
         (lambda: w_class_witness(1.5, 3), r"r2 must lie in \[0, 1\], got 1.5"),
+        # an estimate of another order or party count than the criterion reads
+        (lambda: bisep_line_3(_ghz3_design5((1, 2, 3), 4), _ghz3_design5((1, 2, 3), 2)), "r2 needs a second moment, got t=4"),
+        (lambda: bisep_line_3(0.1, _ghz3_design5((1, 2, 3), 2)), "r4 needs a fourth moment, got t=2"),
+        (lambda: bisep_line_3(_ghz3_design5((1, 2), 2), 0.1), r"r2 needs the moment of 3 parties, got subset \(1, 2\)"),
+        (lambda: w_class_witness(_ghz3_design5((1, 2, 3), 4), 3), "r2 needs a second moment, got t=4"),
+        (lambda: w_class_witness(_ghz3_design5((1, 2), 2), 3), r"r2 needs the moment of 3 parties, got subset \(1, 2\)"),
+        (lambda: w_class_witness(0.1, 3.5), r"W class requires an integer qubit count n, got n=3.5"),
+        (lambda: w_class_chi(True), r"W class requires an integer qubit count n, got n=True"),
     ],
-    ids=["purity_above_one", "r2_above_one"],
+    ids=[
+        "purity_above_one", "r2_above_one", "bisep3_swapped", "bisep3_r4_of_order_2", "bisep3_pair_r2",
+        "wclass_r4", "wclass_pair_r2", "wclass_fractional_n", "chi_bool_n",
+    ],
 )
 def test_criterion_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

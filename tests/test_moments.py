@@ -19,7 +19,6 @@ from randmeas.correlations import (
     pauli_coefficients,
     sample_distribution,
 )
-from randmeas.ensembles import random_density_matrix
 from randmeas.moments import (
     MomentEstimate,
     _power,
@@ -54,11 +53,12 @@ from randmeas.states import (
     cluster_linear,
     ghz,
     product_zero,
-    purity_direct,
     trisep4,
     w_state,
     werner,
 )
+
+from matrix_oracles import purity_direct, random_density_matrix
 
 D3 = design_points(3)
 D5 = design_points(5)
@@ -231,10 +231,10 @@ def test_moment_exact_t2_values():
     ).value == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
-def _exact_moment_map_oracle(rho):
-    """The per-subset route ``exact_moment_map`` replaced: one validated
-    CorrelationTensor copy per subset, summed by ``moment_exact_t2``."""
-    return {s: moment_exact_t2(correlation_tensor(rho, s)) for s in all_subsets(rho.n_qubits)}
+def _exact_moment_map_oracle(rho, subsets):
+    """The tensor-copy route: one validated CorrelationTensor copy per
+    subset, summed by ``moment_exact_t2``."""
+    return {s: moment_exact_t2(correlation_tensor(rho, s)) for s in subsets}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -242,9 +242,12 @@ def test_exact_moment_map_is_bit_equal_to_per_subset_tensors(n):
     states = [random_density_matrix(n, RngStream(7, n))]
     if n >= 2:
         states += [ghz(n), w_state(n)]
+    subsets = all_subsets(n)
+    # the non-canonical [n, 1] is keyed (1, n), in the order asked
+    asked = [[n, 1], *subsets] if n >= 2 else subsets
     for rho in states:
-        got, oracle = exact_moment_map(rho), _exact_moment_map_oracle(rho)
-        assert list(got) == list(oracle)
+        got, oracle = exact_moment_map(rho, asked), _exact_moment_map_oracle(rho, subsets)
+        assert list(got) == list(dict.fromkeys(tuple(sorted(s)) for s in asked))
         for subset, expected in oracle.items():
             assert got[subset].value == expected.value
             assert (got[subset].method, got[subset].std_error) == ("exact_tensor", None)
@@ -257,7 +260,7 @@ def test_moment_design_matches_exact_tensor():
         (ghz(4), (1, 2, 3, 4)),
         (w_state(3), (1, 3)),
     ]:
-        exact = moment_exact_t2(correlation_tensor(state, subset)).value
+        exact = exact_moment_map(state, [subset])[subset].value
         via_design = moments_design(state, [subset], [2], D3)[0].value
         assert abs(via_design - exact) < 1e-12
 
@@ -455,7 +458,7 @@ def test_overcomplete_design_consistency():
 
 def test_oracle_triangle_small_scale():
     for state, subset in [(bell_psi_minus(), (1, 2)), (ghz(3), (1, 2, 3))]:
-        exact = moment_exact_t2(correlation_tensor(state, subset)).value
+        exact = exact_moment_map(state, [subset])[subset].value
         via_design = moments_design(state, [subset], [2], D3)[0].value
         assert abs(exact - via_design) < 1e-12
         (mc,) = moments_mc(state, [subset], (2,), 50_000, RngStream(37))
@@ -466,7 +469,7 @@ def test_vanishing_second_moment_implies_vanishing_fourth():
     for n in (2, 3):
         white = DensityMatrix(np.eye(2**n) / 2**n)
         full = tuple(range(1, n + 1))
-        r2 = moment_exact_t2(correlation_tensor(white, full)).value
+        r2 = exact_moment_map(white, [full])[full].value
         assert r2 < 1e-12
         assert moments_design(white, [full], [4], D5)[0].value < 1e-10
 
@@ -568,7 +571,7 @@ def test_marginal_moment_from_joint_shots():
     settings = random_settings(3, 40_000, RngStream(54))
     table = simulate_shots(rho, settings, 4, RngStream(55))
     (est,) = moments_from_shots(table, [(1, 2)], [2])
-    exact = moment_exact_t2(correlation_tensor(rho, (1, 2))).value
+    exact = exact_moment_map(rho, [(1, 2)])[(1, 2)].value
     assert abs(est.value - exact) < 4 * est.std_error
 
 
@@ -844,7 +847,8 @@ def test_simulate_shots_at_eight_qubits():
     settings = random_settings(8, 2000, RngStream(75))
     table = simulate_shots(rho, settings, 50, RngStream(76))
     (est,) = moments_from_shots(table, [range(1, 9)], [2])
-    exact = moment_exact_t2(correlation_tensor(rho, tuple(range(1, 9)))).value
+    full = tuple(range(1, 9))
+    exact = exact_moment_map(rho, [full])[full].value
     assert abs(est.value - exact) < 5 * est.std_error
 
 
@@ -874,11 +878,11 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_purity_from_moments_named_states():
-    assert purity_from_moments(exact_moment_map(ghz(4))) == pytest.approx(1.0, abs=1e-10)
+    assert purity_from_moments(exact_moment_map(ghz(4), all_subsets(4))) == pytest.approx(1.0, abs=1e-10)
     white = DensityMatrix(np.eye(4) / 4)
-    assert purity_from_moments(exact_moment_map(white)) == pytest.approx(0.25, abs=1e-12)
+    assert purity_from_moments(exact_moment_map(white, all_subsets(2))) == pytest.approx(0.25, abs=1e-12)
     wern = werner(1 / np.sqrt(3))
-    assert purity_from_moments(exact_moment_map(wern)) == pytest.approx(
+    assert purity_from_moments(exact_moment_map(wern, all_subsets(2))) == pytest.approx(
         purity_direct(wern), abs=1e-10
     )
 
@@ -917,7 +921,7 @@ def test_purity_from_moments_accepts_negative_finite_shot_moments():
     expected = 1.0 + sum(3.0 ** len(s) * e.value for s, e in estimates.items())
     assert purity == pytest.approx(expected / 8.0, abs=1e-15)
     # exact and plain-number moments below 0 are still refused
-    exact = exact_moment_map(ghz(3))
+    exact = exact_moment_map(ghz(3), all_subsets(3))
     exact[(1,)] = MomentEstimate((1,), 2, -1e-10, None, "exact_tensor")
     with pytest.raises(ValueError, match="negative"):
         purity_from_moments(exact)

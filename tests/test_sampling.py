@@ -213,7 +213,7 @@ def test_direction_validates_norm():
 
 def test_design_points_octahedron():
     design = design_points(3)
-    assert len(design) == 6
+    assert len(design.points) == 6
     arrays = design.as_array()
     assert any(np.allclose(p, [0.0, 0.0, 1.0]) for p in arrays)
     assert validate_design(design)["passed"]
@@ -221,7 +221,7 @@ def test_design_points_octahedron():
 
 def test_design_points_icosahedron():
     design = design_points(5)
-    assert len(design) == 12
+    assert len(design.points) == 12
     norms = np.linalg.norm(design.as_array(), axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     report = validate_design(design)
