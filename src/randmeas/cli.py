@@ -5,8 +5,7 @@ Subcommands: ``sample`` (correlation distributions), ``moments``
 (entanglement verdicts), ``design`` (direction sets).  Outputs are
 plot-ready CSV tables plus a JSON file embedding the full run
 configuration.  Identical command lines produce byte-identical files with
-one numpy and BLAS build at one BLAS thread count; a known defect lets
-``sample`` and Monte Carlo values at k >= 3 differ between thread counts.
+one numpy and BLAS build, at any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -26,6 +26,12 @@ _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
 _SITE_TRANSFER = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4).copy()
 
+#: Rows per block of every contraction.  A row's temporaries (two outer
+#: products, each with its partial product and one copied site, and the
+#: product's result with its row-major copy) take 8 * (2 * 3^a + 4 * 3^b)
+#: bytes, 3,888 at k = 8, so one block fits ``_BLOCK_BYTES``.
+_CONTRACTION_ROWS = 1024
+
 def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """Expectation values tr(rho P) for every Pauli string P.
 
@@ -138,26 +144,15 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     product is a view of its direction rows, so at k <= 2 the calls see
     the operands of a site-by-site contraction and give its bits.
     """
-    rows = _contraction_rows(components.ndim)
-    blocks = (directions[start : start + rows] for start in range(0, directions.shape[0], rows))
-    return _contract(components, blocks, directions.shape[0])
-
-
-def _contraction_rows(k: int) -> int:
-    """Rows per block of a k-site contraction.  A row's temporaries are the
-    two outer products, each with the partial product it grew from and one
-    copied site (under 2 * 3^a and 2 * 3^b floats), and the matrix
-    product's result with its row-major copy (2 * 3^b floats).  At k >= 3
-    the row count of a matrix product can move the last bit of its values,
-    so every caller cuts its rows into these blocks."""
-    a = (k + 1) // 2
-    return _block_rows(8 * (2 * 3**a + 4 * 3 ** (k - a)))
+    blocks = np.split(directions, range(_CONTRACTION_ROWS, len(directions), _CONTRACTION_ROWS))
+    return _contract(components, blocks, len(directions))
 
 
 def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
-    ``blocks`` of its directions, each ``_contraction_rows(k)`` rows long
-    but the last."""
+    ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
+    last.  At k >= 3 a product's row count can move the last bit of its
+    values, so a short block is padded with zero rows to the full count."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
@@ -168,14 +163,16 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
         # product's columns (along its rows, the BLAS kernel picked for the
         # block's row count can change a row's bits); the row-major copy
         # hands the dot the layout of a site-by-site contraction.
-        values = out[start : start + len(block)]
-        start += len(block)
+        rows = len(block)
+        values = out[start : start + rows]
+        start += rows
+        if k >= 3 and rows < _CONTRACTION_ROWS:
+            block = np.concatenate([block, np.zeros((_CONTRACTION_ROWS - rows, k, 3))])
         if k == 1:
-            # the product's one row is the values
-            np.dot(matrix.T, _outer_product(block), out=values[None])
+            np.dot(matrix.T, _outer_product(block), out=values[None])  # the product's one row is the values
         else:
-            vals = np.tensordot(matrix, _outer_product(block[:, :a]), axes=(0, 0))
-            np.einsum("mi,mi->m", vals.T.copy(), _outer_product(block[:, a:]).T, out=values)
+            vals = np.dot(matrix.T, _outer_product(block[:, :a]))
+            np.einsum("mi,mi->m", vals.T[:rows].copy(), _outer_product(block[:rows, a:]).T, out=values)
         block = vals = None  # freed before a streamed source draws the next block
     return out
 
@@ -311,7 +308,7 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> S
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
     _check_settings(k, m)
-    blocks = _settings_blocks(rng, k, m, _contraction_rows(k))
+    blocks = _settings_blocks(rng, k, m, _CONTRACTION_ROWS)
     return SampleSet(_clamped(_contract(_slab(rho.pauli, parties, slice(1, 4)), blocks, m)))
 
 

@@ -179,6 +179,8 @@ def bisep_line_3(r2, r4) -> Verdict:
     Biseparable states satisfy r4 >= bisep_line_3_r4(r2); a fourth moment
     below that line certifies genuine tripartite entanglement.
     """
+    if isinstance(r2, MomentEstimate) and isinstance(r4, MomentEstimate) and r2.subset != r4.subset:
+        raise ValueError(f"r2 and r4 must be moments of one subset, got {r2.subset} and {r4.subset}")
     r2_val, r2_err, r2_method = _moment_stats(r2, "r2", 2, 3)
     r4_val, r4_err, r4_method = _moment_stats(r4, "r4", 4, 3)
     rhs = bisep_line_3_r4(r2_val)

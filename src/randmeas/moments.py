@@ -121,7 +121,7 @@ def _normalize_moments(moments) -> dict:
     return normalized
 
 
-def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng) -> list:
+def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng: RngStream) -> list:
     """Monte-Carlo moments of each subset and order, subset-major: sample
     means of E^t with plug-in standard errors.
 
@@ -138,8 +138,10 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng) -> list:
     _check_mc_samples(m)
     subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
     union = sorted(set().union(*subsets))
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
     table = random_settings(len(union), m, rng)
-    seed = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else None
+    seed = (rng.seed, rng.stream_id)
     estimates = []
     for subset in subsets:
         columns = [union.index(p) for p in subset]
@@ -367,13 +369,13 @@ def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     off the vector in O(n 2^n) a setting.
 
     Site j's amplitude axis meets the rows <u+| = (c, conj(e)) and
-    <u-| = (-e, c) of its direction u, with c = sqrt((1 + z)/2) and
-    e = (x + iy)/(2c), or e = 1 where c = 0; then p(s) = |amplitude|^2.
-    The settings run along the last, contiguous axis of every elementwise
-    update.
+    <u-| = (-e, c) of its direction u, divided by its norm, with
+    c = sqrt((1 + z)/2) and e = (x + iy)/(2c), or e = 1 where c = 0; then
+    p(s) = |amplitude|^2.  The settings run along the last, contiguous axis
+    of every elementwise update.
     """
     b, n, _ = settings.shape
-    x, y, z = np.ascontiguousarray(settings.transpose(2, 1, 0))
+    x, y, z = np.ascontiguousarray((settings / np.linalg.norm(settings, axis=2, keepdims=True)).transpose(2, 1, 0))
     c = np.sqrt((1.0 + z) / 2.0)
     e = np.divide(x + 1j * y, 2.0 * c, out=np.ones((n, b), complex), where=c > 0.0)
     amps = psi.reshape(-1, 1)

@@ -17,10 +17,10 @@ _UINT64_MAX = 2**64 - 1
 
 DESIGN_VALIDATION_ATOL = 1e-12
 
-#: Bytes of per-block temporaries in every loop over rows of directions or
-#: settings (``_sphere_points``, ``correlation_values``,
-#: ``simulate_shots``): memory beyond their inputs and outputs does not grow
-#: with the number of rows.
+#: Bytes of per-block temporaries in every loop over rows of directions,
+#: settings or values (``_sphere_points``, ``simulate_shots``, ``to_csv``):
+#: memory beyond their inputs and outputs does not grow with the number of
+#: rows.  It moves no output bit.
 _BLOCK_BYTES = 4 << 20
 
 #: Most bytes one settings table may take: ``_check_settings`` counts 40 a

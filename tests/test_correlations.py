@@ -1,12 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
-from randmeas import correlations
+from randmeas import correlations, sampling
 from randmeas.correlations import (
     CorrelationTensor,
     _subset_values,
@@ -37,6 +41,9 @@ from randmeas.states import (
 )
 
 from matrix_oracles import apply_local_unitaries, partial_trace, purity_direct, random_density_matrix
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -207,11 +214,11 @@ def test_correlation_matches_kronecker_oracle(n):
 def test_correlation_values_blocks_match_one_block(k, monkeypatch):
     components = correlation_tensor(random_density_matrix(k, RngStream(24, k)), range(1, k + 1)).components
     dirs = uniform_directions(RngStream(25, k), 20 * k).reshape(20, k, 3)
-    monkeypatch.setattr(correlations, "_block_rows", lambda _: len(dirs))
+    monkeypatch.setattr(correlations, "_CONTRACTION_ROWS", len(dirs))
     one_block = correlation_values(components, dirs)
     # Blocks of 3 rows: 20 rows cross six block boundaries and end on a
     # partial block.
-    monkeypatch.setattr(correlations, "_block_rows", lambda _: 3)
+    monkeypatch.setattr(correlations, "_CONTRACTION_ROWS", 3)
     assert np.array_equal(correlation_values(components, dirs), one_block)
 
 
@@ -285,10 +292,9 @@ def test_sample_distribution_memory_is_capped_by_the_block_budget():
     rho = ghz(8)
     rho.pauli  # cached on the state, not part of the draw
     # The values hold 8 bytes a setting.  The rest is one block's draw or
-    # its contraction temporaries (the budget, within 64 KiB), never the 40
-    # bytes a direction of a whole draw.  A block kept alive through the next
-    # draw would break it: at k = 2 (29,127 rows a block, 48 bytes a row)
-    # that peaked near 1.3 budgets.  Both sizes of M span several full
+    # its contraction temporaries (within the budget and 64 KiB), never the
+    # 40 bytes a direction of a whole draw, which a block kept alive through
+    # the next draw would add up to.  Both sizes of M span several full
     # blocks, so only the values grow with M.
     for k, (small, big) in ((2, (10**5, 2 * 10**5)), (8, (10**4, 10**5))):
         peaks = {}
@@ -368,17 +374,70 @@ def mixed8():
                          ids=["budget", "rows1", "rows3", "rows1000"])
 def test_sample_distribution_streams_the_whole_table_bit_for_bit(k, forced_rows, m, mixed8, monkeypatch):
     if forced_rows:
-        monkeypatch.setattr(correlations, "_block_rows", lambda _: forced_rows)
+        monkeypatch.setattr(correlations, "_CONTRACTION_ROWS", forced_rows)
     else:
-        m = 2 * correlations._contraction_rows(k) + 1  # two full blocks and one row
+        m = 2 * correlations._CONTRACTION_ROWS + 1  # two full blocks and one row
     parties = (*range(1, k), 8)
     streamed = sample_distribution(mixed8, parties, m, RngStream(95, k)).values
     assert np.array_equal(streamed, _sample_distribution_whole(mixed8, parties, m, RngStream(95, k)))
 
 
+#: ``probe()`` gives the values of ``sample_distribution`` on parties 1..k,
+#: k = 1..8, of the ``mixed8`` state at M = 3,001 (two full contraction blocks
+#: and a short one); it runs in this process and in fresh interpreters.
+_SAMPLE_PROBE = """
+import sys
+import numpy as np
+from matrix_oracles import random_density_matrix
+from randmeas.correlations import sample_distribution
+from randmeas.sampling import RngStream
+
+def probe():
+    rho = random_density_matrix(8, RngStream(94))
+    return [sample_distribution(rho, range(1, k + 1), 3_001, RngStream(96, k)).values for k in range(1, 9)]
+"""
+
+
+def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(monkeypatch):
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS), str(SRC), env.get("PYTHONPATH")]))
+        code = _SAMPLE_PROBE + "sys.stdout.buffer.write(np.concatenate(probe()).tobytes())\n"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode()
+        runs[f"OPENBLAS_NUM_THREADS={threads}"] = np.split(np.frombuffer(result.stdout), np.arange(1, 8) * 3_001)
+    namespace = {}
+    exec(_SAMPLE_PROBE, namespace)
+    for scale in (1 / 64, 1 / 4, 4, 64):
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", int(_BLOCK_BYTES * scale))
+        runs[f"budget x{scale}"] = namespace["probe"]()
+    for k in range(1, 9):
+        for name, values in runs.items():
+            assert np.array_equal(values[k - 1], runs["OPENBLAS_NUM_THREADS=1"][k - 1]), (k, name)
+
+
+def test_one_contraction_block_fits_the_block_budget():
+    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 3,888 bytes a row
+    assert correlations._CONTRACTION_ROWS * 8 * (2 * 3**4 + 4 * 3**4) <= _BLOCK_BYTES
+    components = correlation_tensor(random_density_matrix(8, RngStream(34)), range(1, 9)).components
+    for m in (1_000, correlations._CONTRACTION_ROWS):  # a padded block and a full one
+        dirs = uniform_directions(RngStream(35, m), m * 8).reshape(m, 8, 3)
+        tracemalloc.start()
+        try:
+            correlation_values(components, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BLOCK_BYTES
+
+
 def test_sample_distribution_refuses_a_live_generator():
-    with pytest.raises(TypeError, match="expected RngStream, got <class 'numpy.random._generator.Generator'>"):
-        sample_distribution(ghz(2), (1, 2), 10, np.random.default_rng(0))
+    # and so does moments_mc, whose table sample_distribution draws block by block
+    rng = np.random.default_rng(0)
+    for call in (lambda: sample_distribution(ghz(2), (1, 2), 10, rng), lambda: moments_mc(ghz(2), [(1, 2)], (2,), 10, rng)):
+        with pytest.raises(TypeError, match="expected RngStream, got <class 'numpy.random._generator.Generator'>"):
+            call()
 
 
 def test_clamp_refuses_excess_and_passes_nan():

@@ -345,6 +345,11 @@ def _ghz3_design5(subset, t):
         (lambda: bisep_line_3(_ghz3_design5((1, 2, 3), 4), _ghz3_design5((1, 2, 3), 2)), "r2 needs a second moment, got t=4"),
         (lambda: bisep_line_3(0.1, _ghz3_design5((1, 2, 3), 2)), "r4 needs a fourth moment, got t=2"),
         (lambda: bisep_line_3(_ghz3_design5((1, 2), 2), 0.1), r"r2 needs the moment of 3 parties, got subset \(1, 2\)"),
+        (
+            lambda: bisep_line_3(exact_moment_map(w_state(4), [(1, 2, 3)])[(1, 2, 3)],
+                                 moments_design(w_state(4), [(2, 3, 4)], [4], D5)[0]),
+            r"r2 and r4 must be moments of one subset, got \(1, 2, 3\) and \(2, 3, 4\)",
+        ),
         (lambda: w_class_witness(_ghz3_design5((1, 2, 3), 4), 3), "r2 needs a second moment, got t=4"),
         (lambda: w_class_witness(_ghz3_design5((1, 2), 2), 3), r"r2 needs the moment of 3 parties, got subset \(1, 2\)"),
         (lambda: w_class_witness(0.1, 3.5), r"W class requires an integer qubit count n, got n=3.5"),
@@ -352,6 +357,7 @@ def _ghz3_design5(subset, t):
     ],
     ids=[
         "purity_above_one", "r2_above_one", "bisep3_swapped", "bisep3_r4_of_order_2", "bisep3_pair_r2",
+        "bisep3_two_subsets",
         "wclass_r4", "wclass_pair_r2", "wclass_fractional_n", "chi_bool_n",
     ],
 )

@@ -68,6 +68,16 @@ GOLDEN = {
             "samples.csv": "e8b749dccca380237fadae4fb54dd34c920cc7399dbead728982567239e6cfaf",
         },
     ),
+    # seven parties and a short last block: the values of a contraction
+    # whose row count once set bits that moved with the BLAS thread count
+    "sample_w8_subset7": (
+        "sample --state w:8 --subset 1,2,3,4,5,6,7 --samples 30001 --seed 0",
+        {
+            "histogram.csv": "5ebdec1747e1675a2538797825e83276aea5a8e2e49d6758da90214cf94b8629",
+            "sample.json": "417236d9928686e9b9d9664dad72de4aee3b82157f0dc18f912587c1060b097b",
+            "samples.csv": "777263127b3f7a9963291ece11e1456a49c61af899c05ae90cf8ce4aca73feab",
+        },
+    ),
     "design_sums_w4": (
         "moments --state w:4 --subset all --orders 2,4 --design 5 --format csv",
         {

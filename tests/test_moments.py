@@ -820,9 +820,15 @@ def test_amplitude_route_matches_the_pauli_route(n):
     settings[:3] = 0.0
     settings[0, :, 2], settings[1, :, 2] = -1.0, 1.0
     settings[2, :, 2] = np.where(np.arange(n) % 2, 1.0, -1.0)
-    for rho in _pure_states(n):
-        amplitude = moments._amplitude_cumulative(rho._vector, settings)
-        pauli = moments._born_cumulative(rho.pauli.reshape(1, 1, 4, -1), settings)
+    # |+> on every site along directions off unit norm by 5e-13, within the
+    # tolerance, at and near the pole z = -1, where e = (x + iy)/(2c)
+    # magnifies the excess; the Pauli route reads u as given and errs by
+    # about 5e-13 * x there
+    plus = DensityMatrix.from_vector(np.full(2**n, 2.0 ** (-n / 2)))
+    off_unit = np.array([[[np.sqrt(1e-12 + 1.0 - z * z), 0.0, z]] * n for z in (-1.0, -1.0 + 1e-10)])
+    for rho, dirs in [*((rho, settings) for rho in _pure_states(n)), (plus, off_unit)]:
+        amplitude = moments._amplitude_cumulative(rho._vector, dirs)
+        pauli = moments._born_cumulative(rho.pauli.reshape(1, 1, 4, -1), dirs)
         deviation = np.abs(np.diff(amplitude, prepend=0.0) - np.diff(pauli, prepend=0.0))
         assert deviation.max() <= 1e-14
 
