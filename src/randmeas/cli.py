@@ -40,7 +40,6 @@ from .criteria import (
 )
 from .moments import (
     _check_order,
-    _check_shot_table,
     _check_shots_cover_order,
     all_subsets,
     bootstrap_error,
@@ -50,7 +49,7 @@ from .moments import (
     moments_mc,
     simulate_shots,
 )
-from .sampling import RngStream, design_points, random_settings, validate_design
+from .sampling import RngStream, _check_settings, design_points, random_settings
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
@@ -290,7 +289,7 @@ def cmd_moments(config: RunConfig) -> int:
         raise ValueError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
-        _check_shot_table(config.samples, config.shots, rho.n_qubits)
+        _check_settings(rho.n_qubits, config.samples, config.shots)
 
     checks = []
     do_checks = rho.n_qubits <= 4
@@ -357,7 +356,7 @@ def cmd_criteria(config: RunConfig) -> int:
 
 def cmd_design(config: RunConfig) -> int:
     design = design_points(config.design)
-    report = validate_design(design)
+    report = design.validation
     tables = {"design.csv": ("x,y,z", design.points.tolist())}
     _write_outputs(config, "design_validation.json", {"validation": report}, tables)
     if not report["passed"]:

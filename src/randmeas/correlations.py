@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import RngStream, _block_rows, _check_settings, _settings_blocks, as_direction_array
+from .sampling import _CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _settings_blocks, as_direction_array
 from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
@@ -25,12 +25,6 @@ _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # Site transfer matrix: S[a, 2 r + c] = P_a[c, r], so contracting every
 # (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
 _SITE_TRANSFER = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4).copy()
-
-#: Rows per block of every contraction.  A row's temporaries (two outer
-#: products, each with its partial product and one copied site, and the
-#: product's result with its row-major copy) take 8 * (2 * 3^a + 4 * 3^b)
-#: bytes, 3,888 at k = 8, so one block fits ``_BLOCK_BYTES``.
-_CONTRACTION_ROWS = 1024
 
 def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """Expectation values tr(rho P) for every Pauli string P.
@@ -107,7 +101,7 @@ def correlation(rho: DensityMatrix, dirs) -> float:
         raise ValueError("dirs must specify at least one party")
     keyed = {int(p): as_direction_array(d) for p, d in dirs.items()}
     parties = normalize_subset(keyed.keys(), rho.n_qubits)
-    return float(_subset_values(rho, parties, np.stack([keyed[p] for p in parties])[None])[0])
+    return float(_subset_values(rho, parties, [np.stack([keyed[p] for p in parties])[None]], 1)[0])
 
 
 def _slab(coefficients: np.ndarray, parties: tuple, axes: slice) -> np.ndarray:
@@ -152,7 +146,9 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
     ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
     last.  At k >= 3 a product's row count can move the last bit of its
-    values, so a short block is padded with zero rows to the full count."""
+    values, so a short block is padded with zero rows to the full count.  At
+    k <= 2 a one-row block of a longer call gets one zero row: alone, its
+    product would be a BLAS dot or matrix-vector product of other bits."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
@@ -166,10 +162,11 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
         rows = len(block)
         values = out[start : start + rows]
         start += rows
-        if k >= 3 and rows < _CONTRACTION_ROWS:
-            block = np.concatenate([block, np.zeros((_CONTRACTION_ROWS - rows, k, 3))])
+        pad = _CONTRACTION_ROWS - rows if k >= 3 else int(rows == 1 and count > 1)
+        if pad > 0:
+            block = np.concatenate([block, np.zeros((pad, k, 3))])
         if k == 1:
-            np.dot(matrix.T, _outer_product(block), out=values[None])  # the product's one row is the values
+            values[:] = np.dot(matrix.T, _outer_product(block))[0, :rows]  # the product's one row
         else:
             vals = np.dot(matrix.T, _outer_product(block[:, :a]))
             np.einsum("mi,mi->m", vals.T[:rows].copy(), _outer_product(block[:rows, a:]).T, out=values)
@@ -302,21 +299,21 @@ def _csv_block(values: np.ndarray, start: int) -> bytes:
 
 def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
-    tuples on ``subset``: ``_subset_values`` of ``random_settings(k, m, rng)``
-    bit for bit.  The settings are drawn and contracted one block at a time,
-    so only the ``m`` values outlive a block."""
+    tuples on ``subset``, those of the table ``random_settings(k, m, rng)``.
+    The settings are drawn and contracted one block at a time, so only the
+    ``m`` values outlive a block."""
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
     _check_settings(k, m)
-    blocks = _settings_blocks(rng, k, m, _CONTRACTION_ROWS)
-    return SampleSet(_clamped(_contract(_slab(rho.pauli, parties, slice(1, 4)), blocks, m)))
+    return SampleSet(_subset_values(rho, parties, _settings_blocks(rng, k, m, _CONTRACTION_ROWS), m))
 
 
-def _subset_values(rho: DensityMatrix, parties: tuple, directions: np.ndarray) -> np.ndarray:
-    """Clamped correlation values of ``parties`` (sorted) for the rows of
-    (M, k, 3) ``directions``, one direction per party in order, contracted
-    with the correlation-tensor slab of ``rho.pauli``."""
-    return _clamped(correlation_values(_slab(rho.pauli, parties, slice(1, 4)), directions))
+def _subset_values(rho: DensityMatrix, parties: tuple, blocks, count: int) -> np.ndarray:
+    """Clamped correlation values of ``parties`` (sorted) for the ``count``
+    rows of the (rows, k, 3) ``blocks`` of directions, one direction per
+    party in order, contracted by ``_contract`` with the correlation-tensor
+    slab of ``rho.pauli``."""
+    return _clamped(_contract(_slab(rho.pauli, parties, slice(1, 4)), blocks, count))
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:
@@ -381,7 +378,9 @@ class CorrelationDensity:
                 tail = np.where(ae > 0.0, ae - ae * np.log(ae), 0.0)
             out = 0.5 + 0.5 * np.sign(e) * tail
         else:
-            out = np.clip((e + self.p) / (2.0 * self.p), 0.0, 1.0)
+            # a subnormal p overflows to +-inf, which the clip maps to 0 or 1
+            with np.errstate(over="ignore"):
+                out = np.clip((e + self.p) / (2.0 * self.p), 0.0, 1.0)
         return out if out.ndim else float(out)
 
 

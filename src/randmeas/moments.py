@@ -28,10 +28,11 @@ import numpy as np
 
 from .correlations import _slab, _subset_values, correlation_length, normalize_subset
 from .sampling import (
-    MAX_TABLE_BYTES,
+    _CONTRACTION_ROWS,
     RngStream,
     SphericalDesign,
     _block_rows,
+    _check_settings,
     _check_unit_norm,
     _generator,
     half_design,
@@ -138,14 +139,13 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng: RngStream) -> l
     _check_mc_samples(m)
     subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
     union = sorted(set().union(*subsets))
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"expected RngStream, got {type(rng)!r}")
     table = random_settings(len(union), m, rng)
     seed = (rng.seed, rng.stream_id)
     estimates = []
     for subset in subsets:
         columns = [union.index(p) for p in subset]
-        values = _subset_values(rho, subset, table if len(columns) == len(union) else table.take(columns, axis=1))
+        blocks = (table[start : start + _CONTRACTION_ROWS].take(columns, axis=1) for start in range(0, m, _CONTRACTION_ROWS))
+        values = _subset_values(rho, subset, blocks, m)
         estimates += [_setting_mean(_power(values, t), subset, t, "monte_carlo", seed=seed) for t in orders]
     return estimates
 
@@ -187,14 +187,6 @@ def _check_shots_cover_order(k: int, t: int) -> None:
         raise ValueError(f"need at least t shots per setting for unbiased order-{t} estimation, got K={k}")
 
 
-def _check_shot_table(m: int, k: int, n: int) -> None:
-    """Refuse a shot simulation over ``MAX_TABLE_BYTES``: the M*n*K one-byte
-    outcomes of the ShotTable plus the 24 bytes a direction of the caller's
-    settings, which ``simulate_shots`` holds while it draws."""
-    if (size := m * n * (24 + int(k))) > MAX_TABLE_BYTES:
-        raise ValueError(f"shot table of M*n*(24 + K) = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
-
-
 def _power(values: np.ndarray, t: int) -> np.ndarray:
     """values^t as the product chain ((v * v) * v) * ... of t - 1 IEEE
     multiplications, each in place into one new array.  numpy's ``**``
@@ -213,11 +205,12 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
 
     E^t is a degree-t polynomial in each site's direction, so a design of
     degree >= t reproduces the sphere integral exactly.  The design must
-    be antipodal, as every ``design_points`` design is, and is halved once
-    per call.  Flipping one site's direction flips the sign of E, so odd t
-    are exactly 0.0 and even t are means over the half design's tuples,
-    read off one grid of E per subset summed in lexicographic order with
-    pairwise summation.
+    pass its ``validation`` at its declared degree and be antipodal, as
+    every ``design_points`` design is, and is halved once per call.
+    Flipping one site's direction flips the sign of E, so odd t are exactly
+    0.0 and even t are means over the half design's tuples, read off one
+    grid of E per subset summed in lexicographic order with pairwise
+    summation.
     """
     orders = [_check_order(t) for t in orders]
     if design.degree < max(orders, default=0):
@@ -229,6 +222,9 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
     k = max(map(len, subsets), default=0)
     if len(points) ** k > MAX_DESIGN_TUPLES:
         raise ValueError(f"design sum over {len(points)}^{k} tuples exceeds MAX_DESIGN_TUPLES")
+    if not (report := design.validation)["passed"]:
+        raise ValueError(f"design points fail their declared degree {design.degree} "
+                         f"(max deviation {report['max_abs_deviation']:.3e})")
     even = [t for t in orders if t % 2 == 0]
     estimates = []
     for parties in subsets:
@@ -310,9 +306,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
         )
     m = settings.shape[0]
-    if m < 1:
-        raise ValueError(f"settings must satisfy M >= 1, got M={m}")
-    _check_shot_table(m, k, n)
+    _check_settings(n, m, k)
     _check_unit_norm(settings)
     if rho._vector is None:
         source, born, width = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative, 3 * 4 ** (n - 1)

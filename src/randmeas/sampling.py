@@ -9,6 +9,7 @@ polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -17,15 +18,21 @@ _UINT64_MAX = 2**64 - 1
 
 DESIGN_VALIDATION_ATOL = 1e-12
 
-#: Bytes of per-block temporaries in every loop over rows of directions,
-#: settings or values (``_sphere_points``, ``simulate_shots``, ``to_csv``):
-#: memory beyond their inputs and outputs does not grow with the number of
-#: rows.  It moves no output bit.
+#: Bytes of per-block temporaries in every loop whose rows per block follow
+#: the bytes of a row (``simulate_shots``, ``to_csv``): memory beyond their
+#: inputs and outputs does not grow with the number of rows.  It moves no
+#: output bit.
 _BLOCK_BYTES = 4 << 20
 
-#: Most bytes one settings table may take: ``_check_settings`` counts 40 a
-#: direction (its z, azimuth and output), ``simulate_shots`` 24 a direction
-#: for the settings it reads and 1 an outcome for its ShotTable.
+#: Rows per block of every settings draw and every correlation contraction.
+#: A contraction row's temporaries (two outer products, each with its
+#: partial product and one copied site, and the product's result with its
+#: row-major copy) take 8 * (2 * 3^a + 4 * 3^b) bytes, 3,888 at k = 8, so one
+#: block fits ``_BLOCK_BYTES``; a drawn row takes less.
+_CONTRACTION_ROWS = 1024
+
+#: Most bytes one settings table may take: ``_check_settings`` counts 24 a
+#: direction and, for a shot simulation, 1 an outcome.
 MAX_TABLE_BYTES = 2**31
 
 
@@ -90,61 +97,56 @@ def haar_unitaries(rng, count: int) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def uniform_directions(rng, count: int) -> np.ndarray:
-    """Draw ``count`` uniform points on the unit sphere, shape (count, 3).
-
-    z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which
-    is the pushforward of the Haar measure through U sigma_z U^dagger.
-    All z are drawn first, then all azimuths, one 64-bit word each.
-    """
-    gen = _generator(rng)
-    z = gen.uniform(-1.0, 1.0, size=count)
-    return _sphere_points(z, gen.uniform(0.0, 2.0 * np.pi, size=count))
+def uniform_directions(rng: RngStream, count: int) -> np.ndarray:
+    """Draw ``count`` uniform points on the unit sphere, shape (count, 3):
+    the one-party table of ``random_settings``."""
+    return random_settings(1, count, rng)[:, 0]
 
 
 def _sphere_points(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """The (x, y, z) rows of the points with heights ``z`` and azimuths
-    ``azimuth``.  The x and y columns are written in row blocks, so the
-    temporaries beyond the inputs and the output stay within the block
-    budget."""
-    out = np.empty((len(z), 3))
-    out[:, 2] = z
-    # A row's temporaries: z^2, its radial factor and a cosine or sine.
-    rows = _block_rows(8 * 3)
-    for start in range(0, len(z), rows):
-        block = slice(start, start + rows)
-        radial = np.sqrt(np.maximum(0.0, 1.0 - z[block] * z[block]))
-        np.multiply(radial, np.cos(azimuth[block]), out=out[block, 0])
-        np.multiply(radial, np.sin(azimuth[block]), out=out[block, 1])
+    """The (x, y, z) points with heights ``z`` and azimuths ``azimuth``,
+    shape ``z.shape + (3,)``, written one column at a time."""
+    out = np.empty(z.shape + (3,))
+    out[..., 2] = z
+    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    np.multiply(radial, np.cos(azimuth), out=out[..., 0])
+    np.multiply(radial, np.sin(azimuth), out=out[..., 1])
     return out
 
 
-def _check_settings(n: int, m: int) -> None:
-    """Refuse a non-integer M, M < 1 or a table over ``MAX_TABLE_BYTES``
-    at 40 bytes a direction (its z, azimuth and output)."""
+def _check_settings(n: int, m: int, k: int = 0) -> None:
+    """Refuse a non-integer M, M < 1, or M settings of n parties over
+    ``MAX_TABLE_BYTES`` at 24 bytes a direction plus, for K shots a
+    setting, 1 byte an outcome."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"samples M must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
-    if (size := 40 * m * n) > MAX_TABLE_BYTES:
-        raise ValueError(f"settings table of 40*M*n = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+    if (size := int(m) * n * (24 + int(k))) > MAX_TABLE_BYTES:
+        raise ValueError(f"table of M*n*(24 + K) = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
 
 
-def random_settings(n: int, m: int, rng) -> np.ndarray:
-    """M uniformly random direction tuples for n parties, shape (M, n, 3).
-    ``_check_settings`` refuses a bad M before any draw."""
+def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
+    """M uniformly random direction tuples for n parties, shape (M, n, 3),
+    filled from ``_settings_blocks``.  ``_check_settings`` refuses a bad M
+    before any draw."""
     _check_settings(n, m)
-    return uniform_directions(rng, m * n).reshape(m, n, 3)
+    table = np.empty((m, n, 3))
+    for start, block in zip(range(0, m, _CONTRACTION_ROWS), _settings_blocks(rng, n, m, _CONTRACTION_ROWS)):
+        table[start : start + len(block)] = block
+    return table
 
 
 def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
-    """The rows of ``random_settings(n, m, rng)`` bit for bit, as (rows, n, 3)
-    blocks (the last one shorter), drawing one block at a time.
+    """M uniformly random direction tuples for n parties as (rows, n, 3)
+    blocks (the last one shorter), drawn one block at a time.
 
-    The z of the whole draw fill Philox words 0 to M*n - 1 and the azimuths
-    the next M*n, so a second generator moved to word M*n draws the
-    azimuths alongside the z.  A live Generator cannot be restarted at
-    word 0 and is refused.
+    z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which is
+    the pushforward of the Haar measure through U sigma_z U^dagger.  The z
+    of the whole draw fill Philox words 0 to M*n - 1, one word each, and the
+    azimuths the next M*n, so a second generator moved to word M*n draws the
+    azimuths alongside the z and the rows are the same at any ``rows``.  A
+    live Generator cannot be restarted at word 0 and is refused.
     """
     if not isinstance(rng, RngStream):
         raise TypeError(f"expected RngStream, got {type(rng)!r}")
@@ -153,9 +155,9 @@ def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
     azimuth_gen.bit_generator.advance(m * n // 4)
     azimuth_gen.bit_generator.random_raw(m * n % 4)
     for start in range(0, m, rows):
-        count = n * (min(start + rows, m) - start)
-        z = z_gen.uniform(-1.0, 1.0, size=count)
-        yield _sphere_points(z, azimuth_gen.uniform(0.0, 2.0 * np.pi, size=count)).reshape(-1, n, 3)
+        shape = (min(rows, m - start), n)
+        z = z_gen.uniform(-1.0, 1.0, size=shape)
+        yield _sphere_points(z, azimuth_gen.uniform(0.0, 2.0 * np.pi, size=shape))
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +210,38 @@ class SphericalDesign:
     def as_array(self) -> np.ndarray:
         return self.points
 
+    @cached_property
+    def validation(self) -> dict:
+        """``validate_design(self)``, computed once per design."""
+        return validate_design(self)
 
-_SUPPORTED_DESIGN_DEGREES = (3, 5)
+
+def _designs() -> dict:
+    """The degree-3 octahedron (6 points) and degree-5 icosahedron (12
+    points).  The icosahedron uses the golden-ratio vertices
+    (0, +-1, +-g)/sqrt(1+g^2) and their cyclic coordinate permutations; any
+    rotation would serve equally, this one is fixed for byte-reproducible
+    output."""
+    # +x, -x, +y, -y, +z, -z; zeros stay +0.0, unlike rows of -eye(3)
+    octahedron = np.zeros((6, 3))
+    octahedron[np.arange(6), np.arange(6) // 2] = np.tile([1.0, -1.0], 3)
+    g = (1.0 + np.sqrt(5.0)) / 2.0
+    scale = 1.0 / np.sqrt(1.0 + g * g)
+    s1, s2 = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    base = np.stack([np.zeros(4), s1 * scale, s2 * g * scale], axis=1)
+    # cyclic coordinate shifts: row k of shift s holds base[(k - s) % 3]
+    icosahedron = np.concatenate([np.roll(base, s, axis=1) for s in range(3)])
+    return {3: SphericalDesign(3, octahedron), 5: SphericalDesign(5, icosahedron)}
+
+
+_DESIGNS = _designs()
 
 
 def design_points(t: int) -> SphericalDesign:
-    """The degree-3 octahedron (6 points) or degree-5 icosahedron (12 points).
-
-    The icosahedron uses the golden-ratio vertices (0, +-1, +-g)/sqrt(1+g^2)
-    and their cyclic coordinate permutations; any rotation would serve
-    equally, this one is fixed for byte-reproducible output.
-    """
-    if t == 3:
-        # +x, -x, +y, -y, +z, -z; zeros stay +0.0, unlike rows of -eye(3)
-        pts = np.zeros((6, 3))
-        pts[np.arange(6), np.arange(6) // 2] = np.tile([1.0, -1.0], 3)
-        return SphericalDesign(3, pts)
-    if t == 5:
-        g = (1.0 + np.sqrt(5.0)) / 2.0
-        scale = 1.0 / np.sqrt(1.0 + g * g)
-        s1, s2 = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
-        base = np.stack([np.zeros(4), s1 * scale, s2 * g * scale], axis=1)
-        # cyclic coordinate shifts: row k of shift s holds base[(k - s) % 3]
-        return SphericalDesign(5, np.concatenate([np.roll(base, s, axis=1) for s in range(3)]))
-    raise ValueError(
-        f"unsupported design degree {t}; supported degrees: "
-        + ", ".join(str(d) for d in _SUPPORTED_DESIGN_DEGREES)
-    )
+    """The shared degree-``t`` design of ``_designs``: its ``validation`` runs once per process."""
+    if t not in _DESIGNS:
+        raise ValueError(f"unsupported design degree {t}; supported degrees: " + ", ".join(map(str, _DESIGNS)))
+    return _DESIGNS[t]
 
 
 def _double_factorial(k: int) -> int:

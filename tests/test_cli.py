@@ -21,7 +21,7 @@ from randmeas.cli import (
     parse_subset,
     render_state,
 )
-from randmeas.correlations import correlation_length, pauli_coefficients, sample_distribution
+from randmeas.correlations import HISTOGRAM_BINS, correlation_length, pauli_coefficients, sample_distribution
 from randmeas.criteria import structure_report_from_state
 from randmeas.moments import (
     all_subsets,
@@ -177,6 +177,16 @@ def test_sample_werner_support(tmp_path):
     assert rc == 0
     values = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 1]
     assert np.max(np.abs(values)) <= 0.578
+
+
+def test_sample_density_at_a_subnormal_werner_parameter(tmp_path):
+    # (e + p) / (2 p) overflows off the support, and the clip maps it to 0 or 1
+    out = tmp_path / "tiny"
+    assert run_cli(["sample", "--state", "werner:1e-320", "--samples", 4, "--output", out]) == 0
+    density = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    center = HISTOGRAM_BINS // 2
+    assert density[center, 3] == 40.499999999999822
+    assert not np.delete(density[:, 3], center).any()
 
 
 def test_sample_marginal_subset(tmp_path):
@@ -366,7 +376,7 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
         ("--state bell --orders 2,2 --samples 1000", "moment order t=2 is repeated in --orders"),
         (
             "--state ghz:3 --shots 1000000000 --samples 1000000",
-            "shot table of M*n*(24 + K) = 3000000072000000 bytes exceeds the 2147483648-byte cap",
+            "table of M*n*(24 + K) = 3000000072000000 bytes exceeds the 2147483648-byte cap",
         ),
     ],
     ids=[
@@ -383,7 +393,7 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
     import randmeas.cli
 
     work = []
-    for module, name in ((randmeas.sampling, "uniform_directions"), (randmeas.cli, "simulate_shots")):
+    for module, name in ((randmeas.sampling, "_settings_blocks"), (randmeas.cli, "simulate_shots")):
         monkeypatch.setattr(module, name, lambda *a, name=name: work.append(name))
     out = tmp_path / "o"
     assert run_cli(["moments", *args.split(), "--output", out]) == 1
@@ -395,11 +405,11 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
 @pytest.mark.parametrize("command", ["moments", "sample"])
 def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path, capsys, monkeypatch):
     draws = []
-    monkeypatch.setattr(randmeas.sampling, "uniform_directions", lambda *a: draws.append(a))
-    monkeypatch.setattr(randmeas.correlations, "_settings_blocks", lambda *a: draws.append(a))
+    for module in (randmeas.sampling, randmeas.correlations):
+        monkeypatch.setattr(module, "_settings_blocks", lambda *a: draws.append(a))
     out = tmp_path / "o"
     assert run_cli([command, "--state", "ghz:3", "--samples", 10**9, "--output", out]) == 1
-    message = "settings table of 40*M*n = 120000000000 bytes exceeds the 2147483648-byte cap"
+    message = "table of M*n*(24 + K) = 72000000000 bytes exceeds the 2147483648-byte cap"
     assert f"error: {message}" in capsys.readouterr().err
     assert draws == []
     assert not out.exists()
@@ -407,11 +417,11 @@ def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path
 
 @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap"]], ids=["plugin", "bootstrap"])
 def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monkeypatch):
-    draws = _count_calls(monkeypatch, "uniform_directions", randmeas.sampling)
+    draws = _count_calls(monkeypatch, "_settings_blocks", randmeas.sampling)
     out = tmp_path / "o"
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
     assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
-    assert [count for _, count in draws] == [4 * 300]
+    assert [(n, m) for _, n, m, _ in draws] == [(4, 300)]
     expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES))
     if bootstrap:
         expected = [bootstrap_error(e) for e in expected]

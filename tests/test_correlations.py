@@ -151,8 +151,7 @@ def test_tensor_component_matches_correlation_along_z():
 
 @given(st.integers(min_value=0, max_value=2**31))
 def test_negating_one_direction_negates_correlation_exactly(seed):
-    rng = np.random.default_rng(seed)
-    u, v = uniform_directions(rng, 2)
+    u, v = uniform_directions(RngStream(seed), 2)
     rho = w_state(2)
     plus = correlation(rho, {1: u, 2: v})
     minus = correlation(rho, {1: u, 2: -v})
@@ -194,19 +193,21 @@ def test_subset_values_are_bit_equal_to_the_tensor_route(k):
     # last Pauli axis
     rho = random_density_matrix(8, RngStream(92))
     dirs = uniform_directions(RngStream(93, k), 3001 * k).reshape(3001, k, 3)
+    rows = correlations._CONTRACTION_ROWS
+    blocks = np.split(dirs, range(rows, len(dirs), rows))
     for parties in {tuple(range(1, k + 1)), (*range(1, k), 8)}:
-        assert np.array_equal(_subset_values(rho, parties, dirs), _subset_values_oracle(rho, parties, dirs))
+        assert np.array_equal(_subset_values(rho, parties, blocks, len(dirs)), _subset_values_oracle(rho, parties, dirs))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_correlation_matches_kronecker_oracle(n):
-    rng = np.random.default_rng(n)
+    rng = RngStream(n).generator()
     states = [random_density_matrix(n, RngStream(23, n)), ghz(n) if n > 1 else product_zero(1)]
     for rho in states:
-        for _ in range(12):
+        for draw in range(12):
             size = int(rng.integers(1, n + 1))
             parties = rng.choice(np.arange(1, n + 1), size=size, replace=False)
-            dirs = dict(zip(parties.tolist(), uniform_directions(rng, size)))
+            dirs = dict(zip(parties.tolist(), uniform_directions(RngStream(n, draw + 1), size)))
             assert abs(correlation(rho, dirs) - _correlation_by_kronecker(rho, dirs)) < 1e-12
 
 
@@ -278,9 +279,11 @@ def test_single_site_values_are_bit_equal_to_the_ones_block_oracle(monkeypatch):
         tensors += [correlation_tensor(rho, (p,)).components for rho in states for p in (1, n)]
     axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.0, 0.0, -1.0], [-1.0, -0.0, -0.0]])
     dirs = np.concatenate([axes, uniform_directions(RngStream(30), 3_001)])[:, None, :]
-    for forced_rows in (None, 1_000):
-        if forced_rows:
-            monkeypatch.setattr(correlations, "_block_rows", lambda _: forced_rows)
+    # the oracle's block rows, then the contraction's: short blocks and a tail
+    patches = [None, ("_block_rows", lambda _: 1_000)] + [("_CONTRACTION_ROWS", rows) for rows in (1, 3, 1_000)]
+    for patch in patches:
+        if patch:
+            monkeypatch.setattr(correlations, *patch)
         for components in tensors:
             values = correlation_values(components, dirs)
             oracle = _correlation_values_k1_ones(components, dirs)
@@ -293,7 +296,7 @@ def test_sample_distribution_memory_is_capped_by_the_block_budget():
     rho.pauli  # cached on the state, not part of the draw
     # The values hold 8 bytes a setting.  The rest is one block's draw or
     # its contraction temporaries (within the budget and 64 KiB), never the
-    # 40 bytes a direction of a whole draw, which a block kept alive through
+    # 24 bytes a direction of a whole table, which a block kept alive through
     # the next draw would add up to.  Both sizes of M span several full
     # blocks, so only the values grow with M.
     for k, (small, big) in ((2, (10**5, 2 * 10**5)), (8, (10**4, 10**5))):
@@ -361,7 +364,7 @@ def test_pauli_coefficients_identity_entry_is_trace():
 def _sample_distribution_whole(rho, parties, m, rng):
     """The route ``sample_distribution`` used to run, kept as an oracle: the
     whole (M, k, 3) settings table drawn at once, then contracted."""
-    return _subset_values(rho, parties, random_settings(len(parties), m, rng))
+    return _subset_values_oracle(rho, parties, random_settings(len(parties), m, rng))
 
 
 @pytest.fixture(scope="module")
@@ -433,9 +436,14 @@ def test_one_contraction_block_fits_the_block_budget():
 
 
 def test_sample_distribution_refuses_a_live_generator():
-    # and so does moments_mc, whose table sample_distribution draws block by block
+    # and so does every whole-table draw, which is filled from the same blocks
     rng = np.random.default_rng(0)
-    for call in (lambda: sample_distribution(ghz(2), (1, 2), 10, rng), lambda: moments_mc(ghz(2), [(1, 2)], (2,), 10, rng)):
+    for call in (
+        lambda: sample_distribution(ghz(2), (1, 2), 10, rng),
+        lambda: moments_mc(ghz(2), [(1, 2)], (2,), 10, rng),
+        lambda: random_settings(2, 10, rng),
+        lambda: uniform_directions(rng, 10),
+    ):
         with pytest.raises(TypeError, match="expected RngStream, got <class 'numpy.random._generator.Generator'>"):
             call()
 

@@ -6,7 +6,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from randmeas import moments
+from randmeas import correlations, moments, sampling
 from randmeas.correlations import (
     CorrelationTensor,
     SampleSet,
@@ -37,6 +37,7 @@ from randmeas.moments import (
     simulate_shots,
 )
 from randmeas.sampling import (
+    _BLOCK_BYTES,
     MAX_TABLE_BYTES,
     RngStream,
     SphericalDesign,
@@ -169,7 +170,7 @@ def test_bootstrap_error_is_the_spread_over_every_resample(m):
     subset = (1, 3)
     orders = (1, 2, 4)
     boot = _moments_mc_bootstrap(rho, [subset], orders, m, RngStream(37, m))
-    values = _subset_values(rho, subset, random_settings(2, m, RngStream(37, m)))
+    values = _subset_values(rho, subset, [random_settings(2, m, RngStream(37, m))], m)
     idx = np.array(np.meshgrid(*[np.arange(m)] * m, indexing="ij")).reshape(m, -1).T
     for estimate, t in zip(boot, orders):
         spread = _power(values, t)[idx].mean(axis=1).std(ddof=0)
@@ -206,9 +207,10 @@ def test_every_subset_reads_its_columns_of_one_table(bootstrap):
     union = [1, 2, 4]
     table = random_settings(len(union), m, RngStream(83))
     expected = []
+    rows = correlations._CONTRACTION_ROWS
     for subset in subsets:
         columns = table[:, [union.index(p) for p in subset]]
-        samples = SampleSet(_subset_values(rho, subset, columns))
+        samples = SampleSet(_subset_values(rho, subset, np.split(columns, range(rows, m, rows)), m))
         expected += _moments_mc_oracle(samples, subset, orders, bootstrap)
     assert [(e.subset, e.order) for e in got] == [(e.subset, e.order) for e in expected]
     for estimate, oracle in zip(got, expected):
@@ -217,6 +219,27 @@ def test_every_subset_reads_its_columns_of_one_table(bootstrap):
         # times sqrt((M - 1) / M), within a few ulps of the oracle's 1/M spread
         assert estimate.std_error == pytest.approx(oracle.std_error, rel=1e-15 if bootstrap else 0.0, abs=0.0)
         assert (estimate.samples, estimate.seed) == (m, (83, 0))
+
+
+def test_monte_carlo_of_no_subset_is_empty():
+    assert moments_mc(ghz(3), [], (2,), 10, RngStream(84)) == []
+
+
+def test_monte_carlo_memory_is_the_table_and_a_few_value_columns():
+    rho = ghz(8)
+    rho.pauli  # cached on the state, not part of the estimate
+    m, n = 10**5, 8
+    tracemalloc.start()
+    try:
+        moments_mc(rho, [range(1, n + 1)], (2, 4), m, RngStream(85))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The table holds 24 bytes a direction; the values, one power and the
+    # spread's temporary 8 bytes a setting each; one block's draw or
+    # contraction stays within the budget.  No subset copies its whole
+    # columns.
+    assert peak <= 24 * m * n + 4 * 8 * m + _BLOCK_BYTES
 
 
 def test_moment_exact_t2_values():
@@ -388,6 +411,23 @@ def test_design_moment_refuses_a_caller_design_over_the_cap_before_any_grid(monk
     with pytest.raises(ValueError, match=r"design sum over 30\^5 tuples exceeds MAX_DESIGN_TUPLES"):
         moments_design(ghz(5), [(1, 2, 3, 4, 5)], [2], design)
     assert grids == []
+
+
+def test_design_moment_refuses_a_design_short_of_its_declared_degree():
+    # the octahedron declared a 5-design would give 0.3333 for the exact 0.2
+    design = SphericalDesign(5, D3.points)
+    with pytest.raises(ValueError, match=r"design points fail their declared degree 5 \(max deviation 1\.333e-01\)"):
+        moments_design(ghz(2), [(1, 2)], [4], design)
+
+
+def test_design_validation_runs_once_per_design(monkeypatch):
+    runs, real = [], sampling.validate_design
+    monkeypatch.setattr(sampling, "validate_design", lambda design: runs.append(design) or real(design))
+    design = SphericalDesign(5, D5.points)
+    for _ in range(3):
+        moments_design(ghz(2), [(1, 2)], [2, 4], design)
+    assert runs == [design]
+    assert design_points(5) is design_points(5) and design_points(3) is D3
 
 
 def _assert_near_pow_oracle(value, values, t):

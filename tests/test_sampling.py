@@ -8,7 +8,6 @@ from scipy import stats
 from randmeas import sampling
 from randmeas.cli import main
 from randmeas.sampling import (
-    _BLOCK_BYTES,
     RngStream,
     as_direction_array,
     design_points,
@@ -97,7 +96,7 @@ def test_rng_stream_accepts_numpy_integers():
 @pytest.mark.parametrize("m", [0, -1])
 def test_random_settings_refuses_fewer_than_one_setting_before_any_draw(m, monkeypatch):
     draws = []
-    monkeypatch.setattr(sampling, "uniform_directions", lambda *args: draws.append(args))
+    monkeypatch.setattr(sampling, "_settings_blocks", lambda *args: draws.append(args))
     with pytest.raises(ValueError, match=f"samples must satisfy M >= 1, got {m}"):
         sampling.random_settings(3, m, RngStream(0))
     assert draws == []
@@ -161,7 +160,7 @@ def _uniform_directions_stacked(rng, count):
 )
 def test_uniform_directions_match_stacked_oracle(count, forced_rows, monkeypatch):
     if forced_rows:
-        monkeypatch.setattr(sampling, "_block_rows", lambda _: forced_rows)
+        monkeypatch.setattr(sampling, "_CONTRACTION_ROWS", forced_rows)
     dirs = uniform_directions(RngStream(29, count), count)
     assert np.array_equal(dirs, _uniform_directions_stacked(RngStream(29, count), count))
 
@@ -173,20 +172,45 @@ def test_settings_blocks_concatenate_to_random_settings(n):
     for m, rows in ((1, 1), (1, 5), (7, 3), (1_001, 1), (1_001, 1_000), (1_001, 1_001)):
         blocks = list(sampling._settings_blocks(RngStream(31, n), n, m, rows))
         assert [len(block) for block in blocks] == [min(rows, m - start) for start in range(0, m, rows)]
-        assert np.array_equal(np.concatenate(blocks), random_settings(n, m, RngStream(31, n)))
+        stacked = _uniform_directions_stacked(RngStream(31, n), m * n).reshape(m, n, 3)
+        assert np.array_equal(np.concatenate(blocks), stacked)
+
+
+def test_random_settings_of_no_party_is_an_empty_table_per_setting():
+    assert random_settings(0, 5, RngStream(1)).shape == (5, 0, 3)
+
+
+def _draw_peak(draw):
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Bytes one 1,024-row block of a draw may hold for each party: its z,
+#: azimuth and points, and the temporaries of the points, within 12 floats a
+#: direction.
+_DRAW_BLOCK_BYTES = sampling._CONTRACTION_ROWS * 12 * 8
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_random_settings_memory_is_the_table_and_one_block(n):
+    # Only the table, 24 bytes a direction, grows with M; one block's draw
+    # comes on top.  Both sizes of M span several blocks.
+    small, big = 10_000, 50_000
+    peaks = {m: _draw_peak(lambda m=m: random_settings(n, m, RngStream(33))) for m in (small, big)}
+    assert peaks[big] <= 24 * big * n + n * _DRAW_BLOCK_BYTES + 2**16
+    assert peaks[big] - peaks[small] <= 24 * (big - small) * n + 2**12
 
 
 def test_uniform_directions_memory_is_capped_by_the_block_budget():
     count = 800_000
-    tracemalloc.start()
-    try:
-        uniform_directions(RngStream(30), count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # z, the azimuth and the (count, 3) output hold 5 floats a row; the
-    # x and y products stay within one block, plus interpreter slack.
-    assert peak <= 5 * 8 * count + _BLOCK_BYTES + 64 * 1024
+    peak = _draw_peak(lambda: uniform_directions(RngStream(30), count))
+    # the (count, 3) output holds 3 floats a row; one block's draw stays
+    # within its own bytes, plus interpreter slack
+    assert peak <= 3 * 8 * count + _DRAW_BLOCK_BYTES + 2**16
 
 
 def test_uniform_direction_marginals_are_uniform():
@@ -312,13 +336,14 @@ def test_design_csv_round_trip(tmp_path):
         ),
         (lambda: random_settings(2, 2.5, RngStream(1)), ValueError, "samples M must be an integer, got 2.5"),
         (lambda: random_settings(2, True, RngStream(1)), ValueError, "samples M must be an integer, got True"),
+        (lambda: uniform_directions(RngStream(1), 0), ValueError, "samples must satisfy M >= 1, got 0"),
     ]
     + [
         (lambda degree=degree: SphericalDesign(degree, np.eye(3)), ValueError,
          rf"^design degree must be an integer >= 1, got {re.escape(repr(degree))}$")
         for degree in (-1, 0, 2.5, True, "3")
     ],
-    ids=["not_a_generator", "design_shape", "fractional_samples", "bool_samples"]
+    ids=["not_a_generator", "design_shape", "fractional_samples", "bool_samples", "no_directions"]
     + [f"design_degree_{name}" for name in ("negative", "zero", "fractional", "bool", "text")],
 )
 def test_sampling_refusals(call, error, message):
