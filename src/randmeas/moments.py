@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .sampling import (
     _check_settings,
     _check_unit_norm,
     _generator,
+    _norms,
     half_design,
     random_settings,
 )
@@ -72,7 +73,7 @@ class MomentEstimate:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method in _EXACT_METHODS and self.std_error is not None:
             raise ValueError(f"{self.method} estimates must carry std_error=None")
-        if not np.isfinite(self.value) or not np.isfinite(self.std_error or 0.0):
+        if not isfinite(self.value) or not isfinite(self.std_error or 0.0):
             raise ValueError(
                 f"moment value {self.value!r} and std_error {self.std_error!r} must be finite"
             )
@@ -83,7 +84,7 @@ class MomentEstimate:
                 raise ValueError(
                     f"even-order moment {self.value!r} outside [0, 1] tolerance"
                 )
-        object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
+        object.__setattr__(self, "subset", tuple(map(int, self.subset)))
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +236,7 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
                 # consume the leading site axis, appending its point axis at the end
                 grid = np.dot(grid.reshape(3, -1).T, points.T)
             values = grid.ravel()
-            means = {t: float(np.sum(_power(values, t)) / values.size) for t in even}
+            means = {t: float(np.add.reduce(_power(values, t)) / values.size) for t in even}
         estimates += [MomentEstimate(parties, t, means.get(t, 0.0), None, "design") for t in orders]
     return estimates
 
@@ -369,7 +370,7 @@ def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     of every elementwise update.
     """
     b, n, _ = settings.shape
-    x, y, z = np.ascontiguousarray((settings / np.linalg.norm(settings, axis=2, keepdims=True)).transpose(2, 1, 0))
+    x, y, z = np.ascontiguousarray((settings / _norms(settings)[..., None]).transpose(2, 1, 0))
     c = np.sqrt((1.0 + z) / 2.0)
     e = np.divide(x + 1j * y, 2.0 * c, out=np.ones((n, b), complex), where=c > 0.0)
     amps = psi.reshape(-1, 1)

@@ -178,10 +178,17 @@ def _check_unit_norm(vectors: np.ndarray) -> None:
     norm 1 within 1e-12."""
     if not np.all(np.isfinite(vectors)):
         raise ValueError("directions have non-finite (NaN or inf) entries")
-    norms = np.linalg.norm(vectors, axis=-1).ravel()
+    norms = _norms(vectors).ravel()
     off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
     if off.size:
         raise ValueError(f"direction norm {float(norms[off[0]])!r} deviates from 1 beyond 1e-12")
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Norms of the 3-vectors along the last axis, summed as ``np.linalg.norm``
+    sums them, so bit-equal to it, without its slow length-3 reduction."""
+    x, y, z = np.moveaxis(vectors, -1, 0)
+    return np.sqrt(x * x + y * y + z * z)
 
 
 @dataclass(frozen=True, eq=False)

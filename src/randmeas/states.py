@@ -31,8 +31,9 @@ class DensityMatrix:
     """A validated n-qubit density matrix.
 
     ``n_qubits`` is read off the 2^n x 2^n shape.  Validation happens at
-    construction: the matrix must be Hermitian and unit-trace within 1e-10
-    and positive semidefinite up to an eigenvalue floor of -1e-10.
+    construction: the matrix must be finite, Hermitian and unit-trace within
+    1e-10 and positive semidefinite up to an eigenvalue floor of -1e-10;
+    ``from_vector`` checks its vector instead, for reasons given there.
     Instances are immutable (the stored array is marked read-only), so
     they are safe to share across workers.  ``from_vector`` also keeps the
     read-only normalized amplitudes as ``_vector``; other states hold None.
@@ -43,16 +44,7 @@ class DensityMatrix:
     _vector: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        shape = np.shape(self.matrix)
-        dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
-        n = dim.bit_length() - 1
-        if n < 1 or dim != 2**n:
-            raise ValueError(f"matrix shape {shape} is not 2^n x 2^n for any n >= 1")
-        if n > MAX_QUBITS:
-            raise ValueError(
-                f"n_qubits={n} exceeds the configured dense-matrix limit "
-                f"MAX_QUBITS={MAX_QUBITS}"
-            )
+        n = _qubit_count(np.shape(self.matrix))
         mat = np.array(self.matrix, dtype=complex)
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite (NaN or inf) entries")
@@ -69,6 +61,9 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
+        self._freeze(mat, n)
+
+    def _freeze(self, mat: np.ndarray, n: int) -> None:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n_qubits", n)
@@ -84,7 +79,12 @@ class DensityMatrix:
 
     @classmethod
     def from_vector(cls, amplitudes) -> "DensityMatrix":
-        """Build the pure state |psi><psi| from an amplitude vector, normalized here."""
+        """Build the pure state |psi><psi| from an amplitude vector, normalized here.
+
+        Only the vector is checked, its size before the matrix is allocated:
+        the outer product of a finite unit vector is Hermitian to rounding,
+        and its trace and only nonzero eigenvalue are the squared norm, 1.
+        """
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         dim = psi.size
         if dim < 1 or dim & (dim - 1):
@@ -100,7 +100,9 @@ class DensityMatrix:
         if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
             raise ValueError("amplitude vector is numerically zero")
         psi = psi / norm
-        rho = cls(np.outer(psi, psi.conj()))
+        n = _qubit_count((dim, dim))
+        rho = object.__new__(cls)
+        rho._freeze(np.outer(psi, psi.conj()), n)
         psi.setflags(write=False)
         object.__setattr__(rho, "_vector", psi)
         return rho
@@ -249,6 +251,17 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         for name, v in zip(row.params, spec.params)
     ]
     return row.build(*args)
+
+
+def _qubit_count(shape) -> int:
+    """n of a 2^n x 2^n matrix ``shape``, refused unless 1 <= n <= MAX_QUBITS."""
+    dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2**n:
+        raise ValueError(f"matrix shape {shape} is not 2^n x 2^n for any n >= 1")
+    if n > MAX_QUBITS:
+        raise ValueError(f"n_qubits={n} exceeds the configured dense-matrix limit MAX_QUBITS={MAX_QUBITS}")
+    return n
 
 
 def _check_qubit_count(name: str, n, minimum: int) -> None:

@@ -2,7 +2,8 @@
 
 ``partial_trace`` and ``purity_direct`` are the oracles for
 ``correlations.marginal_purity``, which reads marginal purities off the
-Pauli tensor instead.  ``random_density_matrix``, ``tensor`` and
+Pauli tensor instead.  ``check_density_matrix`` runs the matrix checks
+that ``DensityMatrix.from_vector`` skips.  ``random_density_matrix``, ``tensor`` and
 ``apply_local_unitaries`` build the generic, product and locally rotated
 states the tests check invariants on.
 """
@@ -13,6 +14,14 @@ import numpy as np
 
 from randmeas.sampling import _generator
 from randmeas.states import DensityMatrix
+
+
+def check_density_matrix(mat: np.ndarray) -> None:
+    """Assert that ``mat`` is Hermitian and unit-trace within 1e-10 and has
+    no eigenvalue below -1e-10."""
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
+    assert abs(np.trace(mat) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -235,6 +235,21 @@ def test_direction_validates_norm():
     np.testing.assert_array_equal(as_direction_array([[0.0, -1.0, 0.0]]), [0.0, -1.0, 0.0])
 
 
+def test_norms_are_bit_equal_to_linalg_norm():
+    draws = random_settings(3, 3_196, RngStream(5, 0))
+    gen = np.random.default_rng(5)
+    units = draws.reshape(-1, 3)
+    off = units * (1.0 + gen.choice([-1e-13, 1e-13], size=(len(units), 1)))
+    scaled = [units * 2.0**power for power in (-1074, -600, -520, 500, 600)]
+    spread = gen.normal(size=(64, 3)) * 10.0 ** gen.uniform(-300, 300, size=(64, 1))
+    with np.errstate(over="ignore", under="ignore"):
+        for vectors in [draws, units, off, units[0], spread] + scaled:
+            np.testing.assert_array_equal(sampling._norms(vectors), np.linalg.norm(vectors, axis=-1))
+    sampling._check_unit_norm(off)
+    with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+        sampling._check_unit_norm(units * (1.0 + 2e-12))
+
+
 def test_design_points_octahedron():
     design = design_points(3)
     assert len(design.points) == 6

@@ -20,7 +20,14 @@ from randmeas.states import (
     werner,
 )
 
-from matrix_oracles import apply_local_unitaries, partial_trace, purity_direct, random_density_matrix, tensor
+from matrix_oracles import (
+    apply_local_unitaries,
+    check_density_matrix,
+    partial_trace,
+    purity_direct,
+    random_density_matrix,
+    tensor,
+)
 
 NAMED_STATES = {
     "product_zero(2)": lambda: product_zero(2),
@@ -66,11 +73,26 @@ def test_bisep4_marginals():
 
 @pytest.mark.parametrize("name", sorted(NAMED_STATES))
 def test_named_states_satisfy_density_matrix_invariants(name):
-    rho = NAMED_STATES[name]()
-    mat = rho.matrix
-    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-10
-    assert abs(np.trace(mat) - 1.0) <= 1e-10
-    assert np.linalg.eigvalsh(mat)[0] >= -1e-10
+    check_density_matrix(NAMED_STATES[name]().matrix)
+
+
+def test_pure_states_pass_the_matrix_checks_from_vector_skips():
+    gen = np.random.default_rng(31)
+    states = [product_zero(n) for n in range(1, 9)]
+    states += [build(n) for build in (ghz, w_state) for n in range(2, 9)]
+    states += [bell_psi_minus(), cluster_linear(), trisep4()]
+    states += [bisep4(phi) for phi in (0.0, 0.2, np.pi / 4, 1.3, np.pi / 2, -2.0)]
+    # At 2^-600 every norm is below 1e-12, which is refused as numerically zero.
+    states += [
+        DensityMatrix.from_vector((gen.normal(size=2**n) + 1j * gen.normal(size=2**n)) * 2.0**power)
+        for n in range(1, 9)
+        for power in (-30, 0, 600)
+    ]
+    for rho in states:
+        check_density_matrix(rho.matrix)
+        assert not rho.matrix.flags.writeable and not rho._vector.flags.writeable
+        assert rho.matrix.shape == (2**rho.n_qubits,) * 2
+        np.testing.assert_array_equal(rho.matrix, np.outer(rho._vector, rho._vector.conj()))
 
 
 def test_make_state_dispatch_matches_builders():
@@ -271,11 +293,18 @@ def test_purity_is_lu_invariant_over_100_frames():
         for kind, name, x in (("bisep4", "phi", float("inf")), ("bisep4", "phi", float("nan")), ("werner", "p", -float("inf")))
     ]
     # refused by name before np.sin could warn (RuntimeWarnings are errors here)
-    + [(lambda x=x: bisep4(x), rf"^parameter phi must be finite, got {x!r}$") for x in (float("inf"), float("nan"))],
+    + [(lambda x=x: bisep4(x), rf"^parameter phi must be finite, got {x!r}$") for x in (float("inf"), float("nan"))]
+    + [(lambda: DensityMatrix.from_vector([1.0]), r"^matrix shape \(1, 1\) is not 2\^n x 2\^n for any n >= 1$")]
+    # refused before the 4^n-entry matrix is allocated (2^20 amplitudes would need 16 TiB)
+    + [
+        (lambda k=k: DensityMatrix.from_vector(np.ones(2**k)), rf"^n_qubits={k} exceeds the configured dense-matrix limit MAX_QUBITS=8$")
+        for k in (9, 20)
+    ],
     ids=[
         "vector_length", "empty_vector", "zero_vector", "bool_qubit_count", "bool_parameter",
         "shape_2x3", "shape_3x3", "shape_4", "shape_1x1",
         "nan_amplitude", "inf_amplitude", "inf_phi", "nan_phi", "negative_inf_p", "direct_inf_phi", "direct_nan_phi",
+        "one_amplitude", "nine_qubit_vector", "twenty_qubit_vector",
     ],
 )
 def test_state_refusals(call, message):
