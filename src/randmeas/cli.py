@@ -289,7 +289,7 @@ def cmd_moments(config: RunConfig) -> int:
         raise ValueError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
-        _check_settings(rho.n_qubits, config.samples, config.shots)
+        _check_settings(config.samples, rho.n_qubits * (24 + config.shots))
 
     checks = []
     do_checks = rho.n_qubits <= 4

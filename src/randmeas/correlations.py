@@ -46,7 +46,7 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
 
 def normalize_subset(subset, n: int) -> tuple:
     """Canonicalize a party subset to a sorted tuple of ints in 1..n."""
-    parties = tuple(sorted({int(p) for p in subset}))
+    parties = tuple(sorted(set(map(int, subset))))
     if not parties:
         raise ValueError("party subset must not be empty")
     if parties[0] < 1 or parties[-1] > n:
@@ -301,10 +301,10 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> S
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``, those of the table ``random_settings(k, m, rng)``.
     The settings are drawn and contracted one block at a time, so only the
-    ``m`` values outlive a block."""
+    ``m`` values outlive a block, and only they count against the cap."""
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    _check_settings(k, m)
+    _check_settings(m, 8, "values of M*8")
     return SampleSet(_subset_values(rho, parties, _settings_blocks(rng, k, m, _CONTRACTION_ROWS), m))
 
 

@@ -26,16 +26,6 @@ def random_pure_vector(dim: int, rng) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def permute_vector_qubits(vec: np.ndarray, order) -> np.ndarray:
-    """Reorder a state vector whose qubits currently appear in ``order``
-    (1-based party labels) into ascending party order."""
-    order = list(order)
-    n = len(order)
-    tensor_form = np.asarray(vec).reshape((2,) * n)
-    perm = [order.index(p) for p in sorted(order)]
-    return np.transpose(tensor_form, perm).ravel()
-
-
 def bipartitions(n: int) -> list:
     """Unordered proper bipartitions of {1..n} as (block, complement)."""
     parties = tuple(range(1, n + 1))
@@ -57,7 +47,9 @@ def random_biseparable_state(n_qubits: int, rng) -> DensityMatrix:
     block, complement = splits[gen.integers(len(splits))]
     psi_block = random_pure_vector(2 ** len(block), gen)
     psi_comp = random_pure_vector(2 ** len(complement), gen)
-    vec = permute_vector_qubits(np.kron(psi_block, psi_comp), block + complement)
+    # one axis per qubit, in the order block + complement, moved to party order
+    outer = np.multiply.outer(psi_block, psi_comp).reshape((2,) * n_qubits)
+    vec = outer.transpose(np.argsort(block + complement)).ravel()
     noise_weight = gen.uniform(0.0, 1.0)
     dim = 2**n_qubits
     mat = (1.0 - noise_weight) * np.outer(vec, vec.conj()) + noise_weight * np.eye(dim) / dim

@@ -39,7 +39,7 @@ from .sampling import (
     half_design,
     random_settings,
 )
-from .states import DensityMatrix
+from .states import MAX_QUBITS, DensityMatrix
 
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
 _EXACT_METHODS = ("exact_tensor", "design")
@@ -57,6 +57,8 @@ class MomentEstimate:
 
     Exact methods carry ``std_error=None``.  ``samples`` is the number of
     direction settings M and ``shots`` the repetitions K where relevant.
+    The subset is stored as ``normalize_subset`` of it in 1..MAX_QUBITS and
+    the order is checked by ``_check_order``, the one owner of each rule.
     """
 
     subset: tuple
@@ -73,10 +75,13 @@ class MomentEstimate:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method in _EXACT_METHODS and self.std_error is not None:
             raise ValueError(f"{self.method} estimates must carry std_error=None")
+        object.__setattr__(self, "order", _check_order(self.order))
         if not isfinite(self.value) or not isfinite(self.std_error or 0.0):
             raise ValueError(
                 f"moment value {self.value!r} and std_error {self.std_error!r} must be finite"
             )
+        if (self.std_error or 0.0) < 0.0:
+            raise ValueError(f"std_error {self.std_error!r} must not be negative")
         if self.order % 2 == 0 and self.method != "finite_shot":
             # Even moments of a [-1, 1]-valued variable live in [0, 1].
             # Unbiased finite-shot estimates may leave that range.
@@ -84,7 +89,7 @@ class MomentEstimate:
                 raise ValueError(
                     f"even-order moment {self.value!r} outside [0, 1] tolerance"
                 )
-        object.__setattr__(self, "subset", tuple(map(int, self.subset)))
+        object.__setattr__(self, "subset", normalize_subset(self.subset, MAX_QUBITS))
 
     def to_dict(self) -> dict:
         return {
@@ -110,14 +115,9 @@ def _entry_stats(entry):
 
 
 def _normalize_moments(moments) -> dict:
-    """A map keyed by party subsets (moments or purities), re-keyed by sorted
-    party tuples.  Every key must be a non-empty set of parties >= 1."""
-    normalized = {}
-    for key, entry in moments.items():
-        parties = tuple(sorted({int(p) for p in key}))
-        if not parties or parties[0] < 1:
-            raise ValueError(f"subset key {key!r} is not a non-empty set of parties >= 1")
-        normalized[parties] = entry
+    """A map keyed by party subsets (moments or purities), re-keyed by
+    ``normalize_subset`` in 1..MAX_QUBITS."""
+    normalized = {normalize_subset(key, MAX_QUBITS): entry for key, entry in moments.items()}
     if not normalized:
         raise ValueError("party-subset map is empty")
     return normalized
@@ -307,7 +307,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
         )
     m = settings.shape[0]
-    _check_settings(n, m, k)
+    _check_settings(m, n * (24 + int(k)))
     _check_unit_norm(settings)
     if rho._vector is None:
         source, born, width = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative, 3 * 4 ** (n - 1)

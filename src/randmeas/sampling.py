@@ -31,8 +31,8 @@ _BLOCK_BYTES = 4 << 20
 #: block fits ``_BLOCK_BYTES``; a drawn row takes less.
 _CONTRACTION_ROWS = 1024
 
-#: Most bytes one settings table may take: ``_check_settings`` counts 24 a
-#: direction and, for a shot simulation, 1 an outcome.
+#: Most bytes M settings may hold: ``_check_settings`` counts 24 a direction
+#: and, for a shot simulation, 1 an outcome, or 8 a streamed ``sample`` value.
 MAX_TABLE_BYTES = 2**31
 
 
@@ -114,23 +114,24 @@ def _sphere_points(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_settings(n: int, m: int, k: int = 0) -> None:
-    """Refuse a non-integer M, M < 1, or M settings of n parties over
-    ``MAX_TABLE_BYTES`` at 24 bytes a direction plus, for K shots a
-    setting, 1 byte an outcome."""
+def _check_settings(m: int, row_bytes: int, held: str = "table of M*n*(24 + K)") -> None:
+    """Refuse a non-integer M, M < 1, or M settings of ``row_bytes`` each
+    over ``MAX_TABLE_BYTES``; ``held`` names those bytes in the message.
+    A table of n-party settings holds 24 bytes a direction plus, for K
+    shots a setting, 1 byte an outcome."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"samples M must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"samples must satisfy M >= 1, got {m}")
-    if (size := int(m) * n * (24 + int(k))) > MAX_TABLE_BYTES:
-        raise ValueError(f"table of M*n*(24 + K) = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+    if (size := int(m) * row_bytes) > MAX_TABLE_BYTES:
+        raise ValueError(f"{held} = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
 
 
 def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
     """M uniformly random direction tuples for n parties, shape (M, n, 3),
     filled from ``_settings_blocks``.  ``_check_settings`` refuses a bad M
     before any draw."""
-    _check_settings(n, m)
+    _check_settings(m, 24 * n)
     table = np.empty((m, n, 3))
     for start, block in zip(range(0, m, _CONTRACTION_ROWS), _settings_blocks(rng, n, m, _CONTRACTION_ROWS)):
         table[start : start + len(block)] = block

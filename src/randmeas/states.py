@@ -160,7 +160,7 @@ def cluster_linear() -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) I/4 of the singlet with white noise."""
-    p = float(p)
+    p = _as_float("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"parameter p must lie in [0, 1], got {p}")
     singlet = bell_psi_minus().matrix
@@ -244,13 +244,9 @@ class StateSpec:
 
 
 def make_state(spec: StateSpec) -> DensityMatrix:
-    """Construct the density matrix described by ``spec``."""
-    row = STATES[spec.kind]
-    args = [
-        _as_int(name, v) if row.cast is int else _as_float(name, v)
-        for name, v in zip(row.params, spec.params)
-    ]
-    return row.build(*args)
+    """Construct the density matrix described by ``spec``.  Its builder is the
+    one owner of the parameters' checks (``_check_qubit_count``, ``_as_float``)."""
+    return STATES[spec.kind].build(*spec.params)
 
 
 def _qubit_count(shape) -> int:
@@ -271,13 +267,6 @@ def _check_qubit_count(name: str, n, minimum: int) -> None:
         raise ValueError(
             f"parameter {name}={n} exceeds the configured limit MAX_QUBITS={MAX_QUBITS}"
         )
-
-
-def _as_int(name: str, value) -> int:
-    as_float = float(value)
-    if isinstance(value, (bool, np.bool_)) or not np.isfinite(as_float) or as_float != int(as_float):
-        raise ValueError(f"parameter {name} must be an integer, got {value!r}")
-    return int(as_float)
 
 
 def _as_float(name: str, value) -> float:

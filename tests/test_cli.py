@@ -409,7 +409,10 @@ def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path
         monkeypatch.setattr(module, "_settings_blocks", lambda *a: draws.append(a))
     out = tmp_path / "o"
     assert run_cli([command, "--state", "ghz:3", "--samples", 10**9, "--output", out]) == 1
-    message = "table of M*n*(24 + K) = 72000000000 bytes exceeds the 2147483648-byte cap"
+    message = {
+        "moments": "table of M*n*(24 + K) = 72000000000 bytes exceeds the 2147483648-byte cap",
+        "sample": "values of M*8 = 8000000000 bytes exceeds the 2147483648-byte cap",
+    }[command]
     assert f"error: {message}" in capsys.readouterr().err
     assert draws == []
     assert not out.exists()

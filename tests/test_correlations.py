@@ -448,6 +448,28 @@ def test_sample_distribution_refuses_a_live_generator():
             call()
 
 
+def test_sample_caps_its_values_not_a_settings_table(monkeypatch):
+    """``sample_distribution`` streams its settings and holds only its M
+    float64 values, so the cap admits M up to MAX_TABLE_BYTES / 8 at any k,
+    where a table of the same settings is refused; it runs before any draw."""
+
+    class Drawn(Exception):
+        pass
+
+    def draw(rng, k, m, rows):
+        raise Drawn(m)
+
+    monkeypatch.setattr(correlations, "_settings_blocks", draw)
+    limit = sampling.MAX_TABLE_BYTES // 8
+    with pytest.raises(ValueError, match=r"^table of M\*n\*\(24 \+ K\) = 2147483712 bytes exceeds"):
+        random_settings(8, 11_184_811, RngStream(1))
+    for m in (11_184_811, limit):
+        with pytest.raises(Drawn):
+            sample_distribution(w_state(8), range(1, 9), m, RngStream(1))
+    with pytest.raises(ValueError, match=r"^values of M\*8 = 2147483656 bytes exceeds the 2147483648-byte cap$"):
+        sample_distribution(w_state(8), range(1, 9), limit + 1, RngStream(1))
+
+
 def test_clamp_refuses_excess_and_passes_nan():
     values = np.array([0.5, -(1.0 + 5e-10), 1.0 + 5e-10, -0.0])
     assert correlations._clamped(values) is values

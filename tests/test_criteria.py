@@ -15,6 +15,7 @@ from randmeas.criteria import (
     w_class_witness,
 )
 from randmeas.ensembles import (
+    bipartitions,
     random_biseparable_state,
     random_pure_vector,
     random_w_class_mixture,
@@ -76,7 +77,7 @@ def test_m_quantifier_requires_all_subsets():
     moments = {s: 0.0 for s in all_subsets(4) if s != (2, 4)}
     with pytest.raises(ValueError, match=r"missing subset \(2, 4\)"):
         gme_test_4(moments, 1.0)
-    with pytest.raises(ValueError, match=r"subset key \(0,\) is not a non-empty set"):
+    with pytest.raises(ValueError, match=r"party subset \(0,\) outside 1\.\.8"):
         gme_test_4({**moments, (0,): 0.0}, 1.0)
 
 
@@ -298,6 +299,36 @@ def test_verdict_serialization():
 # ---------------------------------------------------------------------------
 # Small-scale soundness sweeps (full-scale versions live in the acceptance suite)
 # ---------------------------------------------------------------------------
+
+def _permute_vector_qubits(vec: np.ndarray, order) -> np.ndarray:
+    """Reorder a state vector whose qubits currently appear in ``order``
+    (1-based party labels) into ascending party order: the helper that
+    ``random_biseparable_state`` used to call, kept as its oracle."""
+    order = list(order)
+    tensor_form = np.asarray(vec).reshape((2,) * len(order))
+    return np.transpose(tensor_form, [order.index(p) for p in sorted(order)]).ravel()
+
+
+def _random_biseparable_state_oracle(n_qubits: int, gen) -> DensityMatrix:
+    """``random_biseparable_state`` as it was built through ``np.kron`` and
+    ``_permute_vector_qubits``, drawing the same numbers in the same order."""
+    splits = bipartitions(n_qubits)
+    block, complement = splits[gen.integers(len(splits))]
+    psi_block = random_pure_vector(2 ** len(block), gen)
+    psi_comp = random_pure_vector(2 ** len(complement), gen)
+    vec = _permute_vector_qubits(np.kron(psi_block, psi_comp), block + complement)
+    noise_weight = gen.uniform(0.0, 1.0)
+    dim = 2**n_qubits
+    return DensityMatrix((1.0 - noise_weight) * np.outer(vec, vec.conj()) + noise_weight * np.eye(dim) / dim)
+
+
+def test_biseparable_states_keep_their_bits():
+    for n in (2, 3, 4):
+        gen, oracle_gen = RngStream(90 + n).generator(), RngStream(90 + n).generator()
+        for _ in range(20):
+            state = random_biseparable_state(n, gen)
+            assert np.array_equal(state.matrix, _random_biseparable_state_oracle(n, oracle_gen).matrix)
+
 
 def test_biseparable_4q_states_respect_gme_bound():
     gen = RngStream(71).generator()

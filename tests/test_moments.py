@@ -949,13 +949,13 @@ def test_purity_from_moments_rejects_negative():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             purity_from_moments({(1,): bad})
-    # keys are non-empty sets of parties >= 1; the error names the bad key
-    for bad_key, moments_map in (
-        ("(0,)", {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (0,): 0.5}),
-        ("(0,)", {(0,): 0.1}),
-        ("()", {(): 1.0}),
+    # keys are non-empty sets of parties in 1..MAX_QUBITS
+    for message, moments_map in (
+        ("party subset (0,) outside 1..8", {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (0,): 0.5}),
+        ("party subset (0,) outside 1..8", {(0,): 0.1}),
+        ("party subset must not be empty", {(): 1.0}),
     ):
-        with pytest.raises(ValueError, match=re.escape(f"subset key {bad_key} is not a non-empty set")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             purity_from_moments(moments_map)
 
 
@@ -990,6 +990,10 @@ def test_moment_estimate_validation():
             MomentEstimate((1, 2), 2, value, std_error, "finite_shot")
     est = MomentEstimate((1, 2), 2, -0.2, 0.05, "finite_shot", samples=10, shots=2)
     assert est.to_dict()["t"] == 2 and est.to_dict()["K"] == 2
+    # stored through normalize_subset and _check_order
+    est = MomentEstimate([2, np.int64(1)], np.int64(4), 0.5, None, "design")
+    assert est.subset == (1, 2) and type(est.subset[0]) is int
+    assert est.order == 4 and type(est.order) is int
 
 
 @pytest.mark.parametrize(
@@ -1007,8 +1011,23 @@ def test_moment_estimate_validation():
             lambda: moments_mc(bell_psi_minus(), [(1, 2)], [True], 10, RngStream(1)),
             "moment order t must be a positive integer, got True",
         ),
+    ]
+    # every estimate checks its own order and subset, whatever route made it
+    + [
+        (lambda t=t: MomentEstimate((1, 2), t, 0.5, None, "design"), f"^moment order t must be a positive integer, got {t!r}$")
+        for t in (0, -2, 2.5, True)
+    ]
+    + [
+        (lambda: MomentEstimate((), 2, 0.5, None, "design"), "^party subset must not be empty$"),
+        (lambda: MomentEstimate((0,), 2, 0.5, None, "design"), r"^party subset \(0,\) outside 1\.\.8$"),
+        (lambda: MomentEstimate((9,), 2, 0.5, None, "design"), r"^party subset \(9,\) outside 1\.\.8$"),
+        (lambda: MomentEstimate((1, 2), 2, 0.5, -0.1, "monte_carlo", 10), r"^std_error -0\.1 must not be negative$"),
     ],
-    ids=["unknown_method", "empty_map", "purity_not_positive", "purity_above_one", "bool_order", "bool_order_mc"],
+    ids=[
+        "unknown_method", "empty_map", "purity_not_positive", "purity_above_one", "bool_order", "bool_order_mc",
+        "estimate_order_zero", "estimate_order_negative", "estimate_order_fraction", "estimate_order_bool",
+        "estimate_empty_subset", "estimate_party_zero", "estimate_party_nine", "estimate_negative_error",
+    ],
 )
 def test_moment_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from randmeas.correlations import correlation_length
 from randmeas.sampling import RngStream, haar_unitaries
 from randmeas.states import (
+    STATES,
     DensityMatrix,
     StateSpec,
     bell_psi_minus,
@@ -102,6 +103,23 @@ def test_make_state_dispatch_matches_builders():
     np.testing.assert_array_equal(
         make_state(StateSpec("bisep4", (0.3,))).matrix, bisep4(0.3).matrix
     )
+    # and bit for bit, amplitudes too, for one spec of every kind
+    builders = {
+        "product_zero": ((3,), lambda: product_zero(3)),
+        "bell": ((), bell_psi_minus),
+        "ghz": ((4,), lambda: ghz(4)),
+        "w": ((5,), lambda: w_state(5)),
+        "cluster_linear": ((), cluster_linear),
+        "werner": ((0.3,), lambda: werner(0.3)),
+        "trisep4": ((), trisep4),
+        "bisep4": ((0.7,), lambda: bisep4(0.7)),
+    }
+    assert set(builders) == {kind for kind, row in STATES.items() if row.alias_of is None}
+    for kind, (params, build) in builders.items():
+        made, built = make_state(StateSpec(kind, params)), build()
+        assert np.array_equal(made.matrix, built.matrix), kind
+        assert (made._vector is None) == (built._vector is None), kind
+        assert made._vector is None or np.array_equal(made._vector, built._vector), kind
 
 
 def test_make_state_rejects_bad_parameters():
@@ -278,7 +296,10 @@ def test_purity_is_lu_invariant_over_100_frames():
         (lambda: DensityMatrix.from_vector([]), "amplitude vector length 0 is not a power of 2"),
         (lambda: DensityMatrix.from_vector([0, 0]), "amplitude vector is numerically zero"),
         (lambda: product_zero(True), "parameter n must be an integer >= 1, got True"),
-        (lambda: make_state(StateSpec("product_zero", (True,))), "parameter n must be an integer, got True"),
+        (lambda: make_state(StateSpec("product_zero", (True,))), "parameter n must be an integer >= 1, got True"),
+        # the builder checks its parameters as given, as ghz(4.0) is refused
+        (lambda: make_state(StateSpec("ghz", (4.0,))), r"^parameter n must be an integer >= 2, got 4\.0$"),
+        (lambda: make_state(StateSpec("ghz", ("4",))), r"^parameter n must be an integer >= 2, got '4'$"),
     ]
     + [
         (lambda shape=shape: DensityMatrix(np.zeros(shape)), rf"^matrix shape {re.escape(str(shape))} is not 2\^n x 2\^n for any n >= 1$")
@@ -302,6 +323,7 @@ def test_purity_is_lu_invariant_over_100_frames():
     ],
     ids=[
         "vector_length", "empty_vector", "zero_vector", "bool_qubit_count", "bool_parameter",
+        "float_qubit_count_spec", "text_qubit_count_spec",
         "shape_2x3", "shape_3x3", "shape_4", "shape_1x1",
         "nan_amplitude", "inf_amplitude", "inf_phi", "nan_phi", "negative_inf_p", "direct_inf_phi", "direct_nan_phi",
         "one_amplitude", "nine_qubit_vector", "twenty_qubit_vector",
