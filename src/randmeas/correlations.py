@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import _CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _settings_blocks, as_direction_array
-from .states import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import MAX_QUBITS, DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_int, _check_real
 
 #: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
 CORRELATION_EXCESS_ATOL = 1e-9
@@ -45,12 +45,11 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
 
 
 def normalize_subset(subset, n: int) -> tuple:
-    """Canonicalize a party subset to a sorted tuple of ints in 1..n."""
-    parties = tuple(sorted(set(map(int, subset))))
+    """Canonicalize a party subset to a sorted tuple of ints, each party
+    checked by ``_check_int`` to lie in 1..n."""
+    parties = tuple(sorted({_check_int("party", p, 1, n) for p in subset}))
     if not parties:
         raise ValueError("party subset must not be empty")
-    if parties[0] < 1 or parties[-1] > n:
-        raise ValueError(f"party subset {parties} outside 1..{n}")
     return parties
 
 
@@ -68,18 +67,19 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
+        subset = normalize_subset(self.subset, MAX_QUBITS)
         # a view, so that freezing it leaves the caller's array writable
         comps = np.asarray(self.components, dtype=float).view()
-        if comps.shape != (3,) * len(self.subset):
+        if comps.shape != (3,) * len(subset):
             raise ValueError(
-                f"components shape {comps.shape} does not match subset {self.subset}"
+                f"components shape {comps.shape} does not match subset {subset}"
             )
         excess = float(np.max(np.abs(comps))) - 1.0
         if excess > CORRELATION_EXCESS_ATOL:
             raise ValueError(f"tensor component exceeds 1 by {excess:.3e}")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "subset", tuple(int(p) for p in self.subset))
+        object.__setattr__(self, "subset", subset)
 
 
 def correlation_tensor(rho: DensityMatrix, subset, coefficients=None) -> CorrelationTensor:
@@ -99,9 +99,9 @@ def correlation(rho: DensityMatrix, dirs) -> float:
     """
     if not dirs:
         raise ValueError("dirs must specify at least one party")
-    keyed = {int(p): as_direction_array(d) for p, d in dirs.items()}
-    parties = normalize_subset(keyed.keys(), rho.n_qubits)
-    return float(_subset_values(rho, parties, [np.stack([keyed[p] for p in parties])[None]], 1)[0])
+    parties = normalize_subset(dirs, rho.n_qubits)
+    row = np.stack([as_direction_array(dirs[p]) for p in parties])
+    return float(_subset_values(rho, parties, [row[None]], 1)[0])
 
 
 def _slab(coefficients: np.ndarray, parties: tuple, axes: slice) -> np.ndarray:
@@ -304,7 +304,7 @@ def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> S
     ``m`` values outlive a block, and only they count against the cap."""
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
-    _check_settings(m, 8, "values of M*8")
+    m = _check_settings(m, 8, "values of M*8")
     return SampleSet(_subset_values(rho, parties, _settings_blocks(rng, k, m, _CONTRACTION_ROWS), m))
 
 
@@ -400,9 +400,7 @@ def analytic_pdf(kind: str, p: float | None = None) -> CorrelationDensity:
     if kind == "werner":
         if p is None:
             raise ValueError("werner density requires the mixing parameter p")
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"parameter p must lie in [0, 1], got {p}")
+        p = _check_real("parameter p", p, 0, 1)
         if p == 0.0:
             return CorrelationDensity("mixed_white", (0.0, 0.0), is_delta=True)
         return CorrelationDensity("werner", (-p, p), p=p)

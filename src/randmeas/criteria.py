@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import sqrt
-from numbers import Integral
 
 from .correlations import marginal_purity
 from .moments import MomentEstimate, _entry_stats, _normalize_moments, all_subsets, exact_moment_map
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_int
 
 #: Coefficients c_k of the biseparable bound M_k <= c_k (1 - tr rho^2).
 #: The four-qubit constant 8/81 is the proven one; the two- and
@@ -201,10 +200,7 @@ def bisep_line_3(r2, r4) -> Verdict:
 
 def w_class_chi(n: int) -> float:
     """Upper bound (5 - 4/n)/3^n on the second moment over the mixed W class."""
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ValueError(f"W class requires an integer qubit count n, got n={n!r}")
-    if n < 3:
-        raise ValueError(f"W class requires n >= 3 qubits, got n={n}")
+    n = _check_int("W class qubit count n", n, 3)
     return (5.0 - 4.0 / n) / 3.0**n
 
 

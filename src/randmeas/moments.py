@@ -35,11 +35,10 @@ from .sampling import (
     _check_settings,
     _check_unit_norm,
     _generator,
-    _norms,
     half_design,
     random_settings,
 )
-from .states import MAX_QUBITS, DensityMatrix
+from .states import MAX_QUBITS, DensityMatrix, _check_int
 
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
 _EXACT_METHODS = ("exact_tensor", "design")
@@ -137,7 +136,7 @@ def moments_mc(rho: DensityMatrix, subsets, orders, m: int, rng: RngStream) -> l
     plug-in error into the ideal bootstrap one.
     """
     orders = [_check_order(t) for t in orders]
-    _check_mc_samples(m)
+    m = _check_mc_samples(m)
     subsets = [normalize_subset(s, rho.n_qubits) for s in subsets]
     union = sorted(set().union(*subsets))
     table = random_settings(len(union), m, rng)
@@ -178,9 +177,9 @@ def moment_exact_t2(tensor) -> MomentEstimate:
     return MomentEstimate(tensor.subset, 2, value, None, "exact_tensor")
 
 
-def _check_mc_samples(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"need M >= 2 samples for a standard error, got M={m}")
+def _check_mc_samples(m: int) -> int:
+    """M as an int: a standard error needs M >= 2 settings."""
+    return _check_int("samples M", m, 2)
 
 
 def _check_shots_cover_order(k: int, t: int) -> None:
@@ -291,15 +290,14 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     keeps marginal-subset statistics extractable from the same table.
     They come from the amplitudes of a state built by ``from_vector``, else
     from ``rho.pauli``.  Settings are processed in blocks of rows, each
-    block drawing its own uniforms; consecutive draws equal one (M, K)
-    draw.  One setting holds at once its widest Born intermediates (2 + 2
-    + 1 times 2^n floats from amplitudes, 2 + 1 times 4^(n-1) from the
-    Pauli coefficients), its probability and cumulative rows, and the
-    search's draw, position, probe and bit arrays over K shots.  Only the
-    M*K*n-byte outcome table grows with M.
+    block checked by its Born route and drawing its own uniforms;
+    consecutive draws equal one (M, K) draw.  One setting holds at once its
+    widest Born intermediates (2 + 2 + 1 times 2^n floats from amplitudes,
+    2 + 1 times 4^(n-1) from the Pauli coefficients), its probability and
+    cumulative rows, and the search's draw, position, probe and bit arrays
+    over K shots.  Only the M*K*n-byte outcome table grows with M.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"shots must be an integer K >= 1, got {k!r}")
+    k = _check_int("shots K", k, 1)
     settings = np.asarray(settings, dtype=float)
     n = rho.n_qubits
     if settings.ndim != 3 or settings.shape[1:] != (n, 3):
@@ -307,8 +305,7 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
         )
     m = settings.shape[0]
-    _check_settings(m, n * (24 + int(k)))
-    _check_unit_norm(settings)
+    _check_settings(m, n * (24 + k))
     if rho._vector is None:
         source, born, width = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative, 3 * 4 ** (n - 1)
     else:
@@ -327,9 +324,9 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
         # outcome), ``position`` being the flat index just before the interval.
         position = np.repeat(np.arange(len(cumulative)) << n, k).reshape(draws.shape) - 1
         for j in range(n):
-            width = 1 << (n - 1 - j)
-            bit = draws >= cumulative.ravel().take(position + width)
-            position += bit * width
+            step = 1 << (n - 1 - j)
+            bit = draws >= cumulative.ravel().take(position + step)
+            position += bit * step
             np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
     return ShotTable(outcomes.transpose(1, 2, 0))
 
@@ -340,8 +337,10 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
 
     ``coeffs`` are the Pauli coefficients shaped (1, 1, 4, 4^(n-1)).
     p(s) = 2^-n sum_a c_a prod_j v_j[a_j] with v_j = (1, s_j u_j) per
-    party, contracted one site at a time.
+    party, contracted one site at a time.  ``_check_unit_norm`` refuses
+    the settings first.
     """
+    _check_unit_norm(settings)
     b, n, _ = settings.shape
     paddings = np.empty((b, n, 2, 4))
     paddings[:, :, :, 0] = 1.0
@@ -370,7 +369,8 @@ def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     of every elementwise update.
     """
     b, n, _ = settings.shape
-    x, y, z = np.ascontiguousarray((settings / _norms(settings)[..., None]).transpose(2, 1, 0))
+    # the one norm pass both checks the settings and normalizes them
+    x, y, z = np.ascontiguousarray((settings / _check_unit_norm(settings)[..., None]).transpose(2, 1, 0))
     c = np.sqrt((1.0 + z) / 2.0)
     e = np.divide(x + 1j * y, 2.0 * c, out=np.ones((n, b), complex), where=c > 0.0)
     amps = psi.reshape(-1, 1)
@@ -486,6 +486,4 @@ def purity_from_moments(moments) -> float:
 
 
 def _check_order(t) -> int:
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"moment order t must be a positive integer, got {t!r}")
-    return int(t)
+    return _check_int("moment order t", t, 1)

@@ -14,6 +14,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .states import _check_int
+
 _UINT64_MAX = 2**64 - 1
 
 DESIGN_VALIDATION_ATOL = 1e-12
@@ -56,12 +58,9 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            # Philox would truncate 1.5 to 1 yet record 1.5 as the seed.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= int(value) <= _UINT64_MAX:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+        # Philox would truncate 1.5 to 1 yet record 1.5 as the seed.
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 0, _UINT64_MAX))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -114,24 +113,22 @@ def _sphere_points(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_settings(m: int, row_bytes: int, held: str = "table of M*n*(24 + K)") -> None:
-    """Refuse a non-integer M, M < 1, or M settings of ``row_bytes`` each
-    over ``MAX_TABLE_BYTES``; ``held`` names those bytes in the message.
-    A table of n-party settings holds 24 bytes a direction plus, for K
-    shots a setting, 1 byte an outcome."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"samples M must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"samples must satisfy M >= 1, got {m}")
-    if (size := int(m) * row_bytes) > MAX_TABLE_BYTES:
-        raise ValueError(f"{held} = {size} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+def _check_settings(m: int, row_bytes: int, held: str = "table of M*n*(24 + K)") -> int:
+    """M as an int, refused if not an integer >= 1 or if M settings of
+    ``row_bytes`` each exceed ``MAX_TABLE_BYTES``; ``held`` names those bytes
+    in the message.  A table of n-party settings holds 24 bytes a direction
+    plus, for K shots a setting, 1 byte an outcome."""
+    m = _check_int("samples M", m, 1)
+    if m * row_bytes > MAX_TABLE_BYTES:
+        raise ValueError(f"{held} = {m * row_bytes} bytes exceeds the {MAX_TABLE_BYTES}-byte cap")
+    return m
 
 
 def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
     """M uniformly random direction tuples for n parties, shape (M, n, 3),
     filled from ``_settings_blocks``.  ``_check_settings`` refuses a bad M
     before any draw."""
-    _check_settings(m, 24 * n)
+    m = _check_settings(m, 24 * n)
     table = np.empty((m, n, 3))
     for start, block in zip(range(0, m, _CONTRACTION_ROWS), _settings_blocks(rng, n, m, _CONTRACTION_ROWS)):
         table[start : start + len(block)] = block
@@ -174,15 +171,17 @@ def as_direction_array(d) -> np.ndarray:
     return v
 
 
-def _check_unit_norm(vectors: np.ndarray) -> None:
-    """Raise unless every 3-vector along the last axis is finite with
-    norm 1 within 1e-12."""
-    if not np.all(np.isfinite(vectors)):
-        raise ValueError("directions have non-finite (NaN or inf) entries")
-    norms = _norms(vectors).ravel()
-    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+def _check_unit_norm(vectors: np.ndarray) -> np.ndarray:
+    """``_norms`` of the 3-vectors along the last axis, refused unless every
+    vector is finite with norm 1 within 1e-12."""
+    norms = _norms(vectors)
+    # NaN fails the comparison, and a non-finite entry makes its norm NaN or inf
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
     if off.size:
-        raise ValueError(f"direction norm {float(norms[off[0]])!r} deviates from 1 beyond 1e-12")
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("directions have non-finite (NaN or inf) entries")
+        raise ValueError(f"direction norm {float(norms.flat[off[0]])!r} deviates from 1 beyond 1e-12")
+    return norms
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -204,15 +203,13 @@ class SphericalDesign:
     points: np.ndarray
 
     def __post_init__(self):
-        degree = self.degree
-        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
-            raise ValueError(f"design degree must be an integer >= 1, got {degree!r}")
+        degree = _check_int("design degree", self.degree, 1)
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"design points must have shape (N, 3), got {pts.shape}")
         _check_unit_norm(pts)
         pts.setflags(write=False)
-        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "points", pts)
 
     def as_array(self) -> np.ndarray:
@@ -247,6 +244,7 @@ _DESIGNS = _designs()
 
 def design_points(t: int) -> SphericalDesign:
     """The shared degree-``t`` design of ``_designs``: its ``validation`` runs once per process."""
+    t = _check_int("design degree", t, 1)
     if t not in _DESIGNS:
         raise ValueError(f"unsupported design degree {t}; supported degrees: " + ", ".join(map(str, _DESIGNS)))
     return _DESIGNS[t]

@@ -114,7 +114,7 @@ class DensityMatrix:
 
 def product_zero(n: int) -> DensityMatrix:
     """|0...0><0...0| on n qubits."""
-    _check_qubit_count("n", n, minimum=1)
+    n = _check_int("parameter n", n, 1, MAX_QUBITS)
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = 1.0
     return DensityMatrix.from_vector(vec)
@@ -127,7 +127,7 @@ def bell_psi_minus() -> DensityMatrix:
 
 def ghz(n: int) -> DensityMatrix:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    _check_qubit_count("n", n, minimum=2)
+    n = _check_int("parameter n", n, 2, MAX_QUBITS)
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = vec[-1] = 1.0
     return DensityMatrix.from_vector(vec)
@@ -135,7 +135,7 @@ def ghz(n: int) -> DensityMatrix:
 
 def w_state(n: int) -> DensityMatrix:
     """Equal superposition of the n one-excitation basis states."""
-    _check_qubit_count("n", n, minimum=2)
+    n = _check_int("parameter n", n, 2, MAX_QUBITS)
     vec = np.zeros(2**n, dtype=complex)
     for j in range(n):
         vec[1 << (n - 1 - j)] = 1.0
@@ -160,9 +160,7 @@ def cluster_linear() -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) I/4 of the singlet with white noise."""
-    p = _as_float("p", p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"parameter p must lie in [0, 1], got {p}")
+    p = _check_real("parameter p", p, 0, 1)
     singlet = bell_psi_minus().matrix
     return DensityMatrix(p * singlet + (1.0 - p) * np.eye(4) / 4.0)
 
@@ -180,7 +178,7 @@ def trisep4() -> DensityMatrix:
 
 def bisep4(phi: float = 0.2) -> DensityMatrix:
     """Biseparable four-qubit state (|00>+|11>)/sqrt(2) x (sin(phi)|00> + cos(phi)|11>)."""
-    phi = _as_float("phi", phi)
+    phi = _check_real("parameter phi", phi)
     second = np.array([np.sin(phi), 0.0, 0.0, np.cos(phi)], dtype=complex)
     return DensityMatrix.from_vector(np.kron(_phi_plus_vec(), second))
 
@@ -245,7 +243,7 @@ class StateSpec:
 
 def make_state(spec: StateSpec) -> DensityMatrix:
     """Construct the density matrix described by ``spec``.  Its builder is the
-    one owner of the parameters' checks (``_check_qubit_count``, ``_as_float``)."""
+    one owner of the parameters' checks (``_check_int``, ``_check_real``)."""
     return STATES[spec.kind].build(*spec.params)
 
 
@@ -260,17 +258,26 @@ def _qubit_count(shape) -> int:
     return n
 
 
-def _check_qubit_count(name: str, n, minimum: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"parameter {name} must be an integer >= {minimum}, got {n!r}")
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"parameter {name}={n} exceeds the configured limit MAX_QUBITS={MAX_QUBITS}"
-        )
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int: the one rule for every integer the library takes.
+    Python and numpy integers in minimum..maximum pass; a bool, a float
+    (2.0 too), a string or anything out of range is refused."""
+    # a plain int, the common case, is tested first; a bool is an int subclass
+    if type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        if minimum <= value and (maximum is None or value <= maximum):
+            return int(value)
+    bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _as_float(name: str, value) -> float:
+def _check_real(name: str, value, low: float = -np.inf, high: float = np.inf) -> float:
+    """``value`` as a finite float in [low, high]: the one rule for every
+    real parameter.  A bool or a string is refused, not cast."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     as_float = float(value)
     if not np.isfinite(as_float):
-        raise ValueError(f"parameter {name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not low <= as_float <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {as_float}")
     return as_float

@@ -93,9 +93,9 @@ def test_parse_subset_forms():
     assert parse_subset("full", 3) == [(1, 2, 3)]
     assert parse_subset("2,1", 3) == [(1, 2)]
     assert len(parse_subset("all", 3)) == 7
-    with pytest.raises(ValueError, match=r"party subset \(5,\) outside 1\.\.3"):
+    with pytest.raises(ValueError, match=r"party must be an integer in 1\.\.3, got 5"):
         parse_subset("5", 3)
-    with pytest.raises(ValueError, match=r"party subset \(0, 2\) outside 1\.\.3"):
+    with pytest.raises(ValueError, match=r"party must be an integer in 1\.\.3, got 0"):
         parse_subset("2,0", 3)
 
 
@@ -129,14 +129,14 @@ def test_sample_rejects_zero_samples(tmp_path, capsys):
         ["sample", "--state", "product2", "--samples", 0, "--output", tmp_path / "o"]
     )
     assert rc == 1
-    assert "M >= 1" in capsys.readouterr().err
+    assert "samples M must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 def test_moments_rejects_zero_samples(tmp_path, capsys):
     # the shot route draws its settings table; Monte Carlo needs M >= 2 for a standard error
     for extra, message in (
-        (["--shots", 5], "samples must satisfy M >= 1, got 0"),
-        ([], "need M >= 2 samples for a standard error, got M=0"),
+        (["--shots", 5], "samples M must be an integer >= 1, got 0"),
+        ([], "samples M must be an integer >= 2, got 0"),
     ):
         rc = run_cli(
             ["moments", "--state", "ghz:3", "--samples", 0, *extra, "--output", tmp_path / "o"]
@@ -366,13 +366,13 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
     "args, message",
     [
         ("--state ghz:8 --orders 2,x --samples 200000", "bad --orders '2,x'"),
-        ("--state ghz:8 --orders 0 --samples 200000", "moment order t must be a positive integer, got 0"),
+        ("--state ghz:8 --orders 0 --samples 200000", "moment order t must be an integer >= 1, got 0"),
         (
             "--state ghz:8 --subset 1,2 --orders 2,4 --samples 200000 --shots 2",
             "need at least t shots per setting for unbiased order-4 estimation, got K=2",
         ),
-        ("--state ghz:3 --samples 1", "need M >= 2 samples for a standard error, got M=1"),
-        ("--state ghz:3 --samples 1 --bootstrap", "need M >= 2 samples for a standard error, got M=1"),
+        ("--state ghz:3 --samples 1", "samples M must be an integer >= 2, got 1"),
+        ("--state ghz:3 --samples 1 --bootstrap", "samples M must be an integer >= 2, got 1"),
         ("--state bell --orders 2,2 --samples 1000", "moment order t=2 is repeated in --orders"),
         (
             "--state ghz:3 --shots 1000000000 --samples 1000000",
@@ -690,19 +690,19 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("sample --state product2:3", None, "alias 'product2' takes no parameters"),
         ("moments --state werner:abc", None, "bad parameter for 'werner'"),
         ("moments --state bell --subset 1,x", None, "bad subset '1,x'"),
-        ("moments --state bell --subset 3", None, "party subset (3,) outside 1..2"),
+        ("moments --state bell --subset 3", None, "party must be an integer in 1..2, got 3"),
         ("moments --state ghz", None, "state kind 'ghz' takes 1 parameter(s) (n), got 0"),
         ("moments --state bell", "abc", "environment variable RANDMEAS_SEED='abc' is not an integer"),
         ("moments --state bell --seed -1", None, "seed must be non-negative, got -1"),
         ("sample --state ghz:3 --subset all", None, "sample expects a single subset"),
         ("moments --state bell --orders ,", None, "at least one moment order is required"),
         ("moments --state bell --design 3 --shots 5", None, "choose either --design or --shots, not both"),
-        ("criteria --state bell --test wclass", None, "W class requires n >= 3 qubits, got n=2"),
+        ("criteria --state bell --test wclass", None, "W class qubit count n must be an integer >= 3, got 2"),
         ("criteria --state ghz:4 --test bisep3", None, "bisep3 applies to 3-qubit states, got n=4"),
         ("criteria --state bell --test nope", None, "unknown criterion 'nope'"),
-        ("moments --state ghz:9", None, "parameter n=9 exceeds the configured limit MAX_QUBITS=8"),
-        ("moments --state ghz:1", None, "parameter n must be an integer >= 2, got 1"),
-        ("sample --state product_zero:0", None, "parameter n must be an integer >= 1, got 0"),
+        ("moments --state ghz:9", None, "parameter n must be an integer in 2..8, got 9"),
+        ("moments --state ghz:1", None, "parameter n must be an integer in 2..8, got 1"),
+        ("sample --state product_zero:0", None, "parameter n must be an integer in 1..8, got 0"),
         ("criteria --state ghz:5 --structure", None, "no bound coefficient configured for 5 parties"),
         ("criteria --state cluster_linear:4 --test gme4", None, "state kind 'cluster_linear' takes 0 parameter(s) (), got 1"),
     ],

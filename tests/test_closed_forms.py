@@ -9,9 +9,9 @@ alone: E = prod z_j for product_zero, the flat law on [-p, p] for werner
 
 import pytest
 
-from randmeas.cli import parse_state
-from randmeas.moments import exact_moment_map, moments_design
-from randmeas.sampling import design_points
+from randmeas.cli import _cross_check, parse_state
+from randmeas.moments import exact_moment_map, moments_design, moments_from_shots, moments_mc, simulate_shots
+from randmeas.sampling import RngStream, design_points, random_settings
 from randmeas.states import make_state
 
 NS = range(2, 9)
@@ -34,3 +34,19 @@ def test_exact_routes_match_the_closed_forms(state, t):
         values.append(exact_moment_map(rho, [full])[full].value)
     assert len(values) == (3 if t == 2 else 1)
     assert max(abs(value - CLOSED_FORMS[state, t]) for value in values) <= 1e-12, values
+
+
+@pytest.mark.parametrize("state, orders", [("ghz:8", [2]), ("w:8", [2]), ("product_zero:8", [2, 4])])
+def test_sampled_routes_match_the_closed_forms_at_eight_qubits(state, orders):
+    """Monte Carlo and ``--shots`` estimates at n = 8, where the CLI runs no
+    cross-check, against the closed forms within the CLI's empirical
+    Bernstein bound at 1e-6 (``_cross_check``).  Per-setting shot values
+    span 1 + 1/(K - 1) at t = 2, a little more than the range 1 that bound
+    assumes, so their check is if anything tighter than Bernstein's."""
+    rho = make_state(parse_state(state))
+    full = tuple(range(1, 9))
+    shots = simulate_shots(rho, random_settings(8, 4000, RngStream(8, 1)), 20, RngStream(8, 2))
+    estimates = moments_mc(rho, [full], orders, 20_000, RngStream(8)) + moments_from_shots(shots, [full], orders)
+    assert [e.method for e in estimates] == ["monte_carlo"] * len(orders) + ["finite_shot"] * len(orders)
+    for estimate in estimates:
+        _cross_check(estimate, CLOSED_FORMS[state, estimate.order])

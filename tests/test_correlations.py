@@ -494,7 +494,7 @@ def test_sample_distribution_is_deterministic_and_validated():
         with pytest.raises(ValueError, match="outside \\[-1, 1\\]"):
             correlations.SampleSet([0.5, bad])
     assert np.max(np.abs(a.values)) <= 1.0
-    with pytest.raises(ValueError, match="M >= 1"):
+    with pytest.raises(ValueError, match="samples M must be an integer >= 1, got 0"):
         sample_distribution(rho, (1, 2), 0, RngStream(8))
 
 

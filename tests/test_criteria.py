@@ -77,7 +77,7 @@ def test_m_quantifier_requires_all_subsets():
     moments = {s: 0.0 for s in all_subsets(4) if s != (2, 4)}
     with pytest.raises(ValueError, match=r"missing subset \(2, 4\)"):
         gme_test_4(moments, 1.0)
-    with pytest.raises(ValueError, match=r"party subset \(0,\) outside 1\.\.8"):
+    with pytest.raises(ValueError, match=r"party must be an integer in 1\.\.8, got 0"):
         gme_test_4({**moments, (0,): 0.0}, 1.0)
 
 
@@ -172,7 +172,7 @@ def test_bisep_line_validates_range():
 def test_w_class_chi_values():
     assert w_class_chi(4) == 4.0 / 81.0
     assert w_class_chi(3) == pytest.approx(11.0 / 81.0, abs=1e-16)
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match="W class qubit count n must be an integer >= 3, got 2"):
         w_class_chi(2)
 
 
@@ -383,8 +383,8 @@ def _ghz3_design5(subset, t):
         ),
         (lambda: w_class_witness(_ghz3_design5((1, 2, 3), 4), 3), "r2 needs a second moment, got t=4"),
         (lambda: w_class_witness(_ghz3_design5((1, 2), 2), 3), r"r2 needs the moment of 3 parties, got subset \(1, 2\)"),
-        (lambda: w_class_witness(0.1, 3.5), r"W class requires an integer qubit count n, got n=3.5"),
-        (lambda: w_class_chi(True), r"W class requires an integer qubit count n, got n=True"),
+        (lambda: w_class_witness(0.1, 3.5), r"W class qubit count n must be an integer >= 3, got 3.5"),
+        (lambda: w_class_chi(True), r"W class qubit count n must be an integer >= 3, got True"),
     ],
     ids=[
         "purity_above_one", "r2_above_one", "bisep3_swapped", "bisep3_r4_of_order_2", "bisep3_pair_r2",

@@ -99,11 +99,11 @@ def test_moment_mc_point_mass_has_zero_error():
 def test_moment_mc_validation(monkeypatch):
     draws = []
     monkeypatch.setattr(moments, "random_settings", lambda *args: draws.append(args))
-    with pytest.raises(ValueError, match="M >= 2"):
+    with pytest.raises(ValueError, match="samples M must be an integer >= 2, got 1"):
         moments_mc(bell_psi_minus(), [(1, 2)], (2,), 1, RngStream(33))
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="moment order t must be an integer >= 1, got 0"):
         moments_mc(bell_psi_minus(), [(1, 2)], (0,), 10, RngStream(33))
-    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+    with pytest.raises(ValueError, match=r"party must be an integer in 1\.\.2, got 3"):
         moments_mc(bell_psi_minus(), [(1,), (1, 3)], (2,), 10, RngStream(33))
     assert draws == []
 
@@ -659,12 +659,12 @@ def test_frozen_arrays_leave_the_callers_arrays_writable():
 def test_simulate_shots_rejects_bad_input():
     rho = bell_psi_minus()
     settings = random_settings(2, 3, RngStream(58))
-    with pytest.raises(ValueError, match="M >= 1"):
+    with pytest.raises(ValueError, match="samples M must be an integer >= 1, got 0"):
         simulate_shots(rho, np.empty((0, 2, 3)), 5, RngStream(59))
     with pytest.raises(ValueError, match=r"settings must have shape \(M, 2, 3\)"):
         simulate_shots(rho, settings[0], 5, RngStream(59))
     for k in (0, 2.0, 1.5, "3", True, False):
-        with pytest.raises(ValueError, match="integer K >= 1"):
+        with pytest.raises(ValueError, match="shots K must be an integer >= 1"):
             simulate_shots(rho, settings, k, RngStream(59))
     # refused before any outcome is allocated
     over = MAX_TABLE_BYTES // (3 * 2) - 24 + 1
@@ -951,8 +951,8 @@ def test_purity_from_moments_rejects_negative():
             purity_from_moments({(1,): bad})
     # keys are non-empty sets of parties in 1..MAX_QUBITS
     for message, moments_map in (
-        ("party subset (0,) outside 1..8", {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (0,): 0.5}),
-        ("party subset (0,) outside 1..8", {(0,): 0.1}),
+        ("party must be an integer in 1..8, got 0", {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (0,): 0.5}),
+        ("party must be an integer in 1..8, got 0", {(0,): 0.1}),
         ("party subset must not be empty", {(): 1.0}),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1006,21 +1006,21 @@ def test_moment_estimate_validation():
             r"purity -0\.1\d* is not positive",
         ),
         (lambda: purity_from_moments({(1,): 0.5}), "purity 1.25 exceeds 1 beyond tolerance"),
-        (lambda: _check_order(True), "moment order t must be a positive integer, got True"),
+        (lambda: _check_order(True), "moment order t must be an integer >= 1, got True"),
         (
             lambda: moments_mc(bell_psi_minus(), [(1, 2)], [True], 10, RngStream(1)),
-            "moment order t must be a positive integer, got True",
+            "moment order t must be an integer >= 1, got True",
         ),
     ]
     # every estimate checks its own order and subset, whatever route made it
     + [
-        (lambda t=t: MomentEstimate((1, 2), t, 0.5, None, "design"), f"^moment order t must be a positive integer, got {t!r}$")
+        (lambda t=t: MomentEstimate((1, 2), t, 0.5, None, "design"), f"^moment order t must be an integer >= 1, got {t!r}$")
         for t in (0, -2, 2.5, True)
     ]
     + [
         (lambda: MomentEstimate((), 2, 0.5, None, "design"), "^party subset must not be empty$"),
-        (lambda: MomentEstimate((0,), 2, 0.5, None, "design"), r"^party subset \(0,\) outside 1\.\.8$"),
-        (lambda: MomentEstimate((9,), 2, 0.5, None, "design"), r"^party subset \(9,\) outside 1\.\.8$"),
+        (lambda: MomentEstimate((0,), 2, 0.5, None, "design"), r"^party must be an integer in 1\.\.8, got 0$"),
+        (lambda: MomentEstimate((9,), 2, 0.5, None, "design"), r"^party must be an integer in 1\.\.8, got 9$"),
         (lambda: MomentEstimate((1, 2), 2, 0.5, -0.1, "monte_carlo", 10), r"^std_error -0\.1 must not be negative$"),
     ],
     ids=[

@@ -82,9 +82,9 @@ def test_rng_stream_rejects_out_of_range_ids():
 @pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), True, "3"])
 def test_rng_stream_refuses_non_integer_ids(bad):
     # Philox would key 1.5 as 1 while the stream recorded seed=1.5
-    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in 0..{2**64 - 1}, got {bad!r}")):
         RngStream(bad)
-    with pytest.raises(ValueError, match=re.escape(f"stream_id must be an integer, got {bad!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"stream_id must be an integer in 0..{2**64 - 1}, got {bad!r}")):
         RngStream(1, bad)
 
 
@@ -97,7 +97,7 @@ def test_rng_stream_accepts_numpy_integers():
 def test_random_settings_refuses_fewer_than_one_setting_before_any_draw(m, monkeypatch):
     draws = []
     monkeypatch.setattr(sampling, "_settings_blocks", lambda *args: draws.append(args))
-    with pytest.raises(ValueError, match=f"samples must satisfy M >= 1, got {m}"):
+    with pytest.raises(ValueError, match=f"samples M must be an integer >= 1, got {m}"):
         sampling.random_settings(3, m, RngStream(0))
     assert draws == []
 
@@ -349,9 +349,9 @@ def test_design_csv_round_trip(tmp_path):
             ValueError,
             r"design points must have shape \(N, 3\), got \(4, 2\)",
         ),
-        (lambda: random_settings(2, 2.5, RngStream(1)), ValueError, "samples M must be an integer, got 2.5"),
-        (lambda: random_settings(2, True, RngStream(1)), ValueError, "samples M must be an integer, got True"),
-        (lambda: uniform_directions(RngStream(1), 0), ValueError, "samples must satisfy M >= 1, got 0"),
+        (lambda: random_settings(2, 2.5, RngStream(1)), ValueError, "samples M must be an integer >= 1, got 2.5"),
+        (lambda: random_settings(2, True, RngStream(1)), ValueError, "samples M must be an integer >= 1, got True"),
+        (lambda: uniform_directions(RngStream(1), 0), ValueError, "samples M must be an integer >= 1, got 0"),
     ]
     + [
         (lambda degree=degree: SphericalDesign(degree, np.eye(3)), ValueError,

@@ -295,11 +295,11 @@ def test_purity_is_lu_invariant_over_100_frames():
         (lambda: DensityMatrix.from_vector([1, 0, 0]), "amplitude vector length 3 is not a power of 2"),
         (lambda: DensityMatrix.from_vector([]), "amplitude vector length 0 is not a power of 2"),
         (lambda: DensityMatrix.from_vector([0, 0]), "amplitude vector is numerically zero"),
-        (lambda: product_zero(True), "parameter n must be an integer >= 1, got True"),
-        (lambda: make_state(StateSpec("product_zero", (True,))), "parameter n must be an integer >= 1, got True"),
+        (lambda: product_zero(True), "parameter n must be an integer in 1..8, got True"),
+        (lambda: make_state(StateSpec("product_zero", (True,))), "parameter n must be an integer in 1..8, got True"),
         # the builder checks its parameters as given, as ghz(4.0) is refused
-        (lambda: make_state(StateSpec("ghz", (4.0,))), r"^parameter n must be an integer >= 2, got 4\.0$"),
-        (lambda: make_state(StateSpec("ghz", ("4",))), r"^parameter n must be an integer >= 2, got '4'$"),
+        (lambda: make_state(StateSpec("ghz", (4.0,))), r"^parameter n must be an integer in 2\.\.8, got 4\.0$"),
+        (lambda: make_state(StateSpec("ghz", ("4",))), r"^parameter n must be an integer in 2\.\.8, got '4'$"),
     ]
     + [
         (lambda shape=shape: DensityMatrix(np.zeros(shape)), rf"^matrix shape {re.escape(str(shape))} is not 2\^n x 2\^n for any n >= 1$")
