@@ -40,6 +40,7 @@ from .criteria import (
 )
 from .moments import (
     _check_order,
+    _check_shot_budget,
     _check_shots_cover_order,
     all_subsets,
     bootstrap_error,
@@ -49,7 +50,7 @@ from .moments import (
     moments_mc,
     simulate_shots,
 )
-from .sampling import RngStream, _check_settings, design_points, random_settings
+from .sampling import RngStream, design_points, random_settings
 from .states import STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
@@ -135,7 +136,7 @@ class RunConfig:
     """Everything that determines a run's output, embedded in every JSON.
 
     The defaults are the CLI's.  Construction resolves ``seed=None`` to
-    ``$RANDMEAS_SEED`` or 0 and the ``orders`` comma list to a tuple.
+    ``$RANDMEAS_SEED`` or 0, checked by ``RngStream``, and ``orders`` to a tuple.
     """
 
     command: str
@@ -159,8 +160,7 @@ class RunConfig:
                 self.seed = int(env)
             except ValueError as exc:
                 raise ValueError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        self.seed = RngStream(self.seed).seed
         text = str(self.orders)
         try:
             self.orders = tuple(int(t) for t in text.split(",") if t.strip())
@@ -289,7 +289,7 @@ def cmd_moments(config: RunConfig) -> int:
         raise ValueError(f"moment order t={repeated[0]} is repeated in --orders")
     if config.shots:
         _check_shots_cover_order(config.shots, highest)
-        _check_settings(config.samples, rho.n_qubits * (24 + config.shots))
+        _check_shot_budget(rho, config.samples, config.shots)
 
     checks = []
     do_checks = rho.n_qubits <= 4

@@ -332,9 +332,7 @@ def histogram_table(values) -> np.ndarray:
     masses at the origin land in a single bin.
     """
     counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
-    widths = np.diff(edges)
-    total = max(1, len(np.asarray(values)))
-    density = counts / (total * widths)
+    density = counts / (max(1, len(np.asarray(values))) * np.diff(edges))
     return np.column_stack([edges[:-1], edges[1:], counts, density])
 
 

@@ -4,17 +4,20 @@ Each criterion returns a Verdict, which decides itself: its margin,
 statistic minus threshold, is oriented so that a positive value always
 means "property detected / class excluded".  Exact inputs are decided
 against a small numerical floor; statistical inputs must have the margin
-clear z = 3 propagated standard errors.  Both constants are fixed.
+clear z = 3 propagated standard errors.  Both constants are fixed.  Moments
+are read by ``moments._read_moment`` and purities by ``_check_purity``, so
+every estimate the library returns is taken, finite-shot moments and
+purities outside [0, 1] included, and no other order or party count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import sqrt
+from math import isfinite, sqrt
 
 from .correlations import marginal_purity
-from .moments import MomentEstimate, _entry_stats, _normalize_moments, all_subsets, exact_moment_map
+from .moments import MomentEstimate, _check_purity, _normalize_moments, _read_moment, all_subsets, exact_moment_map
 from .states import DensityMatrix, _check_int
 
 #: Coefficients c_k of the biseparable bound M_k <= c_k (1 - tr rho^2).
@@ -68,28 +71,30 @@ class Verdict:
 
 
 def _m_quantifier_stats(normalized, full):
-    """Value, variance and provenance of the m quantifier m_S - (1/2) sum of
-    m_A m_{S\\A} over proper non-empty A, S the sorted tuple ``full``; a pure
-    product across some bipartition cancels m_S with that pair's terms.
-    It reads only the subsets of S.  The variance treats subset estimates as
-    independent; moments read off one settings or shot table, as every
-    Monte Carlo and ``--shots`` request reads them, are correlated."""
+    """Value, variance, provenance and exactness (no moment carries a
+    ``std_error``) of the m quantifier m_S - (1/2) sum of m_A m_{S\\A} over
+    proper non-empty A, S the sorted tuple ``full``; a pure product across
+    some bipartition cancels m_S with that pair's terms.  It reads only the
+    subsets of S, each once by ``_read_moment``.  The variance treats subset
+    estimates as independent; moments read off one settings or shot table,
+    as every Monte Carlo and ``--shots`` request reads them, are correlated."""
     proper = [sub for size in range(1, len(full)) for sub in combinations(full, size)]
+    stats = {}
     for sub in (full, *proper):
         if sub not in normalized:
             raise ValueError(f"missing subset {sub} in moments map")
-    value, err_full, method_full = _entry_stats(normalized[full])
+        stats[sub] = _read_moment(normalized[sub], 2, sub)
+    value, err_full, _ = stats[full]
     variance = 0.0 if err_full is None else err_full**2
-    methods = {method_full}
     for sub in proper:
-        m_a, err_a, method_a = _entry_stats(normalized[sub])
-        m_b, _, _ = _entry_stats(normalized[tuple(p for p in full if p not in sub)])
+        m_a, err_a, _ = stats[sub]
+        m_b = stats[tuple(p for p in full if p not in sub)][0]
         value -= 0.5 * m_a * m_b
-        methods.add(method_a)
         if err_a is not None:
             # d/dm_A of the double-counted sum is -m_{S \ A}
             variance += (m_b * err_a) ** 2
-    return value, variance, tuple(sorted(methods))
+    methods = tuple(sorted({method for _, _, method in stats.values()}))
+    return value, variance, methods, all(err is None for _, err, _ in stats.values())
 
 
 def gme_test_4(moments, purity: float) -> Verdict:
@@ -105,10 +110,8 @@ def _marginal_bound_verdict(normalized, subset, purity, criterion):
     k = len(subset)
     if k not in M_BOUND_COEFF:
         raise ValueError(f"no bound coefficient configured for {k} parties")
-    if not 0.0 < purity <= 1.0 + 1e-9:
-        raise ValueError(f"purity must lie in (0, 1], got {purity!r}")
-    value, variance, methods = _m_quantifier_stats(normalized, subset)
-    threshold = M_BOUND_COEFF[k] * max(0.0, 1.0 - purity)
+    value, variance, methods, exact = _m_quantifier_stats(normalized, subset)
+    threshold = M_BOUND_COEFF[k] * max(0.0, 1.0 - _check_purity(purity, exact))
     std_error = sqrt(variance) if variance > 0.0 else None
     return Verdict(criterion, value, threshold, std_error, methods)
 
@@ -152,21 +155,6 @@ def structure_report_from_state(rho: DensityMatrix) -> StructureReport:
     return StructureReport(full, verdicts.pop(full), verdicts)
 
 
-def _moment_stats(entry, name: str, t: int, n: int | None = None) -> tuple:
-    """``_entry_stats`` of the order-t moment a criterion reads as ``name``:
-    a plain number, or a ``MomentEstimate`` of order t and, given ``n``, of
-    n parties.  Given ``n``, the value must lie in [0, 1]."""
-    if isinstance(entry, MomentEstimate):
-        if entry.order != t:
-            raise ValueError(f"{name} needs a {'second' if t == 2 else 'fourth'} moment, got t={entry.order}")
-        if n is not None and len(entry.subset) != n:
-            raise ValueError(f"{name} needs the moment of {n} parties, got subset {entry.subset}")
-    stats = _entry_stats(entry)
-    if n is not None and not -1e-9 <= stats[0] <= 1.0 + 1e-9:
-        raise ValueError(f"{name} must lie in [0, 1], got {stats[0]!r}")
-    return stats
-
-
 def bisep_line_3_r4(r2: float) -> float:
     """The three-qubit biseparability line r4 = (972 r2^2 + 90 r2 - 5)/425."""
     return (972.0 * r2**2 + 90.0 * r2 - 5.0) / 425.0
@@ -180,8 +168,8 @@ def bisep_line_3(r2, r4) -> Verdict:
     """
     if isinstance(r2, MomentEstimate) and isinstance(r4, MomentEstimate) and r2.subset != r4.subset:
         raise ValueError(f"r2 and r4 must be moments of one subset, got {r2.subset} and {r4.subset}")
-    r2_val, r2_err, r2_method = _moment_stats(r2, "r2", 2, 3)
-    r4_val, r4_err, r4_method = _moment_stats(r4, "r4", 4, 3)
+    r2_val, r2_err, r2_method = _read_moment(r2, 2, "r2", 3)
+    r4_val, r4_err, r4_method = _read_moment(r4, 4, "r4", 3)
     rhs = bisep_line_3_r4(r2_val)
     statistic = rhs - r4_val
     variance = 0.0
@@ -207,7 +195,7 @@ def w_class_chi(n: int) -> float:
 def w_class_witness(r2, n: int) -> Verdict:
     """Exclusion from the mixed W class: r2 above chi(n) rules it out."""
     chi = w_class_chi(n)
-    r2_val, r2_err, r2_method = _moment_stats(r2, "r2", 2, n)
+    r2_val, r2_err, r2_method = _read_moment(r2, 2, "r2", n)
     return Verdict(
         "w_class_exclusion", r2_val, chi, r2_err, (r2_method,),
         f"n={n}; excluded from the convex hull of the W class when detected",
@@ -217,13 +205,16 @@ def w_class_witness(r2, n: int) -> Verdict:
 def entanglement_by_length(length, n: int | None = None) -> Verdict:
     """Correlation length above the product-state value 1 signals
     entanglement (not necessarily genuine multipartite).  A ``MomentEstimate``
-    is read as its subset's R2, whose length is 3^|subset| R2."""
-    value, err, method = _moment_stats(length, "a correlation length", 2)
+    is read as its subset's R2, whose length is 3^|subset| R2; a plain
+    length, not a moment, must be finite and non-negative."""
     if isinstance(length, MomentEstimate):
+        value, err, method = _read_moment(length, 2, "a correlation length")
         scale = 3.0 ** len(length.subset)
         value, err = scale * value, None if err is None else scale * err
-    if value < 0.0:
-        raise ValueError(f"correlation length must be non-negative, got {value!r}")
+    else:
+        value, err, method = float(length), None, "value"
+        if not (isfinite(value) and value >= 0.0):
+            raise ValueError(f"correlation length must be finite and non-negative, got {value!r}")
     note = "entanglement (not necessarily genuine multipartite)"
     if n is not None:
         note += f"; n={n}"

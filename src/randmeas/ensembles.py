@@ -29,14 +29,9 @@ def random_pure_vector(dim: int, rng) -> np.ndarray:
 def bipartitions(n: int) -> list:
     """Unordered proper bipartitions of {1..n} as (block, complement)."""
     parties = tuple(range(1, n + 1))
-    out = []
-    for size in range(1, n // 2 + 1):
-        for block in combinations(parties, size):
-            complement = tuple(p for p in parties if p not in block)
-            if size == n - size and block > complement:
-                continue  # avoid double-counting balanced splits
-            out.append((block, complement))
-    return out
+    splits = [(b, tuple(p for p in parties if p not in b)) for size in range(1, n // 2 + 1) for b in combinations(parties, size)]
+    # a balanced split comes twice; keep the order whose block sorts first
+    return [(b, c) for b, c in splits if len(b) != len(c) or b < c]
 
 
 def random_biseparable_state(n_qubits: int, rng) -> DensityMatrix:

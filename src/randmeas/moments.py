@@ -28,6 +28,7 @@ import numpy as np
 
 from .correlations import _slab, _subset_values, correlation_length, normalize_subset
 from .sampling import (
+    _BLOCK_BYTES,
     _CONTRACTION_ROWS,
     RngStream,
     SphericalDesign,
@@ -47,7 +48,6 @@ _EXACT_METHODS = ("exact_tensor", "design")
 MAX_DESIGN_TUPLES = 20_000_000
 
 EVEN_MOMENT_ATOL = 1e-9
-PURITY_ATOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +103,37 @@ class MomentEstimate:
         }
 
 
-def _entry_stats(entry):
-    """(value, std_error, method) of a MomentEstimate or a plain finite number."""
+def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
+    """(value, std_error, method) of ``entry``, the one rule for reading an
+    order-t moment: a ``MomentEstimate`` of order t and, given ``parties``,
+    of that many parties, or a plain number read as exact.  A finite value;
+    for even t in [0, 1 + EVEN_MOMENT_ATOL] unless off finite shots, whose
+    unbiased estimates leave it by their statistical error.  ``name`` labels
+    the entry in messages, or is the party subset keying it in a map."""
+    problem = None
     if isinstance(entry, MomentEstimate):
-        return float(entry.value), entry.std_error, entry.method
-    value = float(entry)
-    if not np.isfinite(value):
-        raise ValueError(f"moment {entry!r} is not finite")
-    return value, None, "value"
+        value, std_error, method = float(entry.value), entry.std_error, entry.method
+        if entry.order != t:
+            problem = f"needs a {'second' if t == 2 else 'fourth'} moment, got t={entry.order}"
+        elif parties is not None and len(entry.subset) != parties:
+            problem = f"needs the moment of {parties} parties, got subset {entry.subset}"
+    else:
+        value, std_error, method = float(entry), None, "value"
+    in_range = t % 2 or method == "finite_shot" or 0.0 <= value <= 1.0 + EVEN_MOMENT_ATOL
+    if problem is None and not (isfinite(value) and in_range):
+        problem = f"must {'be finite' if t % 2 else 'lie in [0, 1]'}, got {value!r}"
+    if problem:
+        raise ValueError(f"{name if isinstance(name, str) else f'moment of subset {name}'} {problem}")
+    return value, std_error, method
+
+
+def _check_purity(purity: float, exact: bool) -> float:
+    """``purity`` if finite and positive and, when read off exact inputs
+    only, at most 1 within ``EVEN_MOMENT_ATOL``: the one purity rule.  A
+    purity summed from estimates may exceed 1 by their statistical error."""
+    if not (0.0 < purity and isfinite(purity) and (purity <= 1.0 + EVEN_MOMENT_ATOL or not exact)):
+        raise ValueError(f"purity must {'lie in (0, 1]' if exact else 'be finite and positive'}, got {purity!r}")
+    return purity
 
 
 def _normalize_moments(moments) -> dict:
@@ -295,7 +318,8 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
     widest Born intermediates (2 + 2 + 1 times 2^n floats from amplitudes,
     2 + 1 times 4^(n-1) from the Pauli coefficients), its probability and
     cumulative rows, and the search's draw, position, probe and bit arrays
-    over K shots.  Only the M*K*n-byte outcome table grows with M.
+    over K shots, within budget by ``_check_shot_budget``.  Only the
+    M*K*n-byte outcome table grows with M.
     """
     k = _check_int("shots K", k, 1)
     settings = np.asarray(settings, dtype=float)
@@ -305,16 +329,15 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
         )
     m = settings.shape[0]
-    _check_settings(m, n * (24 + k))
+    rows = _check_shot_budget(rho, m, k)
     if rho._vector is None:
-        source, born, width = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative, 3 * 4 ** (n - 1)
+        source, born = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative
     else:
-        source, born, width = rho._vector, _amplitude_cumulative, 5 * 2**n
+        source, born = rho._vector, _amplitude_cumulative
 
     gen = _generator(rng)
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
-    rows = _block_rows(8 * (width + 3 * 2**n + 5 * k))
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         cumulative = born(source, settings[block])
@@ -329,6 +352,21 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             position += bit * step
             np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
     return ShotTable(outcomes.transpose(1, 2, 0))
+
+
+def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> int:
+    """Rows per block of a K-shot simulation of M settings of ``rho``, the
+    one owner of its two bounds: the M*n*(24 + K)-byte table must fit
+    ``_check_settings``'s cap, then the temporaries of one setting (see
+    ``simulate_shots``) the block budget ``_BLOCK_BYTES``."""
+    n = rho.n_qubits
+    _check_settings(m, n * (24 + k))
+    width = 3 * 4 ** (n - 1) if rho._vector is None else 5 * 2**n
+    row_bytes = 8 * (width + 3 * 2**n + 5 * k)
+    if row_bytes > _BLOCK_BYTES:
+        raise ValueError(f"one setting's temporaries for K={k} shots = {row_bytes} bytes exceed the "
+                         f"{_BLOCK_BYTES}-byte block budget")
+    return _block_rows(row_bytes)
 
 
 def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
@@ -460,29 +498,21 @@ def purity_from_moments(moments) -> float:
     """Purity as the 3^|A|-weighted sum of second moments over all subsets.
 
     ``moments`` must contain every non-empty subset of {1..n}; the empty
-    set contributes 1 by normalization.  Values may be MomentEstimates or
-    plain numbers and must be non-negative, except finite-shot estimates:
-    being unbiased, those of subsets whose moment is near 0 fall below 0
-    about half the time.
+    set contributes 1 by normalization.  ``_read_moment`` reads each value
+    as a second moment, and the sum passes ``_check_purity``: a purity read
+    off finite-shot or Monte Carlo estimates may exceed 1 by their error.
     """
     normalized = _normalize_moments(moments)
     n = max(key[-1] for key in normalized)
-    exact_only = True
+    exact = True
     total = 1.0
     for subset in all_subsets(n):
         if subset not in normalized:
             raise ValueError(f"missing subset {subset} in moments map")
-        value, std_error, method = _entry_stats(normalized[subset])
-        if value < 0.0 and method != "finite_shot":
-            raise ValueError(f"moment for subset {subset} is negative ({value!r})")
-        exact_only = exact_only and std_error is None
+        value, std_error, _ = _read_moment(normalized[subset], 2, subset)
+        exact = exact and std_error is None
         total += 3.0 ** len(subset) * value
-    purity = total / 2.0**n
-    if purity <= 0.0:
-        raise ValueError(f"purity {purity!r} is not positive")
-    if exact_only and purity > 1.0 + PURITY_ATOL:
-        raise ValueError(f"purity {purity!r} exceeds 1 beyond tolerance")
-    return purity
+    return _check_purity(total / 2.0**n, exact)
 
 
 def _check_order(t) -> int:

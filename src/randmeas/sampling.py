@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import prod
 
 import numpy as np
 
@@ -251,11 +252,7 @@ def design_points(t: int) -> SphericalDesign:
 
 
 def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return prod(range(k, 1, -2))
 
 
 def sphere_monomial_integral(a: int, b: int, c: int) -> float:
@@ -266,11 +263,7 @@ def sphere_monomial_integral(a: int, b: int, c: int) -> float:
     """
     if a % 2 or b % 2 or c % 2:
         return 0.0
-    num = (
-        _double_factorial(a - 1)
-        * _double_factorial(b - 1)
-        * _double_factorial(c - 1)
-    )
+    num = _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
     return num / _double_factorial(a + b + c + 1)
 
 

@@ -147,15 +147,8 @@ def cluster_linear() -> DensityMatrix:
 
     Amplitude of basis state b picks up (-1) for every adjacent 11 pair.
     """
-    vec = np.empty(16, dtype=complex)
-    for b in range(16):
-        bits = [(b >> (3 - j)) & 1 for j in range(4)]
-        sign = 1
-        for j in range(3):
-            if bits[j] and bits[j + 1]:
-                sign = -sign
-        vec[b] = sign * 0.25
-    return DensityMatrix.from_vector(vec)
+    # b & b >> 1 has one bit set per adjacent 11 pair of b
+    return DensityMatrix.from_vector([(-1) ** bin(b & b >> 1).count("1") * 0.25 for b in range(16)])
 
 
 def werner(p: float) -> DensityMatrix:

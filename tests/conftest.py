@@ -14,6 +14,7 @@ ACCEPTANCE_LABELS = {
     "test_criterion_7_design_exactness": "criterion 7: spherical design exactness",
     "test_criterion_8_finite_shot_unbiasedness": "criterion 8: finite-shot unbiased estimation",
     "test_criterion_9_lu_invariance": "criterion 9: local-unitary invariance of exact statistics",
+    "test_criterion_10_finite_shot_verdicts": "criterion 10: entanglement verdicts from finite shots",
 }
 
 _acceptance_outcomes = {}

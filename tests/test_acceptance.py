@@ -234,3 +234,27 @@ def test_criterion_9_lu_invariance():
             ) < 1e-9, name
             if base_m4 is not None:
                 assert abs(gme_test_4(moments, 1.0).statistic - base_m4) < 1e-9, name
+
+
+def test_criterion_10_finite_shot_verdicts():
+    # One simulated experiment per state, M = 2,000 settings of K = 20 shots:
+    # the criteria read its unbiased estimates and the purity summed from
+    # them, which leaves [0, 1] by its statistical error (above 1 here for
+    # trisep4 and bisep4).
+    expected = {
+        "ghz4": (ghz(4), True, True),
+        "cluster4": (cluster_linear(), True, None),
+        "product_zero4": (product_zero(4), False, False),
+        "trisep4": (trisep4(), False, None),
+        "bisep4": (bisep4(0.2), False, None),
+    }
+    purities = {}
+    for stream, (name, (rho, gme, w_excluded)) in enumerate(expected.items()):
+        table = simulate_shots(rho, random_settings(4, 2000, RngStream(160, stream)), 20, RngStream(161, stream))
+        moments = {e.subset: e for e in moments_from_shots(table, all_subsets(4), [2])}
+        purities[name] = purity_from_moments(moments)
+        verdict = gme_test_4(moments, purities[name])
+        assert verdict.detected is gme and verdict.inputs_provenance == ("finite_shot",), name
+        if w_excluded is not None:
+            assert w_class_witness(moments[(1, 2, 3, 4)], 4).detected is w_excluded, name
+    assert max(purities.values()) > 1.0

@@ -378,6 +378,10 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
             "--state ghz:3 --shots 1000000000 --samples 1000000",
             "table of M*n*(24 + K) = 3000000072000000 bytes exceeds the 2147483648-byte cap",
         ),
+        (
+            "--state bell --shots 200000 --samples 1",
+            "one setting's temporaries for K=200000 shots = 8000256 bytes exceed the 4194304-byte block budget",
+        ),
     ],
     ids=[
         "unparsable",
@@ -387,6 +391,7 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
         "one_bootstrap_sample",
         "repeated",
         "oversized_shot_table",
+        "oversized_shot_setting",
     ],
 )
 def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, monkeypatch):
@@ -693,7 +698,7 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("moments --state bell --subset 3", None, "party must be an integer in 1..2, got 3"),
         ("moments --state ghz", None, "state kind 'ghz' takes 1 parameter(s) (n), got 0"),
         ("moments --state bell", "abc", "environment variable RANDMEAS_SEED='abc' is not an integer"),
-        ("moments --state bell --seed -1", None, "seed must be non-negative, got -1"),
+        ("moments --state bell --seed -1", None, "seed must be an integer in 0..18446744073709551615, got -1"),
         ("sample --state ghz:3 --subset all", None, "sample expects a single subset"),
         ("moments --state bell --orders ,", None, "at least one moment order is required"),
         ("moments --state bell --design 3 --shots 5", None, "choose either --design or --shots, not both"),
@@ -705,6 +710,12 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         ("sample --state product_zero:0", None, "parameter n must be an integer in 1..8, got 0"),
         ("criteria --state ghz:5 --structure", None, "no bound coefficient configured for 5 parties"),
         ("criteria --state cluster_linear:4 --test gme4", None, "state kind 'cluster_linear' takes 0 parameter(s) (), got 1"),
+        (
+            "criteria --state ghz:3 --test length --seed 18446744073709551616",
+            None,
+            "seed must be an integer in 0..18446744073709551615, got 18446744073709551616",
+        ),
+        ("design --order 3", "18446744073709551616", "seed must be an integer in 0..18446744073709551615, got 18446744073709551616"),
     ],
     ids=[
         "alias_parameters",
@@ -725,6 +736,8 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "product_no_qubits",
         "structure_five_parties",
         "cluster_linear_parameter",
+        "criteria_seed_above_uint64",
+        "env_seed_above_uint64",
     ],
 )
 def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):

@@ -26,9 +26,12 @@ from randmeas.moments import (
     bootstrap_error,
     exact_moment_map,
     moments_design,
+    moments_from_shots,
     moments_mc,
+    purity_from_moments,
+    simulate_shots,
 )
-from randmeas.sampling import RngStream, design_points
+from randmeas.sampling import RngStream, design_points, random_settings
 from randmeas.states import (
     DensityMatrix,
     bell_psi_minus,
@@ -204,7 +207,7 @@ def test_entanglement_by_length_verdicts():
     with pytest.raises(ValueError, match="non-negative"):
         entanglement_by_length(-0.5)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
             entanglement_by_length(bad)
 
 
@@ -413,3 +416,58 @@ def test_verdict_derives_its_margin_and_decision():
         assert Verdict("c", 2 * DETECTION_ATOL, 0.0, std_error).detected
     with pytest.raises(TypeError):
         Verdict("c", 0.3, 0.1, 0.02, margin=0.2)
+
+
+def _shot_estimates(rho, m, k, seed, subsets, orders):
+    """``moments_from_shots`` of one seeded table of M settings and K shots."""
+    table = simulate_shots(rho, random_settings(rho.n_qubits, m, RngStream(seed)), k, RngStream(seed, 1))
+    return moments_from_shots(table, subsets, orders)
+
+
+#: Finite-shot estimates outside [0, 1]: R2 = -0.1 (M = 20, K = 2) and
+#: R4 = -0.2 (M = 10, K = 4) of product_zero:3, and the purity 1.016 of ghz:4
+#: (M = 2,000, K = 20), which the unbiased estimators leave by their error.
+NEGATIVE_R2 = _shot_estimates(product_zero(3), 20, 2, 1, [(1, 2, 3)], [2])[0]
+R2_AT_K4, NEGATIVE_R4 = _shot_estimates(product_zero(3), 10, 4, 1, [(1, 2, 3)], [2, 4])
+GHZ4_SHOTS = {e.subset: e for e in _shot_estimates(ghz(4), 2000, 20, 4, all_subsets(4), [2])}
+GHZ4_DESIGN_T4 = {e.subset: e for e in moments_design(ghz(4), all_subsets(4), [4], D5)}
+GHZ4_EXACT = exact_moment_map(ghz(4), all_subsets(4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # (a) every reader takes the finite-shot estimates the library returns
+        (lambda: w_class_witness(NEGATIVE_R2, 3).statistic == NEGATIVE_R2.value == -0.1, None),
+        (lambda: entanglement_by_length(NEGATIVE_R2, 3).statistic == 27 * NEGATIVE_R2.value < 0.0, None),
+        (lambda: bisep_line_3(R2_AT_K4, NEGATIVE_R4).statistic == bisep_line_3_r4(R2_AT_K4.value) + 0.2, None),
+        (lambda: gme_test_4(GHZ4_SHOTS, purity := purity_from_moments(GHZ4_SHOTS)).detected and purity > 1.0, None),
+        # (b) no route returns a fourth moment where a second is read
+        (lambda: gme_test_4(GHZ4_DESIGN_T4, 1.0), r"moment of subset \(1, 2, 3, 4\) needs a second moment, got t=4"),
+        (lambda: purity_from_moments(GHZ4_DESIGN_T4), r"moment of subset \(1,\) needs a second moment, got t=4"),
+        # (c) nor a plain moment outside [0, 1]
+        (lambda: gme_test_4({**GHZ4_EXACT, (1, 2, 3, 4): 5.0}, 1.0), r"moment of subset \(1, 2, 3, 4\) must lie in \[0, 1\], got 5.0"),
+        # (d) exact inputs keep their refusals
+        (lambda: w_class_witness(-0.1, 3), r"r2 must lie in \[0, 1\], got -0.1"),
+        (lambda: bisep_line_3(0.1, -0.2), r"r4 must lie in \[0, 1\], got -0.2"),
+        (
+            lambda: w_class_witness(MomentEstimate((1, 2, 3), 2, -1e-10, None, "exact_tensor"), 3),
+            r"r2 must lie in \[0, 1\], got -1e-10",
+        ),
+        (lambda: entanglement_by_length(-0.5), r"correlation length must be finite and non-negative, got -0.5"),
+        (lambda: gme_test_4(GHZ4_EXACT, 1.0 + 1e-8), r"purity must lie in \(0, 1\], got 1.00000001"),
+        (lambda: purity_from_moments({**GHZ4_EXACT, (2,): -0.1}), r"moment of subset \(2,\) must lie in \[0, 1\], got -0.1"),
+    ],
+    ids=[
+        "wclass_negative_r2", "length_negative_r2", "bisep3_negative_r4", "gme4_purity_above_one",
+        "gme4_design_t4", "purity_design_t4", "gme4_plain_r2_of_5",
+        "wclass_plain_negative_r2", "bisep3_plain_negative_r4", "wclass_exact_below_zero", "length_negative",
+        "gme4_exact_purity_above_one", "purity_plain_negative",
+    ],
+)
+def test_readers_take_every_estimate_and_refuse_what_no_route_returns(call, message):
+    if message is None:
+        assert call()
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

@@ -681,6 +681,24 @@ def test_simulate_shots_rejects_bad_input():
         simulate_shots(rho, stretched, 5, RngStream(59))
 
 
+def test_simulate_shots_refuses_a_setting_over_the_block_budget_before_any_draw(monkeypatch):
+    # One setting's temporaries, 8 * (width + 3 * 2^n + 5 K) bytes, must fit
+    # _BLOCK_BYTES; width is 5 * 2^n amplitudes or 3 * 4^(n-1) Pauli terms.
+    pure, mixed = bell_psi_minus(), DensityMatrix(bell_psi_minus().matrix)
+    settings = random_settings(2, 1, RngStream(90))
+    for rho, largest in ((pure, 104_851), (mixed, 104_852)):
+        assert simulate_shots(rho, settings, largest, RngStream(91)).outcomes.shape == (1, largest, 2)
+    for rho, largest in ((ghz(8), 104_448), (DensityMatrix(np.eye(256) / 256), 94_873)):
+        assert moments._check_shot_budget(rho, 1, largest) == 1
+    draws = []
+    monkeypatch.setattr(moments, "_generator", lambda rng: draws.append(rng))
+    for rho, k, row_bytes in ((pure, 104_852, 4_194_336), (mixed, 104_853, 4_194_312)):
+        with pytest.raises(ValueError, match=f"^one setting's temporaries for K={k} shots = {row_bytes} bytes exceed "
+                                             f"the {_BLOCK_BYTES}-byte block budget$"):
+            simulate_shots(rho, settings, k, RngStream(91))
+    assert draws == []
+
+
 def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
     """Reference implementation of ``moments_from_shots`` for one subset
     and order: one product over the subset's columns and one e_t table per
@@ -944,10 +962,10 @@ def test_purity_from_moments_rejects_missing_subset():
 
 
 def test_purity_from_moments_rejects_negative():
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=r"moment of subset \(1,\) must lie in \[0, 1\], got -0.1"):
         purity_from_moments({(1,): -0.1, (2,): 0.0, (1, 2): 0.1})
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got (nan|inf)"):
             purity_from_moments({(1,): bad})
     # keys are non-empty sets of parties in 1..MAX_QUBITS
     for message, moments_map in (
@@ -969,9 +987,9 @@ def test_purity_from_moments_accepts_negative_finite_shot_moments():
     # exact and plain-number moments below 0 are still refused
     exact = exact_moment_map(ghz(3), all_subsets(3))
     exact[(1,)] = MomentEstimate((1,), 2, -1e-10, None, "exact_tensor")
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -1e-10"):
         purity_from_moments(exact)
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -0.014"):
         purity_from_moments({s: e.value for s, e in estimates.items()})
 
 
@@ -1003,9 +1021,9 @@ def test_moment_estimate_validation():
         (lambda: purity_from_moments({}), "party-subset map is empty"),
         (
             lambda: purity_from_moments({(1,): MomentEstimate((1,), 2, -0.4, 0.1, "finite_shot")}),
-            r"purity -0\.1\d* is not positive",
+            r"purity must be finite and positive, got -0\.1\d*",
         ),
-        (lambda: purity_from_moments({(1,): 0.5}), "purity 1.25 exceeds 1 beyond tolerance"),
+        (lambda: purity_from_moments({(1,): 0.5}), r"purity must lie in \(0, 1\], got 1\.25"),
         (lambda: _check_order(True), "moment order t must be an integer >= 1, got True"),
         (
             lambda: moments_mc(bell_psi_minus(), [(1, 2)], [True], 10, RngStream(1)),

@@ -51,7 +51,7 @@ def test_importing_the_cli_builds_no_parser():
 
 
 #: Run before the shot draw, which they bound; the orders reach the library after it.
-CLI_PRIVATE_IMPORTS = {"_check_order", "_check_shots_cover_order", "_check_settings"}
+CLI_PRIVATE_IMPORTS = {"_check_order", "_check_shots_cover_order", "_check_shot_budget"}
 
 
 def test_cli_imports_no_private_name_but_the_shot_prechecks():
