@@ -51,7 +51,7 @@ from .moments import (
     simulate_shots,
 )
 from .sampling import RngStream, design_points, random_settings
-from .states import STATES, StateSpec, make_state
+from .states import DIRECTION_ATOL, STATES, StateSpec, make_state
 
 SEED_ENV_VAR = "RANDMEAS_SEED"
 
@@ -242,10 +242,10 @@ def _cross_check(estimate, exact) -> dict:
     (``None`` when no oracle covers its order).
 
     Design values (t = 2 only) must match the tensor contraction to
-    1e-12.  Monte-Carlo values must agree with a design sum within the
-    two-sided empirical Bernstein bound (Maurer and Pontil 2009, Thm. 4)
-    at ``CROSS_CHECK_FALSE_ALARM``: the mean of M values spanning a range
-    R (1 for even t, 2 for odd) lies within s * sqrt(2 L) + 7 R L / (3 (M - 1))
+    ``DIRECTION_ATOL``.  Monte-Carlo values must agree with a design sum
+    within the two-sided empirical Bernstein bound (Maurer and Pontil 2009,
+    Thm. 4) at ``CROSS_CHECK_FALSE_ALARM``: the mean of M values spanning a
+    range R (1 for even t, 2 for odd) lies within s * sqrt(2 L) + 7 R L / (3 (M - 1))
     of its expectation, L = ln(4 / rate), with s the plug-in (1/(M - 1)
     variance) error, also under ``--bootstrap``.  Unlike a multiple of s
     it holds at every M >= 2.
@@ -254,7 +254,7 @@ def _cross_check(estimate, exact) -> dict:
     if exact is None:
         return {"subset": list(subset), "t": t, "checked": False, "reason": f"no exact oracle for t={t}"}
     if estimate.method == "design":
-        tolerance = 1e-12
+        tolerance = DIRECTION_ATOL
     else:
         log_term = log(4.0 / CROSS_CHECK_FALSE_ALARM)
         value_range = 1.0 if t % 2 == 0 else 2.0

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import _CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _settings_blocks, as_direction_array
-from .states import MAX_QUBITS, DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_int, _check_real
+from .sampling import (_CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _check_unit_norm, _settings_blocks,
+                       as_direction_array)
+from .states import (EXPECTATION_ATOL, MATRIX_ATOL, MAX_QUBITS, DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                     _check_int, _check_real)
 
-#: Pre-clamp tolerance; |E| beyond 1 by more than this is treated as a bug.
-CORRELATION_EXCESS_ATOL = 1e-9
-IMAG_RESIDUE_ATOL = 1e-10
 HISTOGRAM_BINS = 81
 
 _PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -39,7 +38,7 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     for _ in range(n):  # consume the leading site axis, append its Pauli axis
         tens = np.tensordot(tens, _SITE_TRANSFER, axes=(0, 1))
     residue = float(np.max(np.abs(tens.imag)))
-    if residue > IMAG_RESIDUE_ATOL:
+    if residue > MATRIX_ATOL:
         raise ValueError(f"Pauli coefficients have imaginary residue {residue:.3e}")
     return np.ascontiguousarray(tens.real)
 
@@ -75,7 +74,7 @@ class CorrelationTensor:
                 f"components shape {comps.shape} does not match subset {subset}"
             )
         excess = float(np.max(np.abs(comps))) - 1.0
-        if excess > CORRELATION_EXCESS_ATOL:
+        if not excess <= EXPECTATION_ATOL:  # NaN fails the comparison
             raise ValueError(f"tensor component exceeds 1 by {excess:.3e}")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
@@ -136,9 +135,15 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     products of the trailing directions (3^b entries) finishes each value;
     at k = 1 the matrix product alone gives the values.  A lone site's
     product is a view of its direction rows, so at k <= 2 the calls see
-    the operands of a site-by-site contraction and give its bits.
+    the operands of a site-by-site contraction and give its bits.  The
+    directions must be (M, k, 3) unit vectors, checked a block at a time.
     """
+    directions, k = np.asarray(directions, dtype=float), components.ndim
+    if directions.shape[1:] != (k, 3):
+        raise ValueError(f"directions must have shape (M, {k}, 3) for a {k}-site tensor, got {directions.shape}")
     blocks = np.split(directions, range(_CONTRACTION_ROWS, len(directions), _CONTRACTION_ROWS))
+    for block in blocks:
+        _check_unit_norm(block)
     return _contract(components, blocks, len(directions))
 
 
@@ -318,9 +323,9 @@ def _subset_values(rho: DensityMatrix, parties: tuple, blocks, count: int) -> np
 
 def _clamped(values: np.ndarray) -> np.ndarray:
     """``values`` clamped to [-1, 1] in place, after refusing any beyond
-    ``CORRELATION_EXCESS_ATOL``; NaN passes through."""
+    ``EXPECTATION_ATOL``; NaN passes through."""
     excess = float(max(values.max(), -values.min())) - 1.0
-    if excess > CORRELATION_EXCESS_ATOL:
+    if excess > EXPECTATION_ATOL:
         raise ValueError(f"correlation exceeds 1 by {excess:.3e}")
     return np.clip(values, -1.0, 1.0, out=values)
 

@@ -39,15 +39,13 @@ from .sampling import (
     half_design,
     random_settings,
 )
-from .states import MAX_QUBITS, DensityMatrix, _check_int
+from .states import EXPECTATION_ATOL, MAX_QUBITS, DensityMatrix, _check_int
 
 METHODS = ("monte_carlo", "exact_tensor", "design", "finite_shot")
 _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
-
-EVEN_MOMENT_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +82,8 @@ class MomentEstimate:
         if self.order % 2 == 0 and self.method != "finite_shot":
             # Even moments of a [-1, 1]-valued variable live in [0, 1].
             # Unbiased finite-shot estimates may leave that range.
-            if not -EVEN_MOMENT_ATOL <= self.value <= 1.0 + EVEN_MOMENT_ATOL:
-                raise ValueError(
-                    f"even-order moment {self.value!r} outside [0, 1] tolerance"
-                )
+            if not -EXPECTATION_ATOL <= self.value <= 1.0 + EXPECTATION_ATOL:
+                raise ValueError(f"even-order moment {self.value!r} outside [0, 1] tolerance")
         object.__setattr__(self, "subset", normalize_subset(self.subset, MAX_QUBITS))
 
     def to_dict(self) -> dict:
@@ -106,10 +102,11 @@ class MomentEstimate:
 def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
     """(value, std_error, method) of ``entry``, the one rule for reading an
     order-t moment: a ``MomentEstimate`` of order t and, given ``parties``,
-    of that many parties, or a plain number read as exact.  A finite value;
-    for even t in [0, 1 + EVEN_MOMENT_ATOL] unless off finite shots, whose
-    unbiased estimates leave it by their statistical error.  ``name`` labels
-    the entry in messages, or is the party subset keying it in a map."""
+    of that many parties and, if statistical, with a ``std_error`` (M >= 2),
+    or a plain number read as exact.  A finite value; for even t in
+    [0, 1 + EXPECTATION_ATOL] unless off finite shots, whose unbiased
+    estimates leave it by their statistical error.  ``name`` labels the
+    entry in messages, or is the party subset keying it in a map."""
     problem = None
     if isinstance(entry, MomentEstimate):
         value, std_error, method = float(entry.value), entry.std_error, entry.method
@@ -117,9 +114,11 @@ def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
             problem = f"needs a {'second' if t == 2 else 'fourth'} moment, got t={entry.order}"
         elif parties is not None and len(entry.subset) != parties:
             problem = f"needs the moment of {parties} parties, got subset {entry.subset}"
+        elif std_error is None and method not in _EXACT_METHODS:
+            problem = f"is a {method} estimate without a std_error, which needs M >= 2 settings"
     else:
         value, std_error, method = float(entry), None, "value"
-    in_range = t % 2 or method == "finite_shot" or 0.0 <= value <= 1.0 + EVEN_MOMENT_ATOL
+    in_range = t % 2 or method == "finite_shot" or 0.0 <= value <= 1.0 + EXPECTATION_ATOL
     if problem is None and not (isfinite(value) and in_range):
         problem = f"must {'be finite' if t % 2 else 'lie in [0, 1]'}, got {value!r}"
     if problem:
@@ -129,9 +128,9 @@ def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
 
 def _check_purity(purity: float, exact: bool) -> float:
     """``purity`` if finite and positive and, when read off exact inputs
-    only, at most 1 within ``EVEN_MOMENT_ATOL``: the one purity rule.  A
+    only, at most 1 within ``EXPECTATION_ATOL``: the one purity rule.  A
     purity summed from estimates may exceed 1 by their statistical error."""
-    if not (0.0 < purity and isfinite(purity) and (purity <= 1.0 + EVEN_MOMENT_ATOL or not exact)):
+    if not (0.0 < purity and isfinite(purity) and (purity <= 1.0 + EXPECTATION_ATOL or not exact)):
         raise ValueError(f"purity must {'lie in (0, 1]' if exact else 'be finite and positive'}, got {purity!r}")
     return purity
 
@@ -391,7 +390,7 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
         if j < n - 1:
             probs = probs.reshape(b, 2 ** (j + 1), 4, -1)
     probs = probs.reshape(b, 2**n) / 2**n
-    if float(probs.min()) < -1e-9:
+    if float(probs.min()) < -EXPECTATION_ATOL:
         raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
     return _cumulative(np.clip(probs, 0.0, None))
 
@@ -433,13 +432,11 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return cumulative
 
 
-def _shot_weights(k: int, t: int) -> np.ndarray:
-    """e_t(x) / C(K, t) for K +-1 shots x, indexed by their count K+ of +1:
+def _shot_weights(k: int, t: int, counts) -> list:
+    """e_t(x) / C(K, t) for K +-1 shots x, one for each count K+ of +1 in ``counts``:
     e_t(x) = sum_j C(K+, j) C(K-, t-j) (-1)^(t-j), summed in exact integers."""
-    return np.array([
-        sum(comb(kp, j) * comb(k - kp, t - j) * (-1) ** (t - j) for j in range(t + 1)) / comb(k, t)
-        for kp in range(k + 1)
-    ])
+    return [sum(comb(kp, j) * comb(k - kp, t - j) * (-1) ** (t - j) for j in range(t + 1)) / comb(k, t)
+            for kp in map(int, counts)]
 
 
 def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
@@ -452,7 +449,8 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
     with e_t the elementary symmetric polynomial, a function of the count
     of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
     The value is the mean over settings, in O(M K |A|) time for subset A;
-    each subset's +1 products are counted once for every order.
+    each subset's +1 products are counted once for every order, and the
+    weight of each count that occurs is computed once a call.
     Estimates of different subsets share the table's settings and shots,
     so they are correlated: each ``std_error`` holds for its own estimate
     only.
@@ -460,7 +458,7 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
     orders = [_check_order(t) for t in orders]
     k = shots.shots_per_setting
     _check_shots_cover_order(k, max(orders, default=1))
-    weights = [_shot_weights(k, t) for t in orders]
+    weights, known = np.empty((len(orders), k + 1)), np.zeros(k + 1, dtype=bool)
     estimates = []
     for parties in subsets:
         subset = normalize_subset(parties, shots.n_parties)
@@ -468,6 +466,9 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
         for p in subset[1:]:
             products *= shots.outcomes[:, :, p - 1]
         plus_counts = np.count_nonzero(products > 0, axis=1)
+        new = np.flatnonzero(np.bincount(plus_counts[~known[plus_counts]]))  # the counts no subset showed yet
+        if new.size and orders:
+            weights[:, new], known[new] = [_shot_weights(k, t, new) for t in orders], True
         for t, table in zip(orders, weights):
             estimates.append(_setting_mean(table[plus_counts], subset, t, "finite_shot", k))
     return estimates

@@ -15,11 +15,9 @@ from math import prod
 
 import numpy as np
 
-from .states import _check_int
+from .states import DIRECTION_ATOL, _check_int
 
 _UINT64_MAX = 2**64 - 1
-
-DESIGN_VALIDATION_ATOL = 1e-12
 
 #: Bytes of per-block temporaries in every loop whose rows per block follow
 #: the bytes of a row (``simulate_shots``, ``to_csv``): memory beyond their
@@ -174,14 +172,14 @@ def as_direction_array(d) -> np.ndarray:
 
 def _check_unit_norm(vectors: np.ndarray) -> np.ndarray:
     """``_norms`` of the 3-vectors along the last axis, refused unless every
-    vector is finite with norm 1 within 1e-12."""
+    vector is finite with norm 1 within ``DIRECTION_ATOL``."""
     norms = _norms(vectors)
     # NaN fails the comparison, and a non-finite entry makes its norm NaN or inf
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= DIRECTION_ATOL))
     if off.size:
         if not np.all(np.isfinite(vectors)):
             raise ValueError("directions have non-finite (NaN or inf) entries")
-        raise ValueError(f"direction norm {float(norms.flat[off[0]])!r} deviates from 1 beyond 1e-12")
+        raise ValueError(f"direction norm {float(norms.flat[off[0]])!r} deviates from 1 beyond {DIRECTION_ATOL}")
     return norms
 
 
@@ -286,7 +284,7 @@ def validate_design(design: SphericalDesign) -> dict:
     return {
         "degree_tested": t,
         "n_points": len(pts),
-        "passed": max_dev < DESIGN_VALIDATION_ATOL,
+        "passed": max_dev < DIRECTION_ATOL,
         "max_abs_deviation": max_dev,
         "monomials": monomials,
     }
@@ -303,7 +301,7 @@ def half_design(design: SphericalDesign) -> np.ndarray:
     kept, flipped = points[first > 0.0], -points[first < 0.0]
     # Sorted rows line up pairwise only if the set is antipodally symmetric.
     if kept.shape != flipped.shape or np.any(
-        np.abs(kept[np.lexsort(kept.T)] - flipped[np.lexsort(flipped.T)]) >= 1e-12
+        np.abs(kept[np.lexsort(kept.T)] - flipped[np.lexsort(flipped.T)]) >= DIRECTION_ATOL
     ):
         raise ValueError("point set is not antipodally symmetric")
     return kept

@@ -21,9 +21,9 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 #: Dense matrices grow as 4^n; constructions beyond this size are refused.
 MAX_QUBITS = 8
 
-HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
+EXPECTATION_ATOL = 1e-9  # a correlation's, even moment's, purity's or Born probability's overshoot of its range
+MATRIX_ATOL = 1e-10  # a density matrix's Hermiticity, trace and eigenvalues; its Pauli tensor's imaginary part
+DIRECTION_ATOL = 1e-12  # a direction's unit norm; design averages, antipodes and sums against exact values
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +32,7 @@ class DensityMatrix:
 
     ``n_qubits`` is read off the 2^n x 2^n shape.  Validation happens at
     construction: the matrix must be finite, Hermitian and unit-trace within
-    1e-10 and positive semidefinite up to an eigenvalue floor of -1e-10;
+    ``MATRIX_ATOL`` and have no eigenvalue below -``MATRIX_ATOL``;
     ``from_vector`` checks its vector instead, for reasons given there.
     Instances are immutable (the stored array is marked read-only), so
     they are safe to share across workers.  ``from_vector`` also keeps the
@@ -49,18 +49,14 @@ class DensityMatrix:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite (NaN or inf) entries")
         herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > HERMITICITY_ATOL:
+        if herm_dev > MATRIX_ATOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         trace_dev = abs(mat.trace() - 1.0)
-        if trace_dev > TRACE_ATOL:
+        if trace_dev > MATRIX_ATOL:
             raise ValueError(f"matrix trace deviates from 1 by {trace_dev:.3e}")
-        # A real matrix (every named state) takes the faster real routine;
-        # both read the same lower triangle.
-        min_eig = float(np.linalg.eigvalsh(mat if mat.imag.any() else mat.real)[0])
-        if min_eig < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-            )
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig < -MATRIX_ATOL:
+            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
         self._freeze(mat, n)
 
     def _freeze(self, mat: np.ndarray, n: int) -> None:

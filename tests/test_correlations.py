@@ -687,6 +687,34 @@ def test_correlation_refusals(call, message):
         call()
 
 
+BELL_TENSOR = correlation_tensor(bell_psi_minus(), (1, 2)).components
+#: 2,000 settings, so that the last row falls in the second contraction block
+BELL_DIRS = uniform_directions(RngStream(33), 4000).reshape(2000, 2, 3)
+
+
+def _dirs_with(row, direction):
+    dirs = BELL_DIRS.copy()
+    dirs[row, 1] = direction
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CorrelationTensor((1,), [np.nan, 0.0, 0.0]), "tensor component exceeds 1 by nan"),
+        (lambda: correlation_values(BELL_TENSOR, _dirs_with(0, [0.0, 0.0, 2.0])), "direction norm 2.0 deviates from 1 beyond 1e-12"),
+        (lambda: correlation_values(BELL_TENSOR, _dirs_with(1999, [0.0, 0.0, 2.0])), "direction norm 2.0 deviates from 1 beyond 1e-12"),
+        (lambda: correlation_values(BELL_TENSOR, _dirs_with(5, np.nan)), r"directions have non-finite \(NaN or inf\) entries"),
+        (lambda: correlation_values(BELL_TENSOR, BELL_DIRS[:4, [0, 1, 1]]), r"directions must have shape \(M, 2, 3\) for a 2-site tensor, got \(4, 3, 3\)"),
+        (lambda: correlation_values(BELL_TENSOR, BELL_DIRS[:4, 0, :2]), r"directions must have shape \(M, 2, 3\) for a 2-site tensor, got \(4, 2\)"),
+    ],
+    ids=["tensor_nan", "direction_off_norm", "direction_off_norm_in_the_last_block", "direction_nan", "three_sites_for_two", "two_components"],
+)
+def test_tensor_level_calls_refuse_nan_and_non_unit_directions(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_mixed_white_density_is_a_point_mass_at_zero():
     density = analytic_pdf("mixed_white")
     np.testing.assert_array_equal(density.cdf(np.array([-0.1, 0.0, 0.1])), [0.0, 1.0, 1.0])

@@ -471,3 +471,32 @@ def test_readers_take_every_estimate_and_refuse_what_no_route_returns(call, mess
     else:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+#: Estimates of one setting (M = 1) carry no std_error, although they are
+#: statistical: ghz:4 at K = 20, and ghz:3 at K = 4.
+GHZ4_ONE_SETTING = {e.subset: e for e in _shot_estimates(ghz(4), 1, 20, 3, all_subsets(4), [2])}
+GHZ3_R2, GHZ3_R4 = _shot_estimates(ghz(3), 1, 4, 3, [(1, 2, 3)], [2, 4])
+NO_ERROR = "is a {} estimate without a std_error, which needs M >= 2 settings"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: purity_from_moments(GHZ4_ONE_SETTING), r"moment of subset \(1,\) " + NO_ERROR.format("finite_shot")),
+        (lambda: gme_test_4(GHZ4_ONE_SETTING, 1.0), r"moment of subset \(1, 2, 3, 4\) " + NO_ERROR.format("finite_shot")),
+        (lambda: bisep_line_3(GHZ3_R2, GHZ3_R4), "r2 " + NO_ERROR.format("finite_shot")),
+        (lambda: w_class_witness(GHZ3_R2, 3), "r2 " + NO_ERROR.format("finite_shot")),
+        (lambda: entanglement_by_length(GHZ3_R2), "a correlation length " + NO_ERROR.format("finite_shot")),
+        (
+            lambda: w_class_witness(MomentEstimate((1, 2, 3), 2, 0.5, None, "monte_carlo"), 3),
+            "r2 " + NO_ERROR.format("monte_carlo"),
+        ),
+    ],
+    ids=["purity", "gme4", "bisep3", "wclass", "length", "wclass_monte_carlo"],
+)
+def test_readers_refuse_a_statistical_estimate_without_an_error(call, message):
+    # at M = 1, a missing error would otherwise be read as exact
+    assert all(e.std_error is None for e in (*GHZ4_ONE_SETTING.values(), GHZ3_R2, GHZ3_R4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
