@@ -83,7 +83,9 @@ class MomentEstimate:
             # Even moments of a [-1, 1]-valued variable live in [0, 1].
             # Unbiased finite-shot estimates may leave that range.
             if not -EXPECTATION_ATOL <= self.value <= 1.0 + EXPECTATION_ATOL:
-                raise ValueError(f"even-order moment {self.value!r} outside [0, 1] tolerance")
+                raise ValueError(
+                    f"even-order moment {self.value!r} outside [0, 1] tolerance"
+                )
         object.__setattr__(self, "subset", normalize_subset(self.subset, MAX_QUBITS))
 
     def to_dict(self) -> dict:
@@ -432,11 +434,13 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return cumulative
 
 
-def _shot_weights(k: int, t: int, counts) -> list:
-    """e_t(x) / C(K, t) for K +-1 shots x, one for each count K+ of +1 in ``counts``:
+def _shot_weights(k: int, t: int) -> np.ndarray:
+    """e_t(x) / C(K, t) for K +-1 shots x, indexed by their count K+ of +1:
     e_t(x) = sum_j C(K+, j) C(K-, t-j) (-1)^(t-j), summed in exact integers."""
-    return [sum(comb(kp, j) * comb(k - kp, t - j) * (-1) ** (t - j) for j in range(t + 1)) / comb(k, t)
-            for kp in map(int, counts)]
+    return np.array([
+        sum(comb(kp, j) * comb(k - kp, t - j) * (-1) ** (t - j) for j in range(t + 1)) / comb(k, t)
+        for kp in range(k + 1)
+    ])
 
 
 def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
@@ -449,8 +453,7 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
     with e_t the elementary symmetric polynomial, a function of the count
     of +1 products only.  For t = 2 it equals (K Ehat^2 - 1) / (K - 1).
     The value is the mean over settings, in O(M K |A|) time for subset A;
-    each subset's +1 products are counted once for every order, and the
-    weight of each count that occurs is computed once a call.
+    each subset's +1 products are counted once for every order.
     Estimates of different subsets share the table's settings and shots,
     so they are correlated: each ``std_error`` holds for its own estimate
     only.
@@ -458,7 +461,7 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
     orders = [_check_order(t) for t in orders]
     k = shots.shots_per_setting
     _check_shots_cover_order(k, max(orders, default=1))
-    weights, known = np.empty((len(orders), k + 1)), np.zeros(k + 1, dtype=bool)
+    weights = [_shot_weights(k, t) for t in orders]
     estimates = []
     for parties in subsets:
         subset = normalize_subset(parties, shots.n_parties)
@@ -466,9 +469,6 @@ def moments_from_shots(shots: ShotTable, subsets, orders) -> list:
         for p in subset[1:]:
             products *= shots.outcomes[:, :, p - 1]
         plus_counts = np.count_nonzero(products > 0, axis=1)
-        new = np.flatnonzero(np.bincount(plus_counts[~known[plus_counts]]))  # the counts no subset showed yet
-        if new.size and orders:
-            weights[:, new], known[new] = [_shot_weights(k, t, new) for t in orders], True
         for t, table in zip(orders, weights):
             estimates.append(_setting_mean(table[plus_counts], subset, t, "finite_shot", k))
     return estimates

@@ -23,7 +23,9 @@ MAX_QUBITS = 8
 
 EXPECTATION_ATOL = 1e-9  # a correlation's, even moment's, purity's or Born probability's overshoot of its range
 MATRIX_ATOL = 1e-10  # a density matrix's Hermiticity, trace and eigenvalues; its Pauli tensor's imaginary part
-DIRECTION_ATOL = 1e-12  # a direction's unit norm; design averages, antipodes and sums against exact values
+#: A direction's unit norm and the exact sums over directions (design averages, antipodes, the design
+#: cross-check against the tensor) share this bound: widening it for one of them widens it for all.
+DIRECTION_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +58,9 @@ class DensityMatrix:
             raise ValueError(f"matrix trace deviates from 1 by {trace_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig < -MATRIX_ATOL:
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+            )
         self._freeze(mat, n)
 
     def _freeze(self, mat: np.ndarray, n: int) -> None:

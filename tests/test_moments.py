@@ -699,10 +699,10 @@ def test_simulate_shots_refuses_a_setting_over_the_block_budget_before_any_draw(
     assert draws == []
 
 
-def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None, drawn_only=False) -> MomentEstimate:
+def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
     """Reference implementation of ``moments_from_shots`` for one subset
     and order: one product over the subset's columns and one e_t table per
-    call, over every count of +1 or, with ``drawn_only``, the drawn ones."""
+    call."""
     k_shots = shots.shots_per_setting
     n = shots.n_parties
     if parties is None:
@@ -714,7 +714,7 @@ def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None, d
     products = shots.outcomes[:, :, columns].prod(axis=2)
     plus_counts = ((products + 1) // 2).sum(axis=1)
     table = np.zeros(k_shots + 1)
-    for kp in np.unique(plus_counts).tolist() if drawn_only else range(k_shots + 1):
+    for kp in range(k_shots + 1):
         km = k_shots - kp
         e_t = sum(
             comb(kp, j) * comb(km, t - j) * (-1) ** (t - j)
@@ -731,40 +731,11 @@ def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None, d
 @pytest.mark.parametrize("k", range(1, 9))
 def test_shot_weights_match_brute_force_u_statistics(k):
     for t in range(1, k + 1):
-        weights = _shot_weights(k, t, range(k + 1))
+        weights = _shot_weights(k, t)
         for kp in range(k + 1):
             shots = [1] * kp + [-1] * (k - kp)
             total = sum(prod(chosen) for chosen in combinations(shots, t))
             assert weights[kp] == total / comb(k, t), (k, t, kp)
-
-
-def test_weights_of_the_occurring_counts_equal_the_full_table():
-    # Party 1 shows every count of +1 once and party 2 a few drawn ones; the
-    # subsets that see fewer counts come first, so later subsets read weights
-    # computed for earlier ones and add the rest.
-    gen = np.random.default_rng(34)
-    for k in range(1, 61):
-        plus = np.arange(k + 1)[:, None] > np.arange(k)
-        first = np.where(plus, 1, -1)
-        second = np.where(gen.random((k + 1, k)) < 0.1, -1, 1)
-        shots = ShotTable(np.stack([first, second], axis=2))
-        subsets, orders = [(2,), (1, 2), (1,)], list(range(1, min(k, 8) + 1))
-        got = iter(moments_from_shots(shots, subsets, orders))
-        for subset in subsets:
-            for t in orders:
-                est, oracle = next(got), _estimate_moment_from_shots_oracle(shots, t, subset)
-                assert (est.value, est.std_error) == (oracle.value, oracle.std_error), (k, t, subset)
-
-
-def test_weights_at_the_largest_shot_count_equal_the_oracle_at_the_drawn_counts():
-    k = 104_851  # the most shots a bell setting's temporaries fit the block budget
-    shots = simulate_shots(bell_psi_minus(), random_settings(2, 5, RngStream(35)), k, RngStream(36))
-    subsets = [(1,), (2,), (1, 2)]
-    got = iter(moments_from_shots(shots, subsets, [2, 4]))
-    for subset in subsets:
-        for t in (2, 4):
-            est, oracle = next(got), _estimate_moment_from_shots_oracle(shots, t, subset, drawn_only=True)
-            assert (est.value, est.std_error) == (oracle.value, oracle.std_error), (subset, t)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
