@@ -150,10 +150,11 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
 def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
     ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
-    last.  At k >= 3 a product's row count can move the last bit of its
-    values, so a short block is padded with zero rows to the full count.  At
-    k <= 2 a one-row block of a longer call gets one zero row: alone, its
-    product would be a BLAS dot or matrix-vector product of other bits."""
+    last, each row's value independent of its block.  At k >= 3 a product's
+    row count can move the last bit of its values, so a short block is padded
+    with zero rows to the full count; at k <= 2 a one-row block gets one zero
+    row, as alone its product would be a BLAS dot or matrix-vector product of
+    other bits."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
@@ -167,14 +168,15 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
         rows = len(block)
         values = out[start : start + rows]
         start += rows
-        pad = _CONTRACTION_ROWS - rows if k >= 3 else int(rows == 1 and count > 1)
+        pad = _CONTRACTION_ROWS - rows if k >= 3 else int(rows == 1)
         if pad > 0:
             block = np.concatenate([block, np.zeros((pad, k, 3))])
         if k == 1:
             values[:] = np.dot(matrix.T, _outer_product(block))[0, :rows]  # the product's one row
         else:
             vals = np.dot(matrix.T, _outer_product(block[:, :a]))
-            np.einsum("mi,mi->m", vals.T[:rows].copy(), _outer_product(block[:rows, a:]).T, out=values)
+            # sliced after the product: a lone row's is contiguous, which einsum sums in another order
+            np.einsum("mi,mi->m", vals.T[:rows].copy(), _outer_product(block[:, a:]).T[:rows], out=values)
         block = vals = None  # freed before a streamed source draws the next block
     return out
 

@@ -189,7 +189,9 @@ def bootstrap_error(estimate: MomentEstimate) -> MomentEstimate:
     plug-in error, so a check bounded by the plug-in error can run first."""
     if estimate.method != "monte_carlo":
         raise ValueError(f"a bootstrap error applies to monte_carlo estimates, got {estimate.method}")
-    m = estimate.samples
+    m = _check_mc_samples(estimate.samples)
+    if estimate.std_error is None:
+        raise ValueError("a bootstrap error needs the estimate's std_error")
     return replace(estimate, std_error=estimate.std_error * sqrt((m - 1) / m))
 
 

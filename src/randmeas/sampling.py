@@ -101,17 +101,6 @@ def uniform_directions(rng: RngStream, count: int) -> np.ndarray:
     return random_settings(1, count, rng)[:, 0]
 
 
-def _sphere_points(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """The (x, y, z) points with heights ``z`` and azimuths ``azimuth``,
-    shape ``z.shape + (3,)``, written one column at a time."""
-    out = np.empty(z.shape + (3,))
-    out[..., 2] = z
-    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    np.multiply(radial, np.cos(azimuth), out=out[..., 0])
-    np.multiply(radial, np.sin(azimuth), out=out[..., 1])
-    return out
-
-
 def _check_settings(m: int, row_bytes: int, held: str = "table of M*n*(24 + K)") -> int:
     """M as an int, refused if not an integer >= 1 or if M settings of
     ``row_bytes`` each exceed ``MAX_TABLE_BYTES``; ``held`` names those bytes
@@ -139,22 +128,27 @@ def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
     blocks (the last one shorter), drawn one block at a time.
 
     z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which is
-    the pushforward of the Haar measure through U sigma_z U^dagger.  The z
-    of the whole draw fill Philox words 0 to M*n - 1, one word each, and the
-    azimuths the next M*n, so a second generator moved to word M*n draws the
-    azimuths alongside the z and the rows are the same at any ``rows``.  A
-    live Generator cannot be restarted at word 0 and is refused.
+    the pushforward of the Haar measure through U sigma_z U^dagger.  Each
+    block maps (rows, n, 2) uniforms (u, v), drawn row-major from one
+    generator, to z = -1 + 2u and 2*pi*v, numpy's ``uniform`` formulas, so
+    row i reads Philox words 2n*i to 2n*i + 2n - 1: it depends on (seed,
+    stream id) and i only, and the first M rows of a longer draw are the
+    M-row draw.  A live Generator's position is unknown, so it is refused.
     """
     if not isinstance(rng, RngStream):
         raise TypeError(f"expected RngStream, got {type(rng)!r}")
-    z_gen, azimuth_gen = rng.generator(), rng.generator()
-    # Philox makes four words a counter step.
-    azimuth_gen.bit_generator.advance(m * n // 4)
-    azimuth_gen.bit_generator.random_raw(m * n % 4)
+    gen = rng.generator()
     for start in range(0, m, rows):
-        shape = (min(rows, m - start), n)
-        z = z_gen.uniform(-1.0, 1.0, size=shape)
-        yield _sphere_points(z, azimuth_gen.uniform(0.0, 2.0 * np.pi, size=shape))
+        u = gen.random((min(rows, m - start), n, 2))
+        z = -1.0 + 2.0 * u[..., 0]
+        azimuth = 2.0 * np.pi * u[..., 1]
+        points = np.empty((len(u), n, 3))  # written one column at a time
+        points[..., 2] = z
+        radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        np.multiply(radial, np.cos(azimuth), out=points[..., 0])
+        np.multiply(radial, np.sin(azimuth), out=points[..., 1])
+        u = z = azimuth = radial = None  # freed before the caller's work and the next draw
+        yield points
 
 
 # ---------------------------------------------------------------------------

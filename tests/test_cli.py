@@ -16,6 +16,8 @@ from randmeas.cli import (
     STREAM_SAMPLES,
     STREAM_SETTINGS,
     STREAM_SHOTS,
+    CrossCheckError,
+    _cross_check,
     main,
     parse_state,
     parse_subset,
@@ -24,6 +26,7 @@ from randmeas.cli import (
 from randmeas.correlations import HISTOGRAM_BINS, correlation_length, pauli_coefficients, sample_distribution
 from randmeas.criteria import structure_report_from_state
 from randmeas.moments import (
+    MomentEstimate,
     all_subsets,
     bootstrap_error,
     exact_moment_map,
@@ -316,6 +319,26 @@ def test_monte_carlo_cross_check_fails_an_estimate_pushed_off(tmp_path, capsys, 
     assert run_cli([*args, "--output", tmp_path / "wrong"]) == 1
     assert "error: oracle cross-check failed for subset (1, 2), t=2" in capsys.readouterr().err
     assert not (tmp_path / "wrong").exists()
+
+
+#: ln(4 / 1e-6), the log term L of the Monte Carlo cross-check's
+#: two-sided empirical Bernstein bound at its false-alarm rate
+BERNSTEIN_LOG = 15.201804919084164
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+@pytest.mark.parametrize("t, value_range", [(2, 1.0), (3, 2.0)], ids=["even", "odd"])
+@pytest.mark.parametrize("m, std_error", [(1_000, 0.01), (10_000, 0.001)])
+def test_monte_carlo_cross_check_bound_is_pinned(m, std_error, t, value_range, inside):
+    # s sqrt(2 L) + 7 R L / (3 (M - 1)), with R = 1 for even t and 2 for odd
+    bound = std_error * np.sqrt(2.0 * BERNSTEIN_LOG) + 7.0 * value_range * BERNSTEIN_LOG / (3.0 * (m - 1))
+    estimate = MomentEstimate((1, 2), t, 0.25, std_error, "monte_carlo", m)
+    exact = 0.25 + (0.9 if inside else 1.1) * bound
+    if inside:
+        assert _cross_check(estimate, exact)["tolerance"] == pytest.approx(bound, rel=1e-12)
+    else:
+        with pytest.raises(CrossCheckError, match="oracle cross-check failed for subset"):
+            _cross_check(estimate, exact)
 
 
 def test_moments_finite_shots(tmp_path):

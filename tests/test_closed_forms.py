@@ -7,9 +7,13 @@ alone: E = prod z_j for product_zero, the flat law on [-p, p] for werner
 (R^(t) = p^t / (t + 1)), and the Pauli expansions of ghz and w.
 """
 
+from math import factorial, sqrt
+
+import numpy as np
 import pytest
 
 from randmeas.cli import _cross_check, parse_state
+from randmeas.correlations import sample_distribution
 from randmeas.moments import exact_moment_map, moments_design, moments_from_shots, moments_mc, simulate_shots
 from randmeas.sampling import RngStream, design_points, random_settings
 from randmeas.states import make_state
@@ -50,3 +54,27 @@ def test_sampled_routes_match_the_closed_forms_at_eight_qubits(state, orders):
     assert [e.method for e in estimates] == ["monte_carlo"] * len(orders) + ["finite_shot"] * len(orders)
     for estimate in estimates:
         _cross_check(estimate, CLOSED_FORMS[state, estimate.order])
+
+
+def _product_zero_law(y, k):
+    """P(|E| <= y) = y sum_{j<k} (-ln y)^j / j! for E = z_1 ... z_k, the z_j
+    i.i.d. uniform on [-1, 1]; 0 at y = 0."""
+    log = -np.log(np.where(y > 0.0, y, 1.0))
+    return y * sum(log**j / factorial(j) for j in range(k))
+
+
+@pytest.mark.parametrize(
+    "state, k, follows",
+    [("product_zero:3", 3, True), ("product_zero:5", 5, True), ("product_zero:8", 8, True), ("ghz:3", 3, False)],
+)
+def test_sampled_values_follow_the_product_law(state, k, follows):
+    """A Kolmogorov-Smirnov test of ``sample`` values of M = 20,000 settings:
+    |E| of product_zero:k follows the law of a product of k uniform heights,
+    and ghz:3's values fail it.  sqrt(M) D < 1.95 is the 0.1% point."""
+    m = 20_000
+    rho = make_state(parse_state(state))
+    magnitudes = np.sort(np.abs(sample_distribution(rho, range(1, k + 1), m, RngStream(23, k)).values))
+    law = _product_zero_law(magnitudes, k)
+    rank = np.arange(1, m + 1)
+    statistic = sqrt(m) * max(np.max(rank / m - law), np.max(law - (rank - 1) / m))
+    assert (statistic < 1.95) == follows, statistic

@@ -223,6 +223,18 @@ def test_correlation_values_blocks_match_one_block(k, monkeypatch):
     assert np.array_equal(correlation_values(components, dirs), one_block)
 
 
+def test_a_lone_row_contracts_as_it_does_in_a_full_block():
+    # A call of M rows gives the first M values of a longer call, also when
+    # its last block holds a single row: M = 1, 1,025 and 2,049.
+    rho = w_state(8)
+    for k in range(1, 9):
+        components = correlation_tensor(rho, range(1, k + 1)).components
+        dirs = random_settings(k, 4_100, RngStream(3))
+        values = correlation_values(components, dirs)
+        for m in (1, 1_025, 2_049):
+            assert np.array_equal(correlation_values(components, dirs[:m]), values[:m]), (k, m)
+
+
 def _correlation_values_sequential(components, directions):
     """The body that ``correlation_values`` used to run, kept as an oracle:
     per row block, a K = 3 ``tensordot`` with the first site and one
@@ -249,7 +261,10 @@ def test_correlation_values_match_sequential_oracle(k):
         for m in (1, 2, 3_001):
             dirs = uniform_directions(RngStream(28, m), m * k).reshape(m, k, 3)
             values = correlation_values(components, dirs)
-            oracle = _correlation_values_sequential(components, dirs)
+            # The oracle's lone row at M = 1 would be a BLAS dot of other
+            # bits than the row has in any longer call, which is what the
+            # contraction gives it: the oracle runs on the rows twice over.
+            oracle = _correlation_values_sequential(components, np.concatenate([dirs, dirs]))[:m]
             if k <= 2:
                 assert np.array_equal(values, oracle)
             else:

@@ -425,9 +425,9 @@ def _shot_estimates(rho, m, k, seed, subsets, orders):
 
 
 #: Finite-shot estimates outside [0, 1]: R2 = -0.1 (M = 20, K = 2) and
-#: R4 = -0.2 (M = 10, K = 4) of product_zero:3, and the purity 1.016 of ghz:4
+#: R4 = -0.2 (M = 10, K = 4) of product_zero:3, and the purity 1.012 of ghz:4
 #: (M = 2,000, K = 20), which the unbiased estimators leave by their error.
-NEGATIVE_R2 = _shot_estimates(product_zero(3), 20, 2, 1, [(1, 2, 3)], [2])[0]
+NEGATIVE_R2 = _shot_estimates(product_zero(3), 20, 2, 18, [(1, 2, 3)], [2])[0]
 R2_AT_K4, NEGATIVE_R4 = _shot_estimates(product_zero(3), 10, 4, 1, [(1, 2, 3)], [2, 4])
 GHZ4_SHOTS = {e.subset: e for e in _shot_estimates(ghz(4), 2000, 20, 4, all_subsets(4), [2])}
 GHZ4_DESIGN_T4 = {e.subset: e for e in moments_design(ghz(4), all_subsets(4), [4], D5)}

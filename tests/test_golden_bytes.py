@@ -31,41 +31,41 @@ GOLDEN = {
         "sample --state bell --samples 2000 --seed 7",
         {
             "density.csv": "de9e2d894a158ed162db8e59f9cebc38bace3928fb4670a30c60a50785974cdc",
-            "histogram.csv": "f7d2e535e3d152ea73a2768e86bbcc4620ff68ab0a63686274b1c839d9db7118",
+            "histogram.csv": "690487622505109024ebd5ff58d5312e083843d9cc8b715c5bfb07f57bf9e02d",
             "sample.json": "d32825aa592c5ed5f3761ebf2ed8e1d1cbb175f2acb57e2454d77ce0cd01b61a",
-            "samples.csv": "b8945e7462ef4dfb11319a313325802e2d27919868693f00888a1654007e4a39",
+            "samples.csv": "48ae4ae0ac0e588b00fe26132ed96bf0c65a6cb045e91cd1298abfb21af98c48",
         },
     ),
     "sample_w5_subset": (
         "sample --state w:5 --subset 2,4 --samples 2000 --seed 4",
         {
-            "histogram.csv": "2f90cf0a1fa31787809daa9b7dcc1c9c7e3959466849809305a141b45fafb265",
+            "histogram.csv": "00ad6be938685a57471f1f4d1fa04269116e284236aa8b3c94f9bac8f3122f94",
             "sample.json": "e4975bb3b16e7765bd510ac42a6f8d9829aac47d08e869c5837bc1292aca7f2c",
-            "samples.csv": "578767a50dc38852078ea66f9a49ca94f8e943374d276490048ff672d6a1f3d7",
+            "samples.csv": "13ed3f8d3e19a91e7802e9d79d847ac7ef1386b991770f8f1b0cc51d0d02d385",
         },
     ),
     "sample_w4_single": (
         "sample --state w:4 --subset 1 --samples 2000 --seed 3",
         {
-            "histogram.csv": "b087cbe4b5134fa3ee908e9853a512d439ed5a10046d39fe06019cdff23f5985",
+            "histogram.csv": "e7edbd9e9005d094e81e728d0ddca33c730b6e525496c0e0c48154b5e8eda441",
             "sample.json": "764af467ead29c0f4129a54285763bb3e8b9abd607f9eee2d26ffa3b5718c1b0",
-            "samples.csv": "fa576daf99e18dae584c616525fc0d4def9d3b97d8797ca0b18d5ce3b59739f9",
+            "samples.csv": "52232ae2f60a3ee846a751b7a00c835363c623e664244f9901bdd328044f94ce",
         },
     ),
     "sample_ghz4": (
         "sample --state ghz:4 --samples 2000 --seed 5",
         {
-            "histogram.csv": "9dd91886420fc2edb61de8139871075d1bb31ff0791f255a0bf75ed297a0d7ba",
+            "histogram.csv": "acca36b858a7582528f281430161f2b2eccb8622ec7ef168d95a7b5ed42066b4",
             "sample.json": "8c582fbfe0d56d043ec34013b1880c58fe5da3b819fe60a49817ebf8bdf93095",
-            "samples.csv": "c6752b9ac2852afaa6b50b0a521c7d5e04b5fe813e4aab339b6265aebcfe1e7c",
+            "samples.csv": "d3a5e779404dab95d64a8a9fb37153b3262980b5fd3fafc9264d1b405229f3a7",
         },
     ),
     "sample_w8": (
         "sample --state w:8 --samples 3000 --seed 2",
         {
-            "histogram.csv": "bac88259b818e8a9b4a4056a7e923dce3ee4d28f7343869666838dbeb7a715a2",
+            "histogram.csv": "39c3238fc650e8515dd9c0986275757e6f3cfe39ed434cefb0afcf067f8b1959",
             "sample.json": "20306c9caa6b89f0e52ab2edd4d4a04deeea50d05d78cf17197c79e2eba07ce2",
-            "samples.csv": "e8b749dccca380237fadae4fb54dd34c920cc7399dbead728982567239e6cfaf",
+            "samples.csv": "32a5cc6ce7a12620821d75707b9e4a172b63f16bc33933c6421367c113d84bec",
         },
     ),
     # seven parties and a short last block: the values of a contraction
@@ -73,9 +73,9 @@ GOLDEN = {
     "sample_w8_subset7": (
         "sample --state w:8 --subset 1,2,3,4,5,6,7 --samples 30001 --seed 0",
         {
-            "histogram.csv": "5ebdec1747e1675a2538797825e83276aea5a8e2e49d6758da90214cf94b8629",
+            "histogram.csv": "e0111c375347ec490701df12b0df30b920651bfd5a364b8a13ce0b0a2dc51df6",
             "sample.json": "417236d9928686e9b9d9664dad72de4aee3b82157f0dc18f912587c1060b097b",
-            "samples.csv": "777263127b3f7a9963291ece11e1456a49c61af899c05ae90cf8ce4aca73feab",
+            "samples.csv": "fc713004bfa220afdc8947bd03d62652bb3e2572dbd32a76851124fa91337ff7",
         },
     ),
     "design_sums_w4": (
@@ -116,29 +116,29 @@ GOLDEN = {
     "monte_carlo_w3_odd": (
         "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
         {
-            "moments.csv": "255c8f459edc84bb02b40c79d05d691a1f7800629f59d1a97d8a4920300b2d19",
-            "moments.json": "446d9ac27fd13ac90c6a00f7de18ef0e1ad608c042a8d975b804290f9b9fa1ba",
+            "moments.csv": "c53ab4f7c2d46bd66e0f5068fcd03567682463c0741690f2854d5cdcc14d629d",
+            "moments.json": "0354761ae2ce2cf273742062dd612e17bdb9b5a245675b97ac5157b5c9f87ea0",
         },
     ),
     "monte_carlo_ghz3_odd": (
         "moments --state ghz:3 --orders 1,3 --samples 2000 --seed 6 --format csv",
         {
-            "moments.csv": "1ff9a36b4f5db4e479b0fd0184baa3e9c79adfee6245690e0b6ca27bee59f78e",
-            "moments.json": "9315de3cc380828a9db3868ddfe3a3c529655247704585c7e71b090f0f117a2e",
+            "moments.csv": "19e62596dfc43efc1a64258f4b642cadb0f923316907797b7416008474791673",
+            "moments.json": "e68ad4030fbceb949d20c2e8dca278b2d7ea8b702ba4068acf3fc4dacfdeb7a6",
         },
     ),
     "monte_carlo_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 5000 --seed 3 --format csv",
         {
-            "moments.csv": "87bfe369a40c6b696c88c7f7457b3cd88139f1239a98fc9b7183ee442ab4d0f9",
-            "moments.json": "fbd7eb89d3baf815c2ceb4da7ab52f2a1ef7693e1d7c3ef3156162690e12f845",
+            "moments.csv": "247e1060e0fc1a2b6449f7b45906e09f83114a83cdd3606a42275cd0e0f54164",
+            "moments.json": "114158434424da8b24ef9653c346972b4cc52f6ae8af8ac68a7e6b07b8fe6611",
         },
     ),
     "monte_carlo_w5": (
         "moments --state w:5 --orders 2,4 --samples 3000 --seed 1 --format csv",
         {
-            "moments.csv": "5ea7f2274e822ec58de043b95c3689ddeb514d1bc53a396a2abb2970ab7b4823",
-            "moments.json": "fd7cb57c3bc9afa11545d6b1148baa34e3d5376f52d0e42cb6606e4f90e87860",
+            "moments.csv": "a7a938746e48cdf0ce0986061d8bbe0db25b049b42ce170fbcf3a7bf1ba72a69",
+            "moments.json": "6d955e8d1c6400448ff2c9b6e5a608ad2903a4f20b7dcb1f224d30fdf1b618d3",
         },
     ),
     # A marginal subset of a larger state: its settings table spans only
@@ -146,45 +146,45 @@ GOLDEN = {
     "monte_carlo_w5_subset": (
         "moments --state w:5 --subset 2,4 --orders 2,4 --samples 3000 --seed 4 --format csv",
         {
-            "moments.csv": "74e18aa1ab3e4748d8fa928b2e8d89784fc69c16de6281290234595bbea4c3ff",
-            "moments.json": "15d2be8ee7a2ca9d7973ed6f56730dfb8517bdaf1cd11c069c994a771307a34c",
+            "moments.csv": "f2fa48cf3a9049a34194574d23922dae98b7f390b2ff284bd7149c5083651bb6",
+            "moments.json": "87d5d269d00b051c99f1c1b43495c978b295cde918aff1b545195bb291daac3c",
         },
     ),
     # t = 6 has no exact oracle, so its cross-check entry says unchecked.
     "monte_carlo_bell_unchecked_t6": (
         "moments --state bell --orders 2,6 --samples 200 --seed 3",
         {
-            "moments.json": "77c99668faef8cf7b69e5896ca1a771cb48f7b55b9fe07405d98b2ccf5e4718a",
+            "moments.json": "bf548ca847ec80877b47743bdb3c1441f2f3489433f6b17d0295c1f6711f524d",
         },
     ),
     "bootstrap_w4": (
         "moments --state w:4 --subset 1,2 --orders 2,4 --samples 4000 --seed 4 --bootstrap",
         {
-            "moments.json": "5b151b1a19ba773374b5aa50d5561a9320fc3cccf72118098d75431ff5ee52e6",
+            "moments.json": "7d3c4eacdeace494598c24046fd350373b815b8ac00cc2b7e3cfb54eadc82125",
         },
     ),
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "ee9c740180b742a0e28a69b83d1d45cd303121e76d0be153edd2f60bcc4b404f",
+            "moments.json": "e451aebf1a258018758b440ab9dde8c293707c04f566347e8792f14a4cde16ab",
         },
     ),
     "shots_ghz3": (
         "moments --state ghz:3 --subset all --orders 2,4 --samples 500 --shots 5 --seed 9",
         {
-            "moments.json": "4e19894ddd6629883b9babfeb3760cae32d716ab84dd7d3b819a9969f4716c95",
+            "moments.json": "473fed41af56abfed41f9b6b365b19bcf1515495a23dcd55e37909770c07cf74",
         },
     ),
     "shots_ghz4_subset": (
         "moments --state ghz:4 --subset 2,3 --orders 2,4 --samples 500 --shots 5 --seed 9",
         {
-            "moments.json": "9b8b3e9fb43dcbfa3d7104c36a5757878d0e8b6c045678889d32e62b9d51a881",
+            "moments.json": "1946c454018283a81ec235d80617e81080ab3f5216b40d370a818e90ddabcc43",
         },
     ),
     "shots_ghz4_full": (
         "moments --state ghz:4 --subset full --orders 2,4 --samples 500 --shots 5 --seed 9",
         {
-            "moments.json": "17f9310428f3ed420fa48f043afe2ae3adf455911fcf7d15f257082702e22c8d",
+            "moments.json": "81b9e9bd68093960ecbaf2113356fbcafdb5f7efe39e5aa2f1fc2b4abc9b6e95",
         },
     ),
     # Shot tables that span several of simulate_shots' blocks (8 at n = 3
@@ -195,13 +195,13 @@ GOLDEN = {
     "shots_w3_all_blocks": (
         "moments --state w:3 --subset all --orders 2,4 --samples 12000 --shots 50 --seed 11",
         {
-            "moments.json": "5396f94c8d09fa1bc8accc1416c771b30d89d0f81fe5f3020dfd8d232b46f511",
+            "moments.json": "b2449aad8abb3517e3be6cfed201c51a41a673aea99c063be0c235bb818a3975",
         },
     ),
     "shots_ghz8_blocks": (
         "moments --state ghz:8 --orders 2,4 --samples 40 --shots 20 --seed 11",
         {
-            "moments.json": "599bc6450534603a6e95e2f244073b70f4be2f16bc0a13ea9e5eb1c2e8f3f36d",
+            "moments.json": "6962444be6d92c690392feceb71cd336ac3bef2608dfe1cee7c6f3bfd37050cc",
         },
     ),
     # A mixed state, whose shots come from the Pauli coefficients, and a W
@@ -209,13 +209,13 @@ GOLDEN = {
     "shots_werner_all": (
         "moments --state werner:0.6 --subset all --orders 2,4 --samples 4000 --shots 10 --seed 5",
         {
-            "moments.json": "93dd6b4a3c645b08914ec2e8361dcb5f083c184d11f44ad4716b80217dcbdd20",
+            "moments.json": "8310d9982b1b89390170f62fddb3812007ef80be61c245056ae0094361f46354",
         },
     ),
     "shots_w6_all": (
         "moments --state w:6 --subset all --orders 2,4 --samples 2000 --shots 10 --seed 6",
         {
-            "moments.json": "8ea3043a1b08f5674282da613e9a14728028020fecbabe09a6d2c524aabc83e7",
+            "moments.json": "e3463863ff528d8665f116f348d0b4c4a71bfbb4ef1b46e8a65733c6b80dc404",
         },
     ),
     "bisep3_w3": (
@@ -252,18 +252,18 @@ GOLDEN = {
         "sample --state product2 --samples 500 --seed 1",
         {
             "density.csv": "cdabe17b1b9722c072c86965c4650f6375a716618716470a7fc8e5b70c9d210b",
-            "histogram.csv": "b2bae90695acf2d15cd9a8ad96ba1bb63eb96aad56de23b8deb710abfbbd22fa",
+            "histogram.csv": "3243c0aab1a147b63eb64376778ef5e8664921bdd8c7ba50a2fdd446771266c7",
             "sample.json": "ab38cd506e200ff852f793e2c08c6c86fb8923aa079100a106bd47f27b664219",
-            "samples.csv": "afce94cdc988b9a9ee2083d445e3705f23868dec8246cae0c84f2e4f19c85717",
+            "samples.csv": "1c34af96d635e099b4b5a2cad524ca82055e55ea2dabc7d319dcb264a6ecffc9",
         },
     ),
     "sample_werner_density": (
         "sample --state werner:0.3 --samples 500 --seed 1",
         {
             "density.csv": "5a41dfae1888f1a8cb3b29f13c54ba18174ddac6151af4da1f46f755df3d0b7f",
-            "histogram.csv": "786c1d9b807383959479e49b2c56dfd0fb0e69a808b47c01e73746edc97fa28c",
+            "histogram.csv": "447cf971396408f82b63faeb4245ba98ab14b473dfd0338682f5420e1c8cd29d",
             "sample.json": "a239251f033224aad765fb685ba972242587779cfcc8cd7a2b42640da1439c20",
-            "samples.csv": "68036da1e02fca3854644e1af31c81d37615ee9bb9e7aa90f50d632cb9017680",
+            "samples.csv": "6205b56b0999874bf3f8d3c5c01d45e5ec7711fdd0352a969afab8c1672d68b1",
         },
     ),
     "sample_werner_zero": (
@@ -278,9 +278,9 @@ GOLDEN = {
         "sample --state product2 --samples 20000 --seed 2",
         {
             "density.csv": "cdabe17b1b9722c072c86965c4650f6375a716618716470a7fc8e5b70c9d210b",
-            "histogram.csv": "5546f714252289085353b4b9d19c34f350995c748d740344be44df4ed91c33f8",
+            "histogram.csv": "c482a40a871addd23bf28833489259af0c90ca117d86c545bc844147c35ed828",
             "sample.json": "2e0078eb58ece6f149d37359463ae930b4bc3969123ea1dd97a65aedbc8b2068",
-            "samples.csv": "78f050d364764268ee7689cb5cc0d69d95146a618fa9e596b90741a8a6fca4b1",
+            "samples.csv": "4ea164b5e7f114dbe9c5c2c181700041053afa449b96e1f0fae6e8ce45ce968c",
         },
     ),
     "structure_trisep4": (

@@ -123,6 +123,32 @@ def test_bootstrap_error_refuses_exact_and_shot_estimates():
             bootstrap_error(estimate)
 
 
+@pytest.mark.parametrize(
+    "samples, std_error, message",
+    [
+        (None, 0.1, "samples M must be an integer >= 2, got None"),
+        (5, None, "a bootstrap error needs the estimate's std_error"),
+        (1, 0.1, "samples M must be an integer >= 2, got 1"),
+    ],
+    ids=["no_samples", "no_std_error", "one_setting"],
+)
+def test_bootstrap_error_refuses_records_it_cannot_rescale(samples, std_error, message):
+    # sqrt((M - 1) / M) needs M >= 2, and at M = 1 it would zero the error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bootstrap_error(MomentEstimate((1,), 2, 0.5, std_error, "monte_carlo", samples))
+
+
+def test_cumulative_rows_end_at_exactly_one():
+    # the rows are cumulative Born distributions, which end at 1; a plain
+    # running sum of normalized rows can end a rounding below
+    gen = RngStream(87).generator()
+    for n in (1, 2, 3):
+        probs = gen.random((200, 2**n))
+        plain = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        assert np.any(plain[:, -1] < 1.0), n
+        assert np.all(moments._cumulative(probs)[:, -1] == 1.0), n
+
+
 def _moments_mc_bootstrap(*args):
     """``moments_mc`` with every standard error turned into the bootstrap one."""
     return [bootstrap_error(e) for e in moments_mc(*args)]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randmeas import sampling
+from randmeas import moments, sampling
 from randmeas.cli import main
+from randmeas.correlations import sample_distribution
+from randmeas.moments import simulate_shots
 from randmeas.sampling import (
     RngStream,
     as_direction_array,
@@ -19,6 +21,9 @@ from randmeas.sampling import (
     validate_design,
     SphericalDesign,
 )
+from randmeas.states import w_state, werner
+
+from matrix_oracles import random_density_matrix
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -144,11 +149,12 @@ def test_uniform_direction_properties():
 
 
 def _uniform_directions_stacked(rng, count):
-    """The body that ``uniform_directions`` used to run, kept as a
-    bit-equality oracle: every product over the whole draw, then stacked."""
-    gen = sampling._generator(rng)
-    z = gen.uniform(-1.0, 1.0, size=count)
-    azimuth = gen.uniform(0.0, 2.0 * np.pi, size=count)
+    """A bit-equality oracle of the draw, every product over the whole draw,
+    then stacked: direction i takes its z from word 2i of a ``uniform(-1, 1)``
+    draw of 2 * count words and its azimuth from word 2i + 1 of a
+    ``uniform(0, 2 pi)`` draw of the same words."""
+    z = rng.generator().uniform(-1.0, 1.0, size=2 * count)[0::2]
+    azimuth = rng.generator().uniform(0.0, 2.0 * np.pi, size=2 * count)[1::2]
     radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([radial * np.cos(azimuth), radial * np.sin(azimuth), z], axis=1)
 
@@ -167,13 +173,43 @@ def test_uniform_directions_match_stacked_oracle(count, forced_rows, monkeypatch
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_settings_blocks_concatenate_to_random_settings(n):
-    # odd M, so M * n covers every offset of the azimuth stream in a
-    # four-word Philox step
+    # a row reads 2n words, so at odd n a block of an odd row count ends
+    # halfway through a four-word Philox step
     for m, rows in ((1, 1), (1, 5), (7, 3), (1_001, 1), (1_001, 1_000), (1_001, 1_001)):
         blocks = list(sampling._settings_blocks(RngStream(31, n), n, m, rows))
         assert [len(block) for block in blocks] == [min(rows, m - start) for start in range(0, m, rows)]
         stacked = _uniform_directions_stacked(RngStream(31, n), m * n).reshape(m, n, 3)
         assert np.array_equal(np.concatenate(blocks), stacked)
+
+
+def _assert_draws_extend(draw):
+    """``draw(M)`` is the first M rows of ``draw(4_100)`` at M = 1, 1,025 and
+    1,500: four 1,024-row blocks and a short one, cut on and off a block
+    boundary."""
+    longer = draw(4_100)
+    for m in (1, 1_025, 1_500):
+        assert np.array_equal(draw(m), longer[:m]), m
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_settings_of_a_longer_draw_begin_with_the_shorter_draw(n):
+    _assert_draws_extend(lambda m: random_settings(n, m, RngStream(41, n)))
+
+
+@pytest.mark.parametrize("rho", [w_state(8), random_density_matrix(6, RngStream(42))], ids=["w8", "mixed6"])
+def test_sample_values_of_a_longer_draw_begin_with_the_shorter_draw(rho):
+    for k in range(1, rho.n_qubits + 1):
+        _assert_draws_extend(lambda m: sample_distribution(rho, range(1, k + 1), m, RngStream(43, k)).values)
+
+
+def test_shot_outcomes_of_a_longer_draw_begin_with_the_shorter_draw():
+    # w:8 takes the amplitude route in blocks of 228 settings at K = 50, and
+    # werner the Pauli route
+    assert moments._check_shot_budget(w_state(8), 4_100, 50) == 228
+    for rho, k in ((w_state(8), 50), (werner(0.6), 10)):
+        _assert_draws_extend(
+            lambda m: simulate_shots(rho, random_settings(rho.n_qubits, m, RngStream(44)), k, RngStream(44, 1)).outcomes
+        )
 
 
 def test_random_settings_of_no_party_is_an_empty_table_per_setting():
