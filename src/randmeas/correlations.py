@@ -129,14 +129,14 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     """Contract a (3,)*k tensor with per-sample directions (M, k, 3) -> (M,).
 
     The k sites split into the leading a = ceil(k/2) and the trailing
-    b = k - a.  Per row block, one matrix product contracts the tensor,
-    reshaped to 3^a x 3^b, with the per-row outer products of the leading
-    directions (3^a entries a row); a row-wise dot with the per-row outer
-    products of the trailing directions (3^b entries) finishes each value;
-    at k = 1 the matrix product alone gives the values.  A lone site's
-    product is a view of its direction rows, so at k <= 2 the calls see
-    the operands of a site-by-site contraction and give its bits.  The
-    directions must be (M, k, 3) unit vectors, checked a block at a time.
+    b = k - a.  Per row block, the tensor, reshaped to 3^a x 3^b, meets the
+    per-row outer products of the leading directions (3^a entries a row):
+    at a >= 2 in one matrix product, at a = 1 in the exact sums
+    (m0*x + m1*y) + m2*z.  Each value is then the in-order sum, from +0.0,
+    of the exact products with the per-row outer product of the trailing
+    directions (3^b entries), so only a k >= 3 value passes through BLAS.
+    The directions must be (M, k, 3) unit vectors, checked a block at a
+    time.
     """
     directions, k = np.asarray(directions, dtype=float), components.ndim
     if directions.shape[1:] != (k, 3):
@@ -150,33 +150,28 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
 def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
     ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
-    last, each row's value independent of its block.  At k >= 3 a product's
-    row count can move the last bit of its values, so a short block is padded
-    with zero rows to the full count; at k <= 2 a one-row block gets one zero
-    row, as alone its product would be a BLAS dot or matrix-vector product of
-    other bits."""
+    last.  A short block is padded with zero rows to the full count, so
+    every block's product and sum see one shape and each row's value is
+    independent of its block."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
     out = np.empty(count)
     start = 0
     for block in blocks:
-        # The tensor multiplies from the left, so rows run along the
-        # product's columns (along its rows, the BLAS kernel picked for the
-        # block's row count can change a row's bits); the row-major copy
-        # hands the dot the layout of a site-by-site contraction.
         rows = len(block)
-        values = out[start : start + rows]
-        start += rows
-        pad = _CONTRACTION_ROWS - rows if k >= 3 else int(rows == 1)
-        if pad > 0:
-            block = np.concatenate([block, np.zeros((pad, k, 3))])
-        if k == 1:
-            values[:] = np.dot(matrix.T, _outer_product(block))[0, :rows]  # the product's one row
+        if rows < _CONTRACTION_ROWS:
+            block = np.concatenate([block, np.zeros((_CONTRACTION_ROWS - rows, k, 3))])
+        vals = _outer_product(block[:, :a])
+        if a == 1:  # no BLAS call
+            vals = (matrix[0, :, None] * vals[0] + matrix[1, :, None] * vals[1]) + matrix[2, :, None] * vals[2]
         else:
-            vals = np.dot(matrix.T, _outer_product(block[:, :a]))
-            # sliced after the product: a lone row's is contiguous, which einsum sums in another order
-            np.einsum("mi,mi->m", vals.T[:rows].copy(), _outer_product(block[:, a:]).T[:rows], out=values)
+            vals = np.dot(matrix.T, vals)
+        vals *= _outer_product(block[:, a:])
+        # summed over the full block, then sliced: a reduce over one column
+        # runs along a contiguous axis, which numpy sums pairwise
+        out[start : start + rows] = np.add.reduce(vals, axis=0, initial=0.0)[:rows]
+        start += rows
         block = vals = None  # freed before a streamed source draws the next block
     return out
 
@@ -185,13 +180,13 @@ def _outer_product(block: np.ndarray) -> np.ndarray:
     """Per-row outer product of the directions in a (rows, j, 3) block,
     site-major with shape (3^j, rows): entry (i1 ... ij, m) is the product
     of component i1 of the first direction of row m through component ij
-    of its last.  One site gives a view of its rows."""
+    of its last, and every entry is 1 at j = 0."""
     rows = block.shape[0]
-    prod = block[:, 0, :].T
-    for j in range(1, block.shape[1]):
+    prod = np.ones((1, rows))
+    for j in range(block.shape[1]):
         # Site-major copies keep numpy's inner loop on the rows axis.
         site = block[:, j, :].T.copy()
-        prod = (np.ascontiguousarray(prod)[:, None, :] * site).reshape(-1, rows)
+        prod = (prod[:, None, :] * site).reshape(-1, rows)
     return prod
 
 
@@ -221,10 +216,10 @@ class SampleSet:
         # A row's temporaries peak at about 400 bytes with 7-digit indices
         # and grow by 12 a digit (tracemalloc): 512 bytes cover 16 digits.
         rows = _block_rows(512)
-        with open(path, "w") as fh:
-            fh.write("sample_index,E\n")
+        with open(path, "wb") as fh:
+            fh.write(b"sample_index,E\n")
             for start in range(0, self.settings_count, rows):
-                fh.write(_csv_block(self.values[start : start + rows], start).decode())
+                fh.write(_csv_block(self.values[start : start + rows], start))
 
 
 # Tables of the %.17g kernel: the exact 10^p (p <= 22) and their Veltkamp

@@ -26,10 +26,12 @@ _UINT64_MAX = 2**64 - 1
 _BLOCK_BYTES = 4 << 20
 
 #: Rows per block of every settings draw and every correlation contraction.
-#: A contraction row's temporaries (two outer products, each with its
-#: partial product and one copied site, and the product's result with its
-#: row-major copy) take 8 * (2 * 3^a + 4 * 3^b) bytes, 3,888 at k = 8, so one
-#: block fits ``_BLOCK_BYTES``; a drawn row takes less.
+#: A contraction row's temporaries peak at k = 8, as the trailing outer
+#: product takes its last site: 8 * (2 * 3^4 + 3^3 + 3) = 1,536 bytes for the
+#: leading values, the partial and new products and the copied site, and
+#: 24 * 8 more for a short block's zero-padded directions (tracemalloc reads
+#: 1,834 a row with numpy's ufunc buffers and the output), so one block fits
+#: ``_BLOCK_BYTES``; a drawn row takes less.
 _CONTRACTION_ROWS = 1024
 
 #: Most bytes M settings may hold: ``_check_settings`` counts 24 a direction

@@ -42,8 +42,7 @@ from randmeas.states import (
 
 from matrix_oracles import apply_local_unitaries, partial_trace, purity_direct, random_density_matrix
 
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -251,6 +250,41 @@ def _correlation_values_sequential(components, directions):
     return out
 
 
+def _correlation_values_in_order(components, directions):
+    """``correlation_values`` by its rule, kept as an exact oracle: per
+    block of rows padded to ``_CONTRACTION_ROWS``, the same leading values
+    (the exact sums (m0*x + m1*y) + m2*z at a = 1, the same matrix product
+    at a >= 2), times the trailing outer product, added row by row, left to
+    right, from +0.0 in a Python loop."""
+    k = components.ndim
+    a = (k + 1) // 2
+    matrix = components.reshape(3**a, 3 ** (k - a))
+    full = correlations._CONTRACTION_ROWS
+
+    def outer(sites):  # (rows, 3^j), each entry a left-to-right product from 1
+        prod = np.ones((len(sites), 1))
+        for j in range(sites.shape[1]):
+            prod = (prod[:, :, None] * sites[:, j, None, :]).reshape(len(sites), -1)
+        return prod
+
+    out = []
+    for start in range(0, len(directions), full):
+        chunk = directions[start : start + full]
+        block = np.zeros((full, k, 3))
+        block[: len(chunk)] = chunk
+        lead = outer(block[:, :a])
+        if a == 1:
+            lead = (lead[:, :1] * matrix[0] + lead[:, 1:2] * matrix[1]) + lead[:, 2:] * matrix[2]
+        else:
+            lead = np.dot(matrix.T, lead.T.copy()).T
+        terms = lead * outer(block[:, a:])
+        total = np.zeros(full)
+        for column in terms.T:
+            total = total + column
+        out.append(total[: len(chunk)])
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_correlation_values_match_sequential_oracle(k):
     states = [random_density_matrix(k, RngStream(27, k))]
@@ -261,14 +295,22 @@ def test_correlation_values_match_sequential_oracle(k):
         for m in (1, 2, 3_001):
             dirs = uniform_directions(RngStream(28, m), m * k).reshape(m, k, 3)
             values = correlation_values(components, dirs)
-            # The oracle's lone row at M = 1 would be a BLAS dot of other
-            # bits than the row has in any longer call, which is what the
-            # contraction gives it: the oracle runs on the rows twice over.
-            oracle = _correlation_values_sequential(components, np.concatenate([dirs, dirs]))[:m]
-            if k <= 2:
-                assert np.array_equal(values, oracle)
-            else:
-                assert np.max(np.abs(values - oracle)) <= 1e-15
+            assert np.array_equal(values.view(np.uint64), _correlation_values_in_order(components, dirs).view(np.uint64))
+            assert np.max(np.abs(values - _correlation_values_sequential(components, dirs))) <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_correlation_values_are_in_order_sums_bit_for_bit(k, mixed8):
+    # M = 1 is one padded block, 1,025 a full block and one row, 2,100 two
+    # full blocks and a short one; odd-k values of ghz:8 are all zero
+    for rho in (w_state(8), ghz(8), mixed8):
+        components = correlation_tensor(rho, range(1, k + 1)).components
+        for m in (1, 1_025, 2_100):
+            dirs = uniform_directions(RngStream(36, m), m * k).reshape(m, k, 3)
+            values = correlation_values(components, dirs)
+            oracle = _correlation_values_in_order(components, dirs)
+            assert np.array_equal(values.view(np.uint64), oracle.view(np.uint64)), (k, m)
+            assert not np.signbit(values[values == 0.0]).any(), (k, m)
 
 
 def _correlation_values_k1_ones(components, directions):
@@ -285,7 +327,7 @@ def _correlation_values_k1_ones(components, directions):
     return out
 
 
-def test_single_site_values_are_bit_equal_to_the_ones_block_oracle(monkeypatch):
+def test_single_site_values_are_bit_equal_to_the_in_order_oracle(monkeypatch):
     tensors = [np.zeros(3), np.full(3, -0.0), np.array([0.5, -0.0, 0.0])]
     for n in (1, 3, 5):
         states = [random_density_matrix(n, RngStream(29, n))]
@@ -294,16 +336,16 @@ def test_single_site_values_are_bit_equal_to_the_ones_block_oracle(monkeypatch):
         tensors += [correlation_tensor(rho, (p,)).components for rho in states for p in (1, n)]
     axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.0, 0.0, -1.0], [-1.0, -0.0, -0.0]])
     dirs = np.concatenate([axes, uniform_directions(RngStream(30), 3_001)])[:, None, :]
-    # the oracle's block rows, then the contraction's: short blocks and a tail
-    patches = [None, ("_block_rows", lambda _: 1_000)] + [("_CONTRACTION_ROWS", rows) for rows in (1, 3, 1_000)]
-    for patch in patches:
-        if patch:
-            monkeypatch.setattr(correlations, *patch)
-        for components in tensors:
-            values = correlation_values(components, dirs)
-            oracle = _correlation_values_k1_ones(components, dirs)
-            assert np.array_equal(values.view(np.uint64), oracle.view(np.uint64))
-            assert not np.signbit(values[values == 0.0]).any()
+    oracles = [_correlation_values_in_order(components, dirs) for components in tensors]
+    for components, oracle in zip(tensors, oracles):
+        assert np.max(np.abs(oracle - _correlation_values_k1_ones(components, dirs))) <= 1e-15
+        assert not np.signbit(oracle[oracle == 0.0]).any()
+    # the contraction's block rows: full blocks, then short blocks and a tail
+    for rows in (None, 1, 3, 1_000):
+        if rows:
+            monkeypatch.setattr(correlations, "_CONTRACTION_ROWS", rows)
+        for components, oracle in zip(tensors, oracles):
+            assert np.array_equal(correlation_values(components, dirs).view(np.uint64), oracle.view(np.uint64))
 
 
 def test_sample_distribution_memory_is_capped_by_the_block_budget():
@@ -400,44 +442,53 @@ def test_sample_distribution_streams_the_whole_table_bit_for_bit(k, forced_rows,
     assert np.array_equal(streamed, _sample_distribution_whole(mixed8, parties, m, RngStream(95, k)))
 
 
-#: ``probe()`` gives the values of ``sample_distribution`` on parties 1..k,
-#: k = 1..8, of the ``mixed8`` state at M = 3,001 (two full contraction blocks
-#: and a short one); it runs in this process and in fresh interpreters.
+#: ``probe(matrix, ks)`` gives the values of ``sample_distribution`` on
+#: parties 1..k, k = 1..ks, of the state ``matrix`` at M = 3,001 (two full
+#: contraction blocks and a short one); it runs in this process and in fresh
+#: interpreters, which read the matrix from stdin: a state drawn there would
+#: take its bits from their BLAS kernel.
 _SAMPLE_PROBE = """
 import sys
 import numpy as np
-from matrix_oracles import random_density_matrix
 from randmeas.correlations import sample_distribution
 from randmeas.sampling import RngStream
+from randmeas.states import DensityMatrix
 
-def probe():
-    rho = random_density_matrix(8, RngStream(94))
-    return [sample_distribution(rho, range(1, k + 1), 3_001, RngStream(96, k)).values for k in range(1, 9)]
+def probe(matrix, ks=8):
+    rho = DensityMatrix(matrix)
+    return [sample_distribution(rho, range(1, k + 1), 3_001, RngStream(96, k)).values for k in range(1, ks + 1)]
 """
 
 
-def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(monkeypatch):
+def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(mixed8, monkeypatch):
     runs = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS), str(SRC), env.get("PYTHONPATH")]))
-        code = _SAMPLE_PROBE + "sys.stdout.buffer.write(np.concatenate(probe()).tobytes())\n"
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    # OpenBLAS's Sandybridge kernel has no FMA.  Only k >= 3 values pass
+    # through a BLAS product, so under another kernel only k <= 2 must hold.
+    for name, ks, env in (("1 thread", 8, {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("2 threads", 8, {"OPENBLAS_NUM_THREADS": "2"}),
+                          ("Sandybridge", 2, {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Sandybridge"})):
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = _SAMPLE_PROBE + (f"matrix = np.frombuffer(sys.stdin.buffer.read(), dtype=complex).reshape(256, 256)\n"
+                                f"sys.stdout.buffer.write(np.concatenate(probe(matrix, {ks})).tobytes())\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env, input=mixed8.matrix.tobytes(),
+                                capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr.decode()
-        runs[f"OPENBLAS_NUM_THREADS={threads}"] = np.split(np.frombuffer(result.stdout), np.arange(1, 8) * 3_001)
+        runs[name] = np.frombuffer(result.stdout).reshape(ks, 3_001)
     namespace = {}
     exec(_SAMPLE_PROBE, namespace)
     for scale in (1 / 64, 1 / 4, 4, 64):
         monkeypatch.setattr(sampling, "_BLOCK_BYTES", int(_BLOCK_BYTES * scale))
-        runs[f"budget x{scale}"] = namespace["probe"]()
-    for k in range(1, 9):
-        for name, values in runs.items():
-            assert np.array_equal(values[k - 1], runs["OPENBLAS_NUM_THREADS=1"][k - 1]), (k, name)
+        runs[f"budget x{scale}"] = namespace["probe"](mixed8.matrix)
+    for name, values in runs.items():
+        for k, row in enumerate(values, 1):
+            assert np.array_equal(row, runs["1 thread"][k - 1]), (k, name)
 
 
 def test_one_contraction_block_fits_the_block_budget():
-    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 3,888 bytes a row
-    assert correlations._CONTRACTION_ROWS * 8 * (2 * 3**4 + 4 * 3**4) <= _BLOCK_BYTES
+    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 1,728 bytes a row
+    block_bytes = correlations._CONTRACTION_ROWS * (24 * 8 + 8 * (2 * 3**4 + 3**3 + 3))
+    assert block_bytes <= _BLOCK_BYTES
     components = correlation_tensor(random_density_matrix(8, RngStream(34)), range(1, 9)).components
     for m in (1_000, correlations._CONTRACTION_ROWS):  # a padded block and a full one
         dirs = uniform_directions(RngStream(35, m), m * 8).reshape(m, 8, 3)
@@ -447,7 +498,7 @@ def test_one_contraction_block_fits_the_block_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _BLOCK_BYTES
+        assert peak <= block_bytes + 2**17  # numpy's ufunc buffers and the output
 
 
 def test_sample_distribution_refuses_a_live_generator():

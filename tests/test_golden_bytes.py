@@ -33,7 +33,7 @@ GOLDEN = {
             "density.csv": "de9e2d894a158ed162db8e59f9cebc38bace3928fb4670a30c60a50785974cdc",
             "histogram.csv": "690487622505109024ebd5ff58d5312e083843d9cc8b715c5bfb07f57bf9e02d",
             "sample.json": "d32825aa592c5ed5f3761ebf2ed8e1d1cbb175f2acb57e2454d77ce0cd01b61a",
-            "samples.csv": "48ae4ae0ac0e588b00fe26132ed96bf0c65a6cb045e91cd1298abfb21af98c48",
+            "samples.csv": "4a2c6b098481128811c5f5637cc38db3bad61891adac511f50922e7d5378e8a7",
         },
     ),
     "sample_w5_subset": (
@@ -41,7 +41,7 @@ GOLDEN = {
         {
             "histogram.csv": "00ad6be938685a57471f1f4d1fa04269116e284236aa8b3c94f9bac8f3122f94",
             "sample.json": "e4975bb3b16e7765bd510ac42a6f8d9829aac47d08e869c5837bc1292aca7f2c",
-            "samples.csv": "13ed3f8d3e19a91e7802e9d79d847ac7ef1386b991770f8f1b0cc51d0d02d385",
+            "samples.csv": "9939dcec0893d566e5264a1c29b9a3a9eedb3b001d9088298ceb70bc55d8b58a",
         },
     ),
     "sample_w4_single": (
@@ -116,8 +116,8 @@ GOLDEN = {
     "monte_carlo_w3_odd": (
         "moments --state w:3 --subset all --orders 1,2,3,5 --samples 2000 --seed 2 --format csv",
         {
-            "moments.csv": "c53ab4f7c2d46bd66e0f5068fcd03567682463c0741690f2854d5cdcc14d629d",
-            "moments.json": "0354761ae2ce2cf273742062dd612e17bdb9b5a245675b97ac5157b5c9f87ea0",
+            "moments.csv": "b497310d5da1b1cf1fd01191e2bfcdb28a037a8fe064ed4368465dd03cdd2efe",
+            "moments.json": "26e41d183c1a191f037eba6594d71917d53a946161f34560873025439d8f54da",
         },
     ),
     "monte_carlo_ghz3_odd": (
@@ -154,7 +154,7 @@ GOLDEN = {
     "monte_carlo_bell_unchecked_t6": (
         "moments --state bell --orders 2,6 --samples 200 --seed 3",
         {
-            "moments.json": "bf548ca847ec80877b47743bdb3c1441f2f3489433f6b17d0295c1f6711f524d",
+            "moments.json": "3a4a30388aaf78305e1ef69f59731ba66813f7121d9d05dec21f0236c1be52b1",
         },
     ),
     "bootstrap_w4": (
@@ -166,7 +166,7 @@ GOLDEN = {
     "bootstrap_w4_all": (
         "moments --state w:4 --subset all --orders 2,4 --samples 2000 --seed 8 --bootstrap",
         {
-            "moments.json": "e451aebf1a258018758b440ab9dde8c293707c04f566347e8792f14a4cde16ab",
+            "moments.json": "98e693675e2d3aa05ec8bf98e09a0bfec69fd34623b5813a664a885fe947184f",
         },
     ),
     "shots_ghz3": (
@@ -263,7 +263,7 @@ GOLDEN = {
             "density.csv": "5a41dfae1888f1a8cb3b29f13c54ba18174ddac6151af4da1f46f755df3d0b7f",
             "histogram.csv": "447cf971396408f82b63faeb4245ba98ab14b473dfd0338682f5420e1c8cd29d",
             "sample.json": "a239251f033224aad765fb685ba972242587779cfcc8cd7a2b42640da1439c20",
-            "samples.csv": "6205b56b0999874bf3f8d3c5c01d45e5ec7711fdd0352a969afab8c1672d68b1",
+            "samples.csv": "49596169cfca671ba523587ac898c37ed5ba0461be392b191951e694d1c60f89",
         },
     ),
     "sample_werner_zero": (
