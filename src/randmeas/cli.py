@@ -5,18 +5,20 @@ Subcommands: ``sample`` (correlation distributions), ``moments``
 (entanglement verdicts), ``design`` (direction sets).  Outputs are
 plot-ready CSV tables plus a JSON file embedding the full run
 configuration.  Identical command lines produce byte-identical files with
-one numpy and BLAS build, at any BLAS thread count.
+one numpy and BLAS build and one libm.  That they do at any BLAS thread
+count is verified on OpenBLAS's SkylakeX kernel only: under its Haswell
+kernel k = 8 correlation values move with the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
-from math import log, sqrt
+from json.encoder import encode_basestring_ascii
+from math import isfinite, log, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +187,44 @@ def _write_outputs(config: RunConfig, json_name: str, payload: dict, tables: dic
             lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
             (out / name).write_text("".join(f"{line}\n" for line in (header, *lines)))
     metadata = {"tool": "randmeas", "version": __version__, "config": asdict(config)}
-    (out / json_name).write_text(json.dumps({**metadata, **payload}, indent=2, sort_keys=True) + "\n")
+    (out / json_name).write_text(_json_text({**metadata, **payload}) + "\n")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, where
+    ``indent`` is the line break and indentation before ``obj``'s closing
+    bracket; ``json``'s indented encoder is pure Python and slower.  A dict
+    key that is not a str raises TypeError, from the sort or the escaper.
+    Exact str, None, int and finite float items are formatted inline;
+    bools, subclasses, non-finite floats and containers recurse."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        texts = [encode_basestring_ascii(key) + ": " + (
+                 encode_basestring_ascii(v) if type(v) is str else "null" if v is None
+                 else repr(v) if type(v) is int or type(v) is float and isfinite(v)
+                 else _json_text(v, inner)) for key in sorted(obj) for v in (obj[key],)]
+        return "{" + inner + ("," + inner).join(texts) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        texts = [encode_basestring_ascii(v) if type(v) is str else "null" if v is None
+                 else repr(v) if type(v) is int or type(v) is float and isfinite(v)
+                 else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0.0 else "-Infinity"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

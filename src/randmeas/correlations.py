@@ -45,7 +45,12 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
 
 def normalize_subset(subset, n: int) -> tuple:
     """Canonicalize a party subset to a sorted tuple of ints, each party
-    checked by ``_check_int`` to lie in 1..n."""
+    checked by ``_check_int`` to lie in 1..n.  A subset that is already
+    one, a strictly increasing tuple of plain ints in 1..n, is returned as
+    it is: ``MomentEstimate`` re-normalizes every estimate's subset."""
+    if (type(subset) is tuple and set(map(type, subset)) == {int}
+            and 0 < subset[0] and subset[-1] <= n and sorted(set(subset)) == list(subset)):
+        return subset
     parties = tuple(sorted({_check_int("party", p, 1, n) for p in subset}))
     if not parties:
         raise ValueError("party subset must not be empty")

@@ -252,12 +252,16 @@ def moments_design(rho: DensityMatrix, subsets, orders, design: SphericalDesign)
         raise ValueError(f"design points fail their declared degree {design.degree} "
                          f"(max deviation {report['max_abs_deviation']:.3e})")
     even = [t for t in orders if t % 2 == 0]
+    # The octahedron's half is the unit axes: each product below would
+    # return x·1 + y·0 + z·0 = x, so its grid is the slab itself (a -0.0
+    # would come back +0.0, which every even power squares away).
+    unit_axes = np.array_equal(points, np.eye(3))
     estimates = []
     for parties in subsets:
         means = {}
         if even:
             grid = _slab(rho.pauli, parties, slice(1, 4))
-            for _ in parties:
+            for _ in () if unit_axes else parties:
                 # consume the leading site axis, appending its point axis at the end
                 grid = np.dot(grid.reshape(3, -1).T, points.T)
             values = grid.ravel()

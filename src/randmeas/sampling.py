@@ -182,7 +182,7 @@ def _check_unit_norm(vectors: np.ndarray) -> np.ndarray:
 def _norms(vectors: np.ndarray) -> np.ndarray:
     """Norms of the 3-vectors along the last axis, summed as ``np.linalg.norm``
     sums them, so bit-equal to it, without its slow length-3 reduction."""
-    x, y, z = np.moveaxis(vectors, -1, 0)
+    x, y, z = vectors[..., 0], vectors[..., 1], vectors[..., 2]
     return np.sqrt(x * x + y * y + z * z)
 
 

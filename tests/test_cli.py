@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+from http import HTTPStatus
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from randmeas.cli import (
     STREAM_SHOTS,
     CrossCheckError,
     _cross_check,
+    _json_text,
     main,
     parse_state,
     parse_subset,
@@ -211,6 +213,46 @@ def test_cli_outputs_are_byte_identical(tmp_path):
     first = (out / "moments.json").read_bytes()
     assert run_cli(args) == 0
     assert (out / "moments.json").read_bytes() == first
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf"), np.float64(-0.1)])
+    | st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ()]})
+@example([True, False, 1, 0, None, -0.0, 2**100, np.float64(0.1), float("nan")])
+@example({"int subclass with its own repr": HTTPStatus.OK})
+def test_json_writer_is_the_indented_sorted_encoder_byte_for_byte(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2: 3}], {True: 0}])
+def test_json_writer_refuses_a_key_that_is_not_a_str(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
+
+
+def test_outputs_are_written_without_the_json_module(tmp_path, monkeypatch):
+    """Every JSON file comes from the writer: ``json.dumps`` is never called."""
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: pytest.fail("json.dumps called"))
+    out = tmp_path / "o"
+    assert run_cli(["moments", "--state", "w:3", "--subset", "all", "--design", 3, "--output", out]) == 0
+    assert len(read_json(out / "moments.json")["moments"]) == 7
 
 
 def test_moments_design_values(tmp_path):

@@ -33,6 +33,7 @@ from randmeas.states import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
+    _check_int,
     bell_psi_minus,
     ghz,
     product_zero,
@@ -751,6 +752,34 @@ def test_correlation_tensor_validates_component_range():
 def test_correlation_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _normalize_subset_oracle(subset, n):
+    """The one slow rule: every party through ``_check_int``, then sorted
+    with duplicates dropped."""
+    parties = tuple(sorted({_check_int("party", p, 1, n) for p in subset}))
+    if not parties:
+        raise ValueError("party subset must not be empty")
+    return parties
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [(1, 2), (2, 1), (1, 1, 2), (True, 2), (np.int64(1), 2), [1, 2], (0, 1), (1, 9), (), (1.0, 2)],
+    ids=repr,
+)
+def test_normalize_subset_answers_as_the_slow_rule(subset):
+    try:
+        expected = _normalize_subset_oracle(subset, 8)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            normalize_subset(subset, 8)
+        assert str(got.value) == str(exc)
+    else:
+        got = normalize_subset(subset, 8)
+        assert got == expected and type(got) is tuple and all(type(p) is int for p in got)
+        if type(subset) is tuple and all(type(p) is int for p in subset) and subset == expected:
+            assert got is subset  # a canonical subset comes back as it is
 
 
 BELL_TENSOR = correlation_tensor(bell_psi_minus(), (1, 2)).components

@@ -63,6 +63,16 @@ from matrix_oracles import purity_direct, random_density_matrix
 
 D3 = design_points(3)
 D5 = design_points(5)
+
+
+def _rotated_octahedron() -> SphericalDesign:
+    """The octahedron under a fixed rotation: a 3-design whose half is not
+    the unit axes, so its sums take the grid products."""
+    rotation, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    return SphericalDesign(3, np.concatenate([rotation, -rotation]))
+
+
+D3_ROTATED = _rotated_octahedron()
 E_Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -396,10 +406,27 @@ def test_design_moments_equal_the_tensordot_oracle(n):
         states += [ghz(n), w_state(n)]
     subsets = all_subsets(n) if n <= 6 else [(2,), (1, n), (2, 3, n), (1, 3, 4, 6, n), tuple(range(1, n + 1))]
     for rho in states:
-        for design in (D3, D5):
+        for design in (D3, D3_ROTATED, D5):
             orders = range(1, design.degree + 1)
             got = [est.value for est in moments_design(rho, subsets, orders, design)]
             assert np.array_equal(got, _design_moments_by_tensordot(rho, subsets, orders, design))
+
+
+def test_octahedron_sums_read_the_slab_with_no_matrix_product(monkeypatch):
+    """The octahedron's half is bitwise the unit axes, so its sums take the
+    slab as the grid; any other design, a rotated octahedron too, keeps the
+    products."""
+    half = half_design(D3)
+    assert half.shape == (3, 3) and np.array_equal(half.view(np.uint64), np.eye(3).view(np.uint64))
+    assert not np.array_equal(half_design(D3_ROTATED), np.eye(3))
+    rho = random_density_matrix(4, RngStream(48))
+    rho.pauli  # the Pauli pass runs before the products are counted
+    products, dot = [], np.dot
+    monkeypatch.setattr(np, "dot", lambda *args: products.append(1) or dot(*args))
+    moments_design(rho, all_subsets(4), [1, 2, 3], D3)
+    assert products == []
+    moments_design(rho, [(1, 2)], [2], D3_ROTATED)
+    assert len(products) == 2
 
 
 def _full_design_moment(rho, subset, t, design):
