@@ -79,13 +79,10 @@ class MomentEstimate:
             )
         if (self.std_error or 0.0) < 0.0:
             raise ValueError(f"std_error {self.std_error!r} must not be negative")
-        if self.order % 2 == 0 and self.method != "finite_shot":
-            # Even moments of a [-1, 1]-valued variable live in [0, 1].
-            # Unbiased finite-shot estimates may leave that range.
-            if not -EXPECTATION_ATOL <= self.value <= 1.0 + EXPECTATION_ATOL:
-                raise ValueError(
-                    f"even-order moment {self.value!r} outside [0, 1] tolerance"
-                )
+        if not _in_moment_range(self.value, self.order, self.method):
+            raise ValueError(
+                f"even-order moment {self.value!r} outside [0, 1] tolerance"
+            )
         object.__setattr__(self, "subset", normalize_subset(self.subset, MAX_QUBITS))
 
     def to_dict(self) -> dict:
@@ -101,14 +98,20 @@ class MomentEstimate:
         }
 
 
+def _in_moment_range(value: float, t: int, method: str) -> bool:
+    """The one range rule of an order-t moment: even moments of a [-1, 1]-valued
+    variable lie in [0, 1], within EXPECTATION_ATOL either side; unbiased
+    finite-shot estimates may leave that range."""
+    return t % 2 == 1 or method == "finite_shot" or -EXPECTATION_ATOL <= value <= 1.0 + EXPECTATION_ATOL
+
+
 def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
     """(value, std_error, method) of ``entry``, the one rule for reading an
     order-t moment: a ``MomentEstimate`` of order t and, given ``parties``,
     of that many parties and, if statistical, with a ``std_error`` (M >= 2),
-    or a plain number read as exact.  A finite value; for even t in
-    [0, 1 + EXPECTATION_ATOL] unless off finite shots, whose unbiased
-    estimates leave it by their statistical error.  ``name`` labels the
-    entry in messages, or is the party subset keying it in a map."""
+    or a plain number read as exact.  A finite value within
+    ``_in_moment_range``.  ``name`` labels the entry in messages, or is the
+    party subset keying it in a map."""
     problem = None
     if isinstance(entry, MomentEstimate):
         value, std_error, method = float(entry.value), entry.std_error, entry.method
@@ -120,8 +123,7 @@ def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
             problem = f"is a {method} estimate without a std_error, which needs M >= 2 settings"
     else:
         value, std_error, method = float(entry), None, "value"
-    in_range = t % 2 or method == "finite_shot" or 0.0 <= value <= 1.0 + EXPECTATION_ATOL
-    if problem is None and not (isfinite(value) and in_range):
+    if problem is None and not (isfinite(value) and _in_moment_range(value, t, method)):
         problem = f"must {'be finite' if t % 2 else 'lie in [0, 1]'}, got {value!r}"
     if problem:
         raise ValueError(f"{name if isinstance(name, str) else f'moment of subset {name}'} {problem}")
@@ -337,20 +339,20 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
         )
     m = settings.shape[0]
     rows = _check_shot_budget(rho, m, k)
-    if rho._vector is None:
-        source, born = rho.pauli.reshape(1, 1, 4, -1), _born_cumulative
-    else:
-        source, born = rho._vector, _amplitude_cumulative
+    born = _pauli_probabilities if rho._vector is None else _amplitude_probabilities
 
     gen = _generator(rng)
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        cumulative = born(source, settings[block])
+        probs = born(rho, settings[block])
+        probs /= probs.sum(axis=1, keepdims=True)
+        cumulative = np.cumsum(probs, axis=1, out=probs)
         draws = gen.random((len(cumulative), k))
-        # The drawn sign tuple's index is the count of cumulative entries <=
-        # draw.  A binary search finds it one bit per step (bit j is party j's
+        # The drawn sign tuple's index is the count of a row's first 2^n - 1
+        # cumulative entries <= draw; the last, its rounded total, is never
+        # read.  A binary search finds it one bit per step (bit j is party j's
         # outcome), ``position`` being the flat index just before the interval.
         position = np.repeat(np.arange(len(cumulative)) << n, k).reshape(draws.shape) - 1
         for j in range(n):
@@ -376,14 +378,14 @@ def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> int:
     return _block_rows(row_bytes)
 
 
-def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """Cumulative Born distribution over the 2^n sign tuples of each
-    (n, 3) setting, shape (b, 2^n), party 1 the most significant sign.
+def _pauli_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:
+    """Born probabilities of the 2^n sign tuples of each (n, 3) setting,
+    shape (b, 2^n), party 1 the most significant sign, from ``rho.pauli``.
 
-    ``coeffs`` are the Pauli coefficients shaped (1, 1, 4, 4^(n-1)).
     p(s) = 2^-n sum_a c_a prod_j v_j[a_j] with v_j = (1, s_j u_j) per
     party, contracted one site at a time.  ``_check_unit_norm`` refuses
-    the settings first.
+    the settings first; a value the contraction rounds below
+    -EXPECTATION_ATOL is refused, and the rest are clipped at 0.
     """
     _check_unit_norm(settings)
     b, n, _ = settings.shape
@@ -391,7 +393,7 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
     paddings[:, :, :, 0] = 1.0
     paddings[:, :, 0, 1:] = settings
     paddings[:, :, 1, 1:] = -settings
-    probs = coeffs
+    probs = rho.pauli.reshape(1, 1, 4, -1)
     for j in range(n):
         # (b, 2^j, 4, 4^(n-1-j)) -> (b, 2^j, 2, 4^(n-1-j)), signs of 1..j+1 leading
         probs = paddings[:, None, j] @ probs
@@ -400,12 +402,12 @@ def _born_cumulative(coeffs: np.ndarray, settings: np.ndarray) -> np.ndarray:
     probs = probs.reshape(b, 2**n) / 2**n
     if float(probs.min()) < -EXPECTATION_ATOL:
         raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
-    return _cumulative(np.clip(probs, 0.0, None))
+    return np.clip(probs, 0.0, None)
 
 
-def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """``_born_cumulative`` of the pure state with amplitudes ``psi``, read
-    off the vector in O(n 2^n) a setting.
+def _amplitude_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:
+    """``_pauli_probabilities`` of a state built by ``from_vector``, read
+    off its amplitudes in O(n 2^n) a setting.
 
     Site j's amplitude axis meets the rows <u+| = (c, conj(e)) and
     <u-| = (-e, c) of its direction u, divided by its norm, with
@@ -418,7 +420,7 @@ def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     x, y, z = np.ascontiguousarray((settings / _check_unit_norm(settings)[..., None]).transpose(2, 1, 0))
     c = np.sqrt((1.0 + z) / 2.0)
     e = np.divide(x + 1j * y, 2.0 * c, out=np.ones((n, b), complex), where=c > 0.0)
-    amps = psi.reshape(-1, 1)
+    amps = rho._vector.reshape(-1, 1)
     for j in range(n):
         # (2^j, 2, 2^(n-1-j), b): the signs of parties 1..j, then party j+1's
         # basis axis, which becomes its sign axis
@@ -429,15 +431,7 @@ def _amplitude_cumulative(psi: np.ndarray, settings: np.ndarray) -> np.ndarray:
         np.multiply(pairs[:, 1], c[j], out=amps[:, 1])
         amps[:, 1] -= e[j] * pairs[:, 0]
     probs = amps.real**2 + amps.imag**2
-    return _cumulative(probs.reshape(2**n, b).T.copy())
-
-
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    """The (b, 2^n) Born ``probs``, normalized in place, as cumulative rows ending at 1."""
-    probs /= probs.sum(axis=1, keepdims=True)
-    cumulative = np.cumsum(probs, axis=1)
-    cumulative[:, -1] = 1.0
-    return cumulative
+    return probs.reshape(2**n, b).T.copy()
 
 
 def _shot_weights(k: int, t: int) -> np.ndarray:

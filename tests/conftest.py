@@ -1,4 +1,5 @@
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)
 hypothesis.settings.load_profile("ci")
@@ -18,6 +19,13 @@ ACCEPTANCE_LABELS = {
 }
 
 _acceptance_outcomes = {}
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_seed(monkeypatch):
+    """An exported $RANDMEAS_SEED would seed every command line without
+    --seed; tests that need it set it themselves."""
+    monkeypatch.delenv("RANDMEAS_SEED", raising=False)
 
 
 def pytest_runtest_logreport(report):

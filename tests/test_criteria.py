@@ -450,10 +450,7 @@ GHZ4_EXACT = exact_moment_map(ghz(4), all_subsets(4))
         # (d) exact inputs keep their refusals
         (lambda: w_class_witness(-0.1, 3), r"r2 must lie in \[0, 1\], got -0.1"),
         (lambda: bisep_line_3(0.1, -0.2), r"r4 must lie in \[0, 1\], got -0.2"),
-        (
-            lambda: w_class_witness(MomentEstimate((1, 2, 3), 2, -1e-10, None, "exact_tensor"), 3),
-            r"r2 must lie in \[0, 1\], got -1e-10",
-        ),
+        (lambda: w_class_witness(-1e-8, 3), r"r2 must lie in \[0, 1\], got -1e-08"),
         (lambda: entanglement_by_length(-0.5), r"correlation length must be finite and non-negative, got -0.5"),
         (lambda: gme_test_4(GHZ4_EXACT, 1.0 + 1e-8), r"purity must lie in \(0, 1\], got 1.00000001"),
         (lambda: purity_from_moments({**GHZ4_EXACT, (2,): -0.1}), r"moment of subset \(2,\) must lie in \[0, 1\], got -0.1"),

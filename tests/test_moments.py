@@ -148,17 +148,6 @@ def test_bootstrap_error_refuses_records_it_cannot_rescale(samples, std_error, m
         bootstrap_error(MomentEstimate((1,), 2, 0.5, std_error, "monte_carlo", samples))
 
 
-def test_cumulative_rows_end_at_exactly_one():
-    # the rows are cumulative Born distributions, which end at 1; a plain
-    # running sum of normalized rows can end a rounding below
-    gen = RngStream(87).generator()
-    for n in (1, 2, 3):
-        probs = gen.random((200, 2**n))
-        plain = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-        assert np.any(plain[:, -1] < 1.0), n
-        assert np.all(moments._cumulative(probs)[:, -1] == 1.0), n
-
-
 def _moments_mc_bootstrap(*args):
     """``moments_mc`` with every standard error turned into the bootstrap one."""
     return [bootstrap_error(e) for e in moments_mc(*args)]
@@ -938,10 +927,13 @@ def test_amplitude_route_matches_the_pauli_route(n):
     plus = DensityMatrix.from_vector(np.full(2**n, 2.0 ** (-n / 2)))
     off_unit = np.array([[[np.sqrt(1e-12 + 1.0 - z * z), 0.0, z]] * n for z in (-1.0, -1.0 + 1e-10)])
     for rho, dirs in [*((rho, settings) for rho in _pure_states(n)), (plus, off_unit)]:
-        amplitude = moments._amplitude_cumulative(rho._vector, dirs)
-        pauli = moments._born_cumulative(rho.pauli.reshape(1, 1, 4, -1), dirs)
-        deviation = np.abs(np.diff(amplitude, prepend=0.0) - np.diff(pauli, prepend=0.0))
-        assert deviation.max() <= 1e-14
+        # each row normalized, as simulate_shots draws from it: near the pole
+        # the amplitude route's rows sum to 1 only within that magnified excess
+        amplitude, pauli = (
+            probs / probs.sum(axis=1, keepdims=True)
+            for probs in (moments._amplitude_probabilities(rho, dirs), moments._pauli_probabilities(rho, dirs))
+        )
+        assert np.abs(amplitude - pauli).max() <= 1e-14
 
 
 def test_only_states_built_from_a_vector_take_the_amplitude_route(monkeypatch):
@@ -951,12 +943,24 @@ def test_only_states_built_from_a_vector_take_the_amplitude_route(monkeypatch):
     mixed = [random_density_matrix(3, RngStream(84)), werner(0.6), DensityMatrix(pure.matrix)]
     assert all(rho._vector is None for rho in mixed)
     routes = []
-    for name in ("_born_cumulative", "_amplitude_cumulative"):
+    for name in ("_pauli_probabilities", "_amplitude_probabilities"):
         real = getattr(moments, name)
         monkeypatch.setattr(moments, name, lambda *args, name=name, real=real: routes.append(name) or real(*args))
     for rho in [pure, *mixed]:
         simulate_shots(rho, random_settings(rho.n_qubits, 5, RngStream(85)), 3, RngStream(86))
-    assert routes == ["_amplitude_cumulative"] + 3 * ["_born_cumulative"]
+    assert routes == ["_amplitude_probabilities"] + 3 * ["_pauli_probabilities"]
+
+
+@pytest.mark.parametrize("rho", [w_state(3), werner(0.6)], ids=["amplitude", "pauli"])
+def test_simulate_shots_normalizes_each_row_of_born_probabilities(rho, monkeypatch):
+    # A route's rows need only be proportional to the Born probabilities:
+    # doubled rows, an exact scaling, draw the same outcomes.
+    settings = random_settings(rho.n_qubits, 40, RngStream(88))
+    plain = simulate_shots(rho, settings, 20, RngStream(89)).outcomes
+    name = "_pauli_probabilities" if rho._vector is None else "_amplitude_probabilities"
+    real = getattr(moments, name)
+    monkeypatch.setattr(moments, name, lambda *args: 2.0 * real(*args))
+    assert np.array_equal(simulate_shots(rho, settings, 20, RngStream(89)).outcomes, plain)
 
 
 def test_simulate_shots_at_eight_qubits():
@@ -1037,10 +1041,13 @@ def test_purity_from_moments_accepts_negative_finite_shot_moments():
     purity = purity_from_moments(estimates)
     expected = 1.0 + sum(3.0 ** len(s) * e.value for s, e in estimates.items())
     assert purity == pytest.approx(expected / 8.0, abs=1e-15)
-    # exact and plain-number moments below 0 are still refused
+    # exact and plain-number moments below 0 past EXPECTATION_ATOL are still
+    # refused; within it an exact one reads as MomentEstimate builds it
     exact = exact_moment_map(ghz(3), all_subsets(3))
     exact[(1,)] = MomentEstimate((1,), 2, -1e-10, None, "exact_tensor")
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -1e-10"):
+    assert purity_from_moments(exact) == pytest.approx(1.0, abs=1e-9)
+    exact[(1,)] = -1e-8
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -1e-08"):
         purity_from_moments(exact)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -0.014"):
         purity_from_moments({s: e.value for s, e in estimates.items()})

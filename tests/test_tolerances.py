@@ -24,8 +24,8 @@ GHZ4_EXACT = exact_moment_map(ghz(4), all_subsets(4))
 def _born(d):
     """Born probabilities of one qubit whose z coefficient is 1 + 2d, measured
     along z: p(-1) = -d."""
-    coeffs = np.array([1.0, 0.0, 0.0, 1.0 + 2.0 * d]).reshape(1, 1, 4, 1)
-    return moments._born_cumulative(coeffs, np.array([[[0.0, 0.0, 1.0]]]))
+    rho = SimpleNamespace(pauli=np.array([1.0, 0.0, 0.0, 1.0 + 2.0 * d]))
+    return moments._pauli_probabilities(rho, np.array([[[0.0, 0.0, 1.0]]]))
 
 
 #: check -> (tolerance, call taking the amount d by which the value leaves
@@ -38,6 +38,7 @@ BOUNDARIES = {
     "even_moment_below_0": (1e-9, lambda d: MomentEstimate((1,), 2, -d, None, "exact_tensor")),
     "even_moment_above_1": (1e-9, lambda d: MomentEstimate((1,), 2, 1.0 + d, None, "exact_tensor")),
     "read_moment": (1e-9, lambda d: w_class_witness(1.0 + d, 3)),
+    "read_moment_below_0": (1e-9, lambda d: w_class_witness(-d, 3)),
     "exact_purity": (1e-9, lambda d: gme_test_4(GHZ4_EXACT, 1.0 + d)),
     "born_probability": (1e-9, _born),
     # a density matrix's and its Pauli tensor's rounding
