@@ -140,8 +140,9 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
     (m0*x + m1*y) + m2*z.  Each value is then the in-order sum, from +0.0,
     of the exact products with the per-row outer product of the trailing
     directions (3^b entries), so only a k >= 3 value passes through BLAS.
-    The directions must be (M, k, 3) unit vectors, checked a block at a
-    time.
+    Work that can add only exact zeros is skipped (see ``_contract``),
+    with no bit moved.  The directions must be (M, k, 3) unit vectors,
+    checked a block at a time.
     """
     directions, k = np.asarray(directions, dtype=float), components.ndim
     if directions.shape[1:] != (k, 3):
@@ -157,22 +158,48 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
     last.  A short block is padded with zero rows to the full count, so
     every block's product and sum see one shape and each row's value is
-    independent of its block."""
+    independent of its block.
+
+    Only the rows I and columns J of the 3^a x 3^b matrix that hold a
+    nonzero entry (-0.0 counts as zero) are built, with the bits of the
+    full route.  A leading row outside I meets only zeros, so its outer
+    product row stays 0 in a zero-filled workspace: each term it gives the
+    matrix product is still +-0, which leaves every nonzero accumulator
+    as it was on any kernel, and the product keeps its full shape, since
+    a smaller one may sum in another order.  A column outside J gives
+    +-0 to each value's in-order sum from +0.0, which never holds -0.0,
+    so it is dropped with its trailing outer product row.  With no
+    nonzero entry every value is +0.0, with no block read; with I and J
+    complete the full products run, with no gather."""
     k = components.ndim
     a = (k + 1) // 2
     matrix = components.reshape(3**a, 3 ** (k - a))
+    nonzero = matrix != 0.0
+    lead_rows, trail_rows = nonzero.any(axis=1).nonzero()[0], nonzero.any(axis=0).nonzero()[0]
+    if not len(lead_rows):
+        return np.zeros(count)
+    lead_plan, trail_plan = _product_plan(lead_rows, a), _product_plan(trail_rows, k - a)
+    lead = None if len(lead_rows) == matrix.shape[0] else np.zeros((3**a, _CONTRACTION_ROWS))
+    columns = None if len(trail_rows) == matrix.shape[1] else trail_rows
+    matrix_j = matrix if columns is None else matrix[:, columns]
     out = np.empty(count)
     start = 0
     for block in blocks:
         rows = len(block)
         if rows < _CONTRACTION_ROWS:
             block = np.concatenate([block, np.zeros((_CONTRACTION_ROWS - rows, k, 3))])
-        vals = _outer_product(block[:, :a])
+        if lead is None:
+            vals = _planned_product(block[:, :a], lead_plan)
+        else:
+            lead[lead_rows] = _planned_product(block[:, :a], lead_plan)
+            vals = lead
         if a == 1:  # no BLAS call
-            vals = (matrix[0, :, None] * vals[0] + matrix[1, :, None] * vals[1]) + matrix[2, :, None] * vals[2]
+            vals = (matrix_j[0, :, None] * vals[0] + matrix_j[1, :, None] * vals[1]) + matrix_j[2, :, None] * vals[2]
         else:
             vals = np.dot(matrix.T, vals)
-        vals *= _outer_product(block[:, a:])
+            if columns is not None:
+                vals = vals[columns]
+        vals *= _planned_product(block[:, a:], trail_plan)
         # summed over the full block, then sliced: a reduce over one column
         # runs along a contiguous axis, which numpy sums pairwise
         out[start : start + rows] = np.add.reduce(vals, axis=0, initial=0.0)[:rows]
@@ -181,17 +208,37 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     return out
 
 
-def _outer_product(block: np.ndarray) -> np.ndarray:
+def _product_plan(needed: np.ndarray, sites: int) -> tuple:
+    """The steps by which ``_planned_product`` builds the rows ``needed``
+    (ascending flat indices) of a ``sites``-site outer product: per site,
+    None when every prefix product of that length is needed, else the
+    rows of the prefixes kept so far and the components that extend them
+    to the prefixes needed."""
+    steps, kept = [], np.zeros(1, dtype=np.intp)
+    for j in range(1, sites + 1):
+        prefixes = needed // 3 ** (sites - j)  # ascending, with repeats
+        prefixes = prefixes[np.diff(prefixes, prepend=-1) > 0]
+        steps.append(None if len(prefixes) == 3**j else (kept.searchsorted(prefixes // 3), prefixes % 3))
+        kept = prefixes
+    return tuple(steps)
+
+
+def _planned_product(block: np.ndarray, plan: tuple) -> np.ndarray:
     """Per-row outer product of the directions in a (rows, j, 3) block,
-    site-major with shape (3^j, rows): entry (i1 ... ij, m) is the product
-    of component i1 of the first direction of row m through component ij
-    of its last, and every entry is 1 at j = 0."""
+    site-major: the rows that ``plan`` (from ``_product_plan``) names, all
+    3^j at a plan of Nones, each holding one value per block row.  Entry
+    (i1 ... ij, m) is the left-to-right product of component i1 of the
+    first direction of row m through component ij of its last, and every
+    entry is 1 at j = 0."""
     rows = block.shape[0]
     prod = np.ones((1, rows))
-    for j in range(block.shape[1]):
+    for j, step in enumerate(plan):
         # Site-major copies keep numpy's inner loop on the rows axis.
-        site = block[:, j, :].T.copy()
-        prod = (prod[:, None, :] * site).reshape(-1, rows)
+        if step is None:
+            prod = (prod[:, None, :] * block[:, j, :].T.copy()).reshape(-1, rows)
+        else:
+            site = block[:, j, :].T.take(step[1], axis=0)
+            prod = np.multiply(prod.take(step[0], axis=0), site, out=site)
     return prod
 
 

@@ -109,9 +109,10 @@ def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
     """(value, std_error, method) of ``entry``, the one rule for reading an
     order-t moment: a ``MomentEstimate`` of order t and, given ``parties``,
     of that many parties and, if statistical, with a ``std_error`` (M >= 2),
-    or a plain number read as exact.  A finite value within
-    ``_in_moment_range``.  ``name`` labels the entry in messages, or is the
-    party subset keying it in a map."""
+    or a plain number read as exact, which must be finite and within
+    ``_in_moment_range`` (an estimate's constructor holds its value to the
+    same rule).  ``name`` labels the entry in messages, or is the party
+    subset keying it in a map."""
     problem = None
     if isinstance(entry, MomentEstimate):
         value, std_error, method = float(entry.value), entry.std_error, entry.method
@@ -123,8 +124,8 @@ def _read_moment(entry, t: int, name, parties: int | None = None) -> tuple:
             problem = f"is a {method} estimate without a std_error, which needs M >= 2 settings"
     else:
         value, std_error, method = float(entry), None, "value"
-    if problem is None and not (isfinite(value) and _in_moment_range(value, t, method)):
-        problem = f"must {'be finite' if t % 2 else 'lie in [0, 1]'}, got {value!r}"
+        if not (isfinite(value) and _in_moment_range(value, t, method)):
+            problem = f"must {'be finite' if t % 2 else 'lie in [0, 1]'}, got {value!r}"
     if problem:
         raise ValueError(f"{name if isinstance(name, str) else f'moment of subset {name}'} {problem}")
     return value, std_error, method

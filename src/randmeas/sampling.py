@@ -28,9 +28,11 @@ _BLOCK_BYTES = 4 << 20
 #: Rows per block of every settings draw and every correlation contraction.
 #: A contraction row's temporaries peak at k = 8, as the trailing outer
 #: product takes its last site: 8 * (2 * 3^4 + 3^3 + 3) = 1,536 bytes for the
-#: leading values, the partial and new products and the copied site, and
+#: leading values, the partial and new products and the copied site, 8 * 3^4
+#: = 648 for the zero-filled leading workspace of a slab with zero rows, and
 #: 24 * 8 more for a short block's zero-padded directions (tracemalloc reads
-#: 1,834 a row with numpy's ufunc buffers and the output), so one block fits
+#: about 1,840 a row for a dense slab and 1,700 for ghz:8 and w:8, with
+#: numpy's ufunc buffers and the output), so one block fits
 #: ``_BLOCK_BYTES``; a drawn row takes less.
 _CONTRACTION_ROWS = 1024
 

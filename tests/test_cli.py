@@ -806,9 +806,7 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
     ],
 )
 def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("RANDMEAS_SEED", raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv("RANDMEAS_SEED", env)
     out = tmp_path / "o"
     assert run_cli([*args.split(), "--output", out]) == 1

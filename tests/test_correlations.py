@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -35,8 +36,10 @@ from randmeas.states import (
     DensityMatrix,
     _check_int,
     bell_psi_minus,
+    bisep4,
     ghz,
     product_zero,
+    trisep4,
     w_state,
     werner,
 )
@@ -314,6 +317,51 @@ def test_correlation_values_are_in_order_sums_bit_for_bit(k, mixed8):
             assert not np.signbit(values[values == 0.0]).any(), (k, m)
 
 
+def _pruned_slabs(case):
+    """Correlation-tensor slabs of which ``_contract`` builds only some rows
+    or columns, or none (all-zero), or all (dense)."""
+    tensor = lambda rho, parties: correlation_tensor(rho, parties).components
+    return {
+        "product_zero8": lambda: [tensor(product_zero(8), range(1, 9))],  # one nonzero entry
+        # the canaries of a BLAS product shrunk to the nonzero rows or columns
+        "bisep4": lambda: [tensor(bisep4(), parties) for parties in ((1, 2, 3), (2, 3, 4), (1, 2, 3, 4), (1, 3))],
+        "trisep4": lambda: [tensor(trisep4(), parties) for parties in ((1, 2, 3), (1, 2, 3, 4), (2, 4))],
+        "negative_zeros": lambda: [-tensor(ghz(4), range(1, 5)), -tensor(w_state(5), range(1, 6)),
+                                   -tensor(ghz(8), range(1, 9))],
+        "all_zero": lambda: [tensor(ghz(8), range(1, 4)), np.full((3,) * 5, -0.0)],
+        "dense": lambda: [tensor(random_density_matrix(6, RngStream(37)), range(1, 7))],
+    }[case]()
+
+
+@pytest.mark.parametrize("case", ["product_zero8", "bisep4", "trisep4", "negative_zeros", "all_zero", "dense"])
+def test_pruned_slabs_match_the_in_order_oracle(case):
+    for components in _pruned_slabs(case):
+        k = components.ndim
+        a = (k + 1) // 2
+        nonzero = components.reshape(3**a, -1) != 0.0
+        complete = nonzero.any(axis=1).all() and nonzero.any(axis=0).all()
+        assert complete == (case == "dense"), k
+        assert not nonzero.any() or case != "all_zero"
+        if case == "negative_zeros":
+            assert np.signbit(components[components == 0.0]).all()
+        for m in (1, 1_025, 2_100):
+            dirs = uniform_directions(RngStream(38, m), m * k).reshape(m, k, 3)
+            values = correlation_values(components, dirs)
+            oracle = _correlation_values_in_order(components, dirs)
+            assert np.array_equal(values.view(np.uint64), oracle.view(np.uint64)), (k, m)
+            assert not np.signbit(values[values == 0.0]).any(), (k, m)
+
+
+def test_monte_carlo_moments_of_ghz4_subsets_keep_their_bytes():
+    # the odd subsets' slabs are all zero, so they read no block; the
+    # digest was recorded before the contraction skipped zero rows and
+    # columns
+    estimates = moments_mc(ghz(4), all_subsets(4), (1, 2, 3, 4), 3_001, RngStream(97))
+    data = np.array([[e.value, e.std_error] for e in estimates])
+    digest = "5b6c86ff5abfeda2dab6c3b9b4a5b3e9db5c96d2b77ec1cba785e50b4d2decb8"
+    assert hashlib.sha256(data.tobytes()).hexdigest() == digest
+
+
 def _correlation_values_k1_ones(components, directions):
     """The k = 1 body that ``correlation_values`` used to run, kept as an
     oracle: the matrix product's transposed copy dotted row-wise with a
@@ -487,19 +535,21 @@ def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(mix
 
 
 def test_one_contraction_block_fits_the_block_budget():
-    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 1,728 bytes a row
-    block_bytes = correlations._CONTRACTION_ROWS * (24 * 8 + 8 * (2 * 3**4 + 3**3 + 3))
+    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 2,376 bytes a
+    # row, with the zero-filled leading workspace of a slab with zero rows
+    block_bytes = correlations._CONTRACTION_ROWS * (24 * 8 + 8 * (3**4 + 2 * 3**4 + 3**3 + 3))
     assert block_bytes <= _BLOCK_BYTES
-    components = correlation_tensor(random_density_matrix(8, RngStream(34)), range(1, 9)).components
-    for m in (1_000, correlations._CONTRACTION_ROWS):  # a padded block and a full one
-        dirs = uniform_directions(RngStream(35, m), m * 8).reshape(m, 8, 3)
-        tracemalloc.start()
-        try:
-            correlation_values(components, dirs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= block_bytes + 2**17  # numpy's ufunc buffers and the output
+    for rho in (random_density_matrix(8, RngStream(34)), ghz(8), w_state(8)):  # dense, and two pruned slabs
+        components = correlation_tensor(rho, range(1, 9)).components
+        for m in (1_000, correlations._CONTRACTION_ROWS):  # a padded block and a full one
+            dirs = uniform_directions(RngStream(35, m), m * 8).reshape(m, 8, 3)
+            tracemalloc.start()
+            try:
+                correlation_values(components, dirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= block_bytes + 2**17  # numpy's ufunc buffers and the output
 
 
 def test_sample_distribution_refuses_a_live_generator():
