@@ -3,8 +3,8 @@
 
 Samples the two-qubit product state, a Bell state, a Werner state at
 p = 1/sqrt(3), and the two-qubit marginal of a three-qubit W state, and
-writes per-state histogram tables (plus closed-form overlays where one
-exists) ready for plotting.
+writes per-state histogram tables ready for plotting, with the mean of
+the closed-form density over each bin where one exists.
 """
 
 import argparse
@@ -48,7 +48,9 @@ def main():
         table = histogram_table(samples.values)
         rows = np.asarray(table)
         if density is not None:
-            overlay = density.pdf(0.5 * (rows[:, 0] + rows[:, 1]))
+            # the bin mean, as in `randmeas sample`'s density.csv: the pdf at a
+            # bin centre is inf for product2's centre bin and misses Werner's edge
+            overlay = density.bin_means(np.append(rows[:, 0], rows[-1, 1]))
             rows = np.column_stack([rows, overlay])
             header = "bin_left,bin_right,count,density,reference_density"
         else:

@@ -4,16 +4,17 @@ Subcommands: ``sample`` (correlation distributions), ``moments``
 (moment estimates with automatic oracle cross-checks), ``criteria``
 (entanglement verdicts), ``design`` (direction sets).  Outputs are
 plot-ready CSV tables plus a JSON file embedding the full run
-configuration.  Identical command lines produce byte-identical files with
-one numpy and BLAS build and one libm.  That they do at any BLAS thread
-count is verified on OpenBLAS's SkylakeX kernel only: under its Haswell
-kernel k = 8 correlation values move with the thread count.
+configuration.  ``--seed`` (default 0) is a run's one source of randomness:
+each draw takes an ``RngStream`` of that seed and a fixed stream id.
+Identical command lines produce byte-identical files with one numpy and
+BLAS build and one libm.  That they do at any BLAS thread count is verified
+on OpenBLAS's SkylakeX kernel only: under its Haswell kernel k = 8
+correlation values move with the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
@@ -54,8 +55,6 @@ from .moments import (
 )
 from .sampling import RngStream, design_points, random_settings
 from .states import DIRECTION_ATOL, STATES, StateSpec, make_state
-
-SEED_ENV_VAR = "RANDMEAS_SEED"
 
 #: One stream id per purpose so random consumers never collide; one settings
 #: table and one shot table serve every subset.
@@ -137,8 +136,8 @@ def parse_subset(text: str, n: int) -> list:
 class RunConfig:
     """Everything that determines a run's output, embedded in every JSON.
 
-    The defaults are the CLI's.  Construction resolves ``seed=None`` to
-    ``$RANDMEAS_SEED`` or 0, checked by ``RngStream``, and ``orders`` to a tuple.
+    The defaults are the CLI's, ``--seed`` the one seed source.  Construction
+    checks the seed by ``RngStream``'s rule and turns ``orders`` into a tuple.
     """
 
     command: str
@@ -148,7 +147,7 @@ class RunConfig:
     shots: int = 0
     design: int = 0
     orders: str = "2"
-    seed: int | None = None
+    seed: int = 0
     output: str = "randmeas-output"
     format: str = "json"
     bootstrap: bool = False
@@ -156,12 +155,6 @@ class RunConfig:
     structure: bool = False
 
     def __post_init__(self):
-        if self.seed is None:
-            env = os.environ.get(SEED_ENV_VAR, "0")
-            try:
-                self.seed = int(env)
-            except ValueError as exc:
-                raise ValueError(f"environment variable {SEED_ENV_VAR}={env!r} is not an integer") from exc
         self.seed = RngStream(self.seed).seed
         text = str(self.orders)
         try:
@@ -260,8 +253,7 @@ def cmd_sample(config: RunConfig) -> int:
         else:
             edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
             left, right = edges[:-1], edges[1:]
-            mean_density = np.diff(density.cdf(edges)) / (right - left)
-            rows = np.column_stack([left, right, 0.5 * (left + right), mean_density]).tolist()
+            rows = np.column_stack([left, right, 0.5 * (left + right), density.bin_means(edges)]).tolist()
             tables["density.csv"] = ("bin_left,bin_right,bin_center,mean_density", rows)
             density_info = {"kind": density.kind, "support": list(density.support)}
     payload = {
@@ -429,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(**defaults)
         if state:
             p.add_argument("--state", required=True, help=_state_help())
-        p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         p.add_argument("--output", help="output directory")
         return p.add_argument
 

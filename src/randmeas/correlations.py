@@ -435,6 +435,10 @@ class CorrelationDensity:
                 out = np.clip((e + self.p) / (2.0 * self.p), 0.0, 1.0)
         return out if out.ndim else float(out)
 
+    def bin_means(self, edges) -> np.ndarray:
+        """Mean density over each bin between consecutive ``edges``, finite where ``pdf`` is not."""
+        return np.diff(self.cdf(edges)) / np.diff(np.asarray(edges, dtype=float))
+
 
 def analytic_pdf(kind: str, p: float | None = None) -> CorrelationDensity:
     """Closed-form correlation density for the named two-qubit scenarios.

@@ -35,7 +35,7 @@ from .sampling import (
     _block_rows,
     _check_settings,
     _check_unit_norm,
-    _generator,
+    _stream_generator,
     half_design,
     random_settings,
 )
@@ -295,11 +295,8 @@ class ShotTable:
             raise ValueError(f"outcomes must have shape (M, K, n) with M, K, n >= 1, got {outcomes.shape}")
         # int8 tables by reductions only, with no temporaries the size of the
         # table; others before the cast, which would store 1.7 and 257 as 1
-        if (
-            (outcomes.min() < -1 or outcomes.max() > 1 or np.count_nonzero(outcomes) < outcomes.size)
-            if outcomes.dtype == np.int8
-            else not np.all((outcomes == 1) | (outcomes == -1))
-        ):
+        if (outcomes.min() < -1 or outcomes.max() > 1 or np.count_nonzero(outcomes) < outcomes.size
+                if outcomes.dtype == np.int8 else not np.all((outcomes == 1) | (outcomes == -1))):
             raise ValueError("outcomes must be +-1")
         # a view, so that freezing it leaves the caller's array writable
         outcomes = outcomes.astype(np.int8, copy=False).view()
@@ -315,34 +312,26 @@ class ShotTable:
         return self.outcomes.shape[2]
 
 
-def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
+def simulate_shots(rho: DensityMatrix, settings, k: int, rng: RngStream) -> ShotTable:
     """Draw K joint projective outcomes per setting from the exact Born
     probabilities of all 2^n sign combinations.
 
     Sampling the joint distribution (rather than the product variable)
     keeps marginal-subset statistics extractable from the same table.
     They come from the amplitudes of a state built by ``from_vector``, else
-    from ``rho.pauli``.  Settings are processed in blocks of rows, each
-    block checked by its Born route and drawing its own uniforms;
-    consecutive draws equal one (M, K) draw.  One setting holds at once its
-    widest Born intermediates (2 + 2 + 1 times 2^n floats from amplitudes,
-    2 + 1 times 4^(n-1) from the Pauli coefficients), its probability and
-    cumulative rows, and the search's draw, position, probe and bit arrays
-    over K shots, within budget by ``_check_shot_budget``.  Only the
-    M*K*n-byte outcome table grows with M.
+    from ``rho.pauli``.  Settings are processed in blocks of
+    ``_check_shot_budget`` rows, each block checked by its Born route and
+    drawing its own uniforms from the RngStream ``rng``; consecutive draws
+    equal one (M, K) draw.  Only the M*K*n-byte outcome table grows with M.
     """
     k = _check_int("shots K", k, 1)
     settings = np.asarray(settings, dtype=float)
     n = rho.n_qubits
     if settings.ndim != 3 or settings.shape[1:] != (n, 3):
-        raise ValueError(
-            f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}"
-        )
+        raise ValueError(f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}")
     m = settings.shape[0]
-    rows = _check_shot_budget(rho, m, k)
-    born = _pauli_probabilities if rho._vector is None else _amplitude_probabilities
-
-    gen = _generator(rng)
+    rows, born = _check_shot_budget(rho, m, k)
+    gen = _stream_generator(rng)
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
     for start in range(0, m, rows):
@@ -361,22 +350,29 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng) -> ShotTable:
             bit = draws >= cumulative.ravel().take(position + step)
             position += bit * step
             np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
+        probs = cumulative = draws = position = bit = None  # freed before the next block's Born route
     return ShotTable(outcomes.transpose(1, 2, 0))
 
 
-def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> int:
-    """Rows per block of a K-shot simulation of M settings of ``rho``, the
-    one owner of its two bounds: the M*n*(24 + K)-byte table must fit
-    ``_check_settings``'s cap, then the temporaries of one setting (see
-    ``simulate_shots``) the block budget ``_BLOCK_BYTES``."""
+def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> tuple:
+    """(rows per block, Born route) of a K-shot simulation of M settings of
+    ``rho``, the one owner of both and of two bounds: the M*n*(24 + K)-byte
+    table must fit ``_check_settings``'s cap, then one setting's temporaries
+    ``_BLOCK_BYTES``.  A block holds its Born floats, then its cumulative
+    row and its search's draw, position, probe index and probe value floats
+    and bit bytes over K shots, never both.  The Born floats are 2 + 2 + 1
+    times 2^n amplitudes and 6n of directions, cosines and phases, or 2 + 1
+    times 4^(n-1) Pauli products and 8n of padded directions.  numpy's
+    ufunc buffers, at most 8,192 elements an operand, come on top."""
     n = rho.n_qubits
     _check_settings(m, n * (24 + k))
-    width = 3 * 4 ** (n - 1) if rho._vector is None else 5 * 2**n
-    row_bytes = 8 * (width + 3 * 2**n + 5 * k)
+    born, width = ((_pauli_probabilities, 3 * 4 ** (n - 1) + 8 * n) if rho._vector is None
+                   else (_amplitude_probabilities, 5 * 2**n + 6 * n))
+    row_bytes = max(8 * width, 8 * (2**n + 4 * k) + k)
     if row_bytes > _BLOCK_BYTES:
         raise ValueError(f"one setting's temporaries for K={k} shots = {row_bytes} bytes exceed the "
                          f"{_BLOCK_BYTES}-byte block budget")
-    return _block_rows(row_bytes)
+    return _block_rows(row_bytes), born
 
 
 def _pauli_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:
@@ -400,10 +396,10 @@ def _pauli_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray
         probs = paddings[:, None, j] @ probs
         if j < n - 1:
             probs = probs.reshape(b, 2 ** (j + 1), 4, -1)
-    probs = probs.reshape(b, 2**n) / 2**n
+    probs = np.divide(probs, 2**n, out=probs).reshape(b, 2**n)
     if float(probs.min()) < -EXPECTATION_ATOL:
         raise ValueError(f"negative Born probability {float(probs.min()):.3e}")
-    return np.clip(probs, 0.0, None)
+    return np.clip(probs, 0.0, None, out=probs)
 
 
 def _amplitude_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:
@@ -431,6 +427,7 @@ def _amplitude_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.nda
         amps[:, 0] += e[j].conj() * pairs[:, 1]
         np.multiply(pairs[:, 1], c[j], out=amps[:, 1])
         amps[:, 1] -= e[j] * pairs[:, 0]
+    del pairs  # the parent rows, freed before the squares
     probs = amps.real**2 + amps.imag**2
     return probs.reshape(2**n, b).T.copy()
 

@@ -79,6 +79,13 @@ def _generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _stream_generator(rng: RngStream) -> np.random.Generator:
+    """``rng.generator()``; a live Generator's position is unknown, so it is refused."""
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    return rng.generator()
+
+
 # ---------------------------------------------------------------------------
 # Haar unitaries and uniform directions
 # ---------------------------------------------------------------------------
@@ -137,11 +144,9 @@ def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
     generator, to z = -1 + 2u and 2*pi*v, numpy's ``uniform`` formulas, so
     row i reads Philox words 2n*i to 2n*i + 2n - 1: it depends on (seed,
     stream id) and i only, and the first M rows of a longer draw are the
-    M-row draw.  A live Generator's position is unknown, so it is refused.
+    M-row draw.  ``_stream_generator`` refuses a live Generator.
     """
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"expected RngStream, got {type(rng)!r}")
-    gen = rng.generator()
+    gen = _stream_generator(rng)
     for start in range(0, m, rows):
         u = gen.random((min(rows, m - start), n, 2))
         z = -1.0 + 2.0 * u[..., 0]

@@ -1,5 +1,4 @@
 import hypothesis
-import pytest
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)
 hypothesis.settings.load_profile("ci")
@@ -19,13 +18,6 @@ ACCEPTANCE_LABELS = {
 }
 
 _acceptance_outcomes = {}
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    """An exported $RANDMEAS_SEED would seed every command line without
-    --seed; tests that need it set it themselves."""
-    monkeypatch.delenv("RANDMEAS_SEED", raising=False)
 
 
 def pytest_runtest_logreport(report):

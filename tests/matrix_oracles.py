@@ -54,11 +54,13 @@ def purity_direct(rho: DensityMatrix) -> float:
 
 
 def random_density_matrix(n_qubits: int, rng) -> DensityMatrix:
-    """Generic full-rank mixed state from a square Ginibre matrix."""
+    """Generic full-rank mixed state from a square Ginibre matrix g, as
+    g g^dagger normalized.  The product is numpy's own einsum loop, not a
+    BLAS call, so the state's bits do not depend on the BLAS kernel."""
     gen = _generator(rng)
     dim = 2**n_qubits
     g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    mat = g @ g.conj().T
+    mat = np.einsum("ik,jk->ij", g, g.conj())
     return DensityMatrix(mat / np.trace(mat).real)
 
 

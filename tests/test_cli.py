@@ -445,7 +445,7 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
         ),
         (
             "--state bell --shots 200000 --samples 1",
-            "one setting's temporaries for K=200000 shots = 8000256 bytes exceed the 4194304-byte block budget",
+            "one setting's temporaries for K=200000 shots = 6600032 bytes exceed the 4194304-byte block budget",
         ),
     ],
     ids=[
@@ -755,32 +755,33 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, env, message",
+    "args, message",
     [
-        ("sample --state product2:3", None, "alias 'product2' takes no parameters"),
-        ("moments --state werner:abc", None, "bad parameter for 'werner'"),
-        ("moments --state bell --subset 1,x", None, "bad subset '1,x'"),
-        ("moments --state bell --subset 3", None, "party must be an integer in 1..2, got 3"),
-        ("moments --state ghz", None, "state kind 'ghz' takes 1 parameter(s) (n), got 0"),
-        ("moments --state bell", "abc", "environment variable RANDMEAS_SEED='abc' is not an integer"),
-        ("moments --state bell --seed -1", None, "seed must be an integer in 0..18446744073709551615, got -1"),
-        ("sample --state ghz:3 --subset all", None, "sample expects a single subset"),
-        ("moments --state bell --orders ,", None, "at least one moment order is required"),
-        ("moments --state bell --design 3 --shots 5", None, "choose either --design or --shots, not both"),
-        ("criteria --state bell --test wclass", None, "W class qubit count n must be an integer >= 3, got 2"),
-        ("criteria --state ghz:4 --test bisep3", None, "bisep3 applies to 3-qubit states, got n=4"),
-        ("criteria --state bell --test nope", None, "unknown criterion 'nope'"),
-        ("moments --state ghz:9", None, "parameter n must be an integer in 2..8, got 9"),
-        ("moments --state ghz:1", None, "parameter n must be an integer in 2..8, got 1"),
-        ("sample --state product_zero:0", None, "parameter n must be an integer in 1..8, got 0"),
-        ("criteria --state ghz:5 --structure", None, "no bound coefficient configured for 5 parties"),
-        ("criteria --state cluster_linear:4 --test gme4", None, "state kind 'cluster_linear' takes 0 parameter(s) (), got 1"),
+        ("sample --state product2:3", "alias 'product2' takes no parameters"),
+        ("moments --state werner:abc", "bad parameter for 'werner'"),
+        ("moments --state bell --subset 1,x", "bad subset '1,x'"),
+        ("moments --state bell --subset 3", "party must be an integer in 1..2, got 3"),
+        ("moments --state ghz", "state kind 'ghz' takes 1 parameter(s) (n), got 0"),
+        ("moments --state bell --seed -1", "seed must be an integer in 0..18446744073709551615, got -1"),
+        ("sample --state ghz:3 --subset all", "sample expects a single subset"),
+        ("moments --state bell --orders ,", "at least one moment order is required"),
+        ("moments --state bell --design 3 --shots 5", "choose either --design or --shots, not both"),
+        ("criteria --state bell --test wclass", "W class qubit count n must be an integer >= 3, got 2"),
+        ("criteria --state ghz:4 --test bisep3", "bisep3 applies to 3-qubit states, got n=4"),
+        ("criteria --state bell --test nope", "unknown criterion 'nope'"),
+        ("moments --state ghz:9", "parameter n must be an integer in 2..8, got 9"),
+        ("moments --state ghz:1", "parameter n must be an integer in 2..8, got 1"),
+        ("sample --state product_zero:0", "parameter n must be an integer in 1..8, got 0"),
+        ("criteria --state ghz:5 --structure", "no bound coefficient configured for 5 parties"),
+        ("criteria --state cluster_linear:4 --test gme4", "state kind 'cluster_linear' takes 0 parameter(s) (), got 1"),
         (
             "criteria --state ghz:3 --test length --seed 18446744073709551616",
-            None,
             "seed must be an integer in 0..18446744073709551615, got 18446744073709551616",
         ),
-        ("design --order 3", "18446744073709551616", "seed must be an integer in 0..18446744073709551615, got 18446744073709551616"),
+        (
+            "design --order 3 --seed 18446744073709551616",
+            "seed must be an integer in 0..18446744073709551615, got 18446744073709551616",
+        ),
     ],
     ids=[
         "alias_parameters",
@@ -788,7 +789,6 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "bad_subset",
         "subset_out_of_range",
         "missing_parameter",
-        "seed_env_not_integer",
         "negative_seed",
         "sample_many_subsets",
         "no_orders",
@@ -802,12 +802,10 @@ def test_criteria_requires_test_or_structure(tmp_path, capsys):
         "structure_five_parties",
         "cluster_linear_parameter",
         "criteria_seed_above_uint64",
-        "env_seed_above_uint64",
+        "design_seed_above_uint64",
     ],
 )
-def test_cli_refuses_bad_requests_before_any_output(args, env, message, tmp_path, capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("RANDMEAS_SEED", env)
+def test_cli_refuses_bad_requests_before_any_output(args, message, tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli([*args.split(), "--output", out]) == 1
     assert f"error: {message}" in capsys.readouterr().err
@@ -836,25 +834,28 @@ def test_design_outputs(tmp_path):
     [
         "sample --state bell --samples 500",
         "moments --state bell --samples 500",
+        "moments --state ghz:3 --subset all --orders 2,4 --samples 200 --shots 10",
         "criteria --state ghz:3 --test length",
         "design --order 3",
     ],
-    ids=["sample", "moments", "criteria", "design"],
+    ids=["sample", "moments", "shots", "criteria", "design"],
 )
-def test_seed_env_var_default(args, tmp_path, monkeypatch):
-    # $RANDMEAS_SEED must act exactly like --seed: same files, same recorded seed
-    monkeypatch.setenv("RANDMEAS_SEED", "123")
-    runs = {"env": [], "flag": ["--seed", 123]}
-    for name, extra in runs.items():
+def test_seed_env_var_changes_no_byte(args, tmp_path, monkeypatch):
+    # --seed is a run's one seed source: an exported RANDMEAS_SEED, which
+    # once seeded command lines without --seed, must move no byte
+    monkeypatch.delenv("RANDMEAS_SEED", raising=False)
+    for name in ("unset", "exported"):
+        if name == "exported":
+            monkeypatch.setenv("RANDMEAS_SEED", "123")
         (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        assert run_cli([*args.split(), *extra, "--output", "o"]) == 0
-    files = sorted(p.name for p in (tmp_path / "env" / "o").iterdir())
-    assert files == sorted(p.name for p in (tmp_path / "flag" / "o").iterdir())
+        monkeypatch.chdir(tmp_path / name)  # one relative --output, so the recorded configs match
+        assert run_cli([*args.split(), "--output", "o"]) == 0
+    files = sorted(p.name for p in (tmp_path / "unset" / "o").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "exported" / "o").iterdir())
     for name in files:
-        assert (tmp_path / "env" / "o" / name).read_bytes() == (tmp_path / "flag" / "o" / name).read_bytes()
-    meta = next(read_json(tmp_path / "env" / "o" / name) for name in files if name.endswith(".json"))
-    assert meta["config"]["seed"] == 123
+        assert (tmp_path / "exported" / "o" / name).read_bytes() == (tmp_path / "unset" / "o" / name).read_bytes()
+    meta = next(read_json(tmp_path / "exported" / "o" / name) for name in files if name.endswith(".json"))
+    assert meta["config"]["seed"] == 0
 
 
 def test_metadata_embeds_config_and_version(tmp_path):

@@ -35,7 +35,7 @@ options:
   --state STATE      state spec 'kind[:param[,param]]'; kinds: product_zero:n,
                      bell, ghz:n, w:n, cluster_linear, werner:p, trisep4,
                      bisep4[:phi]; aliases: product2, bell_psi_minus
-  --seed SEED        RNG seed (default $RANDMEAS_SEED or 0)
+  --seed SEED        RNG seed (default 0)
   --output OUTPUT    output directory
   --subset SUBSET    parties, e.g. 'full' or '1,2'
   --samples SAMPLES  number of random settings M
@@ -52,7 +52,7 @@ options:
                        product_zero:n, bell, ghz:n, w:n, cluster_linear,
                        werner:p, trisep4, bisep4[:phi]; aliases: product2,
                        bell_psi_minus
-  --seed SEED          RNG seed (default $RANDMEAS_SEED or 0)
+  --seed SEED          RNG seed (default 0)
   --output OUTPUT      output directory
   --format {json,csv}
   --subset SUBSET      'full', 'all', or a comma list
@@ -71,7 +71,7 @@ options:
   --state STATE    state spec 'kind[:param[,param]]'; kinds: product_zero:n,
                    bell, ghz:n, w:n, cluster_linear, werner:p, trisep4,
                    bisep4[:phi]; aliases: product2, bell_psi_minus
-  --seed SEED      RNG seed (default $RANDMEAS_SEED or 0)
+  --seed SEED      RNG seed (default 0)
   --output OUTPUT  output directory
   --test TEST      criterion: gme4, wclass, bisep3, length
   --structure      also report all marginal bound tests
@@ -81,7 +81,7 @@ usage: randmeas design [-h] [--seed SEED] [--output OUTPUT] --order ORDER
 
 options:
   -h, --help       show this help message and exit
-  --seed SEED      RNG seed (default $RANDMEAS_SEED or 0)
+  --seed SEED      RNG seed (default 0)
   --output OUTPUT  output directory
   --order ORDER    design degree (3 or 5)
 """,

@@ -724,21 +724,62 @@ def test_simulate_shots_rejects_bad_input():
 
 
 def test_simulate_shots_refuses_a_setting_over_the_block_budget_before_any_draw(monkeypatch):
-    # One setting's temporaries, 8 * (width + 3 * 2^n + 5 K) bytes, must fit
-    # _BLOCK_BYTES; width is 5 * 2^n amplitudes or 3 * 4^(n-1) Pauli terms.
+    # One setting's temporaries, the larger of 8 * width and
+    # 8 * (2^n + 4 K) + K bytes, must fit _BLOCK_BYTES; width is 5 * 2^n + 6n
+    # amplitude floats or 3 * 4^(n-1) + 8n Pauli floats, below the search's
+    # bytes at these K, so both routes share their largest K.
     pure, mixed = bell_psi_minus(), DensityMatrix(bell_psi_minus().matrix)
     settings = random_settings(2, 1, RngStream(90))
-    for rho, largest in ((pure, 104_851), (mixed, 104_852)):
-        assert simulate_shots(rho, settings, largest, RngStream(91)).outcomes.shape == (1, largest, 2)
-    for rho, largest in ((ghz(8), 104_448), (DensityMatrix(np.eye(256) / 256), 94_873)):
-        assert moments._check_shot_budget(rho, 1, largest) == 1
+    for rho in (pure, mixed):
+        assert simulate_shots(rho, settings, 127_099, RngStream(91)).outcomes.shape == (1, 127_099, 2)
+    for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
+        assert moments._check_shot_budget(rho, 1, 127_038)[0] == 1
     draws = []
-    monkeypatch.setattr(moments, "_generator", lambda rng: draws.append(rng))
-    for rho, k, row_bytes in ((pure, 104_852, 4_194_336), (mixed, 104_853, 4_194_312)):
-        with pytest.raises(ValueError, match=f"^one setting's temporaries for K={k} shots = {row_bytes} bytes exceed "
+    monkeypatch.setattr(moments, "_stream_generator", lambda rng: draws.append(rng))
+    for rho in (pure, mixed):
+        with pytest.raises(ValueError, match=f"^one setting's temporaries for K=127100 shots = 4194332 bytes exceed "
                                              f"the {_BLOCK_BYTES}-byte block budget$"):
-            simulate_shots(rho, settings, k, RngStream(91))
+            simulate_shots(rho, settings, 127_100, RngStream(91))
+    for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
+        with pytest.raises(ValueError, match="^one setting's temporaries for K=127039 shots = 4194335 bytes exceed "):
+            moments._check_shot_budget(rho, 1, 127_039)
     assert draws == []
+
+
+def test_simulate_shots_refuses_a_live_generator_before_any_draw():
+    # A live Generator's position is unknown, so the outcomes would not be a
+    # function of (seed, stream id) alone; the refusal leaves it unmoved.
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    for rho in (ghz(3), DensityMatrix(ghz(3).matrix)):
+        with pytest.raises(TypeError, match="^expected RngStream, got <class 'numpy.random._generator.Generator'>$"):
+            simulate_shots(rho, random_settings(3, 5, RngStream(92)), 4, gen)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("route", ["amplitudes", "pauli"])
+def test_simulate_shots_block_peak_is_the_row_model(route):
+    """Each block of settings peaks at its rows times the row model of
+    ``_check_shot_budget``: within _BLOCK_BYTES plus numpy's ufunc buffers
+    (at most 8,192 elements of each of three complex operands of one call),
+    and above 90% of _BLOCK_BYTES, so the model charges no phantom row.
+    Every case is Born-bound but n = 3 at K = 50, which is search-bound;
+    three blocks each, so that a block's leftovers would add to the next
+    block's peak."""
+    buffers = 3 * 16 * np.getbufsize()
+    for n in (3, 6, 8):
+        rho = w_state(n) if route == "amplitudes" else DensityMatrix(w_state(n).matrix)
+        rho.pauli  # cached before the trace
+        for k in (2, 50):
+            rows = moments._check_shot_budget(rho, 1, k)[0]
+            settings = random_settings(n, 3 * rows, RngStream(93, n))
+            tracemalloc.start()
+            try:
+                simulate_shots(rho, settings, k, RngStream(94, n))
+                peak = tracemalloc.get_traced_memory()[1] - settings.shape[0] * k * n  # less the outcome table
+            finally:
+                tracemalloc.stop()
+            assert 0.9 * _BLOCK_BYTES <= peak <= _BLOCK_BYTES + buffers, (n, k, rows, peak)
 
 
 def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:

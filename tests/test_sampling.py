@@ -203,9 +203,9 @@ def test_sample_values_of_a_longer_draw_begin_with_the_shorter_draw(rho):
 
 
 def test_shot_outcomes_of_a_longer_draw_begin_with_the_shorter_draw():
-    # w:8 takes the amplitude route in blocks of 228 settings at K = 50, and
+    # w:8 takes the amplitude route in blocks of 394 settings at K = 50, and
     # werner the Pauli route
-    assert moments._check_shot_budget(w_state(8), 4_100, 50) == 228
+    assert moments._check_shot_budget(w_state(8), 4_100, 50)[0] == 394
     for rho, k in ((w_state(8), 50), (werner(0.6), 10)):
         _assert_draws_extend(
             lambda m: simulate_shots(rho, random_settings(rho.n_qubits, m, RngStream(44)), k, RngStream(44, 1)).outcomes
