@@ -396,24 +396,32 @@ def histogram_table(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationDensity:
-    """Reference density of the correlation value E on [-1, 1].
-
-    ``product2`` is the -(1/2) ln|E| law; every other kind with a pdf is
-    flat on [-p, p].  ``mixed_white`` is a point mass at 0 carried as a
-    flag: its ``pdf`` is undefined and raises.
-    """
+    """Reference density of the correlation value E on [-1, 1]: the label
+    ``kind`` and the one number ``p`` that fixes the law, None for the
+    -(1/2) ln|E| law and otherwise the half-width of the flat law on
+    [-p, p], p = 0 being the point mass at 0, which has no ``pdf``."""
 
     kind: str
-    support: tuple
-    is_delta: bool = False
     p: float | None = None
+
+    def __post_init__(self):
+        if self.p is not None:  # + 0.0 stores a p of -0.0 as +0.0
+            object.__setattr__(self, "p", _check_real("parameter p", self.p, 0, 1) + 0.0)
+
+    @property
+    def support(self) -> tuple:
+        return (-1.0, 1.0) if self.p is None else (0.0 - self.p, self.p)
+
+    @property
+    def is_delta(self) -> bool:
+        return self.p == 0.0
 
     def pdf(self, e):
         if self.is_delta:
             raise ValueError("point-mass density has no pdf; check is_delta")
         e = np.asarray(e, dtype=float)
         inside = (e >= self.support[0]) & (e <= self.support[1])
-        if self.kind == "product2":
+        if self.p is None:
             with np.errstate(divide="ignore"):
                 out = np.where(inside, -0.5 * np.log(np.abs(e)), 0.0)
         else:
@@ -424,7 +432,7 @@ class CorrelationDensity:
         e = np.asarray(e, dtype=float)
         if self.is_delta:
             out = np.where(e >= 0.0, 1.0, 0.0)
-        elif self.kind == "product2":
+        elif self.p is None:
             ae = np.clip(np.abs(e), 0.0, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tail = np.where(ae > 0.0, ae - ae * np.log(ae), 0.0)
@@ -441,25 +449,16 @@ class CorrelationDensity:
 
 
 def analytic_pdf(kind: str, p: float | None = None) -> CorrelationDensity:
-    """Closed-form correlation density for the named two-qubit scenarios.
-
-    kinds: ``product2`` (-(1/2) ln|E|), ``bell`` (flat 1/2, the Werner
-    law at p = 1), ``werner`` (flat on [-p, p]; p = 0 degenerates to
-    ``mixed_white``), and ``mixed_white`` (point mass at 0).
+    """Closed-form correlation density for the named two-qubit scenarios,
+    each its kind and p: ``product2`` (-(1/2) ln|E|, p None), ``bell``
+    (flat 1/2, p = 1), ``mixed_white`` (point mass at 0, p = 0) and
+    ``werner`` (flat on [-p, p] for the caller's p; p = 0 is ``mixed_white``).
     """
-    if kind == "product2":
-        return CorrelationDensity("product2", (-1.0, 1.0))
-    if kind == "bell":
-        return CorrelationDensity("bell", (-1.0, 1.0), p=1.0)
-    if kind == "mixed_white":
-        return CorrelationDensity("mixed_white", (0.0, 0.0), is_delta=True)
+    fixed = {"product2": None, "bell": 1.0, "mixed_white": 0.0}
     if kind == "werner":
         if p is None:
             raise ValueError("werner density requires the mixing parameter p")
-        p = _check_real("parameter p", p, 0, 1)
-        if p == 0.0:
-            return CorrelationDensity("mixed_white", (0.0, 0.0), is_delta=True)
-        return CorrelationDensity("werner", (-p, p), p=p)
-    raise ValueError(
-        f"unknown density kind {kind!r}; valid kinds: product2, bell, werner, mixed_white"
-    )
+        return CorrelationDensity("mixed_white" if p == 0 else kind, p)  # the constructor checks p
+    if kind not in fixed:
+        raise ValueError(f"unknown density kind {kind!r}; valid kinds: product2, bell, werner, mixed_white")
+    return CorrelationDensity(kind, fixed[kind])

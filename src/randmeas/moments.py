@@ -365,7 +365,7 @@ def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> tuple:
     times 4^(n-1) Pauli products and 8n of padded directions.  numpy's
     ufunc buffers, at most 8,192 elements an operand, come on top."""
     n = rho.n_qubits
-    _check_settings(m, n * (24 + k))
+    _check_settings(m, n * (24 + k), "table of M*n*(24 + K)")
     born, width = ((_pauli_probabilities, 3 * 4 ** (n - 1) + 8 * n) if rho._vector is None
                    else (_amplitude_probabilities, 5 * 2**n + 6 * n))
     row_bytes = max(8 * width, 8 * (2**n + 4 * k) + k)

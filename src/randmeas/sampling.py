@@ -112,7 +112,7 @@ def uniform_directions(rng: RngStream, count: int) -> np.ndarray:
     return random_settings(1, count, rng)[:, 0]
 
 
-def _check_settings(m: int, row_bytes: int, held: str = "table of M*n*(24 + K)") -> int:
+def _check_settings(m: int, row_bytes: int, held: str) -> int:
     """M as an int, refused if not an integer >= 1 or if M settings of
     ``row_bytes`` each exceed ``MAX_TABLE_BYTES``; ``held`` names those bytes
     in the message.  A table of n-party settings holds 24 bytes a direction
@@ -127,7 +127,7 @@ def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
     """M uniformly random direction tuples for n parties, shape (M, n, 3),
     filled from ``_settings_blocks``.  ``_check_settings`` refuses a bad M
     before any draw."""
-    m = _check_settings(m, 24 * n)
+    m = _check_settings(m, 24 * n, "table of M*n*24")
     table = np.empty((m, n, 3))
     for start, block in zip(range(0, m, _CONTRACTION_ROWS), _settings_blocks(rng, n, m, _CONTRACTION_ROWS)):
         table[start : start + len(block)] = block

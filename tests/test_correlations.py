@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,6 +14,8 @@ from scipy import integrate, stats
 
 from randmeas import correlations, sampling
 from randmeas.correlations import (
+    HISTOGRAM_BINS,
+    CorrelationDensity,
     CorrelationTensor,
     _subset_values,
     analytic_pdf,
@@ -161,6 +164,7 @@ def test_negating_one_direction_negates_correlation_exactly(seed):
     assert minus == -plus
 
 
+@pytest.mark.kernel_free
 def test_marginal_tensor_routes_agree():
     # identity padding on the full state vs the tensor of the marginal
     rho = w_state(4)
@@ -189,6 +193,7 @@ def _subset_values_oracle(rho, parties, directions):
     return np.clip(correlation_values(correlation_tensor(rho, parties).components, directions), -1.0, 1.0)
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("k", range(1, 9))
 def test_subset_values_are_bit_equal_to_the_tensor_route(k):
     # a leading run of parties, and that run with its last party moved to
@@ -226,6 +231,7 @@ def test_correlation_values_blocks_match_one_block(k, monkeypatch):
     assert np.array_equal(correlation_values(components, dirs), one_block)
 
 
+@pytest.mark.kernel_free
 def test_a_lone_row_contracts_as_it_does_in_a_full_block():
     # A call of M rows gives the first M values of a longer call, also when
     # its last block holds a single row: M = 1, 1,025 and 2,049.
@@ -289,6 +295,7 @@ def _correlation_values_in_order(components, directions):
     return np.concatenate(out)
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("k", range(1, 9))
 def test_correlation_values_match_sequential_oracle(k):
     states = [random_density_matrix(k, RngStream(27, k))]
@@ -303,6 +310,7 @@ def test_correlation_values_match_sequential_oracle(k):
             assert np.max(np.abs(values - _correlation_values_sequential(components, dirs))) <= 1e-15
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("k", range(1, 9))
 def test_correlation_values_are_in_order_sums_bit_for_bit(k, mixed8):
     # M = 1 is one padded block, 1,025 a full block and one row, 2,100 two
@@ -333,6 +341,7 @@ def _pruned_slabs(case):
     }[case]()
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("case", ["product_zero8", "bisep4", "trisep4", "negative_zeros", "all_zero", "dense"])
 def test_pruned_slabs_match_the_in_order_oracle(case):
     for components in _pruned_slabs(case):
@@ -352,6 +361,7 @@ def test_pruned_slabs_match_the_in_order_oracle(case):
             assert not np.signbit(values[values == 0.0]).any(), (k, m)
 
 
+@pytest.mark.kernel_free
 def test_monte_carlo_moments_of_ghz4_subsets_keep_their_bytes():
     # the odd subsets' slabs are all zero, so they read no block; the
     # digest was recorded before the contraction skipped zero rows and
@@ -376,6 +386,7 @@ def _correlation_values_k1_ones(components, directions):
     return out
 
 
+@pytest.mark.kernel_free
 def test_single_site_values_are_bit_equal_to_the_in_order_oracle(monkeypatch):
     tensors = [np.zeros(3), np.full(3, -0.0), np.array([0.5, -0.0, 0.0])]
     for n in (1, 3, 5):
@@ -478,6 +489,7 @@ def mixed8():
     return random_density_matrix(8, RngStream(94))
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("forced_rows, m", [(None, None), (1, 101), (3, 301), (1_000, 2_001)],
                          ids=["budget", "rows1", "rows3", "rows1000"])
@@ -491,11 +503,11 @@ def test_sample_distribution_streams_the_whole_table_bit_for_bit(k, forced_rows,
     assert np.array_equal(streamed, _sample_distribution_whole(mixed8, parties, m, RngStream(95, k)))
 
 
-#: ``probe(matrix, ks)`` gives the values of ``sample_distribution`` on
-#: parties 1..k, k = 1..ks, of the state ``matrix`` at M = 3,001 (two full
-#: contraction blocks and a short one); it runs in this process and in fresh
-#: interpreters, which read the matrix from stdin: a state drawn there would
-#: take its bits from their BLAS kernel.
+#: Writes the values of ``sample_distribution`` on parties 1..k, k = 1..ks
+#: (its argument), of the 8-qubit state read from stdin at M = 3,001 (two
+#: full contraction blocks and a short one).  It runs in fresh interpreters,
+#: which read the state rather than draw it: a state drawn there would take
+#: its bits from their BLAS kernel.
 _SAMPLE_PROBE = """
 import sys
 import numpy as np
@@ -503,13 +515,15 @@ from randmeas.correlations import sample_distribution
 from randmeas.sampling import RngStream
 from randmeas.states import DensityMatrix
 
-def probe(matrix, ks=8):
-    rho = DensityMatrix(matrix)
-    return [sample_distribution(rho, range(1, k + 1), 3_001, RngStream(96, k)).values for k in range(1, ks + 1)]
+rho = DensityMatrix(np.frombuffer(sys.stdin.buffer.read(), dtype=complex).reshape(256, 256))
+for k in range(1, int(sys.argv[1]) + 1):
+    sys.stdout.buffer.write(sample_distribution(rho, range(1, k + 1), 3_001, RngStream(96, k)).values.tobytes())
 """
 
 
-def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(mixed8, monkeypatch):
+def test_sample_bits_do_not_depend_on_the_thread_count(mixed8):
+    # Bits independent of the row block are pinned by
+    # test_sample_distribution_streams_the_whole_table_bit_for_bit.
     runs = {}
     # OpenBLAS's Sandybridge kernel has no FMA.  Only k >= 3 values pass
     # through a BLAS product, so under another kernel only k <= 2 must hold.
@@ -518,17 +532,10 @@ def test_sample_bits_depend_on_neither_the_thread_count_nor_the_block_budget(mix
                           ("Sandybridge", 2, {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Sandybridge"})):
         env = dict(os.environ, **env)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        code = _SAMPLE_PROBE + (f"matrix = np.frombuffer(sys.stdin.buffer.read(), dtype=complex).reshape(256, 256)\n"
-                                f"sys.stdout.buffer.write(np.concatenate(probe(matrix, {ks})).tobytes())\n")
-        result = subprocess.run([sys.executable, "-c", code], env=env, input=mixed8.matrix.tobytes(),
-                                capture_output=True, timeout=120)
+        result = subprocess.run([sys.executable, "-c", _SAMPLE_PROBE, str(ks)], env=env,
+                                input=mixed8.matrix.tobytes(), capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr.decode()
         runs[name] = np.frombuffer(result.stdout).reshape(ks, 3_001)
-    namespace = {}
-    exec(_SAMPLE_PROBE, namespace)
-    for scale in (1 / 64, 1 / 4, 4, 64):
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", int(_BLOCK_BYTES * scale))
-        runs[f"budget x{scale}"] = namespace["probe"](mixed8.matrix)
     for name, values in runs.items():
         for k, row in enumerate(values, 1):
             assert np.array_equal(row, runs["1 thread"][k - 1]), (k, name)
@@ -578,7 +585,7 @@ def test_sample_caps_its_values_not_a_settings_table(monkeypatch):
 
     monkeypatch.setattr(correlations, "_settings_blocks", draw)
     limit = sampling.MAX_TABLE_BYTES // 8
-    with pytest.raises(ValueError, match=r"^table of M\*n\*\(24 \+ K\) = 2147483712 bytes exceeds"):
+    with pytest.raises(ValueError, match=r"^table of M\*n\*24 = 2147483712 bytes exceeds"):
         random_settings(8, 11_184_811, RngStream(1))
     for m in (11_184_811, limit):
         with pytest.raises(Drawn):
@@ -864,3 +871,76 @@ def test_mixed_white_density_is_a_point_mass_at_zero():
     density = analytic_pdf("mixed_white")
     np.testing.assert_array_equal(density.cdf(np.array([-0.1, 0.0, 0.1])), [0.0, 1.0, 1.0])
     assert density.support == (0.0, 0.0)
+
+
+#: The 82 bin edges of histogram.csv and density.csv.
+DENSITY_EDGES = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
+#: Each law by its ``analytic_pdf`` call, with a digest of its kind, its
+#: support (with the sign of each zero), is_delta, and its cdf and bin_means
+#: on DENSITY_EDGES, recorded when the record stored all four fields apart.
+REFERENCE_LAWS = {
+    "product2": (("product2",), "731b15154f300a1f"),
+    "bell": (("bell",), "6af230ad63e5f6f7"),
+    "mixed_white": (("mixed_white",), "da4aada15dd43094"),
+    "werner_0": (("werner", 0.0), "da4aada15dd43094"),
+    "werner_subnormal": (("werner", 5e-324), "4928a415b2e390f7"),
+    "werner_0.3": (("werner", 0.3), "b11ca0aa639feca1"),
+    "werner_1/sqrt3": (("werner", 1.0 / np.sqrt(3.0)), "7656d3fb93fb61b9"),
+    "werner_1": (("werner", 1.0), "5a5880f31d59c652"),
+}
+
+
+def _density_digest(density):
+    parts = [density.kind.encode(), np.array(density.support, dtype=float).tobytes(), bytes([density.is_delta]),
+             density.cdf(DENSITY_EDGES).tobytes(), density.bin_means(DENSITY_EDGES).tobytes()]
+    return hashlib.sha256(b"|".join(parts)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("args, digest", REFERENCE_LAWS.values(), ids=REFERENCE_LAWS)
+def test_reference_laws_keep_their_bits(args, digest):
+    density = analytic_pdf(*args)
+    assert _density_digest(density) == digest
+    # kind is only a label: a relabelled law has the same support and bits
+    relabelled = dataclasses.replace(density, kind="relabelled")
+    assert (relabelled.support, relabelled.is_delta) == (density.support, density.is_delta)
+    assert relabelled.bin_means(DENSITY_EDGES).tobytes() == density.bin_means(DENSITY_EDGES).tobytes()
+    if not density.is_delta:
+        assert relabelled.pdf(DENSITY_EDGES).tobytes() == density.pdf(DENSITY_EDGES).tobytes()
+
+
+SPREAD_LAWS = {name: args for name, (args, _) in REFERENCE_LAWS.items() if not analytic_pdf(*args).is_delta}
+
+
+@pytest.mark.parametrize("args", SPREAD_LAWS.values(), ids=SPREAD_LAWS)
+def test_every_spread_law_has_unit_mass(args):
+    density = analytic_pdf(*args)
+    assert density.cdf(1.0) - density.cdf(-1.0) == 1.0
+    assert abs(density.bin_means(DENSITY_EDGES) @ np.diff(DENSITY_EDGES) - 1.0) <= 1e-15
+
+
+def test_a_reference_density_is_its_kind_and_p():
+    assert [field.name for field in dataclasses.fields(CorrelationDensity)] == ["kind", "p"]
+    assert analytic_pdf("werner", -0.0) == CorrelationDensity("mixed_white", 0.0)
+    assert not np.signbit(CorrelationDensity("werner", -0.0).support).any()
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [(-0.1, r"parameter p must lie in \[0, 1\], got -0.1"), (1.5, r"parameter p must lie in \[0, 1\], got 1.5"),
+     (float("nan"), "parameter p must be finite, got nan"), ("0.5", "parameter p must be a real number, got '0.5'")],
+    ids=["negative", "above_one", "nan", "text"],
+)
+def test_correlation_density_refuses_a_bad_p(p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CorrelationDensity("werner", p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: CorrelationDensity("werner", (-1.0, 1.0), p=0.3), lambda: CorrelationDensity("bell", (-1.0, 1.0)),
+     lambda: CorrelationDensity("werner", (-0.5, 0.5), is_delta=True, p=0.5)],
+    ids=["werner_wide_support", "bell_without_p", "flagged_point_mass"],
+)
+def test_a_support_or_a_flag_cannot_contradict_p(call):
+    with pytest.raises(TypeError):
+        call()
