@@ -15,15 +15,10 @@ import numpy as np
 
 from .sampling import (_CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _check_unit_norm, _settings_blocks,
                        as_direction_array)
-from .states import (EXPECTATION_ATOL, MATRIX_ATOL, MAX_QUBITS, DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                     _check_int, _check_real)
+from .states import EXPECTATION_ATOL, MATRIX_ATOL, MAX_QUBITS, DensityMatrix, _check_int, _check_real
 
 HISTOGRAM_BINS = 81
 
-_PAULI_STACK = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
-# Site transfer matrix: S[a, 2 r + c] = P_a[c, r], so contracting every
-# (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
-_SITE_TRANSFER = _PAULI_STACK.transpose(0, 2, 1).reshape(4, 4).copy()
 
 def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """Expectation values tr(rho P) for every Pauli string P.
@@ -33,14 +28,22 @@ def pauli_coefficients(rho: DensityMatrix) -> np.ndarray:
     """
     n = rho.n_qubits
     tens = rho.matrix.reshape((2,) * (2 * n))
-    perm = [axis for j in range(n) for axis in (j, n + j)]
-    tens = np.transpose(tens, perm).reshape((4,) * n)
-    for _ in range(n):  # consume the leading site axis, append its Pauli axis
-        tens = np.tensordot(tens, _SITE_TRANSFER, axes=(0, 1))
+    perm = [axis for j in reversed(range(n)) for axis in (j, n + j)]
+    tens, spare = np.transpose(tens, perm).reshape(-1, 4), np.empty(4**n, dtype=complex)
+    # Site 1's (r00, r01, r10, r11) axis is last.  Each pass sums the trailing site axis into a leading (I, x, y, z)
+    # axis of contiguous rows, written over the input of the pass before (a copy at n >= 2); no BLAS product.
+    for _ in range(n):
+        r00, r01, r10, r11 = tens.T
+        out = spare.reshape(4, -1)
+        np.add(r00, r11, out=out[0])
+        np.add(r01, r10, out=out[1])
+        np.multiply(1j, np.subtract(r01, r10, out=out[2]), out=out[2])
+        np.subtract(r00, r11, out=out[3])
+        tens, spare = out.reshape(-1, 4), tens
     residue = float(np.max(np.abs(tens.imag)))
     if residue > MATRIX_ATOL:
         raise ValueError(f"Pauli coefficients have imaginary residue {residue:.3e}")
-    return np.ascontiguousarray(tens.real)
+    return np.ascontiguousarray(tens.reshape((4,) * n).transpose(range(n - 1, -1, -1)).real)
 
 
 def normalize_subset(subset, n: int) -> tuple:

@@ -13,11 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 #: Dense matrices grow as 4^n; constructions beyond this size are refused.
 MAX_QUBITS = 8
 
@@ -92,10 +87,11 @@ class DensityMatrix:
         if not np.all(np.isfinite(psi)):
             raise ValueError("amplitude vector has non-finite (NaN or inf) entries")
         # Dividing by the power of two at the largest component first is
-        # exact, so the norm cannot overflow and the normalized bits stay.
+        # exact, so the squares cannot overflow; numpy's pairwise sum, not a
+        # BLAS dot, adds them, so the normalized bits depend on no kernel.
         exponent = int(np.frexp(np.max(np.abs(psi.view(float))))[1])
         psi = np.ldexp(psi.view(float), -exponent).view(complex)
-        norm = np.linalg.norm(psi)
+        norm = np.sqrt(np.add.reduce(psi.real * psi.real + psi.imag * psi.imag))
         # The input's norm is norm * 2^exponent, which exceeds 1/2 at exponent > 0.
         if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
             raise ValueError("amplitude vector is numerically zero")

@@ -1,5 +1,8 @@
 """Matrix-route references that the package itself no longer needs.
 
+``IDENTITY_2`` and ``SIGMA_X/Y/Z`` build the Kronecker-product and
+transfer-matrix oracles for ``correlation`` and ``pauli_coefficients``,
+which take the Pauli tensor's two-term sums instead.
 ``partial_trace`` and ``purity_direct`` are the oracles for
 ``correlations.marginal_purity``, which reads marginal purities off the
 Pauli tensor instead.  ``check_density_matrix`` runs the matrix checks
@@ -14,6 +17,11 @@ import numpy as np
 
 from randmeas.sampling import _generator
 from randmeas.states import DensityMatrix
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def check_density_matrix(mat: np.ndarray) -> None:

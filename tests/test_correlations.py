@@ -32,14 +32,11 @@ from randmeas.correlations import (
 from randmeas.moments import all_subsets, moments_mc
 from randmeas.sampling import _BLOCK_BYTES, RngStream, haar_unitaries, random_settings, uniform_directions
 from randmeas.states import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DensityMatrix,
     _check_int,
     bell_psi_minus,
     bisep4,
+    cluster_linear,
     ghz,
     product_zero,
     trisep4,
@@ -47,7 +44,8 @@ from randmeas.states import (
     werner,
 )
 
-from matrix_oracles import apply_local_unitaries, partial_trace, purity_direct, random_density_matrix
+from matrix_oracles import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, apply_local_unitaries, partial_trace, purity_direct,
+                            random_density_matrix)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -444,16 +442,21 @@ def test_correlation_values_memory_is_capped_by_the_block_budget():
     assert peaks[2 * 10**5] - peaks[2 * 10**4] <= 8 * (2 * 10**5 - 2 * 10**4) + _BLOCK_BYTES
 
 
+#: The site transfer matrix S[a, 2 r + c] = P_a[c, r]: contracting every
+#: (row, col) index pair of rho with S yields tr(rho P_a1 (x) ... (x) P_an).
+_SITE_TRANSFER = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]).transpose(0, 2, 1).reshape(4, 4).copy()
+
+
 def _pauli_coefficients_moveaxis(rho):
-    """The body that ``pauli_coefficients`` used to run, kept as an
-    oracle: each site's transfer contracted in place, with a
-    ``moveaxis`` copy per site."""
+    """The transfer-matrix route that ``pauli_coefficients`` replaced by
+    its four two-term sums, kept as an oracle: each site's transfer
+    contracted in place by ``tensordot``, with a ``moveaxis`` copy per site."""
     n = rho.n_qubits
     tens = rho.matrix.reshape((2,) * (2 * n))
     perm = [axis for j in range(n) for axis in (j, n + j)]
     tens = np.transpose(tens, perm).reshape((4,) * n)
     for axis in range(n):
-        tens = np.moveaxis(np.tensordot(correlations._SITE_TRANSFER, tens, axes=(1, axis)), 0, axis)
+        tens = np.moveaxis(np.tensordot(_SITE_TRANSFER, tens, axes=(1, axis)), 0, axis)
     return np.ascontiguousarray(tens.real)
 
 
@@ -464,13 +467,16 @@ def _random_rank_state(n, rank, seed):
     return DensityMatrix(mat / np.trace(mat).real)
 
 
+@pytest.mark.kernel_free
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pauli_coefficients_match_moveaxis_oracle_bit_for_bit(n):
     states = [_random_rank_state(n, rank, seed=10 * n + rank) for rank in sorted({1, 3, 2**n})]
     if n >= 2:
         states += [ghz(n), w_state(n)]
+    states += {2: [werner(0.3)], 4: [bisep4(0.7), cluster_linear()]}.get(n, [])
     for rho in states:
-        assert np.array_equal(pauli_coefficients(rho), _pauli_coefficients_moveaxis(rho))
+        got, want = pauli_coefficients(rho), _pauli_coefficients_moveaxis(rho)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_pauli_coefficients_identity_entry_is_trace():

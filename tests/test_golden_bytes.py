@@ -310,7 +310,19 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+#: Goldens whose bits pass through a BLAS product: the k >= 3 correlation
+#: contraction or the 5-design grid (ROADMAP item 22).  All twelve move under
+#: OpenBLAS's Sandybridge kernel (no FMA); sample_w8_subset7, and on some CPUs
+#: sample_w8, under Haswell too.
+#: Every other golden is marked kernel_free: no BLAS kernel may move its bits.
+BLAS_BOUND = {
+    "bisep3_w3", "bootstrap_w4_all", "design_sums_w4", "design_sums_w5_odd", "design_sums_w8", "monte_carlo_ghz3",
+    "monte_carlo_ghz3_odd", "monte_carlo_w3_odd", "monte_carlo_w5", "sample_ghz4", "sample_w8", "sample_w8_subset7",
+}
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=() if name in BLAS_BOUND else pytest.mark.kernel_free)
+                                  for name in sorted(GOLDEN)])
 def test_cli_output_digests(name, tmp_path, monkeypatch):
     args, expected = GOLDEN[name]
     monkeypatch.chdir(tmp_path)

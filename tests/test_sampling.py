@@ -23,9 +23,7 @@ from randmeas.sampling import (
 )
 from randmeas.states import w_state, werner
 
-from matrix_oracles import random_density_matrix
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+from matrix_oracles import SIGMA_Z, random_density_matrix
 
 
 def _half_design_by_partner_search(design):

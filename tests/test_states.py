@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_from_vector_scales_without_overflow_and_keeps_its_bits():
     gen = np.random.default_rng(17)
     for n in (1, 3, 6):
         vec = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-        psi = vec / np.linalg.norm(vec)  # the unscaled rule, exact for O(1) amplitudes
+        psi = vec / np.sqrt(np.add.reduce(vec.real * vec.real + vec.imag * vec.imag))  # the unscaled rule
         expected = np.outer(psi, psi.conj())
         for power in (-20, 0, 7, 600, 1000):
             np.testing.assert_array_equal(DensityMatrix.from_vector(vec * 2.0**power).matrix, expected)
@@ -191,6 +192,18 @@ def test_from_vector_scales_without_overflow_and_keeps_its_bits():
     np.testing.assert_allclose(DensityMatrix.from_vector([1e-11, 0.0]).matrix, np.diag([1.0, 0.0]), atol=1e-15)
     with pytest.raises(ValueError, match="numerically zero"):
         DensityMatrix.from_vector([1e-13, 0.0])
+
+
+@pytest.mark.kernel_free
+def test_from_vector_normalizes_to_one_digest_under_any_blas_kernel():
+    # np.linalg.norm's BLAS dot gave the n = 1, seed 87 vector other bits
+    # under OpenBLAS's Haswell and Sandybridge kernels than under SkylakeX.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for seed in range(70, 90):
+            gen = RngStream(seed, n).generator()
+            digest.update(DensityMatrix.from_vector(gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n))._vector)
+    assert digest.hexdigest() == "6ca6ed7f8fd61a1d314d72472fe6f1f3ceadfb9af08c1d8bcbb7ae91a68947ca"
 
 
 def test_tensor_basics():
