@@ -14,16 +14,16 @@ from itertools import combinations
 import numpy as np
 
 from .sampling import _generator, haar_unitaries
-from .states import DensityMatrix, w_state
+from .states import DensityMatrix, _unit_vector, w_state
 
 MAX_W_COMPONENTS = 4
 
 
 def random_pure_vector(dim: int, rng) -> np.ndarray:
-    """Haar-random unit vector (complex Gaussian, normalized)."""
+    """Haar-random unit vector (complex Gaussian, normalized as
+    ``DensityMatrix.from_vector`` normalizes, by no BLAS call)."""
     gen = _generator(rng)
-    vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+    return _unit_vector(gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
 
 
 def bipartitions(n: int) -> list:

@@ -35,7 +35,9 @@ from .sampling import (
     _block_rows,
     _check_settings,
     _check_unit_norm,
+    _share_blocks,
     _stream_generator,
+    _worker_count,
     half_design,
     random_settings,
 )
@@ -320,9 +322,13 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng: RngStream) -> Shot
     keeps marginal-subset statistics extractable from the same table.
     They come from the amplitudes of a state built by ``from_vector``, else
     from ``rho.pauli``.  Settings are processed in blocks of
-    ``_check_shot_budget`` rows, each block checked by its Born route and
-    drawing its own uniforms from the RngStream ``rng``; consecutive draws
-    equal one (M, K) draw.  Only the M*K*n-byte outcome table grows with M.
+    ``_check_shot_budget`` rows, each block checked by its Born route, and
+    the blocks are shared by that call's workers.  Setting r's K shots read
+    Philox words K*r to K*r + K - 1 of the RngStream ``rng``, whichever
+    block and worker draw them, so the outcomes depend on neither the
+    worker count nor the CPU count, and the first M settings of a longer
+    run are the M-setting run.  Only the M*K*n-byte outcome table grows
+    with M.
     """
     k = _check_int("shots K", k, 1)
     settings = np.asarray(settings, dtype=float)
@@ -330,49 +336,100 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng: RngStream) -> Shot
     if settings.ndim != 3 or settings.shape[1:] != (n, 3):
         raise ValueError(f"settings must have shape (M, {n}, 3) for this state, got {settings.shape}")
     m = settings.shape[0]
-    rows, born = _check_shot_budget(rho, m, k)
-    gen = _stream_generator(rng)
+    rows, workers, born = _check_shot_budget(rho, m, k)
+    if born is _pauli_probabilities:
+        rho.pauli  # cached before the workers read it
+    search = _count_search if n <= 4 else _level_search
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
+
+    def draw(i):
+        block = slice(i * rows, (i + 1) * rows)
+        gen = _stream_generator(rng, k * block.start)
         probs = born(rho, settings[block])
         probs /= probs.sum(axis=1, keepdims=True)
-        cumulative = np.cumsum(probs, axis=1, out=probs)
-        draws = gen.random((len(cumulative), k))
         # The drawn sign tuple's index is the count of a row's first 2^n - 1
-        # cumulative entries <= draw; the last, its rounded total, is never
-        # read.  A binary search finds it one bit per step (bit j is party j's
-        # outcome), ``position`` being the flat index just before the interval.
-        position = np.repeat(np.arange(len(cumulative)) << n, k).reshape(draws.shape) - 1
-        for j in range(n):
-            step = 1 << (n - 1 - j)
-            bit = draws >= cumulative.ravel().take(position + step)
-            position += bit * step
-            np.subtract(1, 2 * bit.view(np.int8), out=outcomes[j, block])
-        probs = cumulative = draws = position = bit = None  # freed before the next block's Born route
+        # cumulative entries <= draw (bit j is party j's outcome); the last,
+        # its rounded total, is never read.
+        search(np.cumsum(probs, axis=1, out=probs), gen.random((len(probs), k)), outcomes[:, block])
+
+    _share_blocks(draw, -(-m // rows), workers)
     return ShotTable(outcomes.transpose(1, 2, 0))
 
 
+def _count_search(cumulative: np.ndarray, draws: np.ndarray, out: np.ndarray) -> None:
+    """Write the +-1 outcomes of ``draws`` (b, K) into ``out`` (n, b, K) at
+    n <= 4: each draw counts the row's 2^n - 1 thresholds it reaches into a
+    uint8 index, whose bits are the parties' outcomes.  Nothing is gathered."""
+    n = len(out)
+    index = np.empty(draws.shape, np.uint8)
+    reached = np.empty(draws.shape, bool)
+    np.greater_equal(draws, cumulative[:, 0, None], out=index.view(bool))
+    for c in range(1, 2**n - 1):
+        np.greater_equal(draws, cumulative[:, c, None], out=reached)
+        index += reached
+    twice = reached.view(np.uint8)  # twice party j's bit, 0 or 2
+    for j in range(n):
+        shift = n - 2 - j
+        if shift >= 0:
+            np.right_shift(index, shift, out=twice)
+        else:
+            np.left_shift(index, 1, out=twice)
+        np.bitwise_and(twice, 2, out=twice)
+        np.subtract(1, twice, out=out[j].view(np.uint8))  # 1 or 255, -1 as int8
+
+
+def _level_search(cumulative: np.ndarray, draws: np.ndarray, out: np.ndarray) -> None:
+    """``_count_search`` at n >= 5, by a binary search one bit a step:
+    ``position`` is the flat index just before the interval, broadcast from
+    one base a row, so the first step compares every shot with one entry."""
+    n = len(out)
+    flat = cumulative.ravel()
+    position = (np.arange(len(draws)) << n)[:, None] - 1
+    for j in range(n):
+        step = 1 << (n - 1 - j)
+        bit = draws >= flat.take(position + step)
+        position = position + bit * step
+        np.subtract(1, 2 * bit.view(np.int8), out=out[j])
+
+
 def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> tuple:
-    """(rows per block, Born route) of a K-shot simulation of M settings of
-    ``rho``, the one owner of both and of two bounds: the M*n*(24 + K)-byte
-    table must fit ``_check_settings``'s cap, then one setting's temporaries
-    ``_BLOCK_BYTES``.  A block holds its Born floats, then its cumulative
-    row and its search's draw, position, probe index and probe value floats
-    and bit bytes over K shots, never both.  The Born floats are 2 + 2 + 1
-    times 2^n amplitudes and 6n of directions, cosines and phases, or 2 + 1
-    times 4^(n-1) Pauli products and 8n of padded directions.  numpy's
-    ufunc buffers, at most 8,192 elements an operand, come on top."""
+    """(rows per block, workers, Born route) of a K-shot simulation of M
+    settings of ``rho``, the one owner of all three and of two bounds: the
+    M*n*(24 + K)-byte table must fit ``_check_settings``'s cap, then one
+    setting's temporaries ``_BLOCK_BYTES``, at any worker count, so that no
+    refusal depends on the CPU count.  Two workers (``_worker_count``)
+    share the blocks when M settings fill more than one half of the budget:
+    an even count of blocks of equal rows, each within one half.  One
+    worker's blocks fill the whole budget, and one worker runs a setting
+    over half of it.  So the process holds one budget of block temporaries.
+    Neither the rows nor the workers move an outcome bit: setting r's shots
+    read Philox words K*r to K*r + K - 1.
+
+    A block holds its Born floats, then its cumulative row and its search's
+    arrays, never both.  The Born floats are 2 + 2 + 1 times 2^n amplitudes
+    and 6n of directions, cosines and phases, or 2 + 1 times 4^(n-1) Pauli
+    products and 8n of padded directions.  The search holds 2^n cumulative
+    and K draw floats, and at n <= 4 the K bytes of its count and of a
+    threshold test, 8*2^n + 10K bytes; at n >= 5 the K position, probe
+    index and probe value words and bit bytes, 8*(2^n + 4K) + K bytes.
+    numpy's ufunc buffers, at most 8,192 elements an operand, come on top.
+    Both routes refuse K above 419,427 at n = 2 and above 127,038 at n = 8.
+    """
     n = rho.n_qubits
     _check_settings(m, n * (24 + k), "table of M*n*(24 + K)")
     born, width = ((_pauli_probabilities, 3 * 4 ** (n - 1) + 8 * n) if rho._vector is None
                    else (_amplitude_probabilities, 5 * 2**n + 6 * n))
-    row_bytes = max(8 * width, 8 * (2**n + 4 * k) + k)
+    row_bytes = max(8 * width, 8 * 2**n + 10 * k if n <= 4 else 8 * (2**n + 4 * k) + k)
     if row_bytes > _BLOCK_BYTES:
         raise ValueError(f"one setting's temporaries for K={k} shots = {row_bytes} bytes exceed the "
                          f"{_BLOCK_BYTES}-byte block budget")
-    return _block_rows(row_bytes), born
+    halves = -(-m // _block_rows(2 * row_bytes))  # blocks of half the budget
+    workers = _worker_count(halves) if 2 * row_bytes <= _BLOCK_BYTES else 1
+    if workers == 1:
+        return _block_rows(row_bytes), workers, born
+    # an even count, so that neither worker waits long for the other
+    return -(-m // (halves + halves % 2)), workers, born
 
 
 def _pauli_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:

@@ -86,22 +86,27 @@ class DensityMatrix:
             raise ValueError(f"amplitude vector length {dim} is not a power of 2")
         if not np.all(np.isfinite(psi)):
             raise ValueError("amplitude vector has non-finite (NaN or inf) entries")
-        # Dividing by the power of two at the largest component first is
-        # exact, so the squares cannot overflow; numpy's pairwise sum, not a
-        # BLAS dot, adds them, so the normalized bits depend on no kernel.
-        exponent = int(np.frexp(np.max(np.abs(psi.view(float))))[1])
-        psi = np.ldexp(psi.view(float), -exponent).view(complex)
-        norm = np.sqrt(np.add.reduce(psi.real * psi.real + psi.imag * psi.imag))
-        # The input's norm is norm * 2^exponent, which exceeds 1/2 at exponent > 0.
-        if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
-            raise ValueError("amplitude vector is numerically zero")
-        psi = psi / norm
+        psi = _unit_vector(psi)
         n = _qubit_count((dim, dim))
         rho = object.__new__(cls)
         rho._freeze(np.outer(psi, psi.conj()), n)
         psi.setflags(write=False)
         object.__setattr__(rho, "_vector", psi)
         return rho
+
+
+def _unit_vector(psi: np.ndarray) -> np.ndarray:
+    """The finite complex vector ``psi`` divided by its norm, refused if
+    numerically zero.  Dividing by the power of two at the largest component
+    first is exact, so the squares cannot overflow; numpy's pairwise sum,
+    not a BLAS dot, adds them, so the normalized bits depend on no kernel."""
+    exponent = int(np.frexp(np.max(np.abs(psi.view(float))))[1])
+    psi = np.ldexp(psi.view(float), -exponent).view(complex)
+    norm = np.sqrt(np.add.reduce(psi.real * psi.real + psi.imag * psi.imag))
+    # The input's norm is norm * 2^exponent, which exceeds 1/2 at exponent > 0.
+    if exponent <= 0 and np.ldexp(norm, exponent) < 1e-12:
+        raise ValueError("amplitude vector is numerically zero")
+    return psi / norm
 
 
 # ---------------------------------------------------------------------------

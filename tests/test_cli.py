@@ -444,8 +444,8 @@ def test_moments_shots_read_every_subset_off_one_table(tmp_path, monkeypatch):
             "table of M*n*(24 + K) = 3000000072000000 bytes exceeds the 2147483648-byte cap",
         ),
         (
-            "--state bell --shots 200000 --samples 1",
-            "one setting's temporaries for K=200000 shots = 6600032 bytes exceed the 4194304-byte block budget",
+            "--state bell --shots 500000 --samples 1",
+            "one setting's temporaries for K=500000 shots = 5000032 bytes exceed the 4194304-byte block budget",
         ),
     ],
     ids=[
@@ -490,11 +490,11 @@ def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path
 
 @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap"]], ids=["plugin", "bootstrap"])
 def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monkeypatch):
-    draws = _count_calls(monkeypatch, "_settings_blocks", randmeas.sampling)
+    tables = _count_calls(monkeypatch, "random_settings", randmeas.moments)
     out = tmp_path / "o"
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
     assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
-    assert [(n, m) for _, n, m, _ in draws] == [(4, 300)]
+    assert [(n, m) for n, m, _ in tables] == [(4, 300)]
     expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES))
     if bootstrap:
         expected = [bootstrap_error(e) for e in expected]

@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 from itertools import combinations
 from math import comb, prod
@@ -724,22 +725,26 @@ def test_simulate_shots_rejects_bad_input():
 
 
 def test_simulate_shots_refuses_a_setting_over_the_block_budget_before_any_draw(monkeypatch):
-    # One setting's temporaries, the larger of 8 * width and
-    # 8 * (2^n + 4 K) + K bytes, must fit _BLOCK_BYTES; width is 5 * 2^n + 6n
-    # amplitude floats or 3 * 4^(n-1) + 8n Pauli floats, below the search's
-    # bytes at these K, so both routes share their largest K.
+    # One setting's temporaries, the larger of 8 * width and the search's
+    # 8 * 2^n + 10 K bytes at n <= 4 or 8 * (2^n + 4 K) + K at n >= 5, must
+    # fit _BLOCK_BYTES at any worker count; width is 5 * 2^n + 6n amplitude
+    # floats or 3 * 4^(n-1) + 8n Pauli floats, below the search's bytes at
+    # these K, so both routes share their largest K.  A setting over half
+    # the budget runs on one worker.
     pure, mixed = bell_psi_minus(), DensityMatrix(bell_psi_minus().matrix)
     settings = random_settings(2, 1, RngStream(90))
     for rho in (pure, mixed):
-        assert simulate_shots(rho, settings, 127_099, RngStream(91)).outcomes.shape == (1, 127_099, 2)
-    for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
-        assert moments._check_shot_budget(rho, 1, 127_038)[0] == 1
+        assert simulate_shots(rho, settings, 419_427, RngStream(91)).outcomes.shape == (1, 419_427, 2)
+    for workers in (1, 2):
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
+            assert moments._check_shot_budget(rho, 3, 127_038)[:2] == (1, 1)
     draws = []
-    monkeypatch.setattr(moments, "_stream_generator", lambda rng: draws.append(rng))
+    monkeypatch.setattr(moments, "_stream_generator", lambda *args: draws.append(args))
     for rho in (pure, mixed):
-        with pytest.raises(ValueError, match=f"^one setting's temporaries for K=127100 shots = 4194332 bytes exceed "
+        with pytest.raises(ValueError, match=f"^one setting's temporaries for K=419428 shots = 4194312 bytes exceed "
                                              f"the {_BLOCK_BYTES}-byte block budget$"):
-            simulate_shots(rho, settings, 127_100, RngStream(91))
+            simulate_shots(rho, settings, 419_428, RngStream(91))
     for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
         with pytest.raises(ValueError, match="^one setting's temporaries for K=127039 shots = 4194335 bytes exceed "):
             moments._check_shot_budget(rho, 1, 127_039)
@@ -758,28 +763,35 @@ def test_simulate_shots_refuses_a_live_generator_before_any_draw():
 
 
 @pytest.mark.parametrize("route", ["amplitudes", "pauli"])
-def test_simulate_shots_block_peak_is_the_row_model(route):
+def test_simulate_shots_block_peak_is_the_row_model(route, monkeypatch):
     """Each block of settings peaks at its rows times the row model of
-    ``_check_shot_budget``: within _BLOCK_BYTES plus numpy's ufunc buffers
-    (at most 8,192 elements of each of three complex operands of one call),
-    and above 90% of _BLOCK_BYTES, so the model charges no phantom row.
-    Every case is Born-bound but n = 3 at K = 50, which is search-bound;
-    three blocks each, so that a block's leftovers would add to the next
-    block's peak."""
+    ``_check_shot_budget``.  One worker's blocks fill the whole budget: the
+    peak lies within _BLOCK_BYTES plus numpy's ufunc buffers (at most 8,192
+    elements of each of three complex operands of one call) and above 90%
+    of _BLOCK_BYTES, so the model charges no phantom row.  Two workers'
+    blocks fill half the budget each, and whether their peaks meet depends
+    on timing, so there the peak is bounded from above only, with one set of
+    buffers a worker.  Every case is Born-bound but the amplitude route at
+    n = 3, K = 50, whose count search is the bound, and n = 5 at K = 200,
+    whose level search is; three one-worker blocks each, so that a block's
+    leftovers would add to the next block's peak."""
     buffers = 3 * 16 * np.getbufsize()
-    for n in (3, 6, 8):
+    for n, ks in ((3, (2, 50)), (5, (200,)), (6, (2, 50)), (8, (2, 50))):
         rho = w_state(n) if route == "amplitudes" else DensityMatrix(w_state(n).matrix)
         rho.pauli  # cached before the trace
-        for k in (2, 50):
+        for k in ks:
             rows = moments._check_shot_budget(rho, 1, k)[0]
             settings = random_settings(n, 3 * rows, RngStream(93, n))
-            tracemalloc.start()
-            try:
-                simulate_shots(rho, settings, k, RngStream(94, n))
-                peak = tracemalloc.get_traced_memory()[1] - settings.shape[0] * k * n  # less the outcome table
-            finally:
-                tracemalloc.stop()
-            assert 0.9 * _BLOCK_BYTES <= peak <= _BLOCK_BYTES + buffers, (n, k, rows, peak)
+            for workers in (1, 2):
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
+                tracemalloc.start()
+                try:
+                    simulate_shots(rho, settings, k, RngStream(94, n))
+                    peak = tracemalloc.get_traced_memory()[1] - settings.shape[0] * k * n  # less the outcome table
+                finally:
+                    tracemalloc.stop()
+                low = 0.9 * _BLOCK_BYTES if workers == 1 else 0
+                assert low <= peak <= _BLOCK_BYTES + workers * buffers, (n, k, workers, rows, peak)
 
 
 def _estimate_moment_from_shots_oracle(shots: ShotTable, t: int, parties=None) -> MomentEstimate:
@@ -943,6 +955,71 @@ def test_simulate_shots_matches_oracle_over_budget_blocks(n, k, monkeypatch):
             assert np.array_equal(fast, pauli)
 
 
+def _pole_settings(n, m, stream):
+    """``m`` random settings whose first three are poles: every site at
+    z = -1, every site at z = +1, and the two alternating."""
+    settings = random_settings(n, m, stream)
+    settings[:3] = 0.0
+    settings[0, :, 2], settings[1, :, 2] = -1.0, 1.0
+    settings[2, :, 2] = np.where(np.arange(n) % 2, 1.0, -1.0)
+    return settings
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_shot_bits_do_not_depend_on_the_worker_count(n, monkeypatch):
+    # Blocks of 3 settings: M = 10 is four blocks, the last one short, and at
+    # odd K a block's first draw sits inside a four-word Philox step.
+    threads = threading.active_count()
+    monkeypatch.setattr(moments, "_block_rows", lambda _: 3)
+    settings = _pole_settings(n, 10, RngStream(95, n))
+    for rho in _oracle_states(n):
+        for k in (7, 20):
+            oracle = _oracle_outcomes(rho, settings, k, RngStream(96, k))
+            for workers in (1, 2):
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
+                assert np.array_equal(simulate_shots(rho, settings, k, RngStream(96, k)).outcomes, oracle), workers
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("rho", [w_state(8), ghz(3), werner(0.6)], ids=["w8", "ghz3", "werner"])
+def test_shot_bits_do_not_depend_on_the_budget_split(rho, monkeypatch):
+    # At the real budget one worker's blocks are twice two workers' blocks;
+    # M spans several of either, and is a multiple of neither.
+    for k in (7, 50):
+        rows = moments._check_shot_budget(rho, 1, k)[0]
+        settings = _pole_settings(rho.n_qubits, 2 * rows + rows // 3, RngStream(97))
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sampling, "_WORKERS", workers)
+            tables.append(simulate_shots(rho, settings, k, RngStream(98, k)).outcomes)
+        assert np.array_equal(*tables), k
+
+
+@pytest.mark.parametrize("rho", [ghz(3), werner(0.6)], ids=["amplitude", "pauli"])
+def test_a_bad_setting_in_any_block_raises_the_serial_error(rho, monkeypatch):
+    # Blocks of 4 settings, two workers: the first bad setting's block raises
+    # as the serial loop raises it, after the helper is joined, whichever
+    # worker ran it and whatever a later block raised.
+    threads = threading.active_count()
+    monkeypatch.setattr(moments, "_block_rows", lambda _: 4)
+    settings = random_settings(rho.n_qubits, 16, RngStream(99))
+    late, early = settings.copy(), settings.copy()
+    late[5, 1] *= 1.0 + 1e-9
+    early[2, 0] *= 1.0 + 2e-9
+    early[9, 0, 0] = np.nan
+    for bad in (late, early):
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sampling, "_WORKERS", workers)
+            with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12") as error:
+                simulate_shots(rho, bad, 5, RngStream(100))
+            errors.append(str(error.value))
+            assert threading.active_count() == threads
+        assert errors[0] == errors[1]
+    simulate_shots(rho, settings, 5, RngStream(100))
+    assert threading.active_count() == threads
+
+
 def _pure_states(n):
     """The named pure states on n qubits and two seeded random complex ones."""
     gen = np.random.default_rng(n)
@@ -1019,20 +1096,25 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget(monkeypatch):
     rho = ghz(n)
     answers = _record_block_rows(monkeypatch, moments)
     simulate_shots(rho, random_settings(n, 1, RngStream(77)), k, RngStream(78))
-    # both runs span several blocks
-    small, big = 3 * answers[0], 10 * answers[0]
-    peaks = {}
-    for m in (small, big):
-        settings = random_settings(n, m, RngStream(77))
-        tracemalloc.start()
-        try:
-            simulate_shots(rho, settings, k, RngStream(78))
-            peaks[m] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # Only the outcome table (n bytes per shot) grows with M; each block
-    # draws its own uniforms.
-    assert peaks[big] - peaks[small] <= (big - small) * k * n + 64 * 1024
+    # both runs span several blocks of one worker
+    small, big = 3 * answers[-1], 10 * answers[-1]
+    for workers in (1, 2):
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        peaks = {}
+        for m in (small, big):
+            settings = random_settings(n, m, RngStream(77))
+            tracemalloc.start()
+            try:
+                simulate_shots(rho, settings, k, RngStream(78))
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Only the outcome table (n bytes per shot) grows with M; each block
+        # draws its own uniforms.  Whether two workers' peaks meet depends on
+        # timing, so there only the budget bounds them.
+        assert peaks[big] <= big * k * n + _BLOCK_BYTES + workers * 3 * 16 * np.getbufsize()
+        if workers == 1:
+            assert peaks[big] - peaks[small] <= (big - small) * k * n + 64 * 1024
 
 
 # ---------------------------------------------------------------------------

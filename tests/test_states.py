@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randmeas.correlations import correlation_length
+from randmeas.ensembles import random_pure_vector
 from randmeas.sampling import RngStream, haar_unitaries
 from randmeas.states import (
     STATES,
@@ -203,6 +204,17 @@ def test_from_vector_normalizes_to_one_digest_under_any_blas_kernel():
         for seed in range(70, 90):
             gen = RngStream(seed, n).generator()
             digest.update(DensityMatrix.from_vector(gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n))._vector)
+    assert digest.hexdigest() == "6ca6ed7f8fd61a1d314d72472fe6f1f3ceadfb9af08c1d8bcbb7ae91a68947ca"
+
+
+@pytest.mark.kernel_free
+def test_random_pure_vectors_have_from_vectors_digest_under_any_blas_kernel():
+    # The Haar blocks of random_biseparable_state: np.linalg.norm's BLAS dot
+    # gave these vectors one digest under SkylakeX and another under Haswell.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for seed in range(70, 90):
+            digest.update(random_pure_vector(2**n, RngStream(seed, n)))
     assert digest.hexdigest() == "6ca6ed7f8fd61a1d314d72472fe6f1f3ceadfb9af08c1d8bcbb7ae91a68947ca"
 
 
