@@ -20,6 +20,8 @@ promised.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, isfinite, sqrt
@@ -35,9 +37,7 @@ from .sampling import (
     _block_rows,
     _check_settings,
     _check_unit_norm,
-    _share_blocks,
     _stream_generator,
-    _worker_count,
     half_design,
     random_settings,
 )
@@ -48,6 +48,12 @@ _EXACT_METHODS = ("exact_tensor", "design")
 
 #: Most design tuples one exact sum may expand to; ``design_points`` sums at most 6^8.
 MAX_DESIGN_TUPLES = 20_000_000
+
+#: Workers that share the blocks of a shot simulation: the calling thread
+#: and, at two, one helper thread.  ``None`` takes two when the process may
+#: run on more than one CPU.  No output bit depends on it: every block reads
+#: fixed Philox words.
+_WORKERS = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +345,8 @@ def simulate_shots(rho: DensityMatrix, settings, k: int, rng: RngStream) -> Shot
     rows, workers, born = _check_shot_budget(rho, m, k)
     if born is _pauli_probabilities:
         rho.pauli  # cached before the workers read it
+    # 2^n - 1 threshold tests a shot beat n gathers at n <= 4 and K >= 20,
+    # and lose at n >= 5; both write the same bits
     search = _count_search if n <= 4 else _level_search
     # party-major, so that each party's (M, K) outcomes are contiguous
     outcomes = np.empty((n, m, k), dtype=np.int8)
@@ -430,6 +438,53 @@ def _check_shot_budget(rho: DensityMatrix, m: int, k: int) -> tuple:
         return _block_rows(row_bytes), workers, born
     # an even count, so that neither worker waits long for the other
     return -(-m // (halves + halves % 2)), workers, born
+
+
+def _worker_count(blocks: int) -> int:
+    """Workers for ``blocks`` blocks of work: two, unless ``_WORKERS`` says
+    otherwise, the process may use one CPU only, or there is one block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(_WORKERS or min(2, cpus), blocks)
+
+
+def _share_blocks(work, count: int, workers: int) -> None:
+    """Run ``work(i)`` for every block i in range(count), on the calling
+    thread alone or, at two ``workers``, on it and one helper thread that is
+    joined before this returns or raises.
+
+    The workers claim blocks in increasing order, and one that fails stops
+    both from claiming more, so every block before the first failing one
+    has run: the lowest failing block's exception is raised, as a serial
+    loop would raise it.
+    """
+    if workers < 2:
+        for i in range(count):
+            work(i)
+        return
+    claims, lock, failures = iter(range(count)), threading.Lock(), {}
+
+    def run():
+        while not failures:
+            with lock:
+                i = next(claims, count)
+            if i == count:
+                return
+            try:
+                work(i)
+            except Exception as error:
+                failures[i] = error
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        run()
+    finally:
+        with lock:  # an interrupted caller leaves the helper no block
+            for _ in claims:
+                pass
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def _pauli_probabilities(rho: DensityMatrix, settings: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ polynomials.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -38,73 +36,14 @@ _BLOCK_BYTES = 4 << 20
 #: ``_BLOCK_BYTES``; a drawn row takes less.
 _CONTRACTION_ROWS = 1024
 
-#: Directions per block of ``random_settings``' draw, 1,024 rows at n = 8:
-#: a block's uniforms, z, azimuths and temporaries take at most 12 floats a
-#: direction, 768 KiB.  Two workers draw half blocks each.
-_DRAW_DIRECTIONS = 8192
-
 #: Most bytes M settings may hold: ``_check_settings`` counts 24 a direction
 #: and, for a shot simulation, 1 an outcome, or 8 a streamed ``sample`` value.
 MAX_TABLE_BYTES = 2**31
 
 
-#: Workers that share the blocks of a settings draw or a shot simulation:
-#: the calling thread and, at two, one helper thread.  ``None`` takes two
-#: when the process may run on more than one CPU.  No output bit depends on
-#: it: every block reads fixed Philox words.
-_WORKERS = None
-
-
 def _block_rows(row_bytes: int) -> int:
     """Rows per block when each row holds ``row_bytes`` of temporaries."""
     return max(1, _BLOCK_BYTES // row_bytes)
-
-
-def _worker_count(blocks: int) -> int:
-    """Workers for ``blocks`` blocks of work: two, unless ``_WORKERS`` says
-    otherwise, the process may use one CPU only, or there is one block."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(_WORKERS or min(2, cpus), blocks)
-
-
-def _share_blocks(work, count: int, workers: int) -> None:
-    """Run ``work(i)`` for every block i in range(count), on the calling
-    thread alone or, at two ``workers``, on it and one helper thread that is
-    joined before this returns or raises.
-
-    The workers claim blocks in increasing order, and one that fails stops
-    both from claiming more, so every block before the first failing one
-    has run: the lowest failing block's exception is raised, as a serial
-    loop would raise it.
-    """
-    if workers < 2:
-        for i in range(count):
-            work(i)
-        return
-    claims, lock, failures = iter(range(count)), threading.Lock(), {}
-
-    def run():
-        while not failures:
-            with lock:
-                i = next(claims, count)
-            if i == count:
-                return
-            try:
-                work(i)
-            except Exception as error:
-                failures[i] = error
-
-    helper = threading.Thread(target=run)
-    helper.start()
-    try:
-        run()
-    finally:
-        with lock:  # an interrupted caller leaves the helper no block
-            for _ in claims:
-                pass
-        helper.join()
-    if failures:
-        raise failures[min(failures)]
 
 
 @dataclass(frozen=True)
@@ -194,46 +133,28 @@ def _check_settings(m: int, row_bytes: int, held: str) -> int:
 def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
     """M uniformly random direction tuples for n parties, shape (M, n, 3),
     filled from ``_settings_blocks``.  ``_check_settings`` refuses a bad M
-    before any draw.
-
-    Row i reads Philox words 2n*i to 2n*i + 2n - 1 of ``rng``, so its bits
-    depend on neither the worker count nor the CPU count.  The table is
-    drawn in blocks of ``_DRAW_DIRECTIONS`` directions; one of more than a
-    block is filled in two halves by two workers (``_worker_count``), each
-    drawing half blocks, so that the two hold one block's temporaries
-    between them.
-    """
+    before any draw."""
     m = _check_settings(m, 24 * n, "table of M*n*24")
     table = np.empty((m, n, 3))
-    rows = _DRAW_DIRECTIONS // max(n, 1)
-    workers = _worker_count(-(-m // rows))
-    rows, part = rows // workers, -(-m // workers)
-
-    def fill(half):
-        first, stop = half * part, min(m, (half + 1) * part)
-        for start, block in zip(range(first, stop, rows), _settings_blocks(rng, n, stop, rows, first)):
-            table[start : start + len(block)] = block
-
-    _share_blocks(fill, workers, workers)
+    for start, block in zip(range(0, m, _CONTRACTION_ROWS), _settings_blocks(rng, n, m, _CONTRACTION_ROWS)):
+        table[start : start + len(block)] = block
     return table
 
 
-def _settings_blocks(rng: RngStream, n: int, m: int, rows: int, first: int = 0):
-    """Rows ``first`` to M - 1 of M uniformly random direction tuples for n
-    parties as (rows, n, 3) blocks (the last one shorter), drawn one block
-    at a time.
+def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
+    """M uniformly random direction tuples for n parties as (rows, n, 3)
+    blocks (the last one shorter), drawn one block at a time.
 
     z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which is
     the pushforward of the Haar measure through U sigma_z U^dagger.  Each
     block maps (rows, n, 2) uniforms (u, v), drawn row-major from one
-    generator positioned at word 2n*first, to z = -1 + 2u and 2*pi*v,
-    numpy's ``uniform`` formulas, so row i reads Philox words 2n*i to
-    2n*i + 2n - 1: it depends on (seed, stream id) and i only, and the
-    first M rows of a longer draw are the M-row draw.  ``_stream_generator``
-    refuses a live Generator.
+    generator, to z = -1 + 2u and 2*pi*v, numpy's ``uniform`` formulas, so
+    row i reads Philox words 2n*i to 2n*i + 2n - 1: it depends on (seed,
+    stream id) and i only, and the first M rows of a longer draw are the
+    M-row draw.  ``_stream_generator`` refuses a live Generator.
     """
-    gen = _stream_generator(rng, 2 * n * first)
-    for start in range(first, m, rows):
+    gen = _stream_generator(rng, 0)
+    for start in range(0, m, rows):
         u = gen.random((min(rows, m - start), n, 2))
         z = -1.0 + 2.0 * u[..., 0]
         azimuth = 2.0 * np.pi * u[..., 1]

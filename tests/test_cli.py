@@ -490,11 +490,11 @@ def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path
 
 @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap"]], ids=["plugin", "bootstrap"])
 def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monkeypatch):
-    tables = _count_calls(monkeypatch, "random_settings", randmeas.moments)
+    draws = _count_calls(monkeypatch, "_settings_blocks", randmeas.sampling)
     out = tmp_path / "o"
     args = "moments --state ghz:4 --subset all --orders 2,4 --samples 300 --seed 3"
     assert run_cli([*args.split(), *bootstrap, "--output", out]) == 0
-    assert [(n, m) for n, m, _ in tables] == [(4, 300)]
+    assert [(n, m) for _, n, m, _ in draws] == [(4, 300)]
     expected = moments_mc(ghz(4), all_subsets(4), (2, 4), 300, RngStream(3, STREAM_SAMPLES))
     if bootstrap:
         expected = [bootstrap_error(e) for e in expected]

@@ -1,6 +1,4 @@
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -166,7 +164,7 @@ def _uniform_directions_stacked(rng, count):
 )
 def test_uniform_directions_match_stacked_oracle(count, forced_rows, monkeypatch):
     if forced_rows:
-        monkeypatch.setattr(sampling, "_DRAW_DIRECTIONS", forced_rows)
+        monkeypatch.setattr(sampling, "_CONTRACTION_ROWS", forced_rows)
     dirs = uniform_directions(RngStream(29, count), count)
     assert np.array_equal(dirs, _uniform_directions_stacked(RngStream(29, count), count))
 
@@ -180,56 +178,6 @@ def test_settings_blocks_concatenate_to_random_settings(n):
         assert [len(block) for block in blocks] == [min(rows, m - start) for start in range(0, m, rows)]
         stacked = _uniform_directions_stacked(RngStream(31, n), m * n).reshape(m, n, 3)
         assert np.array_equal(np.concatenate(blocks), stacked)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_settings_bits_do_not_depend_on_the_worker_count(n, monkeypatch):
-    # Two workers fill the halves of a table of more than one block in half
-    # blocks; at odd n the second half of 2 * rows + 1 rows begins halfway
-    # through a four-word Philox step.  M = rows is one block, one worker.
-    threads, rows = threading.active_count(), sampling._DRAW_DIRECTIONS // n
-    for m in (rows, 2 * rows + 1, 4 * rows + 3):
-        stacked = _uniform_directions_stacked(RngStream(35, n), m * n).reshape(m, n, 3)
-        for workers in (1, 2):
-            monkeypatch.setattr(sampling, "_WORKERS", workers)
-            assert np.array_equal(random_settings(n, m, RngStream(35, n)), stacked), (m, workers)
-    assert threading.active_count() == threads
-
-
-def test_shared_blocks_raise_the_lowest_failing_block_after_the_join():
-    # Block 0 waits until block 1 has begun, so the two run on different
-    # workers; blocks 1 and 4 fail, and block 1's failure is the serial one.
-    threads, begun, ran = threading.active_count(), threading.Event(), []
-
-    def work(i):
-        ran.append((i, threading.current_thread()))
-        if i == 0:
-            assert begun.wait(10)
-        if i == 1:
-            begun.set()
-        if i in (1, 4):
-            raise ValueError(f"block {i}")
-
-    with pytest.raises(ValueError, match="^block 1$"):
-        sampling._share_blocks(work, 6, 2)
-    assert threading.active_count() == threads
-    assert len({thread for _, thread in ran}) == 2
-    assert {0, 1} <= {i for i, _ in ran}
-    with pytest.raises(ValueError, match="^block 1$"):
-        sampling._share_blocks(work, 6, 1)
-
-
-def test_shared_blocks_run_every_block_once_under_fast_switching():
-    # A thread switch every microsecond between the claims of 20,000 blocks:
-    # a block claimed twice or lost would break the count.
-    interval, threads, ran = sys.getswitchinterval(), threading.active_count(), []
-    sys.setswitchinterval(1e-6)
-    try:
-        sampling._share_blocks(ran.append, 20_000, 2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(ran) == list(range(20_000))
-    assert threading.active_count() == threads
 
 
 def _assert_draws_extend(draw):
@@ -257,7 +205,7 @@ def test_shot_outcomes_of_a_longer_draw_begin_with_the_shorter_draw(monkeypatch)
     # worker; two workers' shares hold 197, so 4,100 settings take 22 blocks of
     # 187.  werner takes the Pauli route.
     for workers, rows in ((1, 394), (2, 187)):
-        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        monkeypatch.setattr(moments, "_WORKERS", workers)
         assert moments._check_shot_budget(w_state(8), 4_100, 50)[:2] == (rows, workers)
     for rho, k in ((w_state(8), 50), (werner(0.6), 10)):
         _assert_draws_extend(
@@ -278,25 +226,20 @@ def _draw_peak(draw):
         tracemalloc.stop()
 
 
-#: Bytes one block of a draw may hold: its z, azimuths and points, and the
-#: temporaries of the points, within 12 floats a direction.
-_DRAW_BLOCK_BYTES = sampling._DRAW_DIRECTIONS * 12 * 8
+#: Bytes one 1,024-row block of a draw may hold for each party: its z,
+#: azimuth and points, and the temporaries of the points, within 12 floats a
+#: direction.
+_DRAW_BLOCK_BYTES = sampling._CONTRACTION_ROWS * 12 * 8
 
 
 @pytest.mark.parametrize("n", [1, 8])
-def test_random_settings_memory_is_the_table_and_one_block(n, monkeypatch):
+def test_random_settings_memory_is_the_table_and_one_block(n):
     # Only the table, 24 bytes a direction, grows with M; one block's draw
-    # comes on top, or two half blocks on two workers, whose peaks meet or
-    # not by timing, so there only the upper bound holds.  Both sizes of M
-    # span several blocks.
-    rows = sampling._DRAW_DIRECTIONS // n
-    small, big = 3 * rows, 10 * rows
-    for workers in (1, 2):
-        monkeypatch.setattr(sampling, "_WORKERS", workers)
-        peaks = {m: _draw_peak(lambda m=m: random_settings(n, m, RngStream(33))) for m in (small, big)}
-        assert peaks[big] <= 24 * big * n + _DRAW_BLOCK_BYTES + 2**16
-        if workers == 1:
-            assert peaks[big] - peaks[small] <= 24 * (big - small) * n + 2**12
+    # comes on top.  Both sizes of M span several blocks.
+    small, big = 10_000, 50_000
+    peaks = {m: _draw_peak(lambda m=m: random_settings(n, m, RngStream(33))) for m in (small, big)}
+    assert peaks[big] <= 24 * big * n + n * _DRAW_BLOCK_BYTES + 2**16
+    assert peaks[big] - peaks[small] <= 24 * (big - small) * n + 2**12
 
 
 def test_uniform_directions_memory_is_capped_by_the_block_budget():
