@@ -9,12 +9,13 @@ with the closed-form two-qubit reference densities.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import (_CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _check_unit_norm, _settings_blocks,
-                       as_direction_array)
+from .sampling import (_BLOCK_BYTES, _CONTRACTION_ROWS, RngStream, _block_rows, _check_settings, _check_unit_norm,
+                       _draw_settings, _share_blocks, _stream_generator, _worker_count, as_direction_array)
 from .states import EXPECTATION_ATOL, MATRIX_ATOL, MAX_QUBITS, DensityMatrix, _check_int, _check_real
 
 HISTOGRAM_BINS = 81
@@ -159,9 +160,28 @@ def correlation_values(components: np.ndarray, directions: np.ndarray) -> np.nda
 def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     """The ``count`` values of ``correlation_values`` for the (rows, k, 3)
     ``blocks`` of its directions, ``_CONTRACTION_ROWS`` rows each but the
-    last.  A short block is padded with zero rows to the full count, so
+    last, run by one ``_Contraction`` step a block on the calling thread."""
+    plan = _Contraction(components)
+    if plan.zero:
+        return np.zeros(count)
+    out = np.empty(count)
+    start = 0
+    for block in blocks:
+        plan(block, out[start : start + len(block)])
+        start += len(block)
+        block = None  # freed before a streamed source draws the next block
+    return out
+
+
+class _Contraction:
+    """The plan of ``correlation_values`` for one (3,)*k tensor, built once,
+    and its per-block step: ``plan(block, out)`` writes the values of a
+    (rows, k, 3) block of directions, rows <= ``_CONTRACTION_ROWS``, into
+    ``out``.  A short block is padded with zero rows to the full count, so
     every block's product and sum see one shape and each row's value is
-    independent of its block.
+    independent of its block.  At a = 1 no matrix product fixes a shape:
+    every operation is elementwise or an in-order sum over rows, so a
+    block of more rows gives each row the bits it gets in its own block.
 
     Only the rows I and columns J of the 3^a x 3^b matrix that hold a
     nonzero entry (-0.0 counts as zero) are built, with the bits of the
@@ -172,43 +192,61 @@ def _contract(components: np.ndarray, blocks, count: int) -> np.ndarray:
     a smaller one may sum in another order.  A column outside J gives
     +-0 to each value's in-order sum from +0.0, which never holds -0.0,
     so it is dropped with its trailing outer product row.  With no
-    nonzero entry every value is +0.0, with no block read; with I and J
-    complete the full products run, with no gather."""
-    k = components.ndim
-    a = (k + 1) // 2
-    matrix = components.reshape(3**a, 3 ** (k - a))
-    nonzero = matrix != 0.0
-    lead_rows, trail_rows = nonzero.any(axis=1).nonzero()[0], nonzero.any(axis=0).nonzero()[0]
-    if not len(lead_rows):
-        return np.zeros(count)
-    lead_plan, trail_plan = _product_plan(lead_rows, a), _product_plan(trail_rows, k - a)
-    lead = None if len(lead_rows) == matrix.shape[0] else np.zeros((3**a, _CONTRACTION_ROWS))
-    columns = None if len(trail_rows) == matrix.shape[1] else trail_rows
-    matrix_j = matrix if columns is None else matrix[:, columns]
-    out = np.empty(count)
-    start = 0
-    for block in blocks:
-        rows = len(block)
+    nonzero entry (``zero``) every value is +0.0 and the step is never
+    run; with I and J complete the full products run, with no gather.
+
+    Each thread that runs the step fills its own workspace, so two workers
+    may run blocks of one plan at once.  ``row_bytes`` charges a block row
+    the most its step holds at once beside the caller's block: a short
+    block's padded copy, the workspace, and the largest of three stages,
+    the leading product as ``_planned_product`` builds it, the matrix
+    product (or the exact sums) with its input and gathered columns, and
+    the trailing product built beside the values it scales."""
+
+    def __init__(self, components: np.ndarray):
+        self.k = k = components.ndim
+        self.a = a = (k + 1) // 2
+        self.matrix = components.reshape(3**a, 3 ** (k - a))
+        nonzero = self.matrix != 0.0
+        self.lead_rows, trail_rows = nonzero.any(axis=1).nonzero()[0], nonzero.any(axis=0).nonzero()[0]
+        self.zero = not len(self.lead_rows)
+        self.lead_plan, self.trail_plan = _product_plan(self.lead_rows, a), _product_plan(trail_rows, k - a)
+        self.full_lead = len(self.lead_rows) == len(self.matrix)
+        self.columns = None if len(trail_rows) == self.matrix.shape[1] else trail_rows
+        self.matrix_j = self.matrix if self.columns is None else self.matrix[:, self.columns]
+        self._workspace = threading.local()
+        # float64 words a row: the workspace, then each stage's peak
+        workspace = 0 if self.full_lead else len(self.matrix)
+        trail_peak, kept = _product_words(self.trail_plan)
+        if a == 1:  # the leading product and the exact sums' three products
+            middle = len(self.matrix) + 3 * kept
+        else:  # the leading product, the matrix product and its gathered columns
+            middle = len(self.matrix) + self.matrix.shape[1] + (kept if self.columns is not None else 0)
+        stages = (workspace + _product_words(self.lead_plan)[0], middle, workspace + kept + trail_peak)
+        self.row_bytes = 8 * (3 * k + max(stages))
+
+    def __call__(self, block: np.ndarray, out: np.ndarray) -> None:
+        rows, k, a = len(block), self.k, self.a
         if rows < _CONTRACTION_ROWS:
             block = np.concatenate([block, np.zeros((_CONTRACTION_ROWS - rows, k, 3))])
-        if lead is None:
-            vals = _planned_product(block[:, :a], lead_plan)
+        if self.full_lead:
+            vals = _planned_product(block[:, :a], self.lead_plan)
         else:
-            lead[lead_rows] = _planned_product(block[:, :a], lead_plan)
-            vals = lead
+            vals = getattr(self._workspace, "lead", None)
+            if vals is None or vals.shape[1] != len(block):
+                vals = self._workspace.lead = np.zeros((len(self.matrix), len(block)))
+            vals[self.lead_rows] = _planned_product(block[:, :a], self.lead_plan)
+        matrix_j = self.matrix_j
         if a == 1:  # no BLAS call
             vals = (matrix_j[0, :, None] * vals[0] + matrix_j[1, :, None] * vals[1]) + matrix_j[2, :, None] * vals[2]
         else:
-            vals = np.dot(matrix.T, vals)
-            if columns is not None:
-                vals = vals[columns]
-        vals *= _planned_product(block[:, a:], trail_plan)
+            vals = np.dot(self.matrix.T, vals)
+            if self.columns is not None:
+                vals = vals[self.columns]
+        vals *= _planned_product(block[:, a:], self.trail_plan)
         # summed over the full block, then sliced: a reduce over one column
         # runs along a contiguous axis, which numpy sums pairwise
-        out[start : start + rows] = np.add.reduce(vals, axis=0, initial=0.0)[:rows]
-        start += rows
-        block = vals = None  # freed before a streamed source draws the next block
-    return out
+        out[:] = np.add.reduce(vals, axis=0, initial=0.0)[:rows]
 
 
 def _product_plan(needed: np.ndarray, sites: int) -> tuple:
@@ -224,6 +262,20 @@ def _product_plan(needed: np.ndarray, sites: int) -> tuple:
         steps.append(None if len(prefixes) == 3**j else (kept.searchsorted(prefixes // 3), prefixes % 3))
         kept = prefixes
     return tuple(steps)
+
+
+def _product_words(plan: tuple) -> tuple:
+    """(peak, result): the most float64 words a block row of
+    ``_planned_product`` holds at once under ``plan``, and its result's.
+    A full site step holds the product, the site's three components and
+    the new product; a pruned one the product, the site's taken components
+    and the taken product that it scales in place."""
+    size = peak = 1
+    for step in plan:
+        new = 3 * size if step is None else len(step[0])
+        peak = max(peak, size + (3 if step is None else new) + new)
+        size = new
+    return peak, size
 
 
 def _planned_product(block: np.ndarray, plan: tuple) -> np.ndarray:
@@ -357,12 +409,43 @@ def _csv_block(values: np.ndarray, start: int) -> bytes:
 def sample_distribution(rho: DensityMatrix, subset, m: int, rng: RngStream) -> SampleSet:
     """Exact correlation values for ``m`` i.i.d. uniformly random direction
     tuples on ``subset``, those of the table ``random_settings(k, m, rng)``.
-    The settings are drawn and contracted one block at a time, so only the
-    ``m`` values outlive a block, and only they count against the cap."""
+
+    The settings come in units of ``_CONTRACTION_ROWS * max(1, 8 // k)``
+    rows, about 8,192 directions.  Each unit is drawn by ``_draw_settings``
+    from a generator placed at its first row, then contracted by the
+    subset slab's one ``_Contraction`` plan, one ``_CONTRACTION_ROWS``-row
+    block at a time at k >= 3 and in one step at k <= 2, which makes no
+    matrix product.  Two workers (``_share_blocks``) share the units when
+    both workers' units and steps fit ``_BLOCK_BYTES`` and, at k >= 3, BLAS
+    runs one thread, as which products BLAS threads is its own choice (two
+    workers' products on two BLAS threads each were slower than one
+    worker's at k = 7 and 8).  Row i reads fixed
+    Philox words and every matrix product keeps its shape, so no value
+    depends on the worker count.  Only the ``m`` values outlive a unit, and
+    only they count against the cap."""
     parties = normalize_subset(subset, rho.n_qubits)
     k = len(parties)
     m = _check_settings(m, 8, "values of M*8")
-    return SampleSet(_subset_values(rho, parties, _settings_blocks(rng, k, m, _CONTRACTION_ROWS), m))
+    plan = _Contraction(_slab(rho.pauli, parties, slice(1, 4)))
+    if plan.zero:
+        return SampleSet(np.zeros(m))
+    values = np.empty(m)
+    unit = _CONTRACTION_ROWS * max(1, 8 // k)
+    units = -(-m // unit)
+    step = unit if plan.a == 1 else _CONTRACTION_ROWS
+
+    def contract(i):
+        start = i * unit
+        points = _draw_settings(_stream_generator(rng, 2 * k * start), min(unit, m - start), k)
+        for row in range(0, len(points), step):
+            plan(points[row : row + step], values[start + row : start + row + step])
+
+    # a worker holds its unit's draw, at most 12 floats a direction, then
+    # the unit's directions beside one step
+    worker_bytes = max(96 * k * unit, 24 * k * unit + step * plan.row_bytes)
+    workers = _worker_count(units, blas=plan.a > 1) if 2 * worker_bytes <= _BLOCK_BYTES else 1
+    _share_blocks(contract, units, workers)
+    return SampleSet(_clamped(values))
 
 
 def _subset_values(rho: DensityMatrix, parties: tuple, blocks, count: int) -> np.ndarray:

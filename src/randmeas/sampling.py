@@ -8,6 +8,8 @@ polynomials.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -22,23 +24,29 @@ _UINT64_MAX = 2**64 - 1
 #: Bytes of per-block temporaries in every loop whose rows per block follow
 #: the bytes of a row (``simulate_shots``, ``to_csv``): memory beyond their
 #: inputs and outputs does not grow with the number of rows.  Two workers
-#: of ``simulate_shots`` take half of it each.  It moves no output bit.
+#: of ``simulate_shots`` take half of it each, and two workers of
+#: ``sample_distribution`` run only when both workers' units fit it.  It
+#: moves no output bit.
 _BLOCK_BYTES = 4 << 20
 
-#: Rows per block of every settings draw and every correlation contraction.
-#: A contraction row's temporaries peak at k = 8, as the trailing outer
-#: product takes its last site: 8 * (2 * 3^4 + 3^3 + 3) = 1,536 bytes for the
-#: leading values, the partial and new products and the copied site, 8 * 3^4
-#: = 648 for the zero-filled leading workspace of a slab with zero rows, and
-#: 24 * 8 more for a short block's zero-padded directions (tracemalloc reads
-#: about 1,840 a row for a dense slab and 1,700 for ghz:8 and w:8, with
-#: numpy's ufunc buffers and the output), so one block fits
-#: ``_BLOCK_BYTES``; a drawn row takes less.
+#: Rows per block of a settings table's draw and of every correlation
+#: contraction at k >= 3, whose matrix product's bits depend on its shape;
+#: ``sample_distribution`` draws units of a multiple of it.  A contraction
+#: block's temporaries are charged by ``correlations._Contraction.row_bytes``
+#: from its plan, and one block fits ``_BLOCK_BYTES`` at any k.
 _CONTRACTION_ROWS = 1024
 
 #: Most bytes M settings may hold: ``_check_settings`` counts 24 a direction
 #: and, for a shot simulation, 1 an outcome, or 8 a streamed ``sample`` value.
 MAX_TABLE_BYTES = 2**31
+
+#: Workers that share the blocks of a shot simulation or the units of a
+#: ``sample_distribution``: the calling thread and, at two, one helper
+#: thread.  ``None`` takes two when the process may run on more than one
+#: CPU, and for ``sample_distribution``'s BLAS products only when BLAS runs
+#: one thread (``_worker_count``).  No output bit depends on it: every block
+#: reads fixed Philox words.
+_WORKERS = None
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -93,6 +101,73 @@ def _stream_generator(rng: RngStream, word: int) -> np.random.Generator:
     return gen
 
 
+def _worker_count(blocks: int, blas: bool = False) -> int:
+    """Workers for ``blocks`` blocks of work: two, unless ``_WORKERS`` says
+    otherwise, the process may use one CPU only, the blocks make BLAS
+    products (``blas``) that may run on more than one thread, or there is
+    one block."""
+    if _WORKERS:
+        return min(_WORKERS, blocks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(1 if blas and _blas_threads(cpus) > 1 else 2, cpus, blocks)
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads that one BLAS product may take, counted as OpenBLAS counts
+    them: the first positive of ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, else the ``cpus`` the
+    process may use, and never more.  numpy exposes no thread query of its
+    BLAS, so one that reads none of these variables counts as threaded."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, cpus)
+    return cpus
+
+
+def _share_blocks(work, count: int, workers: int) -> None:
+    """Run ``work(i)`` for every block i in range(count), on the calling
+    thread alone or, at two ``workers``, on it and one helper thread that is
+    joined before this returns or raises.
+
+    The workers claim blocks in increasing order, and one that fails stops
+    both from claiming more, so every block before the first failing one
+    has run: the lowest failing block's exception is raised, as a serial
+    loop would raise it.
+    """
+    if workers < 2:
+        for i in range(count):
+            work(i)
+        return
+    claims, lock, failures = iter(range(count)), threading.Lock(), {}
+
+    def run():
+        while not failures:
+            with lock:
+                i = next(claims, count)
+            if i == count:
+                return
+            try:
+                work(i)
+            except Exception as error:
+                failures[i] = error
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        run()
+    finally:
+        with lock:  # an interrupted caller leaves the helper no block
+            for _ in claims:
+                pass
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 # ---------------------------------------------------------------------------
 # Haar unitaries and uniform directions
 # ---------------------------------------------------------------------------
@@ -143,28 +218,37 @@ def random_settings(n: int, m: int, rng: RngStream) -> np.ndarray:
 
 def _settings_blocks(rng: RngStream, n: int, m: int, rows: int):
     """M uniformly random direction tuples for n parties as (rows, n, 3)
-    blocks (the last one shorter), drawn one block at a time.
-
-    z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which is
-    the pushforward of the Haar measure through U sigma_z U^dagger.  Each
-    block maps (rows, n, 2) uniforms (u, v), drawn row-major from one
-    generator, to z = -1 + 2u and 2*pi*v, numpy's ``uniform`` formulas, so
-    row i reads Philox words 2n*i to 2n*i + 2n - 1: it depends on (seed,
-    stream id) and i only, and the first M rows of a longer draw are the
-    M-row draw.  ``_stream_generator`` refuses a live Generator.
-    """
+    blocks (the last one shorter), each mapped by ``_draw_settings`` from
+    one generator walked in order.  ``_stream_generator`` refuses a live
+    Generator."""
     gen = _stream_generator(rng, 0)
     for start in range(0, m, rows):
-        u = gen.random((min(rows, m - start), n, 2))
-        z = -1.0 + 2.0 * u[..., 0]
-        azimuth = 2.0 * np.pi * u[..., 1]
-        points = np.empty((len(u), n, 3))  # written one column at a time
-        points[..., 2] = z
-        radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        np.multiply(radial, np.cos(azimuth), out=points[..., 0])
-        np.multiply(radial, np.sin(azimuth), out=points[..., 1])
-        u = z = azimuth = radial = None  # freed before the caller's work and the next draw
-        yield points
+        yield _draw_settings(gen, min(rows, m - start), n)
+
+
+def _draw_settings(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """The next ``rows`` direction tuples for n parties of ``gen``, shape
+    (rows, n, 3): the one draw rule of every settings table and every
+    ``sample_distribution`` unit.
+
+    z is uniform on [-1, 1] and the azimuth uniform on [0, 2*pi), which is
+    the pushforward of the Haar measure through U sigma_z U^dagger.  The
+    (rows, n, 2) uniforms (u, v), drawn row-major, map to z = -1 + 2u and
+    2*pi*v, numpy's ``uniform`` formulas, so row i of a draw reads Philox
+    words 2n*i to 2n*i + 2n - 1: it depends on (seed, stream id) and i
+    only, the first M rows of a longer draw are the M-row draw, and a
+    generator that ``_stream_generator`` places at word 2n*i draws from
+    row i on.
+    """
+    u = gen.random((rows, n, 2))
+    z = -1.0 + 2.0 * u[..., 0]
+    azimuth = 2.0 * np.pi * u[..., 1]
+    points = np.empty((rows, n, 3))  # written one column at a time
+    points[..., 2] = z
+    radial = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    np.multiply(radial, np.cos(azimuth), out=points[..., 0])
+    np.multiply(radial, np.sin(azimuth), out=points[..., 1])
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -475,8 +475,8 @@ def test_moments_checks_orders_before_any_work(args, message, tmp_path, capsys, 
 @pytest.mark.parametrize("command", ["moments", "sample"])
 def test_oversized_settings_tables_are_refused_before_any_draw(command, tmp_path, capsys, monkeypatch):
     draws = []
-    for module in (randmeas.sampling, randmeas.correlations):
-        monkeypatch.setattr(module, "_settings_blocks", lambda *a: draws.append(a))
+    for module, name in ((randmeas.sampling, "_settings_blocks"), (randmeas.correlations, "_draw_settings")):
+        monkeypatch.setattr(module, name, lambda *a: draws.append(a))
     out = tmp_path / "o"
     assert run_cli([command, "--state", "ghz:3", "--samples", 10**9, "--output", out]) == 1
     message = {
@@ -501,6 +501,16 @@ def test_monte_carlo_reads_every_subset_off_one_table(bootstrap, tmp_path, monke
     entries = read_json(out / "moments.json")["moments"]
     assert entries == [json.loads(json.dumps(e.to_dict())) for e in expected]
     assert {tuple(entry["seed"]) for entry in entries} == {(3, STREAM_SAMPLES)}
+
+
+def test_sample_draws_each_setting_once(tmp_path, monkeypatch):
+    # the units of one request draw its M settings once, 2,048 rows a unit at
+    # k = 3
+    draws = _count_calls(monkeypatch, "_draw_settings", randmeas.correlations)
+    out = tmp_path / "o"
+    assert run_cli(["sample", "--state", "ghz:3", "--samples", 20_000, "--seed", 3, "--output", out]) == 0
+    assert sorted((rows, n) for _, rows, n in draws) == [(1_568, 3)] + [(2_048, 3)] * 9  # in any order on two workers
+    assert (out / "samples.csv").read_text().count("\n") == 20_001
 
 
 def test_moments_refuses_negative_shots_first(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -406,25 +407,35 @@ def test_single_site_values_are_bit_equal_to_the_in_order_oracle(monkeypatch):
             assert np.array_equal(correlation_values(components, dirs).view(np.uint64), oracle.view(np.uint64))
 
 
-def test_sample_distribution_memory_is_capped_by_the_block_budget():
-    rho = ghz(8)
-    rho.pauli  # cached on the state, not part of the draw
-    # The values hold 8 bytes a setting.  The rest is one block's draw or
-    # its contraction temporaries (within the budget and 64 KiB), never the
-    # 24 bytes a direction of a whole table, which a block kept alive through
-    # the next draw would add up to.  Both sizes of M span several full
-    # blocks, so only the values grow with M.
-    for k, (small, big) in ((2, (10**5, 2 * 10**5)), (8, (10**4, 10**5))):
-        peaks = {}
-        for m in (small, big):
-            tracemalloc.start()
-            try:
-                sample_distribution(rho, range(1, k + 1), m, RngStream(26))
-                peaks[m] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[big] <= 8 * big + _BLOCK_BYTES + 2**16, k
-        assert peaks[big] - peaks[small] <= 8 * (big - small) + 2**16, k
+def test_sample_distribution_memory_is_capped_by_the_block_budget(monkeypatch):
+    # The values hold 8 bytes a setting.  The rest is, per worker, one unit's
+    # draw or its directions and one block's contraction temporaries, never
+    # the 24 bytes a direction of a whole table, which a unit kept alive
+    # through the next draw would add up to.  Two workers hold two units
+    # and blocks, each within the plan's model and numpy's ufunc buffers,
+    # and together within the budget.  Both sizes of M span several units,
+    # so on one worker only the values grow with M.
+    rows = correlations._CONTRACTION_ROWS
+    for rho in (ghz(8), random_density_matrix(8, RngStream(27))):
+        rho.pauli  # cached on the state, not part of the draw
+        for k, (small, big) in ((2, (10**5, 2 * 10**5)), (8, (10**4, 10**5))):
+            plan = correlations._Contraction(correlation_tensor(rho, range(1, k + 1)).components)
+            unit = rows * max(1, 8 // k)
+            step = unit if k <= 2 else rows  # k <= 2 makes no matrix product
+            worker_bytes = max(96 * k * unit, 24 * k * unit + step * plan.row_bytes) + 2**17
+            for workers in (1, 2):
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
+                peaks = {}
+                for m in (small, big):
+                    tracemalloc.start()
+                    try:
+                        sample_distribution(rho, range(1, k + 1), m, RngStream(26))
+                        peaks[m] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                assert peaks[big] <= 8 * big + min(_BLOCK_BYTES + 2**16, workers * worker_bytes), (k, workers)
+                if workers == 1:
+                    assert peaks[big] - peaks[small] <= 8 * (big - small) + 2**16, k
 
 
 def test_correlation_values_memory_is_capped_by_the_block_budget():
@@ -509,6 +520,48 @@ def test_sample_distribution_streams_the_whole_table_bit_for_bit(k, forced_rows,
     assert np.array_equal(streamed, _sample_distribution_whole(mixed8, parties, m, RngStream(95, k)))
 
 
+@pytest.mark.kernel_free
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sample_bits_do_not_depend_on_the_worker_count(k, mixed8, monkeypatch):
+    # one row, a short block, a full block and one row, and two units and one
+    # row, of a dense slab and of W's pruned one; no helper thread outlives a
+    # call
+    threads = threading.active_count()
+    unit = correlations._CONTRACTION_ROWS * max(1, 8 // k)
+    parties = (*range(1, k), 8)
+    for rho in (mixed8, w_state(8)):
+        for m in (1, 1_023, 1_025, 2 * unit + 1):
+            whole = _sample_distribution_whole(rho, parties, m, RngStream(97, k))
+            for workers in (1, 2):
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
+                values = sample_distribution(rho, parties, m, RngStream(97, k)).values
+                assert np.array_equal(values, whole), (m, workers)
+                assert threading.active_count() == threads
+
+
+def test_sample_shares_blas_products_only_at_one_blas_thread(monkeypatch):
+    # k <= 2 makes no BLAS product; k >= 3 shares its units only when BLAS
+    # runs one thread
+    counts, share = [], correlations._share_blocks
+
+    def counted(work, count, workers):
+        counts.append(workers)
+        share(work, count, workers)
+
+    monkeypatch.setattr(correlations, "_share_blocks", counted)
+    monkeypatch.setattr(sampling, "_WORKERS", None)
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    m = 2 * correlations._CONTRACTION_ROWS * 8
+    for threads, workers in (("1", [2, 2, 2]), ("2", [2, 1, 1])):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        counts.clear()
+        for k in (2, 3, 8):
+            sample_distribution(w_state(8), range(1, k + 1), m, RngStream(98, k))
+        assert counts == workers, threads
+
+
 #: Writes the values of ``sample_distribution`` on parties 1..k, k = 1..ks
 #: (its argument), of the 8-qubit state read from stdin at M = 3,001 (two
 #: full contraction blocks and a short one).  It runs in fresh interpreters,
@@ -547,14 +600,36 @@ def test_sample_bits_do_not_depend_on_the_thread_count(mixed8):
             assert np.array_equal(row, runs["1 thread"][k - 1]), (k, name)
 
 
+def _real_leading_half(n):
+    """An n-qubit product of a real state on the leading ceil(n/2) parties,
+    whose slab has a zero row for every odd count of y axes, and a random
+    state on the rest: a pruned leading workspace beside full products."""
+    a = (n + 1) // 2
+    real = random_density_matrix(a, RngStream(36)).matrix.real
+    return DensityMatrix(np.kron(real, random_density_matrix(n - a, RngStream(37)).matrix))
+
+
 def test_one_contraction_block_fits_the_block_budget():
-    # the row model of _CONTRACTION_ROWS at k = 8, a = b = 4: 2,376 bytes a
-    # row, with the zero-filled leading workspace of a slab with zero rows
-    block_bytes = correlations._CONTRACTION_ROWS * (24 * 8 + 8 * (3**4 + 2 * 3**4 + 3**3 + 3))
-    assert block_bytes <= _BLOCK_BYTES
-    for rho in (random_density_matrix(8, RngStream(34)), ghz(8), w_state(8)):  # dense, and two pruned slabs
-        components = correlation_tensor(rho, range(1, 9)).components
-        for m in (1_000, correlations._CONTRACTION_ROWS):  # a padded block and a full one
+    # _Contraction.row_bytes charges a block row the most its step holds at
+    # once; tracemalloc reads at most that, plus numpy's ufunc buffers, the
+    # output and the unit-norm check.  A dense slab and the pruned GHZ and W
+    # slabs fit two workers' blocks, each beside its 1,024-direction unit,
+    # into one budget.  The real leading half holds its workspace beside full
+    # products, and the worst tensor, every leading row and trailing column
+    # nonzero but one, adds pruned products as long as full ones: each runs
+    # on one worker, and its one block fits.
+    rows = correlations._CONTRACTION_ROWS
+    unit_bytes = 24 * 8 * rows
+    tensors = {name: correlation_tensor(rho, range(1, 9)).components
+               for name, rho in (("dense", random_density_matrix(8, RngStream(34))), ("ghz", ghz(8)), ("w", w_state(8)),
+                                 ("real_half", _real_leading_half(8)))}
+    tensors["worst"] = np.ones((3,) * 8)
+    tensors["worst"][0, 0, 0, 0], tensors["worst"][..., 0, 0, 0, 0] = 0.0, 0.0
+    for name, components in tensors.items():
+        row_bytes = correlations._Contraction(components).row_bytes
+        assert rows * row_bytes <= _BLOCK_BYTES, name
+        assert (2 * (unit_bytes + rows * row_bytes) <= _BLOCK_BYTES) == (name in ("dense", "ghz", "w")), name
+        for m in (1_000, rows):  # a padded block and a full one
             dirs = uniform_directions(RngStream(35, m), m * 8).reshape(m, 8, 3)
             tracemalloc.start()
             try:
@@ -562,7 +637,7 @@ def test_one_contraction_block_fits_the_block_budget():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= block_bytes + 2**17  # numpy's ufunc buffers and the output
+            assert peak <= rows * row_bytes + 2**17, (name, m)  # numpy's ufunc buffers and the output
 
 
 def test_sample_distribution_refuses_a_live_generator():
@@ -586,10 +661,10 @@ def test_sample_caps_its_values_not_a_settings_table(monkeypatch):
     class Drawn(Exception):
         pass
 
-    def draw(rng, k, m, rows):
-        raise Drawn(m)
+    def draw(gen, rows, k):
+        raise Drawn(rows)
 
-    monkeypatch.setattr(correlations, "_settings_blocks", draw)
+    monkeypatch.setattr(correlations, "_draw_settings", draw)
     limit = sampling.MAX_TABLE_BYTES // 8
     with pytest.raises(ValueError, match=r"^table of M\*n\*24 = 2147483712 bytes exceeds"):
         random_settings(8, 11_184_811, RngStream(1))

@@ -1,5 +1,4 @@
 import re
-import sys
 import threading
 import tracemalloc
 from itertools import combinations
@@ -737,7 +736,7 @@ def test_simulate_shots_refuses_a_setting_over_the_block_budget_before_any_draw(
     for rho in (pure, mixed):
         assert simulate_shots(rho, settings, 419_427, RngStream(91)).outcomes.shape == (1, 419_427, 2)
     for workers in (1, 2):
-        monkeypatch.setattr(moments, "_WORKERS", workers)
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         for rho in (ghz(8), DensityMatrix(np.eye(256) / 256)):
             assert moments._check_shot_budget(rho, 3, 127_038)[:2] == (1, 1)
     draws = []
@@ -784,7 +783,7 @@ def test_simulate_shots_block_peak_is_the_row_model(route, monkeypatch):
             rows = moments._check_shot_budget(rho, 1, k)[0]
             settings = random_settings(n, 3 * rows, RngStream(93, n))
             for workers in (1, 2):
-                monkeypatch.setattr(moments, "_WORKERS", workers)
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
                 tracemalloc.start()
                 try:
                     simulate_shots(rho, settings, k, RngStream(94, n))
@@ -977,7 +976,7 @@ def test_shot_bits_do_not_depend_on_the_worker_count(n, monkeypatch):
         for k in (7, 20):
             oracle = _oracle_outcomes(rho, settings, k, RngStream(96, k))
             for workers in (1, 2):
-                monkeypatch.setattr(moments, "_WORKERS", workers)
+                monkeypatch.setattr(sampling, "_WORKERS", workers)
                 assert np.array_equal(simulate_shots(rho, settings, k, RngStream(96, k)).outcomes, oracle), workers
     assert threading.active_count() == threads
 
@@ -991,7 +990,7 @@ def test_shot_bits_do_not_depend_on_the_budget_split(rho, monkeypatch):
         settings = _pole_settings(rho.n_qubits, 2 * rows + rows // 3, RngStream(97))
         tables = []
         for workers in (1, 2):
-            monkeypatch.setattr(moments, "_WORKERS", workers)
+            monkeypatch.setattr(sampling, "_WORKERS", workers)
             tables.append(simulate_shots(rho, settings, k, RngStream(98, k)).outcomes)
         assert np.array_equal(*tables), k
 
@@ -1011,49 +1010,13 @@ def test_a_bad_setting_in_any_block_raises_the_serial_error(rho, monkeypatch):
     for bad in (late, early):
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(moments, "_WORKERS", workers)
+            monkeypatch.setattr(sampling, "_WORKERS", workers)
             with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12") as error:
                 simulate_shots(rho, bad, 5, RngStream(100))
             errors.append(str(error.value))
             assert threading.active_count() == threads
         assert errors[0] == errors[1]
     simulate_shots(rho, settings, 5, RngStream(100))
-    assert threading.active_count() == threads
-
-
-def test_shared_blocks_raise_the_lowest_failing_block_after_the_join():
-    # Block 0 waits until block 1 has begun, so the two run on different
-    # workers; blocks 1 and 4 fail, and block 1's failure is the serial one.
-    threads, begun, ran = threading.active_count(), threading.Event(), []
-
-    def work(i):
-        ran.append((i, threading.current_thread()))
-        if i == 0:
-            assert begun.wait(10)
-        if i == 1:
-            begun.set()
-        if i in (1, 4):
-            raise ValueError(f"block {i}")
-
-    with pytest.raises(ValueError, match="^block 1$"):
-        moments._share_blocks(work, 6, 2)
-    assert threading.active_count() == threads
-    assert len({thread for _, thread in ran}) == 2
-    assert {0, 1} <= {i for i, _ in ran}
-    with pytest.raises(ValueError, match="^block 1$"):
-        moments._share_blocks(work, 6, 1)
-
-
-def test_shared_blocks_run_every_block_once_under_fast_switching():
-    # A thread switch every microsecond between the claims of 20,000 blocks:
-    # a block claimed twice or lost would break the count.
-    interval, threads, ran = sys.getswitchinterval(), threading.active_count(), []
-    sys.setswitchinterval(1e-6)
-    try:
-        moments._share_blocks(ran.append, 20_000, 2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(ran) == list(range(20_000))
     assert threading.active_count() == threads
 
 
@@ -1136,7 +1099,7 @@ def test_simulate_shots_memory_is_capped_by_the_block_budget(monkeypatch):
     # both runs span several blocks of one worker
     small, big = 3 * answers[-1], 10 * answers[-1]
     for workers in (1, 2):
-        monkeypatch.setattr(moments, "_WORKERS", workers)
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         peaks = {}
         for m in (small, big):
             settings = random_settings(n, m, RngStream(77))

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -180,6 +182,14 @@ def test_settings_blocks_concatenate_to_random_settings(n):
         assert np.array_equal(np.concatenate(blocks), stacked)
 
 
+def test_a_placed_generator_reads_the_words_of_a_new_one():
+    # on and off a four-word Philox step
+    stream = RngStream(45, 2)
+    words = stream.generator().random(64)
+    for word in (0, 13, 5, 40, 2, 63):
+        assert np.array_equal(sampling._stream_generator(stream, word).random(64 - word), words[word:]), word
+
+
 def _assert_draws_extend(draw):
     """``draw(M)`` is the first M rows of ``draw(4_100)`` at M = 1, 1,025 and
     1,500: four 1,024-row blocks and a short one, cut on and off a block
@@ -205,12 +215,69 @@ def test_shot_outcomes_of_a_longer_draw_begin_with_the_shorter_draw(monkeypatch)
     # worker; two workers' shares hold 197, so 4,100 settings take 22 blocks of
     # 187.  werner takes the Pauli route.
     for workers, rows in ((1, 394), (2, 187)):
-        monkeypatch.setattr(moments, "_WORKERS", workers)
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         assert moments._check_shot_budget(w_state(8), 4_100, 50)[:2] == (rows, workers)
     for rho, k in ((w_state(8), 50), (werner(0.6), 10)):
         _assert_draws_extend(
             lambda m: simulate_shots(rho, random_settings(rho.n_qubits, m, RngStream(44)), k, RngStream(44, 1)).outcomes
         )
+
+
+def test_shared_blocks_raise_the_lowest_failing_block_after_the_join():
+    # Block 0 waits until block 1 has begun, so the two run on different
+    # workers; blocks 1 and 4 fail, and block 1's failure is the serial one.
+    threads, begun, ran = threading.active_count(), threading.Event(), []
+
+    def work(i):
+        ran.append((i, threading.current_thread()))
+        if i == 0:
+            assert begun.wait(10)
+        if i == 1:
+            begun.set()
+        if i in (1, 4):
+            raise ValueError(f"block {i}")
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        sampling._share_blocks(work, 6, 2)
+    assert threading.active_count() == threads
+    assert len({thread for _, thread in ran}) == 2
+    assert {0, 1} <= {i for i, _ in ran}
+    with pytest.raises(ValueError, match="^block 1$"):
+        sampling._share_blocks(work, 6, 1)
+
+
+def test_shared_blocks_run_every_block_once_under_fast_switching():
+    # A thread switch every microsecond between the claims of 20,000 blocks:
+    # a block claimed twice or lost would break the count.
+    interval, threads, ran = sys.getswitchinterval(), threading.active_count(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        sampling._share_blocks(ran.append, 20_000, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(20_000))
+    assert threading.active_count() == threads
+
+
+def test_blas_blocks_share_workers_only_at_one_blas_thread(monkeypatch):
+    # OpenBLAS takes the first positive of its three variables, else the CPU
+    # count; a forced _WORKERS and one CPU win over it
+    monkeypatch.setattr(sampling, "_WORKERS", None)
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for values, workers in (((None, None, None), 1), ((None, None, "1"), 2), (("2", None, "1"), 1),
+                            (("0", "1", None), 2), (("x", None, "4"), 1), (("1", None, "4"), 2)):
+        with monkeypatch.context() as env:
+            for name, value in zip(names, values):
+                env.delenv(name, raising=False) if value is None else env.setenv(name, value)
+            assert sampling._worker_count(5) == 2
+            assert sampling._worker_count(5, blas=True) == workers, values
+            assert sampling._worker_count(1, blas=True) == 1
+            env.setattr(sampling, "_WORKERS", 2)
+            assert sampling._worker_count(5, blas=True) == 2
+            env.setattr(sampling, "_WORKERS", None)
+            env.setattr(sampling.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert sampling._worker_count(5) == sampling._worker_count(5, blas=True) == 1
 
 
 def test_random_settings_of_no_party_is_an_empty_table_per_setting():
